@@ -81,9 +81,11 @@ def _meta(config: RunConfig, command: str) -> dict:
             "command": command, "config": config.label}
 
 
-def _csv_header(config: RunConfig, command: str, columns: list[str]) -> str:
+def _csv(config: RunConfig, command: str, columns: list[str], rows) -> str:
+    """Comment line, header row, then one line per row of numbers."""
     return (f"# switchbif {__version__} {command} config={config.label}\n"
-            + ",".join(columns) + "\n")
+            + ",".join(columns) + "\n"
+            + "".join(",".join(map(_fmt, row)) + "\n" for row in rows))
 
 
 def _write_output(text: str, out_dir: str | None, filename: str,
@@ -97,14 +99,73 @@ def _write_output(text: str, out_dir: str | None, filename: str,
         sys.stdout.write(text)
 
 
-def _parse_floats(text: str, what: str) -> list[float]:
+def _number(value, where: str) -> float:
+    if isinstance(value, str):
+        return parse_constant_expression(value.strip(), where)
+    return float(value)
+
+
+def _numbers(value, where: str) -> list[float]:
+    if isinstance(value, str):
+        value = [part for part in value.split(",") if part.strip()]
+    return [_number(v, where) for v in value]
+
+
+def _integer(value, where: str) -> int:
+    return int(value)
+
+
+def _switch(value, where: str) -> bool:
+    return bool(value)
+
+
+#: key -> (flag, converter, default, range check, rule the check enforces);
+#: the key also names the config document's ``options`` entry behind the flag
+_OPTIONS = {
+    "lambda": ("--lambda", _number, 0.0, None, None),
+    "x0": ("--x0", _numbers, [1.0, 0.0], lambda v: len(v) == 2, "must be two numbers"),
+    "t_max": ("--t-max", _number, None, lambda v: v >= 0.0, "must be >= 0"),
+    "n_events": ("--n-events", _integer, None, lambda v: v >= 1, "must be >= 1"),
+    "return_to_section": ("--return-to-section", _switch, False, None, None),
+    "x1_values": ("--x1", _numbers, None, bool, "needs at least one value"),
+    "lambdas": ("--lambdas", _numbers, None, bool, "needs at least one value"),
+    "lambda_min": ("--lambda-min", _number, None, None, None),
+    "lambda_max": ("--lambda-max", _number, None, None, None),
+    "n": ("--n", _integer, 101, lambda v: v >= 1, "must be >= 1"),
+    "bracket": ("--bracket", _numbers, [-0.1, 0.1], lambda v: len(v) == 2,
+                "must be two numbers"),
+    "x_scan_max": ("--x-scan-max", _number, 10.0, lambda v: v > 0.0, "must be > 0"),
+    "radius_m": ("--radius-m", _number, 10.0, lambda v: v > 0.0, "must be > 0"),
+    "n_samples": ("--n-samples", _integer, 100_000, lambda v: v >= 1, "must be >= 1"),
+}
+_HELP = {
+    "x0": "initial state 'x1,x2'",
+    "return_to_section": "stop at the first return to the positive x1-axis",
+    "x1_values": "comma-separated amplitudes",
+    "lambdas": "comma-separated parameter values",
+    "bracket": "parameter bracket 'lo,hi'",
+}
+
+
+def _option(config: RunConfig, args, key: str, *, required: bool = False,
+            from_config: bool = True):
+    """Value of one option: the flag, else ``config.options[key]``, else the
+    default; converted and range-checked once, whichever source it came from."""
+    flag, convert, default, check, rule = _OPTIONS[key]
+    value, where = getattr(args, key), flag
+    if value is None and from_config and key in config.options:
+        value, where = config.options[key], f"options.{key}"
+    if value is None:
+        if required:
+            raise ParseError(f"{flag} is required")
+        return default
     try:
-        return [parse_constant_expression(part.strip(), what)
-                for part in text.split(",") if part.strip()]
-    except ParseError:
-        raise
-    except ValueError as exc:
-        raise ParseError(f"bad {what}: {exc}") from exc
+        value = convert(value, where)
+    except (TypeError, ValueError, ArithmeticError) as exc:
+        raise ParseError(f"bad value {value!r}: {exc}", where) from None
+    if check is not None and not check(value):
+        raise ParseError(f"{rule}, got {value!r}", where)
+    return value
 
 
 # -- subcommand handlers -------------------------------------------------------
@@ -118,71 +179,54 @@ def _cmd_validate(config: RunConfig, args) -> int:
     return 0 if report.passed else 1
 
 
-def _stop_condition(args, options: dict):
-    chosen = [name for name, val in (("t_max", args.t_max),
-                                     ("n_events", args.n_events),
-                                     ("return_to_section", args.return_to_section))
-              if val not in (None, False)]
-    if len(chosen) > 1:
+_STOPS = {"t_max": StopAtTime, "n_events": StopAfterEvents,
+          "return_to_section": lambda _: StopOnReturn()}
+
+
+def _stop_condition(config: RunConfig, args):
+    """The one stop flag given, else the first stop option in the config."""
+    flags = [key for key in _STOPS if getattr(args, key) is not None]
+    if len(flags) > 1:
         raise ParseError("give only one of --t-max, --n-events, --return-to-section")
-    if args.t_max is not None:
-        return StopAtTime(args.t_max)
-    if args.n_events is not None:
-        return StopAfterEvents(args.n_events)
-    if args.return_to_section:
-        return StopOnReturn()
-    if "t_max" in options:
-        return StopAtTime(float(options["t_max"]))
-    if "n_events" in options:
-        return StopAfterEvents(int(options["n_events"]))
-    if options.get("return_to_section"):
-        return StopOnReturn()
+    for key in flags or _STOPS:
+        value = _option(config, args, key)
+        if value is not None and value is not False:
+            return _STOPS[key](value)
     raise ParseError("a stop condition is required: --t-max, --n-events or --return-to-section")
 
 
 def _cmd_simulate(config: RunConfig, args) -> int:
-    lam = _option_lambda(config, args)
-    if args.x0 is not None:
-        x0 = _parse_floats(args.x0, "--x0")
-    else:
-        x0 = [float(v) for v in config.options.get("x0", [1.0, 0.0])]
-    if len(x0) != 2:
-        raise ParseError("--x0 must be two comma-separated numbers")
-    stop = _stop_condition(args, config.options)
+    lam = _option(config, args, "lambda")
+    x0 = _option(config, args, "x0")
+    stop = _stop_condition(config, args)
     traj = integrate(config.system, x0, lam, stop, config.integrator)
 
-    lines = [_csv_header(config, "simulate", ["t", "x1", "x2", "quadrant", "event"])]
+    rows = []
     n_events = len(traj.events)
     for ai, arc in enumerate(traj.arcs):
         start = 1 if ai > 0 else 0  # first sample duplicates the previous event row
         last = len(arc.times) - 1
         for si in range(start, last + 1):
-            is_event = si == last and ai < n_events
-            lines.append(",".join([_fmt(arc.times[si]), _fmt(arc.states[si][0]),
-                                   _fmt(arc.states[si][1]), str(int(arc.quadrant)),
-                                   "1" if is_event else "0"]) + "\n")
-    _write_output("".join(lines), args.out, "trajectory.csv")
+            rows.append((arc.times[si], arc.states[si][0], arc.states[si][1],
+                         int(arc.quadrant), si == last and ai < n_events))
+    _write_output(_csv(config, "simulate", ["t", "x1", "x2", "quadrant", "event"], rows),
+                  args.out, "trajectory.csv")
     return 0
 
 
 def _cmd_poincare(config: RunConfig, args) -> int:
-    lam = _option_lambda(config, args)
-    if args.x1 is not None:
-        x1_values = _parse_floats(args.x1, "--x1")
-    else:
-        x1_values = [float(v) for v in config.options.get("x1_values", [])]
-    if not x1_values:
-        raise ParseError("--x1 requires at least one value")
-    lines = [_csv_header(config, "poincare", ["x1_in", "x1_out", "period"])]
-    for x1 in x1_values:
-        s = poincare_numeric(config.system, x1, lam, config.integrator)
-        lines.append(",".join([_fmt(s.x1_in), _fmt(s.x1_out), _fmt(s.period)]) + "\n")
-    _write_output("".join(lines), args.out, "poincare.csv")
+    lam = _option(config, args, "lambda")
+    x1_values = _option(config, args, "x1_values", required=True)
+    samples = [poincare_numeric(config.system, x1, lam, config.integrator)
+               for x1 in x1_values]
+    _write_output(_csv(config, "poincare", ["x1_in", "x1_out", "period"],
+                       [(s.x1_in, s.x1_out, s.period) for s in samples]),
+                  args.out, "poincare.csv")
     return 0
 
 
 def _cmd_classify(config: RunConfig, args) -> int:
-    lam = _option_lambda(config, args)
+    lam = _option(config, args, "lambda")
     d = delta(config.system.params, lam)
     verdict = classify_origin(config.system.params, lam)
     doc = _meta(config, "classify")
@@ -192,31 +236,24 @@ def _cmd_classify(config: RunConfig, args) -> int:
 
 
 def _cmd_delta_sweep(config: RunConfig, args) -> int:
-    if args.lambdas is not None:
-        lams = _parse_floats(args.lambdas, "--lambdas")
-    else:
-        lo = args.lambda_min if args.lambda_min is not None else None
-        hi = args.lambda_max if args.lambda_max is not None else None
+    lams = _option(config, args, "lambdas", from_config=False)
+    if lams is None:
+        lo = _option(config, args, "lambda_min")
+        hi = _option(config, args, "lambda_max")
         if lo is None or hi is None:
             raise ParseError("give --lambdas or both --lambda-min and --lambda-max")
-        n = args.n
+        n = _option(config, args, "n")
         lams = [lo + (hi - lo) * i / (n - 1) for i in range(n)] if n > 1 else [lo]
-    lines = [_csv_header(config, "delta-sweep", ["lambda", "delta", "delta_prime"])]
-    for lam in lams:
-        lines.append(",".join([_fmt(lam), _fmt(delta(config.system.params, lam)),
-                               _fmt(delta_prime(config.system.params, lam))]) + "\n")
-    _write_output("".join(lines), args.out, "delta_sweep.csv")
+    p = config.system.params
+    _write_output(_csv(config, "delta-sweep", ["lambda", "delta", "delta_prime"],
+                       [(lam, delta(p, lam), delta_prime(p, lam)) for lam in lams]),
+                  args.out, "delta_sweep.csv")
     return 0
 
 
 def _cmd_bifurcate(config: RunConfig, args) -> int:
-    if args.bracket is not None:
-        bracket = _parse_floats(args.bracket, "--bracket")
-    else:
-        bracket = [float(v) for v in config.options.get("bracket", [-0.1, 0.1])]
-    if len(bracket) != 2:
-        raise ParseError("--bracket must be two comma-separated numbers")
-    crit = find_critical_lambda(config.system.params, (bracket[0], bracket[1]))
+    bracket = _option(config, args, "bracket")
+    crit = find_critical_lambda(config.system.params, tuple(bracket))
     fit = fit_local_expansion(config.system, crit.lambda_star, config.integrator)
     direction = bifurcation_direction(config.system, config.integrator,
                                       lam_star=crit.lambda_star, expansion=fit)
@@ -239,24 +276,16 @@ def _cmd_bifurcate(config: RunConfig, args) -> int:
 
 
 def _cmd_branch(config: RunConfig, args) -> int:
-    if args.lambdas is not None:
-        lams = _parse_floats(args.lambdas, "--lambdas")
-    else:
-        lams = [float(v) for v in config.options.get("lambdas", [])]
-    if not lams:
-        raise ParseError("--lambdas requires at least one value")
-    x_scan_max = args.x_scan_max if args.x_scan_max is not None else \
-        float(config.options.get("x_scan_max", 10.0))
+    lams = _option(config, args, "lambdas", required=True)
+    x_scan_max = _option(config, args, "x_scan_max")
     result = continue_branch(config.system, lams, config.integrator,
                              x_scan_max=x_scan_max)
     if not result.points:
         raise NoOrbitError(f"no periodic orbit found for any of lambdas {lams}")
 
-    lines = [_csv_header(config, "branch", ["lambda", "x1_fixed", "period", "residual"])]
-    for p in result.points:
-        lines.append(",".join([_fmt(p.lam), _fmt(p.x1_fixed), _fmt(p.period),
-                               _fmt(p.residual)]) + "\n")
-    _write_output("".join(lines), args.out, "branch.csv")
+    _write_output(_csv(config, "branch", ["lambda", "x1_fixed", "period", "residual"],
+                       [(p.lam, p.x1_fixed, p.period, p.residual) for p in result.points]),
+                  args.out, "branch.csv")
 
     doc = _meta(config, "branch")
     doc["no_orbit_lambdas"] = list(result.no_orbit)
@@ -275,11 +304,9 @@ def _cmd_branch(config: RunConfig, args) -> int:
 
 
 def _cmd_verify_global(config: RunConfig, args) -> int:
-    lam = _option_lambda(config, args)
-    radius = args.radius_m if args.radius_m is not None else \
-        float(config.options.get("radius_m", 10.0))
-    n_samples = args.n_samples if args.n_samples is not None else \
-        int(config.options.get("n_samples", 100_000))
+    lam = _option(config, args, "lambda")
+    radius = _option(config, args, "radius_m")
+    n_samples = _option(config, args, "n_samples")
     rep = check_global_conditions(config.system, lam, radius_M=radius,
                                   n_samples=n_samples)
     def witness_doc(w):
@@ -307,78 +334,53 @@ def _cmd_verify_global(config: RunConfig, args) -> int:
     return 0 if all_ok else 2
 
 
-def _option_lambda(config: RunConfig, args) -> float:
-    if args.lam is not None:
-        return args.lam
-    if "lambda" in config.options:
-        return float(config.options["lambda"])
-    return 0.0
-
-
-_HANDLERS = {
-    "validate": _cmd_validate,
-    "simulate": _cmd_simulate,
-    "poincare": _cmd_poincare,
-    "classify": _cmd_classify,
-    "delta-sweep": _cmd_delta_sweep,
-    "bifurcate": _cmd_bifurcate,
-    "branch": _cmd_branch,
-    "verify-global": _cmd_verify_global,
+#: subcommand -> (handler, help, options it takes)
+_COMMANDS = {
+    "validate": (_cmd_validate, "check the standing assumptions of the configured system",
+                 ()),
+    "simulate": (_cmd_simulate, "integrate a trajectory and export CSV",
+                 ("lambda", "x0", "t_max", "n_events", "return_to_section")),
+    "poincare": (_cmd_poincare, "evaluate the return map at given amplitudes",
+                 ("lambda", "x1_values")),
+    "classify": (_cmd_classify, "classify the origin of the linear switched system",
+                 ("lambda",)),
+    "delta-sweep": (_cmd_delta_sweep, "tabulate the stability index over a parameter range",
+                    ("lambdas", "lambda_min", "lambda_max", "n")),
+    "bifurcate": (_cmd_bifurcate, "locate the critical parameter and the branch direction",
+                  ("bracket",)),
+    "branch": (_cmd_branch, "continue the periodic-orbit branch over parameter values",
+               ("lambdas", "x_scan_max")),
+    "verify-global": (_cmd_verify_global, "sampled check of the global existence conditions",
+                      ("lambda", "radius_m", "n_samples")),
 }
 
 
-def _expr_float(text: str) -> float:
-    return parse_constant_expression(text, "argument")
+class _ArgumentParser(argparse.ArgumentParser):
+    """Reports bad command lines as ParseError instead of exiting."""
+
+    def error(self, message):
+        raise ParseError(message)
 
 
 def _add_command_parsers(subparsers, with_config: bool) -> None:
-    def new_parser(name, help_text):
+    for name, (_, help_text, keys) in _COMMANDS.items():
         p = subparsers.add_parser(name, help=help_text)
         if with_config:
             p.add_argument("--config", required=True, metavar="FILE",
                            help="JSON configuration document")
         p.add_argument("--out", metavar="DIR", default=None,
                        help="directory for output files (default: print to stdout)")
-        return p
-
-    p = new_parser("validate", "check the standing assumptions of the configured system")
-
-    p = new_parser("simulate", "integrate a trajectory and export CSV")
-    p.add_argument("--lambda", dest="lam", type=_expr_float, default=None)
-    p.add_argument("--x0", default=None, help="initial state 'x1,x2'")
-    p.add_argument("--t-max", dest="t_max", type=_expr_float, default=None)
-    p.add_argument("--n-events", dest="n_events", type=int, default=None)
-    p.add_argument("--return-to-section", action="store_true",
-                   help="stop at the first return to the positive x1-axis")
-
-    p = new_parser("poincare", "evaluate the return map at given amplitudes")
-    p.add_argument("--lambda", dest="lam", type=_expr_float, default=None)
-    p.add_argument("--x1", default=None, help="comma-separated amplitudes")
-
-    p = new_parser("classify", "classify the origin of the linear switched system")
-    p.add_argument("--lambda", dest="lam", type=_expr_float, default=None)
-
-    p = new_parser("delta-sweep", "tabulate the stability index over a parameter range")
-    p.add_argument("--lambdas", default=None, help="comma-separated parameter values")
-    p.add_argument("--lambda-min", dest="lambda_min", type=_expr_float, default=None)
-    p.add_argument("--lambda-max", dest="lambda_max", type=_expr_float, default=None)
-    p.add_argument("--n", type=int, default=101)
-
-    p = new_parser("bifurcate", "locate the critical parameter and the branch direction")
-    p.add_argument("--bracket", default=None, help="parameter bracket 'lo,hi'")
-
-    p = new_parser("branch", "continue the periodic-orbit branch over parameter values")
-    p.add_argument("--lambdas", default=None, help="comma-separated parameter values")
-    p.add_argument("--x-scan-max", dest="x_scan_max", type=_expr_float, default=None)
-
-    p = new_parser("verify-global", "sampled check of the global existence conditions")
-    p.add_argument("--lambda", dest="lam", type=_expr_float, default=None)
-    p.add_argument("--radius-m", dest="radius_m", type=_expr_float, default=None)
-    p.add_argument("--n-samples", dest="n_samples", type=int, default=None)
+        for key in keys:
+            flag, convert = _OPTIONS[key][:2]
+            if convert is _switch:
+                p.add_argument(flag, dest=key, action="store_const", const=True,
+                               help=_HELP.get(key))
+            else:
+                p.add_argument(flag, dest=key, help=_HELP.get(key))
 
 
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _ArgumentParser(
         prog="switchbif",
         description="simulate planar switched systems and analyse their "
                     "switching-induced Hopf-like bifurcation")
@@ -395,9 +397,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
-    error_json = args.error_json
+    argv = sys.argv[1:] if argv is None else list(argv)
+    error_json = "--error-json" in argv
     try:
+        args = _build_parser().parse_args(argv)
         if args.command == "paper-example":
             command = args.pe_command
             config = paper_example_config()
@@ -409,16 +412,12 @@ def main(argv=None) -> int:
             except OSError as exc:
                 raise ParseError(f"cannot read config file: {exc}") from exc
             config = parse_config(text, label=path.name)
-        return _HANDLERS[command](config, args)
-    except _USER_ERRORS as exc:
-        _report_error(exc, 1, error_json)
-        return 1
-    except _NUMERIC_ERRORS as exc:
-        _report_error(exc, 2, error_json)
-        return 2
+        return _COMMANDS[command][0](config, args)
     except SwitchBifError as exc:
-        _report_error(exc, 3, error_json)
-        return 3
+        code = (1 if isinstance(exc, _USER_ERRORS) else
+                2 if isinstance(exc, _NUMERIC_ERRORS) else 3)
+        _report_error(exc, code, error_json)
+        return code
 
 
 def _report_error(exc: Exception, code: int, error_json: bool) -> None:

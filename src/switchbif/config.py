@@ -94,10 +94,16 @@ class _ExprParser:
         return tok
 
     def parse(self) -> float:
-        value = self.expr()
+        try:
+            value = self.expr()
+        except ZeroDivisionError:
+            raise ParseError(f"division by zero in expression {self.text!r}",
+                             self.location) from None
         if self.peek()[0] != "end":
             raise ParseError(f"trailing input {self.peek()[1]!r} in expression {self.text!r}",
                              self.location)
+        if not math.isfinite(value):
+            raise ParseError(f"non-finite value of expression {self.text!r}", self.location)
         return value
 
     def expr(self) -> float:

@@ -5,10 +5,10 @@ embedded Dormand-Prince 5(4) pair under PI step-size control.  The
 switching manifolds are the four coordinate semi-axes, so the event
 function on an arc is simply the coordinate about to vanish under
 clockwise motion: x2 on arcs in quadrants 1 and 3, x1 on arcs in
-quadrants 2 and 4.  A sign change over an accepted step is refined by
-bisection on the step (re-taking a single smaller step from the step
-start), followed by one secant polish, until the crossing coordinate
-is below ``event_tol * max(1, |x|)``.
+quadrants 2 and 4.  A sign change over an accepted step is located by
+``rootfind.brent`` on the length tau of a single re-taken step from the
+step start, until the crossing coordinate is below ``event_tol`` times
+the state scale.
 
 Arc fields follow the open quadrant that contains the arc's interior:
 a trajectory on an axis evolves under the field of the quadrant it is
@@ -27,6 +27,7 @@ from .errors import (BudgetError, EscapeError, OriginError, SideError,
                      StiffnessError, SwitchBifError, TangencyError,
                      NoConvergenceError)
 from .model import Quadrant, SwitchedSystem, clockwise_successor, linear_matrix
+from .rootfind import brent
 
 __all__ = [
     "IntegratorConfig",
@@ -185,12 +186,6 @@ def _rk_stages(f, x1, x2, h, k11, k12):
     return u1, u2, e1, e2, k71, k72
 
 
-def _advance(f, x1, x2, tau, k11, k12):
-    """State after a single 5th-order step of size tau from (x1, x2)."""
-    u1, u2, _, _, _, _ = _rk_stages(f, x1, x2, tau, k11, k12)
-    return u1, u2
-
-
 def _compiled_fields(sys: SwitchedSystem, lam: float) -> dict[int, object]:
     """Per-quadrant scalar closures with coefficients frozen at ``lam``."""
     fields: dict[int, object] = {}
@@ -261,39 +256,24 @@ def _initial_quadrant(fields, x1: float, x2: float, on_axis_tol: float) -> Quadr
     return side_pos if pos_ok else side_neg
 
 
-def _locate_crossing(f, x1, x2, h, g_end_state, gidx, k11, k12, tol_g, max_iter=90):
-    """Refine the crossing time of the monitored coordinate within (0, h].
+def _locate_crossing(f, x1, x2, h, end_state, gidx, k11, k12, tol_g):
+    """(tau, state) where the monitored coordinate g crosses zero within [0, h].
 
-    Bisects on the step-start substep, then applies one secant polish;
-    returns (tau, state) at the best point found with |g| < tol_g
-    (or the best achievable at bracket collapse).
+    g(tau) is that coordinate after one 5th-order step of size tau; the
+    known bracket ends and every state evaluated are kept, so neither
+    brent's first calls nor the returned state cost a further step.
     """
-    g_lo = (x1, x2)[gidx]
-    lo = 0.0
-    hi = h
-    g_hi = g_end_state[gidx]
-    best_tau, best_state, best_g = h, g_end_state, g_hi
-    lo_sign_pos = g_lo > 0.0
-    for _ in range(max_iter):
-        if abs(best_g) < tol_g or (hi - lo) <= 1e-16 * h:
-            break
-        mid = 0.5 * (lo + hi)
-        u1, u2 = _advance(f, x1, x2, mid, k11, k12)
-        gm = (u1, u2)[gidx]
-        if abs(gm) < abs(best_g):
-            best_tau, best_state, best_g = mid, (u1, u2), gm
-        if (gm > 0.0) == lo_sign_pos:
-            lo, g_lo = mid, gm
-        else:
-            hi, g_hi = mid, gm
-    if g_hi != g_lo:
-        tau_s = (lo * g_hi - hi * g_lo) / (g_hi - g_lo)
-        if lo < tau_s < hi:
-            u1, u2 = _advance(f, x1, x2, tau_s, k11, k12)
-            gs = (u1, u2)[gidx]
-            if abs(gs) < abs(best_g):
-                best_tau, best_state, best_g = tau_s, (u1, u2), gs
-    return best_tau, best_state
+    states = {0.0: (x1, x2), h: end_state}
+
+    def g(tau):
+        state = states.get(tau)
+        if state is None:
+            u1, u2, _, _, _, _ = _rk_stages(f, x1, x2, tau, k11, k12)
+            state = states[tau] = (u1, u2)
+        return state[gidx]
+
+    tau, _ = brent(g, 0.0, h, xtol=math.ulp(h), ftol=tol_g)
+    return tau, states[tau]
 
 
 def integrate(sys: SwitchedSystem, x0, lam: float, stop, cfg: IntegratorConfig) -> HybridTrajectory:
@@ -304,13 +284,16 @@ def integrate(sys: SwitchedSystem, x0, lam: float, stop, cfg: IntegratorConfig) 
     Raises TangencyError on non-transversal or sliding crossings,
     BudgetError when the event budget or per-arc time budget is
     exhausted, StiffnessError on step underflow and EscapeError when
-    the trajectory leaves the bounding box.
+    the start point or the trajectory lies outside the bounding box.
     """
     sys.params.check_lambda(lam)
     x1, x2 = float(x0[0]), float(x0[1])
     norm0 = max(abs(x1), abs(x2))
     if norm0 == 0.0:
         raise OriginError("cannot integrate from the origin")
+    if norm0 > cfg.escape_radius:
+        raise EscapeError(f"start point ({x1}, {x2}) lies outside the bounding box "
+                          f"(escape_radius = {cfg.escape_radius})")
 
     if isinstance(stop, StopAtTime):
         if stop.t_max < 0.0:
@@ -375,7 +358,7 @@ def integrate(sys: SwitchedSystem, x0, lam: float, stop, cfg: IntegratorConfig) 
         loc = min(1.0, max(abs(x1), abs(x2), abs(u1), abs(u2)))
         sc1 = cfg.abs_tol * loc + cfg.rel_tol * max(abs(x1), abs(u1))
         sc2 = cfg.abs_tol * loc + cfg.rel_tol * max(abs(x2), abs(u2))
-        err = math.sqrt(0.5 * ((e1 / sc1) ** 2 + (e2 / sc2) ** 2))
+        err = math.hypot(e1 / sc1, e2 / sc2) / math.sqrt(2.0)
         if not math.isfinite(err):
             err = math.inf
 

@@ -139,6 +139,12 @@ class TestBranchCommand:
         assert xs == sorted(xs)
         assert len(xs) == 3
 
+    def test_overflowing_scan_reports_no_orbit(self, capsys):
+        # the scan at -0.11 once overflowed in the step error norm
+        code, out, _ = run(capsys, ["paper-example", "branch", "--lambdas=-0.11,0.1"])
+        assert code == 0
+        assert -0.11 in json.loads(out[out.index("{"):])["no_orbit_lambdas"]
+
     def test_no_orbit_exit_code(self, capsys):
         code, _, err = run(capsys, ["paper-example", "branch", "--lambdas=-0.05"])
         assert code == 2
@@ -180,3 +186,38 @@ class TestBifurcateCommand:
         assert doc["delta_prime"] == pytest.approx(4.0 / (math.e * math.pi), rel=1e-9)
         assert doc["direction"] == "BranchForPositiveLambda"
         assert doc["expansion_fit"]["delta_coeff"] < 0.0
+
+
+class TestErrorContract:
+    @pytest.mark.parametrize("argv", [
+        ["verify-global", "--n-samples", "0"],
+        ["verify-global", "--radius-m=-1"],
+        ["verify-global", "--n-samples", "abc"],
+        ["simulate", "--n-events", "0"],
+        ["simulate", "--x0", "1,0", "--t-max=-1"],
+        ["simulate", "--x0", "1,2,3", "--t-max", "1"],
+        ["delta-sweep", "--lambda-min", "0", "--lambda-max", "1", "--n", "0"],
+        ["classify", "--lambda", "foo"],
+        ["classify", "--lambda", "1/0"],
+        ["poincare", "--x1", "0.5", "--unknown-flag"],
+        ["branch"],
+    ], ids=" ".join)
+    def test_bad_argument_is_one_line_user_error(self, capsys, argv):
+        code, _, err = run(capsys, ["paper-example", *argv])
+        assert code == 1
+        assert "Traceback" not in err
+        assert err.count("\n") == 1 and err.startswith("switchbif: error: ")
+
+    def test_bad_config_option_names_its_key(self, capsys, tmp_path):
+        doc = json.loads(emit_canonical(paper_example_config()))
+        doc["options"] = {"n_samples": 0}
+        path = tmp_path / "system.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        code, _, err = run(capsys, ["verify-global", "--config", str(path)])
+        assert code == 1
+        assert "options.n_samples" in err
+
+    def test_start_outside_bounding_box_is_escape(self, capsys):
+        code, _, err = run(capsys, ["paper-example", "poincare", "--x1", "1e300"])
+        assert code == 2
+        assert "EscapeError" in err

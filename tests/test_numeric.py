@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import make_linear_system, make_params
+from switchbif import numeric
 from switchbif import (BudgetError, EscapeError, IntegratorConfig, LambdaPoly,
                        MonomialTerm, NoConvergenceError, OriginError,
                        PolyField, Quadrant, SideError, StopAfterEvents,
@@ -95,6 +96,14 @@ class TestIntegrate:
         with pytest.raises(EscapeError):
             integrate(sys, (1.0, 0.0), 0.0, StopAtTime(50.0), cfg)
 
+    def test_start_outside_bounding_box_is_escape(self, cfg, monkeypatch):
+        def no_fields(*args):
+            raise AssertionError("a field was compiled for a rejected start point")
+        monkeypatch.setattr(numeric, "_compiled_fields", no_fields)
+        sys = make_linear_system(0.5, 2.0, 1.0)
+        with pytest.raises(EscapeError):
+            integrate(sys, (1e300, 0.0), 0.0, StopOnReturn(), cfg)
+
     def test_event_budget_raises(self, cfg):
         sys = make_linear_system(0.5, 2.0, 1.0)
         tight = IntegratorConfig(max_arcs=3)
@@ -173,6 +182,30 @@ class TestPoincareNumeric:
         gaps = [abs(x - 0.22252914490521986) for x in crossings]
         assert all(g2 < g1 for g1, g2 in zip(gaps, gaps[1:]))
         assert gaps[-1] < gaps[0] / 10.0
+
+
+class TestEventLocationCost:
+    """RHS evaluations per return, counted around the compiled fields."""
+
+    @pytest.fixture
+    def rhs_evals(self, monkeypatch):
+        count = [0]
+        compiled = numeric._compiled_fields
+
+        def counting_fields(*args):
+            def counted(f):
+                def g(x1, x2):
+                    count[0] += 1
+                    return f(x1, x2)
+                return g
+            return {q: counted(f) for q, f in compiled(*args).items()}
+        monkeypatch.setattr(numeric, "_compiled_fields", counting_fields)
+        return count
+
+    @pytest.mark.parametrize("x1,budget", [(0.5, 1500), (1e-4, 1800)])
+    def test_one_return_budget(self, paper_config, rhs_evals, x1, budget):
+        poincare_numeric(paper_config.system, x1, 0.1, paper_config.integrator)
+        assert 0 < rhs_evals[0] <= budget
 
 
 class TestReturnResidual:
