@@ -201,14 +201,12 @@ def _cmd_simulate(config: RunConfig, args) -> int:
     stop = _stop_condition(config, args)
     traj = integrate(config.system, x0, lam, stop, config.integrator)
 
-    rows = []
     n_events = len(traj.events)
-    for ai, arc in enumerate(traj.arcs):
-        start = 1 if ai > 0 else 0  # first sample duplicates the previous event row
-        last = len(arc.times) - 1
-        for si in range(start, last + 1):
-            rows.append((arc.times[si], arc.states[si][0], arc.states[si][1],
-                         int(arc.quadrant), si == last and ai < n_events))
+    # an arc's first sample duplicates the previous arc's event row
+    rows = ((t, x1, x2, int(arc.quadrant), ai < n_events and si == len(arc.times) - 1)
+            for ai, arc in enumerate(traj.arcs)
+            for si, (t, (x1, x2)) in enumerate(zip(arc.times.tolist(), arc.states.tolist()))
+            if ai == 0 or si > 0)
     _write_output(_csv(config, "simulate", ["t", "x1", "x2", "quadrant", "event"], rows),
                   args.out, "trajectory.csv")
     return 0
@@ -387,11 +385,11 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--error-json", action="store_true",
                         help="on failure, print a machine-readable error object to stdout")
     parser.add_argument("--version", action="version", version=f"switchbif {__version__}")
-    subparsers = parser.add_subparsers(dest="command", required=True)
+    subparsers = parser.add_subparsers(dest="command", required=True, metavar="COMMAND")
     _add_command_parsers(subparsers, with_config=True)
     pe = subparsers.add_parser("paper-example",
                                help="run a subcommand on the built-in benchmark system")
-    pe_sub = pe.add_subparsers(dest="pe_command", required=True)
+    pe_sub = pe.add_subparsers(dest="pe_command", required=True, metavar="COMMAND")
     _add_command_parsers(pe_sub, with_config=False)
     return parser
 

@@ -34,7 +34,8 @@ class TestConstantExpressions:
     def test_values(self, text, expected):
         assert parse_constant_expression(text) == expected
 
-    @pytest.mark.parametrize("bad", ["2**3", "sin(1)", "pi pi", "1 +", "(1", "x", "", "2e"])
+    @pytest.mark.parametrize("bad", ["2**3", "sin(1)", "pi pi", "1 +", "(1", "x", "", "2e",
+                                     "1/0", "1e400", "1e999/1e999"])
     def test_rejects_malformed(self, bad):
         with pytest.raises(ParseError):
             parse_constant_expression(bad)

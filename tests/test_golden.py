@@ -3,9 +3,10 @@
 Each case runs one subcommand with fixed flags and compares the files
 it writes against ``tests/golden/<case>/``: comment lines, headers and
 strings exactly, CSV row counts exactly, numbers at relative 1e-8.
-Numbers that are zero in exact arithmetic (axis coordinates at
-switching events, fixed-point residuals) are compared absolutely at
-1e-10, which lies above the event and fixed-point tolerances.
+Numbers near zero (axis coordinates at and next to switching events,
+fixed-point residuals) are compared absolutely at 1e-10, the
+integrator's default tolerance, which lies above the event and
+fixed-point tolerances.
 
 Regenerate the files after an intended output change with
 ``PYTHONPATH=src python tests/test_golden.py``.
