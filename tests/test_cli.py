@@ -140,7 +140,7 @@ class TestBranchCommand:
         assert len(xs) == 3
 
     def test_overflowing_scan_reports_no_orbit(self, capsys):
-        # the scan at -0.11 once overflowed in the step error norm
+        # the scan at -0.11 takes trial steps whose error estimate overflows a float
         code, out, _ = run(capsys, ["paper-example", "branch", "--lambdas=-0.11,0.1"])
         assert code == 0
         assert -0.11 in json.loads(out[out.index("{"):])["no_orbit_lambdas"]

@@ -4,13 +4,12 @@ import numpy as np
 import pytest
 
 from conftest import make_linear_system, make_params
-from switchbif import numeric
 from switchbif import (BudgetError, EscapeError, IntegratorConfig, LambdaPoly,
                        MonomialTerm, NoConvergenceError, OriginError,
                        PolyField, Quadrant, SideError, StopAfterEvents,
                        StopAtTime, StopOnReturn, SwitchedSystem, TangencyError,
                        delta, delta_numeric, integrate, poincare_numeric,
-                       return_residual)
+                       numeric, return_residual)
 
 #: (a, b, c) grid used for the linear-case oracle comparisons
 ORACLE_GRID = [(a, b, c) for a in (0.1, 1.0, 2.0) for b in (1.0, 6.0) for c in (1.0, 3.0)]
