@@ -15,7 +15,11 @@ pi(x1) - x1 and polished with a bracketed root finder.  The global
 confinement and rotation conditions that make the bifurcating orbit
 exist for every parameter on the branch side are checked by
 falsification on deterministic low-discrepancy samples: a "pass" means
-"no violation found on the samples", never a proof.
+"no violation found on the samples", never a proof.  Each condition has
+one helper (``_confinement``, ``_rotation``, ``_index_ok``); the first
+two read the fields that ``model.freeze`` fixes at the parameter and
+evaluate <x, f> and <f, Sx> as monomial forms collected in float, so
+structurally-zero forms come out exactly zero.
 """
 
 from __future__ import annotations
@@ -30,8 +34,8 @@ from .analytic import delta, delta_prime
 from .errors import (BudgetError, DegenerateError, EscapeError,
                      InsufficientDataError, PerturbationTooSmallError,
                      StiffnessError, TangencyError)
-from .model import (MonomialTerm, PolyField, Quadrant, SwitchedSystem,
-                    SystemParams, collect_terms, eval_terms)
+from .model import (Quadrant, SwitchedSystem, SystemParams, collect_terms,
+                    eval_terms, freeze)
 from .numeric import IntegratorConfig, poincare_numeric
 from .rootfind import brent, expand_bracket
 
@@ -53,6 +57,14 @@ __all__ = [
     "check_global_conditions",
 ]
 
+#: find_critical_lambda: largest |delta - 1| at the root, smallest |delta'| there
+_VALUE_TOL, _DEGENERATE_TOL = 1e-12, 1e-10
+#: fit_local_expansion: residuals below this multiple of the tolerance are noise
+_NOISE_FACTOR = 50.0
+#: continue_branch: smallest scan amplitude, ratio of neighbouring scan
+#: amplitudes, fixed-point residual scale (brent stops at 1% of it)
+_X_SCAN_MIN, _SCAN_RATIO, _RESIDUAL_TOL = 1e-6, 2.0, 1e-8
+
 
 @dataclass(frozen=True)
 class CriticalParameter:
@@ -63,27 +75,26 @@ class CriticalParameter:
     nondegenerate: bool
 
 
-def find_critical_lambda(params: SystemParams, bracket: tuple[float, float],
-                         value_tol: float = 1e-12,
-                         degenerate_tol: float = 1e-10) -> CriticalParameter:
+def find_critical_lambda(params: SystemParams, bracket: tuple[float, float]) -> CriticalParameter:
     """Locate the parameter where the stability index crosses 1.
 
     Requires a sign change of delta - 1 over ``bracket``; raises
-    NoBracketError otherwise and DegenerateError when the derivative at
-    the root is below ``degenerate_tol``.
+    NoBracketError otherwise and DegenerateError when |delta - 1| at the
+    located root exceeds _VALUE_TOL or |delta'| there is below
+    _DEGENERATE_TOL.
     """
     lo, hi = float(bracket[0]), float(bracket[1])
     f = lambda lam: delta(params, lam) - 1.0
     lam_star, residual = brent(f, lo, hi, xtol=1e-15, ftol=0.0)
-    if abs(residual) > value_tol:
+    if abs(residual) > _VALUE_TOL:
         # brent ran to bracket collapse; a residual above tolerance means
         # the index is too steep for float resolution of lambda
         raise DegenerateError(
-            f"|delta - 1| = {abs(residual)} > {value_tol} at the located root {lam_star}")
+            f"|delta - 1| = {abs(residual)} > {_VALUE_TOL} at the located root {lam_star}")
     dp = delta_prime(params, lam_star)
-    if abs(dp) < degenerate_tol:
+    if abs(dp) < _DEGENERATE_TOL:
         raise DegenerateError(
-            f"delta'({lam_star}) = {dp} is below the nondegeneracy threshold {degenerate_tol}")
+            f"delta'({lam_star}) = {dp} is below the nondegeneracy threshold {_DEGENERATE_TOL}")
     return CriticalParameter(lambda_star=lam_star, delta_prime=dp, nondegenerate=True)
 
 
@@ -105,7 +116,7 @@ class ExpansionFit:
 
 def fit_local_expansion(sys: SwitchedSystem, lam: float, cfg: IntegratorConfig,
                         x_max: float = 0.2, n_points: int = 8,
-                        return_map=None, noise_factor: float = 50.0) -> ExpansionFit:
+                        return_map=None) -> ExpansionFit:
     """Fit the leading nonlinear return-map term on a geometric amplitude grid.
 
     Residuals r(x1) = pi(x1) - delta * x1 are fitted as
@@ -124,7 +135,7 @@ def fit_local_expansion(sys: SwitchedSystem, lam: float, cfg: IntegratorConfig,
     xs = np.array([x_max * 2.0 ** (-j) for j in range(n_points)])
     rs = np.array([return_map(float(x)) - d_lin * x for x in xs])
 
-    floor = noise_factor * max(cfg.rel_tol, cfg.abs_tol, cfg.event_tol)
+    floor = _NOISE_FACTOR * max(cfg.rel_tol, cfg.abs_tol, cfg.event_tol)
     usable = np.abs(rs) > floor * xs
     if int(usable.sum()) < 3:
         raise PerturbationTooSmallError(
@@ -196,9 +207,8 @@ class BranchResult:
     additional: tuple[BranchPoint, ...]
 
 
-def _solve_bracket(residual_fn, cache, lo: float, hi: float, lam: float,
-                   residual_tol: float) -> BranchPoint:
-    x_fix, fb = brent(residual_fn, lo, hi, xtol=1e-13, ftol=residual_tol * 1e-2)
+def _solve_bracket(residual_fn, cache, lo: float, hi: float, lam: float) -> BranchPoint:
+    x_fix, fb = brent(residual_fn, lo, hi, xtol=1e-13, ftol=_RESIDUAL_TOL * 1e-2)
     sample = cache.get(x_fix)
     if sample is None:
         residual_fn(x_fix)
@@ -208,16 +218,14 @@ def _solve_bracket(residual_fn, cache, lo: float, hi: float, lam: float,
 
 
 def continue_branch(sys: SwitchedSystem, lambdas, cfg: IntegratorConfig,
-                    x_scan_min: float = 1e-6, x_scan_max: float = 10.0,
-                    scan_ratio: float = 2.0, residual_tol: float = 1e-8,
-                    expansion: ExpansionFit | None = None,
+                    x_scan_max: float = 10.0, expansion: ExpansionFit | None = None,
                     seed_from_previous: bool = True) -> BranchResult:
     """Solve the return-map fixed point for each parameter value in turn.
 
     Each solve brackets a sign change of pi(x1) - x1, seeded by the
     previous branch point or by the amplitude scaling law when an
     expansion fit is supplied; otherwise a geometric scan over
-    (x_scan_min, x_scan_max] is used and the smallest sign change is
+    (_X_SCAN_MIN, x_scan_max] is used and the smallest sign change is
     taken as the branch point (larger ones are reported as additional
     orbits).  Scan amplitudes where the trajectory escapes or the
     integration breaks down are skipped (no orbit can pass through
@@ -252,19 +260,18 @@ def continue_branch(sys: SwitchedSystem, lambdas, cfg: IntegratorConfig,
                 seed = ratio ** (1.0 / (expansion.k_exp - 1.0))
 
         solved = None
-        if seed is not None and x_scan_min < seed < x_scan_max:
+        if seed is not None and _X_SCAN_MIN < seed < x_scan_max:
             try:
-                bracket = expand_bracket(residual_fn, seed, lo=x_scan_min, hi=x_scan_max)
+                bracket = expand_bracket(residual_fn, seed, lo=_X_SCAN_MIN, hi=x_scan_max)
             except (EscapeError, StiffnessError, BudgetError, TangencyError):
                 bracket = None
             if bracket is not None:
-                solved = _solve_bracket(residual_fn, cache, bracket[0], bracket[1],
-                                        lam, residual_tol)
+                solved = _solve_bracket(residual_fn, cache, bracket[0], bracket[1], lam)
 
         if solved is None:
-            xs = [x_scan_min]
-            while xs[-1] * scan_ratio < x_scan_max:
-                xs.append(xs[-1] * scan_ratio)
+            xs = [_X_SCAN_MIN]
+            while xs[-1] * _SCAN_RATIO < x_scan_max:
+                xs.append(xs[-1] * _SCAN_RATIO)
             xs.append(x_scan_max)
             vals = [residual_or_none(x) for x in xs]
             brackets = [(xs[i], xs[i + 1]) for i in range(len(xs) - 1)
@@ -274,10 +281,9 @@ def continue_branch(sys: SwitchedSystem, lambdas, cfg: IntegratorConfig,
                 no_orbit.append(lam)
                 prev_x1 = None
                 continue
-            solved = _solve_bracket(residual_fn, cache, *brackets[0], lam, residual_tol)
+            solved = _solve_bracket(residual_fn, cache, *brackets[0], lam)
             for blo, bhi in brackets[1:]:
-                additional.append(_solve_bracket(residual_fn, cache, blo, bhi,
-                                                 lam, residual_tol))
+                additional.append(_solve_bracket(residual_fn, cache, blo, bhi, lam))
 
         points.append(solved)
         prev_x1 = solved.x1_fixed
@@ -363,31 +369,104 @@ class GlobalCheckReport:
     notes: tuple[str, ...]
 
 
-def _rotation_inner_terms(field: PolyField) -> tuple[MonomialTerm, ...]:
-    """Monomials of <field, Sx> with S = [[0, -1], [1, 0]], i.e. Sx = (-x2, x1).
-
-    Collected symbolically so structurally-zero angular contributions
-    evaluate to exactly zero.
-    """
-    terms = [MonomialTerm(t.coeff.scaled(-1.0), t.pow1, t.pow2 + 1) for t in field.comp1]
-    terms += [MonomialTerm(t.coeff, t.pow1 + 1, t.pow2) for t in field.comp2]
-    return collect_terms(terms)
-
-
-def _radial_inner_terms(field: PolyField) -> tuple[MonomialTerm, ...]:
-    """Monomials of <x, field>, collected."""
-    terms = [MonomialTerm(t.coeff, t.pow1 + 1, t.pow2) for t in field.comp1]
-    terms += [MonomialTerm(t.coeff, t.pow1, t.pow2 + 1) for t in field.comp2]
-    return collect_terms(terms)
-
-
 _GOLDEN = 0.6180339887498949
+
+#: monomial vectors x and Sx = (-x2, x1), S = [[0, -1], [1, 0]], as (sign, pow1, pow2)
+_X = ((1.0, 1, 0), (1.0, 0, 1))
+_SX = ((-1.0, 0, 1), (1.0, 1, 0))
 
 
 def _golden_points(radii: np.ndarray, offset: float) -> tuple[np.ndarray, np.ndarray]:
     j = np.arange(radii.size, dtype=float)
     theta = 2.0 * math.pi * ((j * _GOLDEN + offset) % 1.0)
     return radii * np.cos(theta), radii * np.sin(theta)
+
+
+def _inner(g, frozen_field):
+    """Collected terms of <g, A x> and of <g, pert> for one region of :func:`freeze`.
+
+    Collecting in float makes structurally-zero forms, such as the
+    angular form of a radial field, evaluate to exactly 0.0.
+    """
+    a11, a12, a21, a22, t1, t2 = frozen_field
+    lin = (((a11, 1, 0), (a12, 0, 1)), ((a21, 1, 0), (a22, 0, 1)))
+    return tuple(collect_terms((s * c, q1 + p1, q2 + p2)
+                               for (s, q1, q2), comp in zip(g, comps) for c, p1, p2 in comp)
+                 for comps in (lin, (t1, t2)))
+
+
+def _confinement(frozen, radius_M: float, n_samples: int):
+    """Candidate V(x) = |x|^2 on radii in (M, 10M] and the circles M, 2M, 10M.
+
+    Returns (status, witness, points used).  The status is FAIL with the
+    largest dV/dt >= 0 of the first failing region as witness, or
+    NOT_APPLICABLE when every region's <x, pert> is negative and
+    |x|^2 / |<x, pert>| falls from the inner to the outer circle.
+    """
+    n_circ = max(64, n_samples // 100)
+    j = np.arange(n_samples, dtype=float)
+    xs = [_golden_points(radius_M * np.sqrt(1.0 + 99.0 * (j + 0.5) / n_samples), 0.0)]
+    # the three circles share sample angles so radial decay can be
+    # compared along matched rays
+    xs += [_golden_points(np.full(n_circ, rc * radius_M), 0.17) for rc in (1.0, 2.0, 10.0)]
+    x1 = np.concatenate([p[0] for p in xs])
+    x2 = np.concatenate([p[1] for p in xs])
+
+    witness = None
+    rads = []
+    for q, fr in zip(Quadrant, frozen):
+        lin, pert = _inner(_X, fr)
+        rads.append(eval_terms(pert, x1, x2))
+        vdot = 2.0 * (eval_terms(lin, x1, x2) + rads[-1])
+        bad = np.nonzero(vdot >= 0.0)[0]
+        if bad.size and witness is None:
+            k = int(bad[np.argmax(vdot[bad])])
+            witness = Witness(
+                field_index=int(q), x=(float(x1[k]), float(x2[k])), value=float(vdot[k]),
+                description=(f"dV/dt = {vdot[k]:.6g} >= 0 for field {int(q)} at "
+                             f"x = ({x1[k]:.6g}, {x2[k]:.6g}), |x| = {math.hypot(x1[k], x2[k]):.6g}"))
+    if witness is None:
+        return CheckStatus.PASS_SAMPLED, None, x1.size
+    inner = slice(n_samples, n_samples + n_circ)
+    outer = slice(n_samples + 2 * n_circ, None)
+    r2 = x1 ** 2 + x2 ** 2
+    confines = not any(np.any(rad >= 0.0) for rad in rads) and not any(
+        np.any(r2[outer] / np.abs(rad[outer]) >= r2[inner] / np.abs(rad[inner]))
+        for rad in rads)
+    return (CheckStatus.NOT_APPLICABLE if confines else CheckStatus.FAIL), witness, x1.size
+
+
+def _rotation(frozen, radius_M: float, n_samples: int):
+    """|<A_i x, Sx>| > |<pert_i, Sx>| at nonzero points of radius <= 10M.
+
+    Returns (status, witness, whether the one-sided comparison
+    <A_i x, Sx> > <pert_i, Sx> holds everywhere, max |<pert_i, Sx>|).
+    """
+    j = np.arange(n_samples, dtype=float)
+    x1, x2 = _golden_points(10.0 * radius_M * np.sqrt((j + 0.5) / n_samples), 0.43)
+    witness = None
+    one_sided = True
+    pert_max = 0.0
+    for q, fr in zip(Quadrant, frozen):
+        lin, pert = (eval_terms(terms, x1, x2) for terms in _inner(_SX, fr))
+        pert_max = max(pert_max, float(np.max(np.abs(pert))))
+        bad = np.nonzero(np.abs(lin) <= np.abs(pert))[0]
+        if bad.size and witness is None:
+            k = int(bad[0])
+            witness = Witness(
+                field_index=int(q), x=(float(x1[k]), float(x2[k])),
+                value=float(abs(pert[k]) - abs(lin[k])),
+                description=(f"|<A x, Sx>| = {abs(lin[k]):.6g} <= "
+                             f"|<pert, Sx>| = {abs(pert[k]):.6g} for field "
+                             f"{int(q)} at x = ({x1[k]:.6g}, {x2[k]:.6g})"))
+        one_sided = one_sided and not np.any(lin <= pert)
+    status = CheckStatus.PASS_SAMPLED if witness is None else CheckStatus.FAIL
+    return status, witness, one_sided, pert_max
+
+
+def _index_ok(params: SystemParams) -> bool:
+    """delta(0) = 1 and delta'(0) > 0."""
+    return abs(delta(params, 0.0) - 1.0) <= 1e-9 and delta_prime(params, 0.0) > 0.0
 
 
 def check_global_conditions(sys: SwitchedSystem, lam: float, radius_M: float = 10.0,
@@ -405,119 +484,31 @@ def check_global_conditions(sys: SwitchedSystem, lam: float, radius_M: float = 1
        nonzero points with radius <= 10M.  The one-sided comparison
        without absolute values is also evaluated and noted.
     3. Index: delta(0) = 1 and delta'(0) > 0.
+
+    Raises ValueError unless ``radius_M`` is finite and positive and
+    ``n_samples`` is an integer >= 1.
     """
-    if radius_M <= 0.0:
-        raise ValueError("radius_M must be positive")
-    sys.params.check_lambda(lam)
-    p = sys.params
-    a = p.a
-    b = p.b.value_at(lam)
-    c = p.c.value_at(lam)
+    if not (math.isfinite(radius_M) and radius_M > 0.0):
+        raise ValueError(f"radius_M must be finite and positive, got {radius_M}")
+    if isinstance(n_samples, bool) or not isinstance(n_samples, int) or n_samples < 1:
+        raise ValueError(f"n_samples must be an integer >= 1, got {n_samples!r}")
+    frozen = freeze(sys, lam)
+    lyap_status, lyap_witness, n_outer = _confinement(frozen, radius_M, n_samples)
+    rot_status, rot_witness, one_sided, pert_max = _rotation(frozen, radius_M, n_samples)
     notes: list[str] = []
-
-    n_ann = int(n_samples)
-    n_circ = max(64, n_samples // 100)
-    j = np.arange(n_ann, dtype=float)
-    r_ann = radius_M * np.sqrt(1.0 + 99.0 * (j + 0.5) / n_ann)
-    x1_list, x2_list = [], []
-    xa, ya = _golden_points(r_ann, 0.0)
-    x1_list.append(xa)
-    x2_list.append(ya)
-    # the three circles share sample angles so radial decay can be
-    # compared along matched rays
-    for rc in (1.0, 2.0, 10.0):
-        xc, yc = _golden_points(np.full(n_circ, rc * radius_M), 0.17)
-        x1_list.append(xc)
-        x2_list.append(yc)
-    ox1 = np.concatenate(x1_list)
-    ox2 = np.concatenate(x2_list)
-    r2_out = ox1 ** 2 + ox2 ** 2
-
-    jd = np.arange(n_samples, dtype=float)
-    r_disk = 10.0 * radius_M * np.sqrt((jd + 0.5) / n_samples)
-    dx1, dx2 = _golden_points(r_disk, 0.43)
-    samples_used = ox1.size + dx1.size
-
-    lyap_status = CheckStatus.PASS_SAMPLED
-    lyap_witness = None
-    rot_status = CheckStatus.PASS_SAMPLED
-    rot_witness = None
-    strict_rotation_ok = True
-    pert_inner_max = 0.0
-
-    for q in Quadrant:
-        pert = sys.perturbation(q)
-        if q in (Quadrant.Q1, Quadrant.Q3):
-            lin_radial = -a * r2_out + (b - c) * ox1 * ox2
-            lin_angular = -(c * dx1 ** 2 + b * dx2 ** 2)
-        else:
-            lin_radial = -a * r2_out + (c - b) * ox1 * ox2
-            lin_angular = -(b * dx1 ** 2 + c * dx2 ** 2)
-
-        vdot = 2.0 * (lin_radial + eval_terms(_radial_inner_terms(pert), ox1, ox2, lam))
-        bad = np.nonzero(vdot >= 0.0)[0]
-        if bad.size and lyap_status is CheckStatus.PASS_SAMPLED:
-            k = int(bad[np.argmax(vdot[bad])])
-            lyap_witness = Witness(
-                field_index=int(q), x=(float(ox1[k]), float(ox2[k])), value=float(vdot[k]),
-                description=(f"dV/dt = {vdot[k]:.6g} >= 0 for field {int(q)} at "
-                             f"x = ({ox1[k]:.6g}, {ox2[k]:.6g}), "
-                             f"|x| = {math.sqrt(r2_out[k]):.6g}"))
-            lyap_status = CheckStatus.FAIL
-
-        pert_angular = eval_terms(_rotation_inner_terms(pert), dx1, dx2, lam)
-        pert_angular = np.asarray(pert_angular + 0.0 * dx1)
-        pert_inner_max = max(pert_inner_max, float(np.max(np.abs(pert_angular))))
-        abs_bad = np.nonzero(np.abs(lin_angular) <= np.abs(pert_angular))[0]
-        if abs_bad.size and rot_status is CheckStatus.PASS_SAMPLED:
-            k = int(abs_bad[0])
-            rot_witness = Witness(
-                field_index=int(q), x=(float(dx1[k]), float(dx2[k])),
-                value=float(abs(pert_angular[k]) - abs(lin_angular[k])),
-                description=(f"|<A x, Sx>| = {abs(lin_angular[k]):.6g} <= "
-                             f"|<pert, Sx>| = {abs(pert_angular[k]):.6g} for field "
-                             f"{int(q)} at x = ({dx1[k]:.6g}, {dx2[k]:.6g})"))
-            rot_status = CheckStatus.FAIL
-        if strict_rotation_ok and np.any(lin_angular <= pert_angular):
-            strict_rotation_ok = False
-
-    if not strict_rotation_ok:
+    if not one_sided:
         notes.append("one-sided rotation comparison <A x, Sx> > <pert, Sx> fails "
                      "(linear angular term is negative for clockwise rotation); "
                      "status reflects the absolute-value form")
-
-    if lyap_status is CheckStatus.FAIL:
-        # candidate V failed somewhere; see whether the radial perturbation
-        # form still confines, in which case the candidate is just unsuitable
-        radial_ok = True
-        ratio_ok = True
-        inner_circle = slice(n_ann, n_ann + n_circ)
-        outer_circle = slice(n_ann + 2 * n_circ, n_ann + 3 * n_circ)
-        for q in Quadrant:
-            rad = eval_terms(_radial_inner_terms(sys.perturbation(q)), ox1, ox2, lam)
-            rad = np.asarray(rad + 0.0 * ox1)
-            if np.any(rad >= 0.0):
-                radial_ok = False
-                break
-            ratio = r2_out / np.abs(rad)
-            if np.any(ratio[outer_circle] >= ratio[inner_circle]):
-                ratio_ok = False
-                break
-        if radial_ok and ratio_ok:
-            lyap_status = CheckStatus.NOT_APPLICABLE
-            notes.append("candidate V(x) = |x|^2 fails but the radial perturbation "
-                         "form <x, pert> < 0 with growing magnitude holds on samples")
-
-    d0 = delta(p, 0.0)
-    dp0 = delta_prime(p, 0.0)
-    delta_ok = abs(d0 - 1.0) <= 1e-9 and dp0 > 0.0
-
+    if lyap_status is CheckStatus.NOT_APPLICABLE:
+        notes.append("candidate V(x) = |x|^2 fails but the radial perturbation "
+                     "form <x, pert> < 0 with growing magnitude holds on samples")
     return GlobalCheckReport(lyapunov_ok=lyap_status,
                              lyapunov_witness=lyap_witness,
                              rotation_ok=rot_status,
                              rotation_witness=rot_witness,
-                             delta_conditions_ok=delta_ok,
-                             samples_used=samples_used,
+                             delta_conditions_ok=_index_ok(sys.params),
+                             samples_used=n_outer + n_samples,
                              radius_M=radius_M,
-                             rotation_pert_inner_max=pert_inner_max,
+                             rotation_pert_inner_max=pert_max,
                              notes=tuple(notes))

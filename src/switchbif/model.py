@@ -34,6 +34,7 @@ __all__ = [
     "ValidationReport",
     "region_of",
     "linear_matrix",
+    "freeze",
     "eval_field",
     "validate",
     "clockwise_successor",
@@ -73,18 +74,6 @@ class LambdaPoly:
         for j in range(len(self.coeffs) - 1, 0, -1):
             acc = acc * lam + j * self.coeffs[j]
         return acc
-
-    def plus(self, other: "LambdaPoly") -> "LambdaPoly":
-        n = max(len(self.coeffs), len(other.coeffs))
-        out = [0.0] * n
-        for j, c in enumerate(self.coeffs):
-            out[j] += c
-        for j, c in enumerate(other.coeffs):
-            out[j] += c
-        return LambdaPoly(tuple(out))
-
-    def scaled(self, factor: float) -> "LambdaPoly":
-        return LambdaPoly(tuple(factor * c for c in self.coeffs))
 
     def is_zero(self) -> bool:
         return all(c == 0.0 for c in self.coeffs)
@@ -179,29 +168,6 @@ class PolyField:
         return all(t.coeff.is_zero() for t in self.comp1 + self.comp2)
 
 
-def collect_terms(terms) -> tuple[MonomialTerm, ...]:
-    """Combine monomials with equal powers by adding their coefficient polynomials.
-
-    Exact coefficient arithmetic here is what lets structurally-zero
-    polynomials (e.g. angular inner products of radial fields) evaluate
-    to exactly 0.0 instead of to catastrophic-cancellation residue.
-    """
-    acc: dict[tuple[int, int], LambdaPoly] = {}
-    for t in terms:
-        key = (t.pow1, t.pow2)
-        acc[key] = acc[key].plus(t.coeff) if key in acc else t.coeff
-    out = [MonomialTerm(c, p1, p2) for (p1, p2), c in sorted(acc.items()) if not c.is_zero()]
-    return tuple(out)
-
-
-def eval_terms(terms, x1, x2, lam: float):
-    """Evaluate a monomial list at (x1, x2); accepts scalars or numpy arrays."""
-    total = 0.0 * (x1 + x2)
-    for t in terms:
-        total = total + t.coeff.value_at(lam) * x1 ** t.pow1 * x2 ** t.pow2
-    return total
-
-
 @dataclass(frozen=True)
 class SwitchedSystem:
     """Linear quadrant matrices plus one polynomial perturbation per region.
@@ -263,13 +229,51 @@ def linear_matrix(q: Quadrant, params: SystemParams, lam: float) -> np.ndarray:
     return np.array([[-a, c], [-b, -a]])
 
 
+def collect_terms(terms) -> tuple[tuple[float, int, int], ...]:
+    """Sum the float coefficients of equal powers in ``(coeff, pow1, pow2)`` terms.
+
+    Zero sums are dropped and first-appearance order is kept.  Since c and
+    -c sum to exactly 0.0, structurally-zero forms (e.g. angular inner
+    products of radial fields) vanish exactly instead of leaving residue.
+    """
+    acc: dict[tuple[int, int], float] = {}
+    for c, p1, p2 in terms:
+        acc[(p1, p2)] = acc.get((p1, p2), 0.0) + c
+    return tuple((c, p1, p2) for (p1, p2), c in acc.items() if c != 0.0)
+
+
+def eval_terms(terms, x1, x2):
+    """Evaluate ``(coeff, pow1, pow2)`` terms at (x1, x2); scalars or numpy arrays."""
+    total = 0.0 * (x1 + x2)
+    for c, p1, p2 in terms:
+        total = total + c * x1 ** p1 * x2 ** p2
+    return total
+
+
+def freeze(sys: SwitchedSystem, lam: float) -> tuple[tuple, ...]:
+    """Every region's field at ``lam`` as (a11, a12, a21, a22, t1, t2), regions 1..4.
+
+    ``a11 .. a22`` are the entries of :func:`linear_matrix`; ``t1`` and
+    ``t2`` are the collected perturbation terms of the x1 and x2 components.
+    """
+    def terms(comp):
+        return collect_terms((t.coeff.value_at(lam), t.pow1, t.pow2) for t in comp)
+
+    out = []
+    for q in Quadrant:
+        m = linear_matrix(q, sys.params, lam)
+        pert = sys.perturbation(q)
+        out.append((float(m[0, 0]), float(m[0, 1]), float(m[1, 0]), float(m[1, 1]),
+                    terms(pert.comp1), terms(pert.comp2)))
+    return tuple(out)
+
+
 def eval_field(sys: SwitchedSystem, q: Quadrant, x, lam: float) -> np.ndarray:
     """Velocity of region ``q``'s field at point ``x``: A_q(lam) x + perturbation."""
-    m = linear_matrix(q, sys.params, lam)
+    a11, a12, a21, a22, t1, t2 = freeze(sys, lam)[Quadrant(q) - 1]
     x1, x2 = float(x[0]), float(x[1])
-    pert = sys.perturbation(q)
-    d1 = m[0, 0] * x1 + m[0, 1] * x2 + eval_terms(pert.comp1, x1, x2, lam)
-    d2 = m[1, 0] * x1 + m[1, 1] * x2 + eval_terms(pert.comp2, x1, x2, lam)
+    d1 = a11 * x1 + a12 * x2 + eval_terms(t1, x1, x2)
+    d2 = a21 * x1 + a22 * x2 + eval_terms(t2, x1, x2)
     return np.array([d1, d2])
 
 
@@ -284,7 +288,10 @@ class ValidationReport:
         return self.passed
 
 
-def validate(sys: SwitchedSystem, n_lambda_samples: int = 1001) -> ValidationReport:
+_N_LAMBDA_SAMPLES = 1001  # equispaced lambdas on which validate checks b, c > 0
+
+
+def validate(sys: SwitchedSystem) -> ValidationReport:
     """Check the standing assumptions and report every violation found.
 
     Checks: a > 0; b(lam) > 0 and c(lam) > 0 on an equispaced sample of
@@ -298,7 +305,7 @@ def validate(sys: SwitchedSystem, n_lambda_samples: int = 1001) -> ValidationRep
         violations.append(f"a <= 0 (a = {p.a})")
 
     lo, hi = p.lambda_domain
-    samples = np.linspace(lo, hi, max(3, n_lambda_samples))
+    samples = np.linspace(lo, hi, _N_LAMBDA_SAMPLES)
     samples = np.append(samples, 0.0)
     for name, poly in (("b", p.b), ("c", p.c)):
         vals = np.array([poly.value_at(s) for s in samples])

@@ -26,7 +26,7 @@ import numpy as np
 from .errors import (BudgetError, EscapeError, OriginError, SideError,
                      StiffnessError, SwitchBifError, TangencyError,
                      NoConvergenceError)
-from .model import Quadrant, SwitchedSystem, clockwise_successor, linear_matrix
+from .model import Quadrant, SwitchedSystem, clockwise_successor, freeze
 from .rootfind import brent
 
 __all__ = [
@@ -189,15 +189,7 @@ def _rk_stages(f, x1, x2, h, k11, k12):
 def _compiled_fields(sys: SwitchedSystem, lam: float) -> dict[int, object]:
     """Per-quadrant scalar closures with coefficients frozen at ``lam``."""
     fields: dict[int, object] = {}
-    for q in Quadrant:
-        m = linear_matrix(q, sys.params, lam)
-        a11, a12 = float(m[0, 0]), float(m[0, 1])
-        a21, a22 = float(m[1, 0]), float(m[1, 1])
-        pert = sys.perturbation(q)
-        t1 = tuple((t.coeff.value_at(lam), t.pow1, t.pow2)
-                   for t in pert.comp1 if t.coeff.value_at(lam) != 0.0)
-        t2 = tuple((t.coeff.value_at(lam), t.pow1, t.pow2)
-                   for t in pert.comp2 if t.coeff.value_at(lam) != 0.0)
+    for q, (a11, a12, a21, a22, t1, t2) in zip(Quadrant, freeze(sys, lam)):
         if not t1 and not t2:
             def f_lin(x1, x2, a11=a11, a12=a12, a21=a21, a22=a22):
                 return a11 * x1 + a12 * x2, a21 * x1 + a22 * x2
@@ -315,7 +307,7 @@ def integrate(sys: SwitchedSystem, x0, lam: float, stop, cfg: IntegratorConfig) 
         raise TypeError(f"unsupported stop condition: {stop!r}")
 
     fields = _compiled_fields(sys, lam)
-    on_axis_tol = 4.0 * cfg.event_tol * max(1.0, norm0)
+    on_axis_tol = 4.0 * cfg.event_tol * norm0
     q = _initial_quadrant(fields, x1, x2, on_axis_tol)
 
     arcs: list[Arc] = []
@@ -483,25 +475,29 @@ def return_residual(sys: SwitchedSystem, x1: float, lam: float,
     return poincare_numeric(sys, x1, lam, cfg).x1_out - x1
 
 
+#: First amplitude and relative agreement of the slope sequence in delta_numeric.
+_SLOPE_H0 = 1e-2
+_SLOPE_AGREE_RTOL = 1e-8
+
+
 def delta_numeric(sys: SwitchedSystem, lam: float, cfg: IntegratorConfig,
-                  h0: float = 1e-2, agree_rtol: float = 1e-8,
                   max_halvings: int = 48) -> float:
     """Linearized return ratio lim_{h -> 0+} pi(h, lam) / h.
 
-    Evaluates return-map slopes on the geometric sequence h0 * 2**-j
-    and stops once three successive slopes agree to ``agree_rtol``
-    relative; the last estimate is returned (no extrapolation, since
-    the convergence order of the nonlinear correction is not known a
-    priori).  Raises NoConvergenceError with the slope sequence if the
-    estimates never settle.
+    Evaluates return-map slopes on the geometric sequence
+    _SLOPE_H0 * 2**-j and stops once three successive slopes agree to
+    _SLOPE_AGREE_RTOL relative; the last estimate is returned (no
+    extrapolation, since the convergence order of the nonlinear
+    correction is not known a priori).  Raises NoConvergenceError with
+    the slope sequence if the estimates never settle.
     """
     slopes: list[float] = []
     for j in range(max_halvings):
-        h = h0 * 2.0 ** (-j)
+        h = _SLOPE_H0 * 2.0 ** (-j)
         slopes.append(poincare_numeric(sys, h, lam, cfg).x1_out / h)
         if len(slopes) >= 3:
             window = slopes[-3:]
             span = max(window) - min(window)
-            if span <= agree_rtol * max(abs(v) for v in window):
+            if span <= _SLOPE_AGREE_RTOL * max(abs(v) for v in window):
                 return slopes[-1]
     raise NoConvergenceError("return-ratio slope sequence did not settle", slopes)

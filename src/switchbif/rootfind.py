@@ -14,10 +14,14 @@ from .errors import NoBracketError
 __all__ = ["brent", "expand_bracket"]
 
 _EPS = 2.220446049250313e-16
+#: brent's iteration budget
+_MAX_ITER = 200
+#: expand_bracket: growth of the outward step and the step budget
+_EXPAND_FACTOR = math.sqrt(2.0)
+_EXPAND_MAX_STEPS = 80
 
 
-def brent(f, a: float, b: float, xtol: float = 1e-14, ftol: float = 0.0,
-          max_iter: int = 200):
+def brent(f, a: float, b: float, xtol: float = 1e-14, ftol: float = 0.0):
     """Root of ``f`` in the sign-change bracket [a, b].
 
     Returns (x, f(x)).  Terminates when the bracket is narrower than
@@ -35,7 +39,7 @@ def brent(f, a: float, b: float, xtol: float = 1e-14, ftol: float = 0.0,
 
     c, fc = a, fa
     d = e = b - a
-    for _ in range(max_iter):
+    for _ in range(_MAX_ITER):
         if abs(fc) < abs(fb):
             a, b, c = b, c, b
             fa, fb, fc = fb, fc, fb
@@ -76,8 +80,7 @@ def brent(f, a: float, b: float, xtol: float = 1e-14, ftol: float = 0.0,
     return b, fb
 
 
-def expand_bracket(f, x0: float, lo: float, hi: float, factor: float = math.sqrt(2.0),
-                   max_steps: int = 80):
+def expand_bracket(f, x0: float, lo: float, hi: float):
     """Search outward from ``x0`` for a sign-change bracket inside [lo, hi].
 
     Returns (a, b) with f(a) * f(b) < 0, or None if the expansion
@@ -89,18 +92,18 @@ def expand_bracket(f, x0: float, lo: float, hi: float, factor: float = math.sqrt
     if fa == 0.0:
         return x0, x0
     da = db = max((hi - lo) * 1e-3, abs(x0) * 1e-2)
-    for _ in range(max_steps):
+    for _ in range(_EXPAND_MAX_STEPS):
         moved = False
         if a > lo:
             a = max(a - da, lo)
-            da *= factor
+            da *= _EXPAND_FACTOR
             fa = f(a)
             moved = True
             if (fa > 0.0) != (fb > 0.0):
                 return a, b
         if b < hi:
             b = min(b + db, hi)
-            db *= factor
+            db *= _EXPAND_FACTOR
             fb = f(b)
             moved = True
             if (fa > 0.0) != (fb > 0.0):

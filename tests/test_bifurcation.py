@@ -9,10 +9,22 @@ from switchbif import (BranchDirection, CheckStatus, DegenerateError,
                        NoBracketError, PerturbationTooSmallError, PolyField,
                        Quadrant, StopOnReturn, SwitchedSystem, SystemParams,
                        bifurcation_direction, check_global_conditions,
-                       continue_branch, delta, delta_prime, eval_field,
+                       continue_branch, delta, delta_prime,
                        find_critical_lambda, fit_local_expansion,
-                       fit_scaling_law, integrate)
+                       fit_scaling_law, integrate, linear_matrix)
+from switchbif import numeric
 from switchbif.bifurcation import BranchPoint
+
+
+def field_parts(sys, q, x, lam):
+    """Linear part A_q x and perturbation of region q at x, computed from
+    linear_matrix and the MonomialTerm lists, independent of freeze."""
+    m = linear_matrix(q, sys.params, lam)
+    pf = sys.perturbation(q)
+    lin = (m[0, 0] * x[0] + m[0, 1] * x[1], m[1, 0] * x[0] + m[1, 1] * x[1])
+    pert = tuple(sum(t.coeff.value_at(lam) * x[0] ** t.pow1 * x[1] ** t.pow2 for t in comp)
+                 for comp in (pf.comp1, pf.comp2))
+    return lin, pert
 
 
 def engineered_params():
@@ -240,9 +252,10 @@ class TestCheckGlobalConditions:
         w = rep.lyapunov_witness
         assert w is not None and w.field_index == 1
         # independent re-evaluation of the witness: dV/dt = 2 <x, f(x)> >= 0
-        v = eval_field(sys, Quadrant.Q1, w.x, 0.5)
-        assert 2.0 * (w.x[0] * v[0] + w.x[1] * v[1]) >= 0.0
-        assert w.value == pytest.approx(2.0 * (w.x[0] * v[0] + w.x[1] * v[1]), rel=1e-12)
+        lin, pert = field_parts(sys, Quadrant.Q1, w.x, 0.5)
+        vdot = 2.0 * (w.x[0] * (lin[0] + pert[0]) + w.x[1] * (lin[1] + pert[1]))
+        assert vdot >= 0.0
+        assert w.value == pytest.approx(vdot, rel=1e-12)
 
     def test_unsuitable_candidate_reports_not_applicable(self):
         # weak radial damping ~ -1e-4 * x1^2 * x in every region: the
@@ -267,7 +280,33 @@ class TestCheckGlobalConditions:
                              (spin, PolyField.zero(), PolyField.zero(), PolyField.zero()))
         rep = check_global_conditions(sys, 0.0, radius_M=10.0, n_samples=20_000)
         assert rep.rotation_ok is CheckStatus.FAIL
-        assert rep.rotation_witness is not None
+        w = rep.rotation_witness
+        assert w is not None and w.field_index == 1
+        # independent re-evaluation: |<pert, Sx>| - |<A x, Sx>| >= 0, Sx = (-x2, x1)
+        lin, pert = field_parts(sys, Quadrant.Q1, w.x, 0.0)
+        sx = (-w.x[1], w.x[0])
+        excess = (abs(pert[0] * sx[0] + pert[1] * sx[1])
+                  - abs(lin[0] * sx[0] + lin[1] * sx[1]))
+        assert excess >= 0.0
+        assert w.value == pytest.approx(excess, rel=1e-9)
+
+    def test_cancelling_monomials_freeze_to_the_linear_field(self, paper_params):
+        # +x1^3 and -x1^3 in one component sum to exactly zero
+        null = PolyField(comp1=(MonomialTerm(LambdaPoly.constant(1.0), 3, 0),
+                                MonomialTerm(LambdaPoly.constant(-1.0), 3, 0)))
+        sys = SwitchedSystem(paper_params,
+                             (null, PolyField.zero(), PolyField.zero(), PolyField.zero()))
+        assert numeric._compiled_fields(sys, 0.5)[1].__name__ == "f_lin"
+        rep = check_global_conditions(sys, 0.5, radius_M=10.0, n_samples=5_000)
+        assert rep.rotation_pert_inner_max == 0.0
+
+    @pytest.mark.parametrize("kwargs", [
+        {"radius_M": math.nan}, {"radius_M": math.inf}, {"radius_M": -1.0},
+        {"radius_M": 0.0}, {"n_samples": 0}, {"n_samples": -5}, {"n_samples": 100.0},
+    ], ids=lambda kw: f"{next(iter(kw))}={next(iter(kw.values()))}")
+    def test_bad_arguments_rejected(self, paper_system, kwargs):
+        with pytest.raises(ValueError, match=next(iter(kwargs))):
+            check_global_conditions(paper_system, 0.5, **kwargs)
 
     def test_delta_conditions_false_off_critical_family(self):
         params = make_params(0.1, 6.0, 1.0)

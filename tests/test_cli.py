@@ -94,6 +94,13 @@ class TestSimulate:
         assert code == 1
         assert "stop condition" in err
 
+    @pytest.mark.parametrize("x0", ["1e-300,0", "1e-12,0", "3e-12,1e-13", "0,1e-200"])
+    def test_tiny_start_point_integrates(self, capsys, x0):
+        # the origin test scales with |x0|, so tiny nonzero starts are not the origin
+        code, out, _ = run(capsys, ["paper-example", "simulate", "--x0", x0, "--t-max", "1"])
+        assert code == 0
+        assert len(out.strip().splitlines()) > 3
+
     def test_origin_start_is_user_error(self, capsys):
         code, _, _ = run(capsys, ["paper-example", "simulate", "--x0", "0,0",
                                   "--t-max", "1"])
