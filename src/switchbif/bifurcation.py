@@ -11,7 +11,12 @@ delta_coeff * delta'(0) < 0), with the local amplitude scaling
 lam = gamma * x1**(k-1), gamma = -delta_coeff / delta'(0).
 
 Branch points are located as sign changes of the return-map residual
-pi(x1) - x1 and polished with a bracketed root finder.  The global
+pi(x1) - x1 and polished with a bracketed root finder.  Continuation is
+a predictor-corrector: the same local law, fitted through the previous
+branch points and evaluated at the closed-form delta(lam), predicts the
+next amplitude, a one-sided walk brackets it and brent polishes it; an
+amplitude scan is the fallback.  Residuals are memoized per parameter
+value, so no return map is integrated twice.  The global
 confinement and rotation conditions that make the bifurcating orbit
 exist for every parameter on the branch side are checked by
 falsification on deterministic low-discrepancy samples: a "pass" means
@@ -26,7 +31,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -184,12 +189,20 @@ def bifurcation_direction(sys: SwitchedSystem, cfg: IntegratorConfig,
 
 @dataclass(frozen=True)
 class BranchPoint:
-    """Fixed point of the return map: a periodic orbit through (x1_fixed, 0)."""
+    """Fixed point of the return map: a periodic orbit through (x1_fixed, 0).
+
+    ``source`` says what bracketed it: a prediction from the previous
+    branch points ("previous"), from the expansion fit ("expansion"),
+    or the amplitude scan ("scan"); ``returns`` counts the return maps
+    integrated for its parameter value.
+    """
 
     lam: float
     x1_fixed: float
     period: float
     residual: float
+    source: str = "scan"
+    returns: int = 0
 
 
 @dataclass(frozen=True)
@@ -207,14 +220,79 @@ class BranchResult:
     additional: tuple[BranchPoint, ...]
 
 
-def _solve_bracket(residual_fn, cache, lo: float, hi: float, lam: float) -> BranchPoint:
-    x_fix, fb = brent(residual_fn, lo, hi, xtol=1e-13, ftol=_RESIDUAL_TOL * 1e-2)
-    sample = cache.get(x_fix)
-    if sample is None:
-        residual_fn(x_fix)
-        sample = cache[x_fix]
-    return BranchPoint(lam=lam, x1_fixed=x_fix, period=sample.period,
-                       residual=abs(fb))
+#: integration failures that rule an amplitude out as an orbit point
+_NO_RETURN = (EscapeError, StiffnessError, BudgetError, TangencyError)
+
+
+class _Residual:
+    """Memoized x1 -> pi(x1) - x1 at one parameter value.
+
+    ``samples`` maps every amplitude integrated to its return-map sample
+    or to the integration failure it raised, so an amplitude costs at
+    most one return map and ``len(samples)`` counts them.
+    """
+
+    def __init__(self, sys: SwitchedSystem, lam: float, cfg: IntegratorConfig):
+        self.sys, self.lam, self.cfg = sys, lam, cfg
+        self.samples: dict[float, object] = {}
+
+    def __call__(self, x1: float) -> float:
+        if x1 not in self.samples:
+            try:
+                self.samples[x1] = poincare_numeric(self.sys, x1, self.lam, self.cfg)
+            except _NO_RETURN as exc:
+                self.samples[x1] = exc
+        sample = self.samples[x1]
+        if isinstance(sample, Exception):
+            raise sample
+        return sample.x1_out - x1
+
+    def or_none(self, x1: float) -> float | None:
+        try:
+            return self(x1)
+        except _NO_RETURN:
+            return None
+
+    def solve(self, lo: float, hi: float, source: str) -> BranchPoint:
+        x_fix, fb = brent(self, lo, hi, xtol=1e-13, ftol=_RESIDUAL_TOL * 1e-2)
+        return BranchPoint(lam=self.lam, x1_fixed=x_fix, period=self.samples[x_fix].period,
+                           residual=abs(fb), source=source)
+
+
+def _predict(lam: float, d: float, history, expansion: ExpansionFit | None) -> float | None:
+    """Predicted amplitude x = (d / -C)**(1/m) of the local law
+
+        pi(x) - x = d * x + C * x**(m + 1),  d = delta(lam) - 1.
+
+    ``history`` holds (lam, d, x1) of the branch points since the last
+    reset, newest last.  C puts the law through the newest point and m
+    is the log-log slope of d against x1 over the two newest points, 2
+    with one point; without points C = delta_coeff and m = k_exp - 1
+    from ``expansion``.  The newest amplitude (None without points) is
+    returned when the parameter repeats or the law has no positive root.
+    """
+    if history:
+        lam_p, d_ref, x_ref = history[-1]
+        if lam == lam_p:
+            return x_ref
+        m = 2.0
+        if len(history) > 1:
+            _, d_q, x_q = history[-2]
+            m = (math.log(d_ref / d_q) / math.log(x_ref / x_q)
+                 if d_ref * d_q > 0.0 and x_ref != x_q else math.nan)
+        fallback = x_ref
+    elif expansion is not None:
+        # the same law with its reference point at x = 1
+        d_ref, x_ref, m = -expansion.delta_coeff, 1.0, expansion.k_exp - 1.0
+        fallback = None
+    else:
+        return None
+    if not (d * d_ref > 0.0 and math.isfinite(m) and m > 0.0):
+        return fallback
+    try:
+        return x_ref * (d / d_ref) ** (1.0 / m)
+    except OverflowError:   # far beyond any scan range
+        return math.inf
 
 
 def continue_branch(sys: SwitchedSystem, lambdas, cfg: IntegratorConfig,
@@ -222,71 +300,68 @@ def continue_branch(sys: SwitchedSystem, lambdas, cfg: IntegratorConfig,
                     seed_from_previous: bool = True) -> BranchResult:
     """Solve the return-map fixed point for each parameter value in turn.
 
-    Each solve brackets a sign change of pi(x1) - x1, seeded by the
-    previous branch point or by the amplitude scaling law when an
-    expansion fit is supplied; otherwise a geometric scan over
-    (_X_SCAN_MIN, x_scan_max] is used and the smallest sign change is
-    taken as the branch point (larger ones are reported as additional
-    orbits).  Scan amplitudes where the trajectory escapes or the
-    integration breaks down are skipped (no orbit can pass through
-    them); parameters without any sign change between adjacent usable
-    amplitudes are recorded in ``no_orbit`` and continuation proceeds.
+    Predictor: the amplitude of the local law pi(x) - x = (delta - 1) x
+    + C x**(m+1) at the closed-form delta(lam), fitted through the
+    previous branch points (see ``_predict``), or through the expansion
+    fit when no previous point is used.  Corrector: ``expand_bracket``
+    walks from the prediction toward the smallest root, upward while the
+    residual pi(x1) - x1 keeps the sign of delta - 1 that it has near
+    the origin, and brent polishes the bracket.  Every amplitude costs at
+    most one return map per parameter value.
+
+    Without a prediction, or when the walk misses or an integration
+    breaks down on it, a geometric scan over (_X_SCAN_MIN, x_scan_max]
+    is used and the smallest sign change is taken as the branch point
+    (larger ones are reported as additional orbits).  Scan amplitudes
+    where the trajectory escapes or the integration breaks down are
+    skipped (no orbit can pass through them); parameters without any
+    sign change between adjacent usable amplitudes are recorded in
+    ``no_orbit``, which also resets the prediction, and continuation
+    proceeds.
     """
     points: list[BranchPoint] = []
     no_orbit: list[float] = []
     additional: list[BranchPoint] = []
-    prev_x1: float | None = None
+    history: list[tuple[float, float, float]] = []
 
     for lam in lambdas:
-        cache: dict[float, object] = {}
+        residual = _Residual(sys, lam, cfg)
+        d = delta(sys.params, lam) - 1.0
+        known = history if seed_from_previous else []
+        seed = _predict(lam, d, known, expansion)
 
-        def residual_fn(x1, lam=lam, cache=cache):
-            sample = poincare_numeric(sys, x1, lam, cfg)
-            cache[x1] = sample
-            return sample.x1_out - x1
-
-        def residual_or_none(x1):
-            try:
-                return residual_fn(x1)
-            except (EscapeError, StiffnessError, BudgetError, TangencyError):
-                return None
-
-        seed = None
-        if seed_from_previous and prev_x1 is not None:
-            seed = prev_x1
-        elif expansion is not None and expansion.k_exp > 1.0:
-            ratio = (delta(sys.params, lam) - 1.0) / (-expansion.delta_coeff)
-            if ratio > 0.0:
-                seed = ratio ** (1.0 / (expansion.k_exp - 1.0))
-
-        solved = None
+        found: list[BranchPoint] = []
         if seed is not None and _X_SCAN_MIN < seed < x_scan_max:
+            # oriented to rise through the smallest root, where the
+            # residual leaves the sign of d it has near the origin
+            sign = -1.0 if d > 0.0 else 1.0
             try:
-                bracket = expand_bracket(residual_fn, seed, lo=_X_SCAN_MIN, hi=x_scan_max)
-            except (EscapeError, StiffnessError, BudgetError, TangencyError):
-                bracket = None
-            if bracket is not None:
-                solved = _solve_bracket(residual_fn, cache, bracket[0], bracket[1], lam)
+                bracket = expand_bracket(lambda x: sign * residual(x), seed,
+                                         lo=_X_SCAN_MIN, hi=x_scan_max)
+                if bracket is not None:
+                    found.append(residual.solve(*bracket, "previous" if known else "expansion"))
+            except _NO_RETURN:
+                pass
 
-        if solved is None:
+        if not found:
             xs = [_X_SCAN_MIN]
             while xs[-1] * _SCAN_RATIO < x_scan_max:
                 xs.append(xs[-1] * _SCAN_RATIO)
             xs.append(x_scan_max)
-            vals = [residual_or_none(x) for x in xs]
+            vals = [residual.or_none(x) for x in xs]
             brackets = [(xs[i], xs[i + 1]) for i in range(len(xs) - 1)
                         if vals[i] is not None and vals[i + 1] is not None
                         and (vals[i] > 0.0) != (vals[i + 1] > 0.0)]
             if not brackets:
                 no_orbit.append(lam)
-                prev_x1 = None
+                history.clear()
                 continue
-            solved = _solve_bracket(residual_fn, cache, *brackets[0], lam)
-            for blo, bhi in brackets[1:]:
-                additional.append(_solve_bracket(residual_fn, cache, blo, bhi, lam))
+            found = [residual.solve(lo, hi, "scan") for lo, hi in brackets]
 
-        points.append(solved)
-        prev_x1 = solved.x1_fixed
+        found = [replace(p, returns=len(residual.samples)) for p in found]
+        points.append(found[0])
+        additional.extend(found[1:])
+        history.append((lam, d, found[0].x1_fixed))
 
     return BranchResult(points=tuple(points), no_orbit=tuple(no_orbit),
                         additional=tuple(additional))

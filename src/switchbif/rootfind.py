@@ -2,12 +2,12 @@
 
 Bisection guarantees convergence on any sign-change bracket; inverse
 quadratic / secant steps accelerate it when the iterates behave.  Used
-by the critical-parameter search and the periodic-orbit branch solver.
+by event location, the critical-parameter search and the periodic-orbit
+branch solver, which brackets its predicted amplitude with the one-sided
+walk of ``expand_bracket``.
 """
 
 from __future__ import annotations
-
-import math
 
 from .errors import NoBracketError
 
@@ -16,9 +16,8 @@ __all__ = ["brent", "expand_bracket"]
 _EPS = 2.220446049250313e-16
 #: brent's iteration budget
 _MAX_ITER = 200
-#: expand_bracket: growth of the outward step and the step budget
-_EXPAND_FACTOR = math.sqrt(2.0)
-_EXPAND_MAX_STEPS = 80
+#: expand_bracket: first step relative to |x0|, growth of the step
+_EXPAND_FIRST, _EXPAND_GROWTH = 1e-2, 4.0
 
 
 def brent(f, a: float, b: float, xtol: float = 1e-14, ftol: float = 0.0):
@@ -81,33 +80,26 @@ def brent(f, a: float, b: float, xtol: float = 1e-14, ftol: float = 0.0):
 
 
 def expand_bracket(f, x0: float, lo: float, hi: float):
-    """Search outward from ``x0`` for a sign-change bracket inside [lo, hi].
+    """Walk from ``x0`` to the sign change that the sign of f(x0) points to.
 
-    Returns (a, b) with f(a) * f(b) < 0, or None if the expansion
-    exhausts the interval without finding one.
+    ``f`` is taken to increase through its root: the walk goes up from
+    ``x0`` when f(x0) < 0 and down when f(x0) > 0, in steps of 1% of
+    |x0| that grow 4x each, clipped to [lo, hi].  Each point costs one
+    evaluation of ``f``.  Returns the bracket (a, b), a <= b, of the
+    last two points, or None when the walk reaches lo or hi without a
+    sign change.
     """
-    x0 = min(max(x0, lo), hi)
-    a = b = x0
-    fa = fb = f(x0)
-    if fa == 0.0:
-        return x0, x0
-    da = db = max((hi - lo) * 1e-3, abs(x0) * 1e-2)
-    for _ in range(_EXPAND_MAX_STEPS):
-        moved = False
-        if a > lo:
-            a = max(a - da, lo)
-            da *= _EXPAND_FACTOR
-            fa = f(a)
-            moved = True
-            if (fa > 0.0) != (fb > 0.0):
-                return a, b
-        if b < hi:
-            b = min(b + db, hi)
-            db *= _EXPAND_FACTOR
-            fb = f(b)
-            moved = True
-            if (fa > 0.0) != (fb > 0.0):
-                return a, b
-        if not moved:
-            return None
+    x = min(max(x0, lo), hi)
+    fx = f(x)
+    if fx == 0.0:
+        return x, x
+    up = fx < 0.0
+    step = _EXPAND_FIRST * (abs(x) or hi - lo)
+    while x < hi if up else x > lo:
+        x_new = min(x + step, hi) if up else max(x - step, lo)
+        f_new = f(x_new)
+        if f_new >= 0.0 if up else f_new <= 0.0:
+            return (x, x_new) if up else (x_new, x)
+        x = x_new
+        step *= _EXPAND_GROWTH
     return None

@@ -12,7 +12,7 @@ from switchbif import (BranchDirection, CheckStatus, DegenerateError,
                        continue_branch, delta, delta_prime,
                        find_critical_lambda, fit_local_expansion,
                        fit_scaling_law, integrate, linear_matrix)
-from switchbif import numeric
+from switchbif import bifurcation, numeric
 from switchbif.bifurcation import BranchPoint
 
 
@@ -191,6 +191,48 @@ class TestContinueBranch:
                                  expansion=fit, seed_from_previous=False)
         for a, b in zip(seq.points, seeded.points):
             assert b.x1_fixed == pytest.approx(a.x1_fixed, rel=1e-7)
+        assert [p.source for p in seeded.points] == ["expansion", "expansion"]
+
+    def test_returns_per_lambda_counted(self, paper_system, cfg, monkeypatch):
+        # work counter: the scan pays for the first parameter value, the
+        # predictor-corrector for the rest; every point reports its returns
+        calls = []
+        original = bifurcation.poincare_numeric
+
+        def counting(sys, x1, lam, cfg_):
+            calls.append(lam)
+            return original(sys, x1, lam, cfg_)
+        monkeypatch.setattr(bifurcation, "poincare_numeric", counting)
+        lams = [0.02, 0.05, 0.1, 0.5, 1.0]
+        res = continue_branch(paper_system, lams, cfg)
+        assert len(calls) <= 60
+        assert [p.returns for p in res.points] == [calls.count(lam) for lam in lams]
+        assert [p.source for p in res.points] == ["scan"] + ["previous"] * 4
+        assert all(p.returns <= 8 for p in res.points[1:])
+
+    @pytest.mark.parametrize("lams", [[0.1, 0.1], [1.0, 0.5, 0.1], [0.05, -0.05, 0.05]])
+    def test_continuation_matches_solving_each_lambda_alone(self, paper_system, cfg, lams):
+        self.assert_matches_alone(paper_system, lams, cfg)
+
+    def test_continuation_across_sides_matches_alone(self, paper_system, cfg):
+        p = paper_system.params
+        flipped = SystemParams(a=p.a, b=LambdaPoly((p.b.coeffs[0], -1.0, 1.0)),
+                               c=p.c, lambda_domain=p.lambda_domain)
+        self.assert_matches_alone(SwitchedSystem(flipped, paper_system.perturbations),
+                                  [-0.05, 0.05], cfg)
+
+    @staticmethod
+    def assert_matches_alone(sys, lams, cfg):
+        res = continue_branch(sys, lams, cfg)
+        alone = [continue_branch(sys, [lam], cfg) for lam in lams]
+        assert [p.lam for p in res.points] == [p.lam for a in alone for p in a.points]
+        assert res.no_orbit == tuple(lam for a in alone for lam in a.no_orbit)
+        assert ([p.lam for p in res.additional]
+                == [p.lam for a in alone for p in a.additional])
+        for p, q in zip(res.points + res.additional,
+                        [p for a in alone for p in a.points + a.additional]):
+            assert p.x1_fixed == pytest.approx(q.x1_fixed, rel=1e-7)
+            assert p.period == pytest.approx(q.period, rel=1e-7)
 
 
 class TestFitScalingLaw:

@@ -1,0 +1,72 @@
+"""Independent oracle for the paper-example branch: scipy's DOP853.
+
+The vector fields are written out here from the paper's formulas, not
+read from the package's model, and each quarter-turn is integrated by
+``scipy.integrate.solve_ivp`` until a terminal event on the axis it
+exits through.
+"""
+
+import math
+
+import numpy as np
+import pytest
+
+from switchbif import continue_branch
+
+solve_ivp = pytest.importorskip("scipy.integrate").solve_ivp
+
+A = 2.0
+
+
+def paper_fields(lam):
+    """Region -> field of the paper example at ``lam``."""
+    b = math.e * math.pi + lam * lam + lam
+    c = math.pi / math.e + lam * lam
+
+    def odd(t, x):    # regions 1 and 3: cubic radial perturbation
+        x1, x2 = x
+        return (-A * x1 + b * x2 - (x1 ** 3 + lam * x1 * x2 ** 2),
+                -c * x1 - A * x2 - (lam * x2 ** 3 + x1 ** 2 * x2))
+
+    def even(t, x):   # regions 2 and 4: quintic perturbation
+        x1, x2 = x
+        return (-A * x1 + c * x2 - lam * x1 ** 5,
+                -b * x1 - A * x2 - lam * x1 ** 4 * x2)
+
+    return {1: odd, 2: even, 3: odd, 4: even}
+
+
+def _axis_event(idx, direction):
+    def event(t, x):
+        return x[idx]
+    event.terminal = True
+    event.direction = direction
+    return event
+
+
+#: clockwise from the positive x1-axis: (region, coordinate vanishing at
+#: its exit, direction of that coordinate's crossing)
+ARCS = ((4, 0, -1.0), (3, 1, 1.0), (2, 0, 1.0), (1, 1, -1.0))
+
+
+def oracle_return(lam, x1):
+    """(pi(x1), period) of one revolution from (x1, 0)."""
+    fields = paper_fields(lam)
+    x, t = np.array([x1, 0.0]), 0.0
+    for q, idx, direction in ARCS:
+        sol = solve_ivp(fields[q], (0.0, 100.0), x, method="DOP853", rtol=1e-12,
+                        atol=1e-15 * x1, events=_axis_event(idx, direction))
+        assert sol.status == 1, f"region {q} arc ended without its axis crossing"
+        x = sol.y_events[0][0].copy()
+        x[idx] = 0.0
+        t += sol.t_events[0][0]
+    return float(x[0]), t
+
+
+def test_paper_branch_points_are_oracle_fixed_points(paper_system, cfg):
+    res = continue_branch(paper_system, [0.02, 0.05, 0.1, 0.5, 1.0], cfg)
+    assert len(res.points) == 5
+    for p in res.points:
+        x_out, period = oracle_return(p.lam, p.x1_fixed)
+        assert abs(x_out - p.x1_fixed) <= 1e-7 * p.x1_fixed, p
+        assert period == pytest.approx(p.period, rel=1e-7), p

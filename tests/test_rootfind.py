@@ -55,3 +55,25 @@ def test_expand_bracket_finds_sign_change():
 
 def test_expand_bracket_single_signed():
     assert expand_bracket(lambda x: x * x + 1.0, 1.0, lo=-5.0, hi=5.0) is None
+
+
+def test_expand_bracket_walks_down_when_f_positive():
+    # one-sided walk: from x0 = 1 with f > 0 the root lies below, and
+    # the steps 1%, 4%, 16%, 64% of x0 reach 0.15 past the root at 0.5
+    xs = []
+
+    def f(x):
+        xs.append(x)
+        return x - 0.5
+    assert expand_bracket(f, 1.0, lo=0.0, hi=10.0) == pytest.approx((0.15, 0.79))
+    assert xs == pytest.approx([1.0, 0.99, 0.95, 0.79, 0.15])
+
+
+def test_expand_bracket_root_at_start():
+    assert expand_bracket(lambda x: x - 2.0, 2.0, lo=0.0, hi=10.0) == (2.0, 2.0)
+
+
+def test_expand_bracket_clips_to_interval():
+    # the walk stops at hi and reports the sign change found there
+    assert expand_bracket(lambda x: x - 9.99, 1.0, lo=0.0, hi=10.0) == pytest.approx((4.41, 10.0))
+    assert expand_bracket(lambda x: x - 20.0, 1.0, lo=0.0, hi=10.0) is None
