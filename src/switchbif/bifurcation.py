@@ -36,7 +36,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .analytic import delta, delta_prime
-from .errors import (BudgetError, DegenerateError, EscapeError,
+from .errors import (BudgetError, DegenerateError, DomainError, EscapeError,
                      InsufficientDataError, PerturbationTooSmallError,
                      StiffnessError, TangencyError)
 from .model import (Quadrant, SwitchedSystem, SystemParams, collect_terms,
@@ -268,8 +268,9 @@ def _predict(lam: float, d: float, history, expansion: ExpansionFit | None) -> f
     reset, newest last.  C puts the law through the newest point and m
     is the log-log slope of d against x1 over the two newest points, 2
     with one point; without points C = delta_coeff and m = k_exp - 1
-    from ``expansion``.  The newest amplitude (None without points) is
-    returned when the parameter repeats or the law has no positive root.
+    from ``expansion``.  None is returned when the law has no positive
+    root, so that the caller scans at once; the newest amplitude (None
+    without points) when the parameter repeats or m is not a positive number.
     """
     if history:
         lam_p, d_ref, x_ref = history[-1]
@@ -287,7 +288,9 @@ def _predict(lam: float, d: float, history, expansion: ExpansionFit | None) -> f
         fallback = None
     else:
         return None
-    if not (d * d_ref > 0.0 and math.isfinite(m) and m > 0.0):
+    if not d * d_ref > 0.0:
+        return None
+    if not (math.isfinite(m) and m > 0.0):
         return fallback
     try:
         return x_ref * (d / d_ref) ** (1.0 / m)
@@ -561,15 +564,21 @@ def check_global_conditions(sys: SwitchedSystem, lam: float, radius_M: float = 1
     3. Index: delta(0) = 1 and delta'(0) > 0.
 
     Raises ValueError unless ``radius_M`` is finite and positive and
-    ``n_samples`` is an integer >= 1.
+    ``n_samples`` is an integer >= 1, and DomainError when a sampled
+    value overflows or turns nan, where no sample could be trusted.
     """
     if not (math.isfinite(radius_M) and radius_M > 0.0):
         raise ValueError(f"radius_M must be finite and positive, got {radius_M}")
     if isinstance(n_samples, bool) or not isinstance(n_samples, int) or n_samples < 1:
         raise ValueError(f"n_samples must be an integer >= 1, got {n_samples!r}")
     frozen = freeze(sys, lam)
-    lyap_status, lyap_witness, n_outer = _confinement(frozen, radius_M, n_samples)
-    rot_status, rot_witness, one_sided, pert_max = _rotation(frozen, radius_M, n_samples)
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            lyap_status, lyap_witness, n_outer = _confinement(frozen, radius_M, n_samples)
+            rot_status, rot_witness, one_sided, pert_max = _rotation(frozen, radius_M, n_samples)
+    except FloatingPointError as exc:
+        raise DomainError(f"radius_M = {radius_M} is too large: sampled field values "
+                          f"leave the floating-point range ({exc})") from None
     notes: list[str] = []
     if not one_sided:
         notes.append("one-sided rotation comparison <A x, Sx> > <pert, Sx> fails "

@@ -5,8 +5,9 @@
 
 Subcommands: validate, simulate, poincare, classify, delta-sweep,
 bifurcate, branch, verify-global.  ``paper-example`` runs any of them
-on the built-in benchmark system.  Exit codes: 0 success, 1
-validation/parse error, 2 numerical failure, 3 internal error.
+on the built-in benchmark system.  Exit codes: 0 success, else the
+``exit_code`` of the error raised: 1 validation/parse error, 2 numerical
+failure, 3 internal error (see ``switchbif.errors``).
 
 Outputs are deterministic: identical config and command produce
 byte-identical files.  CSV files carry a comment line naming the tool
@@ -18,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -28,20 +30,10 @@ from .bifurcation import (bifurcation_direction, check_global_conditions,
                           fit_local_expansion, fit_scaling_law)
 from .config import (RunConfig, paper_example_config, parse_config,
                      parse_constant_expression)
-from .errors import (BudgetError, DomainError, EscapeError,
-                     InsufficientDataError, NoBracketError,
-                     NoConvergenceError, NoOrbitError, OriginError,
-                     ParseError, PerturbationTooSmallError, SideError,
-                     StiffnessError, SwitchBifError, TangencyError,
-                     ValidationError)
+from .errors import NoOrbitError, ParseError, SwitchBifError
 from .model import validate
 from .numeric import (StopAfterEvents, StopAtTime, StopOnReturn, integrate,
                       poincare_numeric)
-
-_USER_ERRORS = (ParseError, ValidationError, DomainError, OriginError, SideError)
-_NUMERIC_ERRORS = (NoOrbitError, NoConvergenceError, TangencyError, EscapeError,
-                   BudgetError, StiffnessError, NoBracketError,
-                   PerturbationTooSmallError, InsufficientDataError)
 
 
 def _fmt(x: float) -> str:
@@ -101,7 +93,9 @@ def _write_output(text: str, out_dir: str | None, filename: str,
 
 def _number(value, where: str) -> float:
     if isinstance(value, str):
-        return parse_constant_expression(value.strip(), where)
+        return parse_constant_expression(value, where)
+    if not math.isfinite(value):  # a config option may hold 1e400 or NaN
+        raise ValueError("not a finite number")
     return float(value)
 
 
@@ -412,15 +406,13 @@ def main(argv=None) -> int:
             config = parse_config(text, label=path.name)
         return _COMMANDS[command][0](config, args)
     except SwitchBifError as exc:
-        code = (1 if isinstance(exc, _USER_ERRORS) else
-                2 if isinstance(exc, _NUMERIC_ERRORS) else 3)
-        _report_error(exc, code, error_json)
-        return code
+        _report_error(exc, error_json)
+        return exc.exit_code
 
 
-def _report_error(exc: Exception, code: int, error_json: bool) -> None:
+def _report_error(exc: SwitchBifError, error_json: bool) -> None:
     if error_json:
-        doc = {"error": type(exc).__name__, "message": str(exc), "exit_code": code}
+        doc = {"error": type(exc).__name__, "message": str(exc), "exit_code": exc.exit_code}
         sys.stdout.write(json.dumps(doc, sort_keys=True) + "\n")
     print(f"switchbif: error: {type(exc).__name__}: {exc}", file=sys.stderr)
 

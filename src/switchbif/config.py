@@ -27,10 +27,13 @@ Document schema::
 
 from __future__ import annotations
 
+import ast
 import dataclasses
 import json
 import math
+import operator
 import re
+import sys
 from dataclasses import dataclass, field
 
 from .errors import ParseError, ValidationError
@@ -49,117 +52,53 @@ __all__ = [
 
 PAPER_EXAMPLE_LABEL = "paper-example"
 
-_TOKEN_RE = re.compile(r"""
-    \s*(?:
-        (?P<number>(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?)
-      | (?P<name>[A-Za-z_][A-Za-z_0-9]*)
-      | (?P<op>[-+*/()])
-    )""", re.VERBOSE)
-
+_BAD_CHAR_RE = re.compile(r"[^0-9.eEpi+\-*/()\s]")
 _CONSTANTS = {"pi": math.pi, "e": math.e}
+_OPERATORS = {ast.Add: operator.add, ast.Sub: operator.sub, ast.Mult: operator.mul,
+              ast.Div: operator.truediv, ast.UAdd: operator.pos, ast.USub: operator.neg}
 
 
-def _tokenize(text: str, location: str) -> list[tuple[str, str]]:
-    tokens = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if m is None or m.end() == pos:
-            raise ParseError(f"bad character {text[pos:]!r} in expression {text!r}", location)
-        pos = m.end()
-        for kind in ("number", "name", "op"):
-            val = m.group(kind)
-            if val is not None:
-                tokens.append((kind, val))
-                break
-    tokens.append(("end", ""))
-    return tokens
-
-
-class _ExprParser:
-    """Recursive-descent parser for constant expressions over pi and e."""
-
-    def __init__(self, text: str, location: str):
-        self.text = text
-        self.location = location
-        self.tokens = _tokenize(text, location)
-        self.pos = 0
-
-    def peek(self):
-        return self.tokens[self.pos]
-
-    def take(self):
-        tok = self.tokens[self.pos]
-        self.pos += 1
-        return tok
-
-    def parse(self) -> float:
-        try:
-            value = self.expr()
-        except ZeroDivisionError:
-            raise ParseError(f"division by zero in expression {self.text!r}",
-                             self.location) from None
-        if self.peek()[0] != "end":
-            raise ParseError(f"trailing input {self.peek()[1]!r} in expression {self.text!r}",
-                             self.location)
-        if not math.isfinite(value):
-            raise ParseError(f"non-finite value of expression {self.text!r}", self.location)
-        return value
-
-    def expr(self) -> float:
-        value = self.term()
-        while self.peek() == ("op", "+") or self.peek() == ("op", "-"):
-            op = self.take()[1]
-            rhs = self.term()
-            value = value + rhs if op == "+" else value - rhs
-        return value
-
-    def term(self) -> float:
-        value = self.unary()
-        while self.peek() == ("op", "*") or self.peek() == ("op", "/"):
-            op = self.take()[1]
-            rhs = self.unary()
-            value = value * rhs if op == "*" else value / rhs
-        return value
-
-    def unary(self) -> float:
-        sign = 1.0
-        while self.peek() in (("op", "-"), ("op", "+")):
-            if self.take()[1] == "-":
-                sign = -sign
-        return sign * self.primary()
-
-    def primary(self) -> float:
-        kind, val = self.take()
-        if kind == "number":
-            return float(val)
-        if kind == "name":
-            if val not in _CONSTANTS:
-                raise ParseError(f"unknown constant {val!r} (only pi and e are defined) "
-                                 f"in expression {self.text!r}", self.location)
-            return _CONSTANTS[val]
-        if (kind, val) == ("op", "("):
-            value = self.expr()
-            if self.take() != ("op", ")"):
-                raise ParseError(f"missing ')' in expression {self.text!r}", self.location)
-            return value
-        raise ParseError(f"unexpected {val!r} in expression {self.text!r}", self.location)
+def _evaluate(node) -> float:
+    """Value of a whitelisted expression node, every literal as a float."""
+    op = _OPERATORS.get(type(getattr(node, "op", None)))
+    if isinstance(node, ast.BinOp) and op:
+        return op(_evaluate(node.left), _evaluate(node.right))
+    if isinstance(node, ast.UnaryOp) and op:
+        return op(_evaluate(node.operand))
+    if isinstance(node, ast.Constant) and type(node.value) in (int, float):
+        return float(node.value)
+    if isinstance(node, ast.Name) and node.id in _CONSTANTS:
+        return _CONSTANTS[node.id]
+    raise ValueError(f"{ast.unparse(node)!r} is not a number, pi, e or + - * / of them")
 
 
 def parse_constant_expression(text: str, location: str = "expression") -> float:
     """Evaluate a constant expression over pi and e with + - * / and parentheses."""
-    return _ExprParser(text, location).parse()
+    bad = _BAD_CHAR_RE.search(text)  # keeps hex, underscore and complex literals out
+    if bad:
+        raise ParseError(f"bad character {bad.group()!r} in expression {text!r}", location)
+    try:
+        value = _evaluate(ast.parse(text.strip(), mode="eval").body)
+        if math.isfinite(value):
+            return value
+        reason = "non-finite value"
+    except SyntaxError as exc:
+        reason = exc.msg
+    except (ValueError, ArithmeticError) as exc:
+        reason = str(exc)
+    except (RecursionError, MemoryError):  # the parser's and the walk's depth limits
+        reason = "nesting too deep"
+    raise ParseError(f"{reason} in expression {text!r}", location)
 
 
 def _num(node, location: str) -> float:
-    if isinstance(node, bool) or not isinstance(node, (int, float, str)):
-        raise ParseError(f"expected a number or constant expression, got {node!r}", location)
     if isinstance(node, str):
         return parse_constant_expression(node, location)
-    val = float(node)
-    if not math.isfinite(val):
+    if isinstance(node, bool) or not isinstance(node, (int, float)):
+        raise ParseError(f"expected a number or constant expression, got {node!r}", location)
+    if not abs(node) <= sys.float_info.max:  # exact for integers of any size; false for nan
         raise ParseError(f"non-finite number {node!r}", location)
-    return val
+    return float(node)
 
 
 def _int(node, location: str) -> int:
@@ -174,20 +113,30 @@ def _poly(node, location: str) -> LambdaPoly:
     return LambdaPoly(tuple(_num(c, f"{location}[{i}]") for i, c in enumerate(node)))
 
 
+def _object(node, location: str, keys, required=()) -> dict:
+    """``node``, checked to be an object with every ``required`` key and no key
+    outside ``keys``."""
+    if not isinstance(node, dict):
+        raise ParseError("expected an object", location)
+    unknown = set(node) - set(keys)
+    if unknown:
+        raise ParseError(f"unknown keys {sorted(unknown)} (expected {sorted(keys)})", location)
+    for key in required:
+        if key not in node:
+            raise ParseError(f"missing required key {key!r}", location)
+    return node
+
+
+_MONOMIAL_KEYS = ("coeff_poly", "pow1", "pow2")
+
+
 def _terms(node, location: str) -> tuple[MonomialTerm, ...]:
     if not isinstance(node, list):
         raise ParseError("expected a list of monomial objects", location)
     out = []
     for i, term in enumerate(node):
         loc = f"{location}[{i}]"
-        if not isinstance(term, dict):
-            raise ParseError("expected a monomial object", loc)
-        unknown = set(term) - {"coeff_poly", "pow1", "pow2"}
-        if unknown:
-            raise ParseError(f"unknown monomial keys {sorted(unknown)}", loc)
-        for key in ("coeff_poly", "pow1", "pow2"):
-            if key not in term:
-                raise ParseError(f"missing monomial key {key!r}", loc)
+        _object(term, loc, _MONOMIAL_KEYS, required=_MONOMIAL_KEYS)
         try:
             out.append(MonomialTerm(coeff=_poly(term["coeff_poly"], f"{loc}.coeff_poly"),
                                     pow1=_int(term["pow1"], f"{loc}.pow1"),
@@ -223,23 +172,10 @@ def parse_config(text: str, label: str = "config") -> RunConfig:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(str(exc), f"line {exc.lineno}, column {exc.colno}") from exc
-    if not isinstance(doc, dict):
-        raise ParseError("top-level document must be an object", "document")
-    unknown = set(doc) - {"system", "integrator", "options"}
-    if unknown:
-        raise ParseError(f"unknown top-level keys {sorted(unknown)}", "document")
-    if "system" not in doc:
-        raise ParseError("missing required key 'system'", "document")
-
-    s = doc["system"]
-    if not isinstance(s, dict):
-        raise ParseError("'system' must be an object", "system")
-    unknown = set(s) - {"a", "b_poly", "c_poly", "lambda_domain", "perturbations"}
-    if unknown:
-        raise ParseError(f"unknown system keys {sorted(unknown)}", "system")
-    for key in ("a", "b_poly", "c_poly"):
-        if key not in s:
-            raise ParseError(f"missing required key '{key}'", "system")
+    _object(doc, "document", ("system", "integrator", "options"), required=("system",))
+    s = _object(doc["system"], "system",
+                ("a", "b_poly", "c_poly", "lambda_domain", "perturbations"),
+                required=("a", "b_poly", "c_poly"))
 
     a = _num(s["a"], "system.a")
     b = _poly(s["b_poly"], "system.b_poly")
@@ -255,39 +191,22 @@ def parse_config(text: str, label: str = "config") -> RunConfig:
         raise ParseError(str(exc), "system.lambda_domain") from exc
 
     perts = [PolyField.zero()] * 4
-    pert_node = s.get("perturbations", {})
-    if not isinstance(pert_node, dict):
-        raise ParseError("'perturbations' must be an object", "system.perturbations")
-    unknown = set(pert_node) - {"q1", "q2", "q3", "q4"}
-    if unknown:
-        raise ParseError(f"unknown perturbation keys {sorted(unknown)} "
-                         "(expected q1..q4)", "system.perturbations")
-    for qi in range(1, 5):
-        key = f"q{qi}"
-        if key not in pert_node:
-            continue
-        qnode = pert_node[key]
+    pert_node = _object(s.get("perturbations", {}), "system.perturbations",
+                        ("q1", "q2", "q3", "q4"))
+    for key, qnode in pert_node.items():
         loc = f"system.perturbations.{key}"
-        if not isinstance(qnode, dict):
-            raise ParseError("expected an object with comp1/comp2", loc)
-        unknown = set(qnode) - {"comp1", "comp2"}
-        if unknown:
-            raise ParseError(f"unknown keys {sorted(unknown)}", loc)
-        perts[qi - 1] = PolyField(comp1=_terms(qnode.get("comp1", []), f"{loc}.comp1"),
-                                  comp2=_terms(qnode.get("comp2", []), f"{loc}.comp2"))
+        _object(qnode, loc, ("comp1", "comp2"))
+        perts[int(key[1]) - 1] = PolyField(
+            comp1=_terms(qnode.get("comp1", []), f"{loc}.comp1"),
+            comp2=_terms(qnode.get("comp2", []), f"{loc}.comp2"))
 
     system = SwitchedSystem(params=params, perturbations=tuple(perts))
     report = validate(system)
     if not report.passed:
         raise ValidationError("; ".join(report.violations), report=report)
 
-    integ_node = doc.get("integrator", {})
-    if not isinstance(integ_node, dict):
-        raise ParseError("'integrator' must be an object", "integrator")
-    known = {f.name for f in dataclasses.fields(IntegratorConfig)}
-    unknown = set(integ_node) - known
-    if unknown:
-        raise ParseError(f"unknown integrator keys {sorted(unknown)}", "integrator")
+    integ_node = _object(doc.get("integrator", {}), "integrator",
+                         [f.name for f in dataclasses.fields(IntegratorConfig)])
     kwargs = {}
     for key, val in integ_node.items():
         loc = f"integrator.{key}"
@@ -297,14 +216,7 @@ def parse_config(text: str, label: str = "config") -> RunConfig:
     except ValueError as exc:
         raise ParseError(str(exc), "integrator") from exc
 
-    options_node = doc.get("options", {})
-    if not isinstance(options_node, dict):
-        raise ParseError("'options' must be an object", "options")
-    unknown = set(options_node) - _OPTION_KEYS
-    if unknown:
-        raise ParseError(f"unknown option keys {sorted(unknown)}", "options")
-    options = dict(options_node)
-
+    options = dict(_object(doc.get("options", {}), "options", _OPTION_KEYS))
     return RunConfig(system=system, integrator=integrator, options=options, label=label)
 
 

@@ -1,14 +1,21 @@
 """Exception hierarchy shared by all switchbif modules.
 
-Errors fall into three families that the CLI maps onto exit codes:
-configuration problems (ParseError, ValidationError -> 1), numerical
-failures (the integrator and solver errors -> 2), and everything
-else (-> 3).
+Every error carries the CLI exit code of its family in the class
+attribute ``exit_code``:
+
+- 1, user errors: a bad configuration or argument (ParseError,
+  ValidationError, DomainError, OriginError, SideError);
+- 2, numerical failures: the integrator failures (TangencyError,
+  BudgetError, StiffnessError, EscapeError) and the solver and
+  estimator failures, DegenerateError among them;
+- 3, any other SwitchBifError: an internal error.
 """
 
 
 class SwitchBifError(Exception):
     """Base class for all errors raised by this package."""
+
+    exit_code = 3
 
 
 # -- configuration / model construction ------------------------------------
@@ -19,6 +26,8 @@ class ParseError(SwitchBifError):
     Carries a human-readable location (JSON path or line/column) in
     ``location`` when one is available.
     """
+
+    exit_code = 1
 
     def __init__(self, message, location=None):
         super().__init__(message if location is None else f"{location}: {message}")
@@ -32,6 +41,8 @@ class ValidationError(SwitchBifError):
     produced from one.
     """
 
+    exit_code = 1
+
     def __init__(self, message, report=None):
         super().__init__(message)
         self.report = report
@@ -42,13 +53,19 @@ class ValidationError(SwitchBifError):
 class DomainError(SwitchBifError):
     """A parameter value lies outside the system's parameter interval."""
 
+    exit_code = 1
+
 
 class OriginError(SwitchBifError):
     """The origin was passed where the switching law is undefined."""
 
+    exit_code = 1
+
 
 class SideError(SwitchBifError):
     """A section-map entry point lies on the wrong semi-axis."""
+
+    exit_code = 1
 
 
 # -- integration failures ----------------------------------------------------
@@ -61,17 +78,25 @@ class TangencyError(SwitchBifError):
     crossing direction (sliding / grazing contact).
     """
 
+    exit_code = 2
+
 
 class BudgetError(SwitchBifError):
     """The switching-event budget (max_arcs) was exhausted."""
+
+    exit_code = 2
 
 
 class StiffnessError(SwitchBifError):
     """The adaptive step size underflowed."""
 
+    exit_code = 2
+
 
 class EscapeError(SwitchBifError):
     """The trajectory left the configured bounding box."""
+
+    exit_code = 2
 
 
 # -- solver / estimator failures ----------------------------------------------
@@ -82,6 +107,8 @@ class NoConvergenceError(SwitchBifError):
     ``sequence`` records the estimates produced so far.
     """
 
+    exit_code = 2
+
     def __init__(self, message, sequence=None):
         super().__init__(message)
         self.sequence = list(sequence) if sequence is not None else []
@@ -90,18 +117,28 @@ class NoConvergenceError(SwitchBifError):
 class NoBracketError(SwitchBifError):
     """No sign change was found over the supplied bracket."""
 
+    exit_code = 2
+
 
 class DegenerateError(SwitchBifError):
     """A nondegeneracy hypothesis fails (e.g. vanishing derivative)."""
+
+    exit_code = 2
 
 
 class NoOrbitError(SwitchBifError):
     """No periodic-orbit residual sign change exists in the scan range."""
 
+    exit_code = 2
+
 
 class PerturbationTooSmallError(SwitchBifError):
     """Return-map residuals sit below the integrator noise floor."""
 
+    exit_code = 2
+
 
 class InsufficientDataError(SwitchBifError):
     """Too few data points for the requested fit."""
+
+    exit_code = 2

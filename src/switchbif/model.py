@@ -45,8 +45,9 @@ __all__ = [
 class LambdaPoly:
     """Polynomial in the scalar parameter, stored as coefficients c0..cd.
 
-    ``value_at(lam)`` evaluates sum(c_j * lam**j) by Horner's rule;
-    ``deriv_at(lam)`` evaluates the derivative polynomial.
+    ``value_at(lam)`` evaluates sum(c_j * lam**j) by Horner's rule,
+    elementwise when ``lam`` is a numpy array; ``deriv_at(lam)``
+    evaluates the derivative polynomial.
     """
 
     coeffs: tuple[float, ...]
@@ -246,7 +247,12 @@ def eval_terms(terms, x1, x2):
     """Evaluate ``(coeff, pow1, pow2)`` terms at (x1, x2); scalars or numpy arrays."""
     total = 0.0 * (x1 + x2)
     for c, p1, p2 in terms:
-        total = total + c * x1 ** p1 * x2 ** p2
+        term = c
+        if p1:
+            term = term * x1 ** p1
+        if p2:
+            term = term * x2 ** p2
+        total += term
     return total
 
 
@@ -308,7 +314,7 @@ def validate(sys: SwitchedSystem) -> ValidationReport:
     samples = np.linspace(lo, hi, _N_LAMBDA_SAMPLES)
     samples = np.append(samples, 0.0)
     for name, poly in (("b", p.b), ("c", p.c)):
-        vals = np.array([poly.value_at(s) for s in samples])
+        vals = poly.value_at(samples)
         bad = np.nonzero(vals <= 0.0)[0]
         if bad.size:
             w = samples[bad[0]]

@@ -5,7 +5,7 @@ import pytest
 
 from conftest import make_linear_system, make_params
 from switchbif import (BranchDirection, CheckStatus, DegenerateError,
-                       InsufficientDataError, LambdaPoly, MonomialTerm,
+                       DomainError, InsufficientDataError, LambdaPoly, MonomialTerm,
                        NoBracketError, PerturbationTooSmallError, PolyField,
                        Quadrant, StopOnReturn, SwitchedSystem, SystemParams,
                        bifurcation_direction, check_global_conditions,
@@ -209,6 +209,14 @@ class TestContinueBranch:
         assert [p.returns for p in res.points] == [calls.count(lam) for lam in lams]
         assert [p.source for p in res.points] == ["scan"] + ["previous"] * 4
         assert all(p.returns <= 8 for p in res.points[1:])
+        # where the local law has no root the scan runs at once, so a
+        # parameter value on the other side costs what it costs alone
+        calls.clear()
+        continue_branch(paper_system, [-0.05], cfg)
+        alone = len(calls)
+        calls.clear()
+        continue_branch(paper_system, [0.05, -0.05, 0.05], cfg)
+        assert calls.count(-0.05) == alone
 
     @pytest.mark.parametrize("lams", [[0.1, 0.1], [1.0, 0.5, 0.1], [0.05, -0.05, 0.05]])
     def test_continuation_matches_solving_each_lambda_alone(self, paper_system, cfg, lams):
@@ -298,6 +306,17 @@ class TestCheckGlobalConditions:
         vdot = 2.0 * (w.x[0] * (lin[0] + pert[0]) + w.x[1] * (lin[1] + pert[1]))
         assert vdot >= 0.0
         assert w.value == pytest.approx(vdot, rel=1e-12)
+
+    def test_overflowing_radius_is_domain_error(self, paper_params):
+        # outward cubics in every region fail at radius 10; at 1e160 the
+        # sampled |x|^4 overflows, which must not read as a pass
+        out = PolyField(comp1=(MonomialTerm(LambdaPoly.constant(1.0), 3, 0),),
+                        comp2=(MonomialTerm(LambdaPoly.constant(1.0), 0, 3),))
+        sys = SwitchedSystem(paper_params, (out,) * 4)
+        rep = check_global_conditions(sys, 0.0, radius_M=10.0, n_samples=1_000)
+        assert rep.lyapunov_ok is CheckStatus.FAIL
+        with pytest.raises(DomainError, match="radius_M"):
+            check_global_conditions(sys, 0.0, radius_M=1e160, n_samples=1_000)
 
     def test_unsuitable_candidate_reports_not_applicable(self):
         # weak radial damping ~ -1e-4 * x1^2 * x in every region: the

@@ -1,7 +1,11 @@
+import contextlib
+import io
 import json
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from switchbif.cli import main
 from switchbif.config import emit_canonical, paper_example_config
@@ -228,3 +232,60 @@ class TestErrorContract:
         code, _, err = run(capsys, ["paper-example", "poincare", "--x1", "1e300"])
         assert code == 2
         assert "EscapeError" in err
+
+    def test_deeply_nested_expression_is_one_line_user_error(self, capsys):
+        nested = "(" * 1000 + "0" + ")" * 1000
+        code, _, err = run(capsys, ["paper-example", "classify", "--lambda", nested])
+        assert code == 1
+        assert err.count("\n") == 1 and err.startswith("switchbif: error: ParseError")
+
+    def test_overflowing_radius_is_one_line_user_error(self, capsys):
+        code, out, err = run(capsys, ["paper-example", "verify-global",
+                                      "--radius-m", "1e300", "--n-samples", "1000"])
+        assert code == 1
+        assert "pass" not in out
+        assert err.count("\n") == 1 and "radius_M" in err
+
+    def test_infinite_config_option_is_user_error(self, capsys, tmp_path):
+        doc = json.loads(emit_canonical(paper_example_config()))
+        doc["options"] = {"radius_m": 1e400}   # json reads this as inf
+        path = tmp_path / "system.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        code, _, err = run(capsys, ["verify-global", "--config", str(path)])
+        assert code == 1
+        assert "options.radius_m" in err
+
+    def test_degenerate_crossing_is_numerical_failure(self, capsys, tmp_path):
+        # delta = 1 at lambda = 0 with delta'(0) = 0, since b'(0) = 0
+        a = math.sqrt(2.0) * math.log(4.0) / (2.0 * math.pi)
+        path = tmp_path / "degenerate.json"
+        path.write_text(json.dumps({"system": {"a": a, "b_poly": [2, 0, 0, 1],
+                                               "c_poly": [1]}}), encoding="utf-8")
+        code, _, err = run(capsys, ["bifurcate", "--config", str(path),
+                                    "--bracket=-0.5,0.4"])
+        assert code == 2
+        assert "DegenerateError" in err
+
+
+_VALUE = st.one_of(st.text(alphabet="0123456789.eEpi+-*/() x", max_size=24),
+                   st.floats().map(repr), st.floats(-3.0, 40.0).map(repr),
+                   st.integers(-10 ** 6, 10 ** 6).map(str))
+_ARGV = st.one_of(
+    st.builds(lambda lam: ["classify", f"--lambda={lam}"], _VALUE),
+    st.builds(lambda lams: ["delta-sweep", "--lambdas=" + ",".join(lams)],
+              st.lists(_VALUE, max_size=4)),
+    st.builds(lambda lam, radius, n: ["verify-global", f"--lambda={lam}",
+                                      f"--radius-m={radius}", f"--n-samples={n}"],
+              _VALUE, _VALUE,
+              st.one_of(st.integers(-2, 1000).map(str), st.sampled_from(["x", "1.5", "1e3", ""]))))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(_ARGV)
+def test_fuzzed_flags_end_with_an_exit_code_and_no_traceback(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(["paper-example", *argv])
+    assert code in (0, 1, 2, 3)
+    # verify-global exits 2 on a failed check without an error message
+    assert err.getvalue().count("\n") <= 1 and "Traceback" not in err.getvalue()

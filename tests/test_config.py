@@ -44,6 +44,21 @@ class TestConstantExpressions:
         assert parse_constant_expression("pi") == math.pi
         assert parse_constant_expression("e") == math.e
 
+    @pytest.mark.parametrize("bad", [
+        "(" * 1000 + "0" + ")" * 1000,   # past the parser's nesting limit
+        "-" * 100_000 + "1",             # the parser runs out of stack
+        "+".join(["1"] * 100_000),       # deeper than the recursion limit
+        "0x1", "1_0", "1j", "pi.e", "01", "1\n+2"],
+        ids=["nested-parens", "sign-chain", "long-sum", "hex", "underscore", "complex",
+             "attribute", "leading-zero", "line-break"])
+    def test_rejects_deep_nesting_and_other_python_syntax(self, bad):
+        with pytest.raises(ParseError):
+            parse_constant_expression(bad)
+
+    def test_surrounding_whitespace_and_wrapped_lines(self):
+        assert parse_constant_expression(" 1 + 2\t\n") == 3.0
+        assert parse_constant_expression("(1\n+ 2)") == 3.0
+
 
 class TestParseConfig:
     def test_minimal_document(self):
@@ -119,6 +134,13 @@ class TestParseConfig:
         rc = parse_config(json.dumps(doc))
         assert rc.integrator.rel_tol == 1e-8
         assert rc.integrator.max_arcs == 50
+
+    @pytest.mark.parametrize("a", [10 ** 400, "1e400"])
+    def test_number_beyond_float_range_is_parse_error(self, a):
+        doc = json.loads(MINIMAL)
+        doc["system"]["a"] = a
+        with pytest.raises(ParseError, match="system.a"):
+            parse_config(json.dumps(doc))
 
     def test_unknown_integrator_key(self):
         doc = json.loads(MINIMAL)
