@@ -299,14 +299,15 @@ def _predict(lam: float, d: float, history, expansion: ExpansionFit | None) -> f
 
 
 def continue_branch(sys: SwitchedSystem, lambdas, cfg: IntegratorConfig,
-                    x_scan_max: float = 10.0, expansion: ExpansionFit | None = None,
-                    seed_from_previous: bool = True) -> BranchResult:
+                    x_scan_max: float = 10.0,
+                    expansion: ExpansionFit | None = None) -> BranchResult:
     """Solve the return-map fixed point for each parameter value in turn.
 
     Predictor: the amplitude of the local law pi(x) - x = (delta - 1) x
     + C x**(m+1) at the closed-form delta(lam), fitted through the
     previous branch points (see ``_predict``), or through the expansion
-    fit when no previous point is used.  Corrector: ``expand_bracket``
+    fit while there is none (at the first parameter value and after a
+    parameter without orbit).  Corrector: ``expand_bracket``
     walks from the prediction toward the smallest root, upward while the
     residual pi(x1) - x1 keeps the sign of delta - 1 that it has near
     the origin, and brent polishes the bracket.  Every amplitude costs at
@@ -330,8 +331,7 @@ def continue_branch(sys: SwitchedSystem, lambdas, cfg: IntegratorConfig,
     for lam in lambdas:
         residual = _Residual(sys, lam, cfg)
         d = delta(sys.params, lam) - 1.0
-        known = history if seed_from_previous else []
-        seed = _predict(lam, d, known, expansion)
+        seed = _predict(lam, d, history, expansion)
 
         found: list[BranchPoint] = []
         if seed is not None and _X_SCAN_MIN < seed < x_scan_max:
@@ -342,7 +342,7 @@ def continue_branch(sys: SwitchedSystem, lambdas, cfg: IntegratorConfig,
                 bracket = expand_bracket(lambda x: sign * residual(x), seed,
                                          lo=_X_SCAN_MIN, hi=x_scan_max)
                 if bracket is not None:
-                    found.append(residual.solve(*bracket, "previous" if known else "expansion"))
+                    found.append(residual.solve(*bracket, "previous" if history else "expansion"))
             except _NO_RETURN:
                 pass
 

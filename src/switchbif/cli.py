@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 from pathlib import Path
 
@@ -28,8 +27,7 @@ from .analytic import classify_origin, delta, delta_prime
 from .bifurcation import (bifurcation_direction, check_global_conditions,
                           continue_branch, find_critical_lambda,
                           fit_local_expansion, fit_scaling_law)
-from .config import (RunConfig, paper_example_config, parse_config,
-                     parse_constant_expression)
+from .config import _OPTIONS, RunConfig, _switch, paper_example_config, parse_config
 from .errors import NoOrbitError, ParseError, SwitchBifError
 from .model import validate
 from .numeric import (StopAfterEvents, StopAtTime, StopOnReturn, integrate,
@@ -91,47 +89,6 @@ def _write_output(text: str, out_dir: str | None, filename: str,
         sys.stdout.write(text)
 
 
-def _number(value, where: str) -> float:
-    if isinstance(value, str):
-        return parse_constant_expression(value, where)
-    if not math.isfinite(value):  # a config option may hold 1e400 or NaN
-        raise ValueError("not a finite number")
-    return float(value)
-
-
-def _numbers(value, where: str) -> list[float]:
-    if isinstance(value, str):
-        value = [part for part in value.split(",") if part.strip()]
-    return [_number(v, where) for v in value]
-
-
-def _integer(value, where: str) -> int:
-    return int(value)
-
-
-def _switch(value, where: str) -> bool:
-    return bool(value)
-
-
-#: key -> (flag, converter, default, range check, rule the check enforces);
-#: the key also names the config document's ``options`` entry behind the flag
-_OPTIONS = {
-    "lambda": ("--lambda", _number, 0.0, None, None),
-    "x0": ("--x0", _numbers, [1.0, 0.0], lambda v: len(v) == 2, "must be two numbers"),
-    "t_max": ("--t-max", _number, None, lambda v: v >= 0.0, "must be >= 0"),
-    "n_events": ("--n-events", _integer, None, lambda v: v >= 1, "must be >= 1"),
-    "return_to_section": ("--return-to-section", _switch, False, None, None),
-    "x1_values": ("--x1", _numbers, None, bool, "needs at least one value"),
-    "lambdas": ("--lambdas", _numbers, None, bool, "needs at least one value"),
-    "lambda_min": ("--lambda-min", _number, None, None, None),
-    "lambda_max": ("--lambda-max", _number, None, None, None),
-    "n": ("--n", _integer, 101, lambda v: v >= 1, "must be >= 1"),
-    "bracket": ("--bracket", _numbers, [-0.1, 0.1], lambda v: len(v) == 2,
-                "must be two numbers"),
-    "x_scan_max": ("--x-scan-max", _number, 10.0, lambda v: v > 0.0, "must be > 0"),
-    "radius_m": ("--radius-m", _number, 10.0, lambda v: v > 0.0, "must be > 0"),
-    "n_samples": ("--n-samples", _integer, 100_000, lambda v: v >= 1, "must be >= 1"),
-}
 _HELP = {
     "x0": "initial state 'x1,x2'",
     "return_to_section": "stop at the first return to the positive x1-axis",
@@ -155,7 +112,7 @@ def _option(config: RunConfig, args, key: str, *, required: bool = False,
         return default
     try:
         value = convert(value, where)
-    except (TypeError, ValueError, ArithmeticError) as exc:
+    except ValueError as exc:
         raise ParseError(f"bad value {value!r}: {exc}", where) from None
     if check is not None and not check(value):
         raise ParseError(f"{rule}, got {value!r}", where)

@@ -23,6 +23,10 @@ Document schema::
       "integrator": {"rel_tol": <num>, ...},   # optional overrides
       "options": {"lambda": <num>, ...}        # optional command defaults
     }
+
+Each ``options`` entry is the default of the command-line flag listed
+with it in ``_OPTIONS``, and meets the same type and range checks when a
+command reads it.
 """
 
 from __future__ import annotations
@@ -156,9 +160,46 @@ class RunConfig:
     label: str = field(default="config", compare=False)
 
 
-_OPTION_KEYS = {"lambda", "x0", "t_max", "n_events", "return_to_section",
-                "x1_values", "lambdas", "bracket", "radius_m", "n_samples",
-                "x_scan_max"}
+def _numbers(node, location: str) -> list[float]:
+    """A list of numbers, or one string of comma-separated expressions."""
+    if isinstance(node, str):
+        node = [part for part in node.split(",") if part.strip()]
+    if not isinstance(node, list):
+        raise ParseError(f"expected a list of numbers, got {node!r}", location)
+    return [_num(v, location) for v in node]
+
+
+def _count(node, location: str) -> int:
+    """An integer; a string (a command-line flag) in decimal digits."""
+    return int(node) if isinstance(node, str) else _int(node, location)
+
+
+def _switch(node, location: str) -> bool:
+    if not isinstance(node, bool):
+        raise ParseError(f"expected true or false, got {node!r}", location)
+    return node
+
+
+#: ``options`` key -> (command-line flag, converter, default, range check,
+#: rule the check enforces); the flag's string and the document's JSON value
+#: pass the same converter and check
+_OPTIONS = {
+    "lambda": ("--lambda", _num, 0.0, None, None),
+    "x0": ("--x0", _numbers, [1.0, 0.0], lambda v: len(v) == 2, "must be two numbers"),
+    "t_max": ("--t-max", _num, None, lambda v: v >= 0.0, "must be >= 0"),
+    "n_events": ("--n-events", _count, None, lambda v: v >= 1, "must be >= 1"),
+    "return_to_section": ("--return-to-section", _switch, False, None, None),
+    "x1_values": ("--x1", _numbers, None, bool, "needs at least one value"),
+    "lambdas": ("--lambdas", _numbers, None, bool, "needs at least one value"),
+    "lambda_min": ("--lambda-min", _num, None, None, None),
+    "lambda_max": ("--lambda-max", _num, None, None, None),
+    "n": ("--n", _count, 101, lambda v: v >= 1, "must be >= 1"),
+    "bracket": ("--bracket", _numbers, [-0.1, 0.1], lambda v: len(v) == 2,
+                "must be two numbers"),
+    "x_scan_max": ("--x-scan-max", _num, 10.0, lambda v: v > 0.0, "must be > 0"),
+    "radius_m": ("--radius-m", _num, 10.0, lambda v: v > 0.0, "must be > 0"),
+    "n_samples": ("--n-samples", _count, 100_000, lambda v: v >= 1, "must be >= 1"),
+}
 
 
 def parse_config(text: str, label: str = "config") -> RunConfig:
@@ -216,7 +257,7 @@ def parse_config(text: str, label: str = "config") -> RunConfig:
     except ValueError as exc:
         raise ParseError(str(exc), "integrator") from exc
 
-    options = dict(_object(doc.get("options", {}), "options", _OPTION_KEYS))
+    options = dict(_object(doc.get("options", {}), "options", _OPTIONS))
     return RunConfig(system=system, integrator=integrator, options=options, label=label)
 
 

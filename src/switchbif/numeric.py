@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -49,9 +49,13 @@ __all__ = [
 class IntegratorConfig:
     """Tolerances and budgets for the hybrid integrator.
 
-    ``event_tol`` is the axis-crossing location tolerance in state
-    units, applied relative to max(1, |x|).  ``max_arcs`` bounds the
-    number of switching events per integration.
+    ``integrate`` alone sizes the tolerances to the state, with |x| the
+    max-norm of the current state: step error control allows
+    abs_tol * min(1, |x|) + rel_tol * |x_i| in coordinate i, and every
+    event-side tolerance (crossing location, on-axis start, wrong-axis
+    guard) is a multiple of event_tol * |x|, so a linear system
+    integrates scale-invariantly below |x| = 1.  ``max_arcs`` bounds
+    the number of switching events per integration.
     """
 
     rel_tol: float = 1e-10
@@ -74,19 +78,6 @@ class IntegratorConfig:
         if self.event_tol > self.abs_tol:
             warnings.warn("event_tol > abs_tol: event states may be less accurate "
                           "than step error control suggests", stacklevel=2)
-
-    def scaled_for_amplitude(self, amplitude: float) -> "IntegratorConfig":
-        """Config with absolute tolerances tied to a trajectory scale.
-
-        For trajectories of size << 1 the default absolute tolerances
-        would dominate the error control and destroy relative accuracy
-        of return ratios; shrinking them with the amplitude keeps the
-        integration scale-invariant.
-        """
-        s = min(1.0, abs(amplitude))
-        if s >= 1.0 or s == 0.0:
-            return self
-        return replace(self, abs_tol=self.abs_tol * s, event_tol=self.event_tol * s)
 
 
 @dataclass(frozen=True)
@@ -350,7 +341,11 @@ def integrate(sys: SwitchedSystem, x0, lam: float, stop, cfg: IntegratorConfig) 
         loc = min(1.0, max(abs(x1), abs(x2), abs(u1), abs(u2)))
         sc1 = cfg.abs_tol * loc + cfg.rel_tol * max(abs(x1), abs(u1))
         sc2 = cfg.abs_tol * loc + cfg.rel_tol * max(abs(x2), abs(u2))
-        err = math.hypot(e1 / sc1, e2 / sc2) / math.sqrt(2.0)
+        try:
+            err = math.hypot(e1 / sc1, e2 / sc2) / math.sqrt(2.0)
+        except ZeroDivisionError:   # the scale underflowed: no tolerance is left
+            raise OriginError(f"state ({x1}, {x2}) at t = {t} is indistinguishable "
+                              "from the origin at float resolution") from None
         if not math.isfinite(err):
             err = math.inf
 
@@ -365,13 +360,13 @@ def integrate(sys: SwitchedSystem, x0, lam: float, stop, cfg: IntegratorConfig) 
         g0 = (x1, x2)[gidx]
         g1 = (u1, u2)[gidx]
         crossed = (g1 == 0.0) or ((g0 > 0.0) != (g1 > 0.0))
+        # event-side tolerance relative to the local state scale: the event
+        # time error is then ~ event_tol / rotation_rate regardless of decay
+        tol_x = cfg.event_tol * max(abs(x1), abs(x2))
 
         if crossed:
-            # crossing located relative to the local state scale: the time
-            # error is then ~ event_tol / rotation_rate regardless of decay
-            tol_g = cfg.event_tol * max(abs(x1), abs(x2), 1e-300)
             tau, (ev1, ev2) = _locate_crossing(f, x1, x2, h, (u1, u2), gidx,
-                                               k11, k12, tol_g)
+                                               k11, k12, tol_x)
             t_ev = t + tau
             # tangency check against the field that carried the crossing
             d1, d2 = f(ev1, ev2)
@@ -417,8 +412,7 @@ def integrate(sys: SwitchedSystem, x0, lam: float, stop, cfg: IntegratorConfig) 
         oidx = 1 - gidx
         o0 = (x1, x2)[oidx]
         o1 = (u1, u2)[oidx]
-        band = 10.0 * cfg.event_tol * max(1.0, abs(x1), abs(x2))
-        if abs(o0) > band and (o0 > 0.0) != (o1 > 0.0):
+        if abs(o0) > 10.0 * tol_x and (o0 > 0.0) != (o1 > 0.0):
             raise TangencyError(
                 f"trajectory left quadrant {int(q)} through an unexpected axis "
                 f"near t = {t + h} (rotation is not clockwise)")
@@ -455,13 +449,12 @@ def poincare_numeric(sys: SwitchedSystem, x1: float, lam: float,
                      cfg: IntegratorConfig) -> PoincareSample:
     """One revolution of the return map from (x1, 0) on the positive x1-axis.
 
-    Integration tolerances are scaled with ``x1`` so the returned ratio
-    keeps full relative accuracy for small amplitudes.
+    ``integrate`` sizes every tolerance to the state, so the returned
+    ratio keeps full relative accuracy for small amplitudes.
     """
     if not (x1 > 0.0):
         raise SideError(f"return map takes x1 > 0, got {x1}")
-    eff = cfg.scaled_for_amplitude(x1)
-    traj = integrate(sys, (x1, 0.0), lam, StopOnReturn(), eff)
+    traj = integrate(sys, (x1, 0.0), lam, StopOnReturn(), cfg)
     if len(traj.events) != 4:
         raise SwitchBifError(
             f"return to the section took {len(traj.events)} switching events, expected 4")

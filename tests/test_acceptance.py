@@ -103,8 +103,7 @@ def test_criterion_5_branch_reproduction(capsys, paper_system, cfg):
         assert xs[0] < xs[2] / 2.0
         for p in res.points:
             assert p.x1_fixed == pytest.approx(FROZEN_BRANCH[p.lam], rel=1e-6)
-            traj = integrate(paper_system, (p.x1_fixed, 0.0), p.lam, StopOnReturn(),
-                             cfg.scaled_for_amplitude(p.x1_fixed))
+            traj = integrate(paper_system, (p.x1_fixed, 0.0), p.lam, StopOnReturn(), cfg)
             assert len(traj.events) == 4
             assert abs(traj.final_state[0] - p.x1_fixed) <= max(10.0 * p.residual, 1e-12)
 

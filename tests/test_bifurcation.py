@@ -155,8 +155,7 @@ class TestContinueBranch:
     def test_each_point_reverified_by_full_integration(self, paper_system, cfg):
         res = continue_branch(paper_system, [0.05, 0.5], cfg)
         for p in res.points:
-            traj = integrate(paper_system, (p.x1_fixed, 0.0), p.lam, StopOnReturn(),
-                             cfg.scaled_for_amplitude(p.x1_fixed))
+            traj = integrate(paper_system, (p.x1_fixed, 0.0), p.lam, StopOnReturn(), cfg)
             assert len(traj.events) == 4
             assert abs(traj.final_state[0] - p.x1_fixed) <= max(10.0 * p.residual, 1e-12)
             assert traj.t_final == pytest.approx(p.period, rel=1e-9)
@@ -187,11 +186,11 @@ class TestContinueBranch:
         from switchbif import fit_local_expansion
         fit = fit_local_expansion(paper_system, 0.0, cfg)
         seq = continue_branch(paper_system, [0.02, 0.05], cfg)
-        seeded = continue_branch(paper_system, [0.02, 0.05], cfg,
-                                 expansion=fit, seed_from_previous=False)
-        for a, b in zip(seq.points, seeded.points):
+        seeded = [continue_branch(paper_system, [lam], cfg, expansion=fit).points[0]
+                  for lam in (0.02, 0.05)]
+        for a, b in zip(seq.points, seeded):
             assert b.x1_fixed == pytest.approx(a.x1_fixed, rel=1e-7)
-        assert [p.source for p in seeded.points] == ["expansion", "expansion"]
+        assert [p.source for p in seeded] == ["expansion", "expansion"]
 
     def test_returns_per_lambda_counted(self, paper_system, cfg, monkeypatch):
         # work counter: the scan pays for the first parameter value, the

@@ -55,6 +55,15 @@ class TestConfigFile:
         assert code == 1
         assert "a <= 0" in err
 
+    def test_every_flag_has_a_config_option(self, capsys, tmp_path):
+        doc = json.loads(emit_canonical(paper_example_config()))
+        doc["options"] = {"lambda_min": 0, "lambda_max": "1/2", "n": 3}
+        path = tmp_path / "system.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        code, out, _ = run(capsys, ["delta-sweep", "--config", str(path)])
+        assert code == 0
+        assert [row.split(",")[0] for row in out.splitlines()[2:]] == ["0", "0.25", "0.5"]
+
     def test_missing_config_file(self, capsys):
         code, _, err = run(capsys, ["classify", "--config", "/nonexistent.json"])
         assert code == 1
@@ -228,6 +237,25 @@ class TestErrorContract:
         assert code == 1
         assert "options.n_samples" in err
 
+    @pytest.mark.parametrize("options,argv", [
+        ({"n_samples": 1.9}, ["verify-global"]),
+        ({"lambda": True}, ["classify"]),
+        ({"return_to_section": "no"}, ["simulate"]),
+        ({"x0": [True, 0]}, ["simulate", "--t-max", "1"]),
+        ({"n": 2.0}, ["delta-sweep", "--lambda-min", "0", "--lambda-max", "1"]),
+        ({"lambdas": 0.1}, ["branch"]),
+    ], ids=lambda v: str(v))
+    def test_config_option_of_wrong_type_names_its_key(self, capsys, tmp_path,
+                                                       options, argv):
+        # a document value meets the type checks of the system's own numbers
+        doc = json.loads(emit_canonical(paper_example_config()))
+        doc["options"] = options
+        path = tmp_path / "system.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        code, _, err = run(capsys, [argv[0], "--config", str(path), *argv[1:]])
+        assert code == 1
+        assert err.count("\n") == 1 and f"options.{next(iter(options))}" in err
+
     def test_start_outside_bounding_box_is_escape(self, capsys):
         code, _, err = run(capsys, ["paper-example", "poincare", "--x1", "1e300"])
         assert code == 2
@@ -270,8 +298,30 @@ class TestErrorContract:
 _VALUE = st.one_of(st.text(alphabet="0123456789.eEpi+-*/() x", max_size=24),
                    st.floats().map(repr), st.floats(-3.0, 40.0).map(repr),
                    st.integers(-10 ** 6, 10 ** 6).map(str))
+#: amplitudes and times bounded, so that no example integrates for long
+_AMPLITUDE = st.one_of(st.floats(-1.0, 3.0).map(repr),
+                       st.sampled_from(["", "x", "0", "5e-324", "1e300", "pi/4"]))
+_TIME = st.one_of(st.floats(-1.0, 5.0).map(repr), st.sampled_from(["", "x", "1/0"]))
+_COUNT = st.one_of(st.integers(-2, 8).map(str), st.sampled_from(["x", "1.5", "1e3", ""]))
+_STOP = st.one_of(st.just(["--return-to-section"]),
+                  st.builds(lambda t: [f"--t-max={t}"], _TIME),
+                  st.builds(lambda n: [f"--n-events={n}"], _COUNT))
+_LAMBDA = st.one_of(st.floats(-2.5, 2.5).map(repr), _VALUE)
 _ARGV = st.one_of(
     st.builds(lambda lam: ["classify", f"--lambda={lam}"], _VALUE),
+    st.builds(lambda lam, x0, stops: ["simulate", f"--lambda={lam}", "--x0=" + ",".join(x0),
+                                      *sum(stops, [])],
+              _LAMBDA, st.one_of(st.lists(_AMPLITUDE, min_size=2, max_size=2),
+                                 st.lists(_AMPLITUDE, max_size=3)),
+              st.lists(_STOP, min_size=1, max_size=2)),
+    st.builds(lambda lam, xs: ["poincare", f"--lambda={lam}", "--x1=" + ",".join(xs)],
+              _LAMBDA, st.lists(_AMPLITUDE, min_size=1, max_size=2)),
+    st.builds(lambda bracket: ["bifurcate", "--bracket=" + ",".join(bracket)],
+              st.lists(_LAMBDA, max_size=3)),
+    st.builds(lambda lams, x_max: ["branch", "--lambdas=" + ",".join(lams),
+                                   f"--x-scan-max={x_max}"],
+              st.lists(_LAMBDA, min_size=1, max_size=2),
+              st.one_of(st.floats(-1.0, 10.0).map(repr), st.sampled_from(["", "x"]))),
     st.builds(lambda lams: ["delta-sweep", "--lambdas=" + ",".join(lams)],
               st.lists(_VALUE, max_size=4)),
     st.builds(lambda lam, radius, n: ["verify-global", f"--lambda={lam}",
@@ -280,7 +330,7 @@ _ARGV = st.one_of(
               st.one_of(st.integers(-2, 1000).map(str), st.sampled_from(["x", "1.5", "1e3", ""]))))
 
 
-@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@settings(max_examples=250, deadline=None, derandomize=True, database=None)
 @given(_ARGV)
 def test_fuzzed_flags_end_with_an_exit_code_and_no_traceback(argv):
     out, err = io.StringIO(), io.StringIO()

@@ -89,6 +89,13 @@ class TestIntegrate:
         with pytest.raises(OriginError):
             integrate(sys, (0.0, 0.0), 0.0, StopAtTime(1.0), cfg)
 
+    def test_subnormal_start_is_origin(self, cfg):
+        # abs_tol * |x| underflows to zero: no error scale is left
+        sys = make_linear_system(0.5, 2.0, 1.0)
+        with pytest.raises(OriginError):
+            integrate(sys, (5e-324, 0.0), 0.0, StopAtTime(1.0), cfg)
+        assert integrate(sys, (1e-300, 0.0), 0.0, StopAfterEvents(1), cfg).events
+
     def test_escape_raises(self):
         sys = make_linear_system(0.1, 6.0, 1.0)  # stability index ~27.9, expanding
         cfg = IntegratorConfig(escape_radius=100.0)
@@ -155,6 +162,32 @@ class TestPoincareNumeric:
             s1 = poincare_numeric(sys, x1, 0.0, cfg)
             s2 = poincare_numeric(sys, 2.0 * x1, 0.0, cfg)
             assert s2.x1_out == pytest.approx(2.0 * s1.x1_out, rel=1e-8)
+
+    @pytest.mark.parametrize("lam", [0.0, 0.1])
+    def test_linear_return_map_is_exactly_homogeneous(self, paper_params, lam, cfg):
+        # pi(x1) = delta * x1 with tolerances sized to the state: a start
+        # scaled by a power of two gives the same steps, bit for bit
+        sys = SwitchedSystem.linear(paper_params)
+        ref = poincare_numeric(sys, 0.75, lam, cfg)
+        for k in (1, 3, 10, 30, 60):
+            s = poincare_numeric(sys, 0.75 * 2.0 ** -k, lam, cfg)
+            assert s.x1_out * 2.0 ** k == ref.x1_out, k
+            assert s.period == ref.period, k
+
+    @pytest.mark.parametrize("x", [1e-3, 0.5, 2.0])
+    def test_half_revolution_is_point_symmetric(self, paper_system, x, cfg):
+        # the paper example's fields are odd and repeat in opposite
+        # regions, so the flow from (-x, 0) is the flow from (x, 0) negated
+        right = integrate(paper_system, (x, 0.0), 0.1, StopAfterEvents(2), cfg)
+        left = integrate(paper_system, (-x, 0.0), 0.1, StopAfterEvents(2), cfg)
+        assert len(right.events) == len(left.events) == 2
+        for r, l in zip(right.events, left.events):
+            assert l.time == r.time
+            assert l.state == (-r.state[0], -r.state[1])
+            assert int(l.from_quadrant) == (int(r.from_quadrant) + 1) % 4 + 1
+        for r, l in zip(right.arcs, left.arcs):
+            assert np.array_equal(l.times, r.times)
+            assert np.array_equal(l.states, -r.states)
 
     def test_requires_positive_amplitude(self, paper_system, cfg):
         with pytest.raises(SideError):
@@ -255,10 +288,3 @@ class TestIntegratorConfig:
     def test_warns_on_loose_event_tol(self):
         with pytest.warns(UserWarning):
             IntegratorConfig(event_tol=1e-6, abs_tol=1e-10)
-
-    def test_amplitude_scaling(self):
-        cfg = IntegratorConfig()
-        small = cfg.scaled_for_amplitude(1e-3)
-        assert small.abs_tol == cfg.abs_tol * 1e-3
-        assert small.event_tol == cfg.event_tol * 1e-3
-        assert cfg.scaled_for_amplitude(5.0) is cfg

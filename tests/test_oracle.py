@@ -1,4 +1,4 @@
-"""Independent oracle for the paper-example branch: scipy's DOP853.
+"""Independent oracle for the paper example: scipy's DOP853.
 
 The vector fields are written out here from the paper's formulas, not
 read from the package's model, and each quarter-turn is integrated by
@@ -11,7 +11,7 @@ import math
 import numpy as np
 import pytest
 
-from switchbif import continue_branch
+from switchbif import StopAfterEvents, continue_branch, integrate
 
 solve_ivp = pytest.importorskip("scipy.integrate").solve_ivp
 
@@ -49,10 +49,11 @@ def _axis_event(idx, direction):
 ARCS = ((4, 0, -1.0), (3, 1, 1.0), (2, 0, 1.0), (1, 1, -1.0))
 
 
-def oracle_return(lam, x1):
-    """(pi(x1), period) of one revolution from (x1, 0)."""
+def oracle_events(lam, x1):
+    """(time, state) of the four axis crossings of one revolution from (x1, 0)."""
     fields = paper_fields(lam)
     x, t = np.array([x1, 0.0]), 0.0
+    events = []
     for q, idx, direction in ARCS:
         sol = solve_ivp(fields[q], (0.0, 100.0), x, method="DOP853", rtol=1e-12,
                         atol=1e-15 * x1, events=_axis_event(idx, direction))
@@ -60,6 +61,13 @@ def oracle_return(lam, x1):
         x = sol.y_events[0][0].copy()
         x[idx] = 0.0
         t += sol.t_events[0][0]
+        events.append((t, x))
+    return events
+
+
+def oracle_return(lam, x1):
+    """(pi(x1), period) of one revolution from (x1, 0)."""
+    t, x = oracle_events(lam, x1)[-1]
     return float(x[0]), t
 
 
@@ -70,3 +78,13 @@ def test_paper_branch_points_are_oracle_fixed_points(paper_system, cfg):
         x_out, period = oracle_return(p.lam, p.x1_fixed)
         assert abs(x_out - p.x1_fixed) <= 1e-7 * p.x1_fixed, p
         assert period == pytest.approx(p.period, rel=1e-7), p
+
+
+@pytest.mark.parametrize("lam", [0.1, 1.0])
+@pytest.mark.parametrize("x1", [0.5, 1e-3])
+def test_switching_times_and_states_match_oracle(paper_system, lam, x1, cfg):
+    traj = integrate(paper_system, (x1, 0.0), lam, StopAfterEvents(4), cfg)
+    assert [int(ev.from_quadrant) for ev in traj.events] == [q for q, _, _ in ARCS]
+    for ev, (t, x) in zip(traj.events, oracle_events(lam, x1), strict=True):
+        assert ev.time == pytest.approx(t, rel=1e-8), ev
+        assert np.allclose(ev.state, x, rtol=0.0, atol=1e-8 * x1), ev
