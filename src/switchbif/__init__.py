@@ -9,19 +9,19 @@ Hopf-like bifurcation.
 """
 
 from .errors import (BudgetError, DegenerateError, DomainError, EscapeError,
-                     InsufficientDataError, NoBracketError, NoConvergenceError,
-                     NoOrbitError, OriginError, ParseError,
-                     PerturbationTooSmallError, SideError, StiffnessError,
-                     SwitchBifError, TangencyError, ValidationError)
+                     InsufficientDataError, NoBracketError, NoOrbitError,
+                     OriginError, ParseError, PerturbationTooSmallError,
+                     SideError, StiffnessError, SwitchBifError, TangencyError,
+                     ValidationError)
 from .model import (LambdaPoly, MonomialTerm, PolyField, Quadrant,
                     SwitchedSystem, SystemParams, ValidationReport,
                     clockwise_successor, eval_field, linear_matrix, region_of,
                     validate)
 from .analytic import (OriginClass, SectionMapValue, classify_origin, delta,
-                       delta_prime, flow_linear, poincare_linear, section_map)
+                       delta_prime, flow_linear, section_map)
 from .numeric import (Arc, HybridTrajectory, IntegratorConfig, PoincareSample,
                       StopAfterEvents, StopAtTime, StopOnReturn, delta_numeric,
-                      integrate, poincare_numeric, return_residual)
+                      integrate, poincare_numeric)
 from .bifurcation import (BranchDirection, BranchPoint, BranchResult,
                           CheckStatus, CriticalParameter, ExpansionFit,
                           GlobalCheckReport, ScalingFit, Witness,

@@ -32,7 +32,6 @@ __all__ = [
     "delta",
     "delta_prime",
     "classify_origin",
-    "poincare_linear",
 ]
 
 #: |delta - 1| below this counts as the periodic-family boundary case.
@@ -133,14 +132,10 @@ def delta_prime(params: SystemParams, lam: float) -> float:
     return delta(params, lam) * log_deriv
 
 
-def classify_origin(params: SystemParams, lam: float, tol: float = DELTA_ONE_TOL) -> OriginClass:
+def classify_origin(params: SystemParams, lam: float) -> OriginClass:
     """Trichotomy of the linear switched system by the stability index."""
     d = delta(params, lam)
-    if abs(d - 1.0) <= tol:
+    if abs(d - 1.0) <= DELTA_ONE_TOL:
         return OriginClass.PeriodicFamily
     return OriginClass.AsymptoticallyStable if d < 1.0 else OriginClass.Unstable
 
-
-def poincare_linear(x1: float, params: SystemParams, lam: float) -> float:
-    """Linear return map on the x1-axis: x1 -> delta(lam) * x1 (either sign)."""
-    return delta(params, lam) * x1

@@ -64,11 +64,16 @@ __all__ = [
 
 #: find_critical_lambda: largest |delta - 1| at the root, smallest |delta'| there
 _VALUE_TOL, _DEGENERATE_TOL = 1e-12, 1e-10
-#: fit_local_expansion: residuals below this multiple of the tolerance are noise
+#: residuals |r(x1)| below this multiple of the tolerance times x1 are noise
 _NOISE_FACTOR = 50.0
 #: continue_branch: smallest scan amplitude, ratio of neighbouring scan
-#: amplitudes, fixed-point residual scale (brent stops at 1% of it)
+#: amplitudes, relative amplitude accuracy of a branch point times k - 1
 _X_SCAN_MIN, _SCAN_RATIO, _RESIDUAL_TOL = 1e-6, 2.0, 1e-8
+
+
+def _noise_floor(cfg: IntegratorConfig) -> float:
+    """Relative size |r(x1)| / x1 below which a return-map residual is noise."""
+    return _NOISE_FACTOR * max(cfg.rel_tol, cfg.abs_tol, cfg.event_tol)
 
 
 @dataclass(frozen=True)
@@ -140,8 +145,7 @@ def fit_local_expansion(sys: SwitchedSystem, lam: float, cfg: IntegratorConfig,
     xs = np.array([x_max * 2.0 ** (-j) for j in range(n_points)])
     rs = np.array([return_map(float(x)) - d_lin * x for x in xs])
 
-    floor = _NOISE_FACTOR * max(cfg.rel_tol, cfg.abs_tol, cfg.event_tol)
-    usable = np.abs(rs) > floor * xs
+    usable = np.abs(rs) > _noise_floor(cfg) * xs
     if int(usable.sum()) < 3:
         raise PerturbationTooSmallError(
             f"only {int(usable.sum())} of {n_points} residuals exceed the noise floor; "
@@ -212,7 +216,9 @@ class BranchResult:
     ``points`` holds the orbit born at the bifurcation (smallest fixed
     point per parameter value); further fixed points found by the scan
     land in ``additional``.  Parameters with no residual sign change in
-    the scan range are listed in ``no_orbit``.
+    the scan range are listed in ``no_orbit``, and so are parameters
+    with |delta(lam) - 1| below the noise floor of ``_noise_floor`` (5e-9
+    at the default tolerances; lam = 1e-8 and 1e-9 on the paper example).
     """
 
     points: tuple[BranchPoint, ...]
@@ -229,11 +235,15 @@ class _Residual:
 
     ``samples`` maps every amplitude integrated to its return-map sample
     or to the integration failure it raised, so an amplitude costs at
-    most one return map and ``len(samples)`` counts them.
+    most one return map and ``len(samples)`` counts them.  With d =
+    delta(lam) - 1 the residual's slope at an orbit is about -(k - 1) d,
+    so ``solve`` stops brent at |r| <= _RESIDUAL_TOL |d| lo, an amplitude
+    error of about _RESIDUAL_TOL x / (k - 1).
     """
 
-    def __init__(self, sys: SwitchedSystem, lam: float, cfg: IntegratorConfig):
+    def __init__(self, sys: SwitchedSystem, lam: float, cfg: IntegratorConfig, d: float):
         self.sys, self.lam, self.cfg = sys, lam, cfg
+        self.ftol = _RESIDUAL_TOL * abs(d)
         self.samples: dict[float, object] = {}
 
     def __call__(self, x1: float) -> float:
@@ -254,7 +264,7 @@ class _Residual:
             return None
 
     def solve(self, lo: float, hi: float, source: str) -> BranchPoint:
-        x_fix, fb = brent(self, lo, hi, xtol=1e-13, ftol=_RESIDUAL_TOL * 1e-2)
+        x_fix, fb = brent(self, lo, hi, xtol=1e-13, ftol=self.ftol * lo)
         return BranchPoint(lam=self.lam, x1_fixed=x_fix, period=self.samples[x_fix].period,
                            residual=abs(fb), source=source)
 
@@ -316,21 +326,22 @@ def continue_branch(sys: SwitchedSystem, lambdas, cfg: IntegratorConfig,
     Without a prediction, or when the walk misses or an integration
     breaks down on it, a geometric scan over (_X_SCAN_MIN, x_scan_max]
     is used and the smallest sign change is taken as the branch point
-    (larger ones are reported as additional orbits).  Scan amplitudes
-    where the trajectory escapes or the integration breaks down are
-    skipped (no orbit can pass through them); parameters without any
-    sign change between adjacent usable amplitudes are recorded in
-    ``no_orbit``, which also resets the prediction, and continuation
-    proceeds.
+    (larger ones are reported as additional orbits).  A scan residual
+    with |r| <= _noise_floor(cfg) * x1 has no sign: it neither opens nor
+    closes a bracket.  An amplitude where the integration breaks down
+    ends the current bracket (no orbit can pass through it).  Parameters
+    without any sign change are recorded in ``no_orbit``, which also
+    resets the prediction, and continuation proceeds.
     """
     points: list[BranchPoint] = []
     no_orbit: list[float] = []
     additional: list[BranchPoint] = []
     history: list[tuple[float, float, float]] = []
 
+    floor = _noise_floor(cfg)
     for lam in lambdas:
-        residual = _Residual(sys, lam, cfg)
         d = delta(sys.params, lam) - 1.0
+        residual = _Residual(sys, lam, cfg, d)
         seed = _predict(lam, d, history, expansion)
 
         found: list[BranchPoint] = []
@@ -351,10 +362,15 @@ def continue_branch(sys: SwitchedSystem, lambdas, cfg: IntegratorConfig,
             while xs[-1] * _SCAN_RATIO < x_scan_max:
                 xs.append(xs[-1] * _SCAN_RATIO)
             xs.append(x_scan_max)
-            vals = [residual.or_none(x) for x in xs]
-            brackets = [(xs[i], xs[i + 1]) for i in range(len(xs) - 1)
-                        if vals[i] is not None and vals[i + 1] is not None
-                        and (vals[i] > 0.0) != (vals[i + 1] > 0.0)]
+            brackets, prev = [], None
+            for x in xs:
+                r = residual.or_none(x)
+                if r is None:
+                    prev = None
+                elif abs(r) > floor * x:   # a residual within the noise has no sign
+                    if prev is not None and (prev[1] > 0.0) != (r > 0.0):
+                        brackets.append((prev[0], x))
+                    prev = (x, r)
             if not brackets:
                 no_orbit.append(lam)
                 history.clear()

@@ -78,14 +78,13 @@ def _csv(config: RunConfig, command: str, columns: list[str], rows) -> str:
             + "".join(",".join(map(_fmt, row)) + "\n" for row in rows))
 
 
-def _write_output(text: str, out_dir: str | None, filename: str,
-                  echo: bool = True) -> None:
+def _write_output(text: str, out_dir: str | None, filename: str) -> None:
     if out_dir is not None:
         path = Path(out_dir)
         path.mkdir(parents=True, exist_ok=True)
         (path / filename).write_text(text, encoding="utf-8")
         print(f"wrote {path / filename}")
-    elif echo:
+    else:
         sys.stdout.write(text)
 
 

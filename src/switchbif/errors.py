@@ -57,7 +57,8 @@ class DomainError(SwitchBifError):
 
 
 class OriginError(SwitchBifError):
-    """The origin was passed where the switching law is undefined."""
+    """A state is the origin, where the switching law is undefined, or is
+    indistinguishable from it at float resolution."""
 
     exit_code = 1
 
@@ -100,19 +101,6 @@ class EscapeError(SwitchBifError):
 
 
 # -- solver / estimator failures ----------------------------------------------
-
-class NoConvergenceError(SwitchBifError):
-    """An iterative estimate failed to settle.
-
-    ``sequence`` records the estimates produced so far.
-    """
-
-    exit_code = 2
-
-    def __init__(self, message, sequence=None):
-        super().__init__(message)
-        self.sequence = list(sequence) if sequence is not None else []
-
 
 class NoBracketError(SwitchBifError):
     """No sign change was found over the supplied bracket."""

@@ -13,6 +13,10 @@ the state scale.
 Arc fields follow the open quadrant that contains the arc's interior:
 a trajectory on an axis evolves under the field of the quadrant it is
 entering, so axis points occur only as arc endpoints.
+
+``poincare_numeric`` is one revolution of the return map on the positive
+x1-axis; ``delta_numeric``, the linear return ratio, is one return of
+the linear part, which ``integrate`` computes alike at every amplitude.
 """
 
 from __future__ import annotations
@@ -24,8 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (BudgetError, EscapeError, OriginError, SideError,
-                     StiffnessError, SwitchBifError, TangencyError,
-                     NoConvergenceError)
+                     StiffnessError, SwitchBifError, TangencyError)
 from .model import Quadrant, SwitchedSystem, clockwise_successor, freeze
 from .rootfind import brent
 
@@ -40,7 +43,6 @@ __all__ = [
     "StopOnReturn",
     "integrate",
     "poincare_numeric",
-    "return_residual",
     "delta_numeric",
 ]
 
@@ -55,22 +57,19 @@ class IntegratorConfig:
     event-side tolerance (crossing location, on-axis start, wrong-axis
     guard) is a multiple of event_tol * |x|, so a linear system
     integrates scale-invariantly below |x| = 1.  ``max_arcs`` bounds
-    the number of switching events per integration.
+    the switching events per integration and ``escape_radius`` the
+    max-norm of every state; the step sizes, the transversality
+    threshold and the per-arc time budget are module constants.
     """
 
     rel_tol: float = 1e-10
     abs_tol: float = 1e-10
-    max_step: float = 1.0
     event_tol: float = 1e-12
     max_arcs: int = 10_000
-    h0: float = 1e-3
-    tangency_tol: float = 1e-10
     escape_radius: float = 1e6
-    max_arc_time: float = 1e4
 
     def __post_init__(self):
-        for name in ("rel_tol", "abs_tol", "max_step", "event_tol", "h0",
-                     "tangency_tol", "escape_radius", "max_arc_time"):
+        for name in ("rel_tol", "abs_tol", "event_tol", "escape_radius"):
             if not (getattr(self, name) > 0.0):
                 raise ValueError(f"{name} must be positive")
         if self.max_arcs < 1:
@@ -150,6 +149,10 @@ _E1, _E3, _E4, _E5, _E6, _E7 = (71 / 57600, -71 / 16695, 71 / 1920,
                                 -17253 / 339200, 22 / 525, -1 / 40)
 
 _H_FLOOR = 1e-14
+#: first and largest step, least |normal velocity| / speed at a crossing, longest arc
+_H0, _MAX_STEP, _TANGENCY_TOL, _MAX_ARC_TIME = 1e-3, 1.0, 1e-10, 1e4
+#: smallest normal float: a state below it has lost its relative precision
+_FLOAT_MIN = float(np.finfo(float).tiny)
 _SAFETY = 0.9
 _MIN_FACTOR = 0.2
 _MAX_FACTOR = 10.0
@@ -266,8 +269,9 @@ def integrate(sys: SwitchedSystem, x0, lam: float, stop, cfg: IntegratorConfig) 
     Records every accepted step and every refined switching event.
     Raises TangencyError on non-transversal or sliding crossings,
     BudgetError when the event budget or per-arc time budget is
-    exhausted, StiffnessError on step underflow and EscapeError when
-    the start point or the trajectory lies outside the bounding box.
+    exhausted, StiffnessError on step underflow, EscapeError when the
+    start point or the trajectory lies outside the bounding box, and
+    OriginError when a state decays below the smallest normal float.
     """
     sys.params.check_lambda(lam)
     x1, x2 = float(x0[0]), float(x0[1])
@@ -320,9 +324,7 @@ def integrate(sys: SwitchedSystem, x0, lam: float, stop, cfg: IntegratorConfig) 
     f = fields[int(q)]
     gidx = _monitored_index(q)
     k11, k12 = f(x1, x2)
-    h = min(cfg.h0, cfg.max_step)
-    if math.isfinite(t_target):
-        h = min(h, t_target)
+    h = _H0
     facold = 1e-4
     just_rejected = False
 
@@ -356,6 +358,9 @@ def integrate(sys: SwitchedSystem, x0, lam: float, stop, cfg: IntegratorConfig) 
             h *= max(_MIN_FACTOR, _SAFETY * err ** (-0.2)) if math.isfinite(err) else _MIN_FACTOR
             just_rejected = True
             continue
+        if max(abs(u1), abs(u2)) < _FLOAT_MIN:
+            raise OriginError(f"trajectory decayed below float resolution at t = {t + h}: "
+                              f"({u1}, {u2})")
 
         g0 = (x1, x2)[gidx]
         g1 = (u1, u2)[gidx]
@@ -372,7 +377,7 @@ def integrate(sys: SwitchedSystem, x0, lam: float, stop, cfg: IntegratorConfig) 
             d1, d2 = f(ev1, ev2)
             speed = math.hypot(d1, d2)
             gdot = (d1, d2)[gidx]
-            if abs(gdot) <= cfg.tangency_tol * max(speed, 1e-300):
+            if abs(gdot) <= _TANGENCY_TOL * max(speed, 1e-300):
                 raise TangencyError(
                     f"non-transversal axis crossing at t = {t_ev}, x = ({ev1}, {ev2})")
             s_cross = -1.0 if g0 > 0.0 else 1.0
@@ -428,9 +433,9 @@ def integrate(sys: SwitchedSystem, x0, lam: float, stop, cfg: IntegratorConfig) 
         if t >= t_target:
             close_arc()
             return HybridTrajectory(arcs=arcs, events=events, t_final=t)
-        if t - arc_start_t > cfg.max_arc_time:
+        if t - arc_start_t > _MAX_ARC_TIME:
             raise BudgetError(
-                f"no switching event within max_arc_time = {cfg.max_arc_time} "
+                f"no switching event within time {_MAX_ARC_TIME} "
                 f"(arc started at t = {arc_start_t})")
 
         if err == 0.0:
@@ -442,7 +447,7 @@ def integrate(sys: SwitchedSystem, x0, lam: float, stop, cfg: IntegratorConfig) 
             factor = min(1.0, factor)
             just_rejected = False
         facold = max(err, 1e-4)
-        h = min(h * factor, cfg.max_step)
+        h = min(h * factor, _MAX_STEP)
 
 
 def poincare_numeric(sys: SwitchedSystem, x1: float, lam: float,
@@ -462,35 +467,16 @@ def poincare_numeric(sys: SwitchedSystem, x1: float, lam: float,
     return PoincareSample(x1_in=x1, x1_out=float(x_end[0]), period=traj.t_final)
 
 
-def return_residual(sys: SwitchedSystem, x1: float, lam: float,
-                    cfg: IntegratorConfig) -> float:
-    """Signed fixed-point residual of the return map: pi(x1) - x1."""
-    return poincare_numeric(sys, x1, lam, cfg).x1_out - x1
-
-
-#: First amplitude and relative agreement of the slope sequence in delta_numeric.
+#: Amplitude of the one return in delta_numeric.
 _SLOPE_H0 = 1e-2
-_SLOPE_AGREE_RTOL = 1e-8
 
 
-def delta_numeric(sys: SwitchedSystem, lam: float, cfg: IntegratorConfig,
-                  max_halvings: int = 48) -> float:
+def delta_numeric(sys: SwitchedSystem, lam: float, cfg: IntegratorConfig) -> float:
     """Linearized return ratio lim_{h -> 0+} pi(h, lam) / h.
 
-    Evaluates return-map slopes on the geometric sequence
-    _SLOPE_H0 * 2**-j and stops once three successive slopes agree to
-    _SLOPE_AGREE_RTOL relative; the last estimate is returned (no
-    extrapolation, since the convergence order of the nonlinear
-    correction is not known a priori).  Raises NoConvergenceError with
-    the slope sequence if the estimates never settle.
+    Perturbations have total degree >= 2 (checked by ``model.validate``),
+    so the limit is the return ratio of the linear part: one return of
+    ``SwitchedSystem.linear(sys.params)`` from (_SLOPE_H0, 0) over _SLOPE_H0.
     """
-    slopes: list[float] = []
-    for j in range(max_halvings):
-        h = _SLOPE_H0 * 2.0 ** (-j)
-        slopes.append(poincare_numeric(sys, h, lam, cfg).x1_out / h)
-        if len(slopes) >= 3:
-            window = slopes[-3:]
-            span = max(window) - min(window)
-            if span <= _SLOPE_AGREE_RTOL * max(abs(v) for v in window):
-                return slopes[-1]
-    raise NoConvergenceError("return-ratio slope sequence did not settle", slopes)
+    linear = SwitchedSystem.linear(sys.params)
+    return poincare_numeric(linear, _SLOPE_H0, lam, cfg).x1_out / _SLOPE_H0

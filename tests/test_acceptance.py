@@ -17,8 +17,7 @@ from switchbif import (BranchDirection, CheckStatus, OriginClass, Quadrant,
                        bifurcation_direction, check_global_conditions,
                        classify_origin, continue_branch, delta, delta_numeric,
                        delta_prime, fit_local_expansion, fit_scaling_law,
-                       integrate, parse_config, poincare_numeric,
-                       return_residual)
+                       integrate, parse_config, poincare_numeric)
 from switchbif.config import emit_canonical
 
 GRID = [(a, b, c) for a in (0.1, 1.0, 2.0) for b in (1.0, 6.0) for c in (1.0, 3.0)]
@@ -62,7 +61,7 @@ def test_criterion_2_stability_trichotomy(capsys, paper_params, cfg):
         # (a) critical family: periodic ring, zero residual for the linear part
         assert classify_origin(paper_params, 0.0) == OriginClass.PeriodicFamily
         linear_paper = SwitchedSystem.linear(paper_params)
-        assert abs(return_residual(linear_paper, 1.0, 0.0, cfg)) <= 1e-8
+        assert abs(poincare_numeric(linear_paper, 1.0, 0.0, cfg).x1_out - 1.0) <= 1e-8
         # (b) contracting case
         sys_b = make_linear_system(1.0, 1.0, 1.0)
         assert classify_origin(sys_b.params, 0.0) == OriginClass.AsymptoticallyStable

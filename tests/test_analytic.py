@@ -6,7 +6,7 @@ import pytest
 from conftest import make_params, rk4_integrate
 from switchbif import (OriginClass, Quadrant, SideError, classify_origin,
                        delta, delta_prime, flow_linear, linear_matrix,
-                       poincare_linear, section_map)
+                       section_map)
 
 
 class TestFlowLinear:
@@ -179,17 +179,3 @@ class TestClassifyOrigin:
     def test_contracting_case(self):
         assert (classify_origin(make_params(1.0, 1.0, 1.0), 0.0)
                 == OriginClass.AsymptoticallyStable)
-
-
-class TestPoincareLinear:
-    def test_paper_example_fixed(self, paper_params):
-        assert poincare_linear(1.0, paper_params, 0.0) == pytest.approx(1.0, abs=1e-13)
-
-    def test_origin_fixed(self):
-        assert poincare_linear(0.0, make_params(0.2, 3.0, 1.0), 0.0) == 0.0
-
-    def test_linearity(self):
-        params = make_params(0.2, 3.0, 1.0)
-        for x in (-2.0, 0.5, 1.7):
-            assert (poincare_linear(2.0 * x, params, 0.0)
-                    == pytest.approx(2.0 * poincare_linear(x, params, 0.0), rel=1e-15))

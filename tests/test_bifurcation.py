@@ -11,9 +11,11 @@ from switchbif import (BranchDirection, CheckStatus, DegenerateError,
                        bifurcation_direction, check_global_conditions,
                        continue_branch, delta, delta_prime,
                        find_critical_lambda, fit_local_expansion,
-                       fit_scaling_law, integrate, linear_matrix)
+                       fit_scaling_law, integrate, linear_matrix,
+                       poincare_numeric)
 from switchbif import bifurcation, numeric
 from switchbif.bifurcation import BranchPoint
+from switchbif.rootfind import brent
 
 
 def field_parts(sys, q, x, lam):
@@ -151,6 +153,20 @@ class TestContinueBranch:
         res = continue_branch(paper_system, [-0.05], cfg)
         assert res.points == ()
         assert res.no_orbit == (-0.05,)
+
+    def test_no_orbit_at_the_weak_focus(self, paper_system, cfg):
+        # delta(0) = 1 and the cubic term contracts: every small-amplitude
+        # residual is noise, and noise must not bracket an orbit
+        assert continue_branch(paper_system, [0.0], cfg).no_orbit == (0.0,)
+
+    @pytest.mark.parametrize("lam", [1e-5, 1e-6])
+    def test_amplitude_near_bifurcation_matches_tight_solve(self, paper_system, cfg, lam):
+        # the residual's slope at the orbit is only about -2 (delta - 1), so
+        # an absolute stop on |pi(x) - x| would leave the amplitude far off
+        x = continue_branch(paper_system, [lam], cfg).points[0].x1_fixed
+        tight, _ = brent(lambda x1: poincare_numeric(paper_system, x1, lam, cfg).x1_out - x1,
+                         x / 2.0, 2.0 * x, xtol=1e-13, ftol=0.0)
+        assert abs(x - tight) <= 1e-7 * tight
 
     def test_each_point_reverified_by_full_integration(self, paper_system, cfg):
         res = continue_branch(paper_system, [0.05, 0.5], cfg)

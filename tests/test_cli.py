@@ -256,6 +256,20 @@ class TestErrorContract:
         assert code == 1
         assert err.count("\n") == 1 and f"options.{next(iter(options))}" in err
 
+    def test_no_orbit_below_the_noise_floor(self, capsys):
+        # at lambda = 0 and 1e-300 the origin is a weak focus: no orbit exists,
+        # and a sign change of integrator noise must not report one
+        code, out, err = run(capsys, ["paper-example", "branch", "--lambdas=1e-300,0"])
+        assert code == 2 and out == ""
+        assert err.count("\n") == 1 and err.startswith("switchbif: error: NoOrbitError")
+
+    def test_decay_below_float_resolution_is_one_line_user_error(self, capsys):
+        code, _, err = run(capsys, ["paper-example", "simulate", "--x0", "1e-300,0",
+                                    "--t-max", "1000", "--lambda=-1.9"])
+        assert code == 1
+        assert "Traceback" not in err
+        assert err.count("\n") == 1 and err.startswith("switchbif: error: OriginError")
+
     def test_start_outside_bounding_box_is_escape(self, capsys):
         code, _, err = run(capsys, ["paper-example", "poincare", "--x1", "1e300"])
         assert code == 2

@@ -148,6 +148,13 @@ class TestParseConfig:
         with pytest.raises(ParseError):
             parse_config(json.dumps(doc))
 
+    @pytest.mark.parametrize("key", ["h0", "max_step", "tangency_tol", "max_arc_time"])
+    def test_fixed_integrator_constant_is_unknown_key(self, key):
+        doc = json.loads(MINIMAL)
+        doc["integrator"] = {key: 1.0}
+        with pytest.raises(ParseError, match=rf"^integrator: unknown keys \['{key}'\]"):
+            parse_config(json.dumps(doc))
+
 
 class TestCanonicalEmission:
     def test_round_trip_identity(self):

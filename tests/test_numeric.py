@@ -5,14 +5,35 @@ import pytest
 
 from conftest import make_linear_system, make_params
 from switchbif import (BudgetError, EscapeError, IntegratorConfig, LambdaPoly,
-                       MonomialTerm, NoConvergenceError, OriginError,
-                       PolyField, Quadrant, SideError, StopAfterEvents,
-                       StopAtTime, StopOnReturn, SwitchedSystem, TangencyError,
-                       delta, delta_numeric, integrate, poincare_numeric,
-                       numeric, return_residual)
+                       MonomialTerm, OriginError, PolyField, Quadrant,
+                       SideError, StopAfterEvents, StopAtTime, StopOnReturn,
+                       SwitchedSystem, TangencyError, delta, delta_numeric,
+                       integrate, poincare_numeric, numeric)
 
 #: (a, b, c) grid used for the linear-case oracle comparisons
 ORACLE_GRID = [(a, b, c) for a in (0.1, 1.0, 2.0) for b in (1.0, 6.0) for c in (1.0, 3.0)]
+
+
+def return_residual(sys, x1, lam, cfg):
+    """Signed fixed-point residual of the return map: pi(x1) - x1."""
+    return poincare_numeric(sys, x1, lam, cfg).x1_out - x1
+
+
+@pytest.fixture
+def rhs_evals(monkeypatch):
+    """RHS evaluations, counted around the compiled fields."""
+    count = [0]
+    compiled = numeric._compiled_fields
+
+    def counting_fields(*args):
+        def counted(f):
+            def g(x1, x2):
+                count[0] += 1
+                return f(x1, x2)
+            return g
+        return {q: counted(f) for q, f in compiled(*args).items()}
+    monkeypatch.setattr(numeric, "_compiled_fields", counting_fields)
+    return count
 
 
 class TestIntegrate:
@@ -219,21 +240,6 @@ class TestPoincareNumeric:
 class TestEventLocationCost:
     """RHS evaluations per return, counted around the compiled fields."""
 
-    @pytest.fixture
-    def rhs_evals(self, monkeypatch):
-        count = [0]
-        compiled = numeric._compiled_fields
-
-        def counting_fields(*args):
-            def counted(f):
-                def g(x1, x2):
-                    count[0] += 1
-                    return f(x1, x2)
-                return g
-            return {q: counted(f) for q, f in compiled(*args).items()}
-        monkeypatch.setattr(numeric, "_compiled_fields", counting_fields)
-        return count
-
     @pytest.mark.parametrize("x1,budget", [(0.5, 1500), (1e-4, 1800)])
     def test_one_return_budget(self, paper_config, rhs_evals, x1, budget):
         poincare_numeric(paper_config.system, x1, 0.1, paper_config.integrator)
@@ -272,10 +278,26 @@ class TestDeltaNumeric:
         d = delta(paper_system.params, 0.1)
         assert delta_numeric(paper_system, 0.1, cfg) == pytest.approx(d, rel=1e-6)
 
-    def test_no_convergence_reports_sequence(self, paper_system, cfg):
-        with pytest.raises(NoConvergenceError) as exc_info:
-            delta_numeric(paper_system, 0.0, cfg, max_halvings=2)
-        assert len(exc_info.value.sequence) == 2
+    @pytest.mark.parametrize("a,b,c", ORACLE_GRID)
+    def test_linear_equals_slope_at_quarter_amplitude(self, a, b, c, cfg):
+        # a linear return is homogeneous: the slope at 1e-2 / 4 is bit-identical
+        sys = make_linear_system(a, b, c)
+        slope = poincare_numeric(sys, 2.5e-3, 0.0, cfg).x1_out / 2.5e-3
+        assert delta_numeric(sys, 0.0, cfg) == slope
+
+    @pytest.mark.parametrize("lam", [0.0, 0.1, 1.0])
+    def test_nonlinear_slopes_converge_quadratically(self, paper_system, cfg, lam):
+        # the cubic perturbation gives pi(h)/h - delta ~ C h**2: each halving
+        # of h divides the gap to the linear return ratio by 4
+        est = delta_numeric(paper_system, lam, cfg)
+        gaps = [abs(poincare_numeric(paper_system, h, lam, cfg).x1_out / h - est)
+                for h in (1e-2, 5e-3, 2.5e-3)]
+        for coarse, fine in zip(gaps, gaps[1:]):
+            assert 3.9 <= coarse / fine <= 4.1
+
+    def test_costs_one_return(self, paper_system, cfg, rhs_evals):
+        delta_numeric(paper_system, 0.1, cfg)
+        assert 0 < rhs_evals[0] <= 1400
 
 
 class TestIntegratorConfig:
