@@ -73,7 +73,15 @@ _X_SCAN_MIN, _SCAN_RATIO, _RESIDUAL_TOL = 1e-6, 2.0, 1e-8
 
 def _noise_floor(cfg: IntegratorConfig) -> float:
     """Relative size |r(x1)| / x1 below which a return-map residual is noise."""
-    return _NOISE_FACTOR * max(cfg.rel_tol, cfg.abs_tol, cfg.event_tol)
+    return _NOISE_FACTOR * cfg.rel_tol
+
+
+def _loglog_fit(xs: np.ndarray, ys: np.ndarray) -> tuple[float, float, float]:
+    """(slope, intercept, rms residual) of the least-squares line log y ~ log x."""
+    logx, logy = np.log(xs), np.log(ys)
+    slope, intercept = np.polyfit(logx, logy, 1)
+    resid = logy - (intercept + slope * logx)
+    return float(slope), float(intercept), float(np.sqrt(np.mean(resid ** 2)))
 
 
 @dataclass(frozen=True)
@@ -152,14 +160,11 @@ def fit_local_expansion(sys: SwitchedSystem, lam: float, cfg: IntegratorConfig,
             "the nonlinear term is unresolvable at these tolerances")
     xs_u, rs_u = xs[usable], rs[usable]
     sign = 1.0 if rs_u[np.argmax(xs_u)] > 0.0 else -1.0
-    logx = np.log(xs_u)
-    logr = np.log(np.abs(rs_u))
-    k_exp, intercept = np.polyfit(logx, logr, 1)
-    resid = logr - (intercept + k_exp * logx)
+    k_exp, intercept, rms = _loglog_fit(xs_u, np.abs(rs_u))
     return ExpansionFit(delta_lin=d_lin,
                         delta_coeff=sign * math.exp(intercept),
-                        k_exp=float(k_exp),
-                        fit_residual=float(np.sqrt(np.mean(resid ** 2))),
+                        k_exp=k_exp,
+                        fit_residual=rms,
                         x1_grid=tuple(float(x) for x in xs_u))
 
 
@@ -415,13 +420,10 @@ def fit_scaling_law(branch) -> ScalingFit:
         side = -1.0
     else:
         raise InsufficientDataError("branch points must lie on one side of the critical parameter")
-    logx = np.log(xs)
-    logl = np.log(np.abs(lams))
-    slope, intercept = np.polyfit(logx, logl, 1)
-    resid = logl - (intercept + slope * logx)
+    slope, intercept, rms = _loglog_fit(xs, np.abs(lams))
     return ScalingFit(gamma_est=side * math.exp(intercept),
-                      exponent_est=float(slope),
-                      fit_residual=float(np.sqrt(np.mean(resid ** 2))))
+                      exponent_est=slope,
+                      fit_residual=rms)
 
 
 # -- global existence conditions ------------------------------------------------

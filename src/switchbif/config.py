@@ -20,7 +20,7 @@ Document schema::
           ...
         }
       },
-      "integrator": {"rel_tol": <num>, ...},   # optional overrides
+      "integrator": {"rel_tol": <num>},        # optional integrator tolerance
       "options": {"lambda": <num>, ...}        # optional command defaults
     }
 
@@ -43,7 +43,7 @@ from dataclasses import dataclass, field
 from .errors import ParseError, ValidationError
 from .model import (LambdaPoly, MonomialTerm, PolyField, SwitchedSystem,
                     SystemParams, validate)
-from .numeric import IntegratorConfig
+from .numeric import _MAX_ARCS, IntegratorConfig
 
 __all__ = [
     "RunConfig",
@@ -187,7 +187,8 @@ _OPTIONS = {
     "lambda": ("--lambda", _num, 0.0, None, None),
     "x0": ("--x0", _numbers, [1.0, 0.0], lambda v: len(v) == 2, "must be two numbers"),
     "t_max": ("--t-max", _num, None, lambda v: v >= 0.0, "must be >= 0"),
-    "n_events": ("--n-events", _count, None, lambda v: v >= 1, "must be >= 1"),
+    "n_events": ("--n-events", _count, None, lambda v: 1 <= v <= _MAX_ARCS,
+                 f"must be between 1 and {_MAX_ARCS}"),
     "return_to_section": ("--return-to-section", _switch, False, None, None),
     "x1_values": ("--x1", _numbers, None, bool, "needs at least one value"),
     "lambdas": ("--lambdas", _numbers, None, bool, "needs at least one value"),
@@ -248,10 +249,7 @@ def parse_config(text: str, label: str = "config") -> RunConfig:
 
     integ_node = _object(doc.get("integrator", {}), "integrator",
                          [f.name for f in dataclasses.fields(IntegratorConfig)])
-    kwargs = {}
-    for key, val in integ_node.items():
-        loc = f"integrator.{key}"
-        kwargs[key] = _int(val, loc) if key == "max_arcs" else _num(val, loc)
+    kwargs = {key: _num(val, f"integrator.{key}") for key, val in integ_node.items()}
     try:
         integrator = IntegratorConfig(**kwargs)
     except ValueError as exc:

@@ -83,7 +83,7 @@ class TangencyError(SwitchBifError):
 
 
 class BudgetError(SwitchBifError):
-    """The switching-event budget (max_arcs) was exhausted."""
+    """An integration exhausted its switching-event or per-arc time budget."""
 
     exit_code = 2
 
@@ -95,7 +95,7 @@ class StiffnessError(SwitchBifError):
 
 
 class EscapeError(SwitchBifError):
-    """The trajectory left the configured bounding box."""
+    """A state lies outside the bounding box, max-norm 1e6."""
 
     exit_code = 2
 

@@ -22,7 +22,6 @@ the linear part, which ``integrate`` computes alike at every amplitude.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -49,34 +48,33 @@ __all__ = [
 
 @dataclass(frozen=True)
 class IntegratorConfig:
-    """Tolerances and budgets for the hybrid integrator.
+    """The hybrid integrator's one accuracy setting, ``rel_tol``.
 
     ``integrate`` alone sizes the tolerances to the state, with |x| the
     max-norm of the current state: step error control allows
     abs_tol * min(1, |x|) + rel_tol * |x_i| in coordinate i, and every
     event-side tolerance (crossing location, on-axis start, wrong-axis
     guard) is a multiple of event_tol * |x|, so a linear system
-    integrates scale-invariantly below |x| = 1.  ``max_arcs`` bounds
-    the switching events per integration and ``escape_radius`` the
-    max-norm of every state; the step sizes, the transversality
-    threshold and the per-arc time budget are module constants.
+    integrates scale-invariantly below |x| = 1.  The derived
+    abs_tol = min(rel_tol, 1e-10) and event_tol = min(1e-12, rel_tol / 100)
+    are 1e-10 and 1e-12 for every rel_tol >= 1e-10.  The event budget, the
+    bounding box, the step sizes, the transversality threshold and the
+    per-arc time budget are module constants.
     """
 
     rel_tol: float = 1e-10
-    abs_tol: float = 1e-10
-    event_tol: float = 1e-12
-    max_arcs: int = 10_000
-    escape_radius: float = 1e6
 
     def __post_init__(self):
-        for name in ("rel_tol", "abs_tol", "event_tol", "escape_radius"):
-            if not (getattr(self, name) > 0.0):
-                raise ValueError(f"{name} must be positive")
-        if self.max_arcs < 1:
-            raise ValueError("max_arcs must be >= 1")
-        if self.event_tol > self.abs_tol:
-            warnings.warn("event_tol > abs_tol: event states may be less accurate "
-                          "than step error control suggests", stacklevel=2)
+        if not (0.0 < self.rel_tol < math.inf):
+            raise ValueError(f"rel_tol must be positive and finite, got {self.rel_tol!r}")
+
+    @property
+    def abs_tol(self) -> float:
+        return min(self.rel_tol, 1e-10)
+
+    @property
+    def event_tol(self) -> float:
+        return min(1e-12, self.rel_tol / 100.0)
 
 
 @dataclass(frozen=True)
@@ -126,10 +124,18 @@ class PoincareSample:
 class StopAtTime:
     t_max: float
 
+    def __post_init__(self):
+        if not (self.t_max >= 0.0):
+            raise ValueError(f"t_max must be >= 0, got {self.t_max!r}")
+
 
 @dataclass(frozen=True)
 class StopAfterEvents:
     count: int
+
+    def __post_init__(self):
+        if not (1 <= self.count <= _MAX_ARCS):
+            raise ValueError(f"event count must be in [1, {_MAX_ARCS}], got {self.count!r}")
 
 
 @dataclass(frozen=True)
@@ -151,6 +157,8 @@ _E1, _E3, _E4, _E5, _E6, _E7 = (71 / 57600, -71 / 16695, 71 / 1920,
 _H_FLOOR = 1e-14
 #: first and largest step, least |normal velocity| / speed at a crossing, longest arc
 _H0, _MAX_STEP, _TANGENCY_TOL, _MAX_ARC_TIME = 1e-3, 1.0, 1e-10, 1e4
+#: switching events per integration, max-norm bound of every state
+_MAX_ARCS, _ESCAPE_RADIUS = 10_000, 1e6
 #: smallest normal float: a state below it has lost its relative precision
 _FLOAT_MIN = float(np.finfo(float).tiny)
 _SAFETY = 0.9
@@ -278,31 +286,17 @@ def integrate(sys: SwitchedSystem, x0, lam: float, stop, cfg: IntegratorConfig) 
     norm0 = max(abs(x1), abs(x2))
     if norm0 == 0.0:
         raise OriginError("cannot integrate from the origin")
-    if norm0 > cfg.escape_radius:
+    if norm0 > _ESCAPE_RADIUS:
         raise EscapeError(f"start point ({x1}, {x2}) lies outside the bounding box "
-                          f"(escape_radius = {cfg.escape_radius})")
-
-    if isinstance(stop, StopAtTime):
-        if stop.t_max < 0.0:
-            raise ValueError("t_max must be >= 0")
-        t_target = stop.t_max
-        events_target = math.inf
-        stop_on_return = False
-    elif isinstance(stop, StopAfterEvents):
-        if stop.count < 1:
-            raise ValueError("event count must be >= 1")
-        t_target = math.inf
-        events_target = stop.count
-        stop_on_return = False
-    elif isinstance(stop, StopOnReturn):
-        t_target = math.inf
-        events_target = math.inf
-        stop_on_return = True
-    else:
+                          f"(max-norm {_ESCAPE_RADIUS})")
+    if not isinstance(stop, (StopAtTime, StopAfterEvents, StopOnReturn)):
         raise TypeError(f"unsupported stop condition: {stop!r}")
+    t_target = stop.t_max if isinstance(stop, StopAtTime) else math.inf
+    events_target = stop.count if isinstance(stop, StopAfterEvents) else math.inf
+    rel_tol, abs_tol, event_tol = cfg.rel_tol, cfg.abs_tol, cfg.event_tol
 
     fields = _compiled_fields(sys, lam)
-    on_axis_tol = 4.0 * cfg.event_tol * norm0
+    on_axis_tol = 4.0 * event_tol * norm0
     q = _initial_quadrant(fields, x1, x2, on_axis_tol)
 
     arcs: list[Arc] = []
@@ -341,8 +335,8 @@ def integrate(sys: SwitchedSystem, x0, lam: float, stop, cfg: IntegratorConfig) 
         # control stays relative while a contracting spiral decays; without
         # this, event times on strongly damped orbits lose absolute accuracy
         loc = min(1.0, max(abs(x1), abs(x2), abs(u1), abs(u2)))
-        sc1 = cfg.abs_tol * loc + cfg.rel_tol * max(abs(x1), abs(u1))
-        sc2 = cfg.abs_tol * loc + cfg.rel_tol * max(abs(x2), abs(u2))
+        sc1 = abs_tol * loc + rel_tol * max(abs(x1), abs(u1))
+        sc2 = abs_tol * loc + rel_tol * max(abs(x2), abs(u2))
         try:
             err = math.hypot(e1 / sc1, e2 / sc2) / math.sqrt(2.0)
         except ZeroDivisionError:   # the scale underflowed: no tolerance is left
@@ -352,7 +346,7 @@ def integrate(sys: SwitchedSystem, x0, lam: float, stop, cfg: IntegratorConfig) 
             err = math.inf
 
         if err > 1.0:
-            if max(abs(u1), abs(u2)) > cfg.escape_radius:
+            if max(abs(u1), abs(u2)) > _ESCAPE_RADIUS:
                 raise EscapeError(
                     f"trajectory left the bounding box near t = {t}: ({u1}, {u2})")
             h *= max(_MIN_FACTOR, _SAFETY * err ** (-0.2)) if math.isfinite(err) else _MIN_FACTOR
@@ -367,7 +361,7 @@ def integrate(sys: SwitchedSystem, x0, lam: float, stop, cfg: IntegratorConfig) 
         crossed = (g1 == 0.0) or ((g0 > 0.0) != (g1 > 0.0))
         # event-side tolerance relative to the local state scale: the event
         # time error is then ~ event_tol / rotation_rate regardless of decay
-        tol_x = cfg.event_tol * max(abs(x1), abs(x2))
+        tol_x = event_tol * max(abs(x1), abs(x2))
 
         if crossed:
             tau, (ev1, ev2) = _locate_crossing(f, x1, x2, h, (u1, u2), gidx,
@@ -394,11 +388,11 @@ def integrate(sys: SwitchedSystem, x0, lam: float, stop, cfg: IntegratorConfig) 
             events.append(SwitchEvent(time=t_ev, state=(ev1, ev2),
                                       from_quadrant=q, to_quadrant=q_next))
 
-            returned = stop_on_return and gidx == 1 and ev1 > 0.0
+            returned = isinstance(stop, StopOnReturn) and gidx == 1 and ev1 > 0.0
             if len(events) >= events_target or returned:
                 return HybridTrajectory(arcs=arcs, events=events, t_final=t_ev)
-            if len(events) >= cfg.max_arcs:
-                raise BudgetError(f"switching-event budget exhausted ({cfg.max_arcs})")
+            if len(events) >= _MAX_ARCS:
+                raise BudgetError(f"switching-event budget exhausted ({_MAX_ARCS})")
 
             q = q_next
             f = fields[int(q)]
@@ -428,7 +422,7 @@ def integrate(sys: SwitchedSystem, x0, lam: float, stop, cfg: IntegratorConfig) 
         cur_t.append(t)
         cur_x.append((x1, x2))
 
-        if max(abs(x1), abs(x2)) > cfg.escape_radius:
+        if max(abs(x1), abs(x2)) > _ESCAPE_RADIUS:
             raise EscapeError(f"trajectory left the bounding box at t = {t}: ({x1}, {x2})")
         if t >= t_target:
             close_arc()

@@ -214,6 +214,7 @@ class TestErrorContract:
         ["verify-global", "--radius-m=-1"],
         ["verify-global", "--n-samples", "abc"],
         ["simulate", "--n-events", "0"],
+        ["simulate", "--lambda", "0.5", "--x0", "0.5,0", "--n-events", "10001"],
         ["simulate", "--x0", "1,0", "--t-max=-1"],
         ["simulate", "--x0", "1,2,3", "--t-max", "1"],
         ["delta-sweep", "--lambda-min", "0", "--lambda-max", "1", "--n", "0"],

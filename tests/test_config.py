@@ -1,9 +1,14 @@
+import dataclasses
+import importlib.util
+import itertools
 import json
 import math
+import sys
+from pathlib import Path
 
 import pytest
 
-from switchbif import ParseError, ValidationError
+from switchbif import IntegratorConfig, ParseError, ValidationError
 from switchbif.config import (emit_canonical, paper_example_config,
                               parse_config, parse_constant_expression)
 
@@ -130,10 +135,9 @@ class TestParseConfig:
 
     def test_integrator_overrides(self):
         doc = json.loads(MINIMAL)
-        doc["integrator"] = {"rel_tol": 1e-8, "abs_tol": 1e-8, "max_arcs": 50}
+        doc["integrator"] = {"rel_tol": 1e-8}
         rc = parse_config(json.dumps(doc))
         assert rc.integrator.rel_tol == 1e-8
-        assert rc.integrator.max_arcs == 50
 
     @pytest.mark.parametrize("a", [10 ** 400, "1e400"])
     def test_number_beyond_float_range_is_parse_error(self, a):
@@ -148,7 +152,8 @@ class TestParseConfig:
         with pytest.raises(ParseError):
             parse_config(json.dumps(doc))
 
-    @pytest.mark.parametrize("key", ["h0", "max_step", "tangency_tol", "max_arc_time"])
+    @pytest.mark.parametrize("key", ["h0", "max_step", "tangency_tol", "max_arc_time",
+                                     "abs_tol", "event_tol", "max_arcs", "escape_radius"])
     def test_fixed_integrator_constant_is_unknown_key(self, key):
         doc = json.loads(MINIMAL)
         doc["integrator"] = {key: 1.0}
@@ -172,3 +177,20 @@ class TestCanonicalEmission:
     def test_minimal_round_trip(self):
         rc = parse_config(MINIMAL)
         assert parse_config(emit_canonical(rc)) == rc
+
+
+class TestBenchmarkTraffic:
+    def test_trajectory_configs_use_only_integrator_fields(self, monkeypatch):
+        # perfbench/workloads.py, loaded from its file without running the benchmark
+        path = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
+        spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+        workloads = importlib.util.module_from_spec(spec)
+        monkeypatch.setitem(sys.modules, spec.name, workloads)  # dataclasses look it up
+        spec.loader.exec_module(workloads)
+        fields = {f.name for f in dataclasses.fields(IntegratorConfig)}
+        used = set()
+        for op in itertools.islice(workloads.trajectory_ops(1), 18):
+            rc = parse_config(op.config)
+            used |= set(json.loads(op.config).get("integrator", {}))
+            assert rc.integrator.rel_tol == op.check["rel_tol"]
+        assert used and used <= fields

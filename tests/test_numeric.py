@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -117,9 +118,9 @@ class TestIntegrate:
             integrate(sys, (5e-324, 0.0), 0.0, StopAtTime(1.0), cfg)
         assert integrate(sys, (1e-300, 0.0), 0.0, StopAfterEvents(1), cfg).events
 
-    def test_escape_raises(self):
+    def test_escape_raises(self, cfg):
         sys = make_linear_system(0.1, 6.0, 1.0)  # stability index ~27.9, expanding
-        cfg = IntegratorConfig(escape_radius=100.0)
+        # leaves the bounding box (max-norm 1e6) near t = 10.6
         with pytest.raises(EscapeError):
             integrate(sys, (1.0, 0.0), 0.0, StopAtTime(50.0), cfg)
 
@@ -131,11 +132,12 @@ class TestIntegrate:
         with pytest.raises(EscapeError):
             integrate(sys, (1e300, 0.0), 0.0, StopOnReturn(), cfg)
 
-    def test_event_budget_raises(self, cfg):
+    def test_event_budget_raises(self, cfg, monkeypatch):
         sys = make_linear_system(0.5, 2.0, 1.0)
-        tight = IntegratorConfig(max_arcs=3)
+        stop = StopAfterEvents(10)
+        monkeypatch.setattr(numeric, "_MAX_ARCS", 3)
         with pytest.raises(BudgetError):
-            integrate(sys, (1.0, 0.0), 0.0, StopAfterEvents(10), tight)
+            integrate(sys, (1.0, 0.0), 0.0, stop, cfg)
 
     def test_sliding_contact_raises(self, cfg):
         # third-quadrant field pushes back across the negative x2-axis:
@@ -304,9 +306,35 @@ class TestIntegratorConfig:
     def test_rejects_nonpositive(self):
         with pytest.raises(ValueError):
             IntegratorConfig(rel_tol=0.0)
-        with pytest.raises(ValueError):
-            IntegratorConfig(max_arcs=0)
 
-    def test_warns_on_loose_event_tol(self):
-        with pytest.warns(UserWarning):
-            IntegratorConfig(event_tol=1e-6, abs_tol=1e-10)
+    @pytest.mark.parametrize("rel_tol", [math.inf, math.nan])
+    def test_rejects_nonfinite(self, rel_tol):
+        with pytest.raises(ValueError):
+            IntegratorConfig(rel_tol=rel_tol)
+
+    def test_rel_tol_is_the_only_setting(self):
+        assert [f.name for f in dataclasses.fields(IntegratorConfig)] == ["rel_tol"]
+
+    @pytest.mark.parametrize("rel_tol", [1e-6, 1e-8, 1e-10])
+    def test_derived_tolerances_at_benchmark_rel_tols(self, rel_tol):
+        cfg = IntegratorConfig(rel_tol=rel_tol)
+        assert cfg.abs_tol == 1e-10
+        assert cfg.event_tol == 1e-12
+
+    def test_tighter_rel_tol_tightens_every_tolerance(self):
+        cfg = IntegratorConfig(rel_tol=1e-12)
+        assert cfg.abs_tol == 1e-12
+        assert cfg.event_tol == 1e-14
+
+
+class TestStopConditions:
+    @pytest.mark.parametrize("make", [lambda: StopAtTime(-1.0), lambda: StopAtTime(math.nan),
+                                      lambda: StopAfterEvents(0),
+                                      lambda: StopAfterEvents(numeric._MAX_ARCS + 1)],
+                             ids=["t_max<0", "t_max=nan", "count=0", "count>budget"])
+    def test_rejects_bad_argument(self, make):
+        with pytest.raises(ValueError):
+            make()
+
+    def test_event_budget_is_a_valid_count(self):
+        assert StopAfterEvents(numeric._MAX_ARCS).count == numeric._MAX_ARCS
