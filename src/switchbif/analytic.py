@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import SideError
+from .errors import DomainError, SideError
 from .model import Quadrant, SystemParams
 
 __all__ = [
@@ -34,7 +34,8 @@ __all__ = [
     "classify_origin",
 ]
 
-#: |delta - 1| below this counts as the periodic-family boundary case.
+#: |delta - 1| at or below this counts as delta = 1: the periodic-family
+#: case here and the critical parameter in ``bifurcation``.
 DELTA_ONE_TOL = 1e-12
 
 
@@ -113,22 +114,32 @@ def section_map(i: int, entry: float, params: SystemParams, lam: float) -> Secti
 
 
 def delta(params: SystemParams, lam: float) -> float:
-    """Stability index: the linear full-revolution return ratio."""
+    """Stability index: the linear full-revolution return ratio.
+
+    Raises DomainError when the index leaves the floating-point range.
+    """
     b, c = _bc(params, lam)
-    return (b / c) ** 2 * math.exp(-2.0 * math.pi * params.a / math.sqrt(b * c))
+    try:
+        return (b / c) ** 2 * math.exp(-2.0 * math.pi * params.a / math.sqrt(b * c))
+    except OverflowError:
+        raise DomainError(f"delta({lam}) overflows the floating-point range") from None
 
 
 def delta_prime(params: SystemParams, lam: float) -> float:
     """d(delta)/d(lam), by logarithmic differentiation.
 
     delta' = delta * [2 (b'/b - c'/c) + pi a (b' c + b c') / (b c)^{3/2}],
-    which avoids the cancellation-prone expanded product form.
+    which avoids the cancellation-prone expanded product form.  Raises
+    DomainError when a term leaves the floating-point range.
     """
     b, c = _bc(params, lam)
     bp = params.b.deriv_at(lam)
     cp = params.c.deriv_at(lam)
     a = params.a
-    log_deriv = 2.0 * (bp / b - cp / c) + math.pi * a * (bp * c + b * cp) / (b * c) ** 1.5
+    try:
+        log_deriv = 2.0 * (bp / b - cp / c) + math.pi * a * (bp * c + b * cp) / (b * c) ** 1.5
+    except OverflowError:
+        raise DomainError(f"delta'({lam}) overflows the floating-point range") from None
     return delta(params, lam) * log_deriv
 
 

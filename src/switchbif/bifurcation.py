@@ -35,7 +35,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .analytic import delta, delta_prime
+from .analytic import DELTA_ONE_TOL, delta, delta_prime
 from .errors import (BudgetError, DegenerateError, DomainError, EscapeError,
                      InsufficientDataError, PerturbationTooSmallError,
                      StiffnessError, TangencyError)
@@ -62,8 +62,9 @@ __all__ = [
     "check_global_conditions",
 ]
 
-#: find_critical_lambda: largest |delta - 1| at the root, smallest |delta'| there
-_VALUE_TOL, _DEGENERATE_TOL = 1e-12, 1e-10
+#: smallest |delta'| at a critical parameter; |delta - 1| there is at most
+#: analytic.DELTA_ONE_TOL
+_DEGENERATE_TOL = 1e-10
 #: residuals |r(x1)| below this multiple of the tolerance times x1 are noise
 _NOISE_FACTOR = 50.0
 #: continue_branch: smallest scan amplitude, ratio of neighbouring scan
@@ -98,17 +99,17 @@ def find_critical_lambda(params: SystemParams, bracket: tuple[float, float]) -> 
 
     Requires a sign change of delta - 1 over ``bracket``; raises
     NoBracketError otherwise and DegenerateError when |delta - 1| at the
-    located root exceeds _VALUE_TOL or |delta'| there is below
+    located root exceeds DELTA_ONE_TOL or |delta'| there is below
     _DEGENERATE_TOL.
     """
     lo, hi = float(bracket[0]), float(bracket[1])
     f = lambda lam: delta(params, lam) - 1.0
     lam_star, residual = brent(f, lo, hi, xtol=1e-15, ftol=0.0)
-    if abs(residual) > _VALUE_TOL:
+    if abs(residual) > DELTA_ONE_TOL:
         # brent ran to bracket collapse; a residual above tolerance means
         # the index is too steep for float resolution of lambda
         raise DegenerateError(
-            f"|delta - 1| = {abs(residual)} > {_VALUE_TOL} at the located root {lam_star}")
+            f"|delta - 1| = {abs(residual)} > {DELTA_ONE_TOL} at the located root {lam_star}")
     dp = delta_prime(params, lam_star)
     if abs(dp) < _DEGENERATE_TOL:
         raise DegenerateError(
@@ -183,11 +184,11 @@ def bifurcation_direction(sys: SwitchedSystem, cfg: IntegratorConfig,
     on the positive side iff delta_coeff * delta' < 0.
     """
     d0 = delta(sys.params, lam_star)
-    if abs(d0 - 1.0) > 1e-9:
+    if abs(d0 - 1.0) > DELTA_ONE_TOL:
         raise DegenerateError(
             f"delta({lam_star}) = {d0} != 1: system is not at its critical parameter")
     dp = delta_prime(sys.params, lam_star)
-    if abs(dp) < 1e-10:
+    if abs(dp) < _DEGENERATE_TOL:
         raise DegenerateError(f"delta'({lam_star}) = {dp} vanishes; direction undefined")
     fit = expansion if expansion is not None else fit_local_expansion(sys, lam_star, cfg)
     product = fit.delta_coeff * dp
@@ -561,8 +562,9 @@ def _rotation(frozen, radius_M: float, n_samples: int):
 
 
 def _index_ok(params: SystemParams) -> bool:
-    """delta(0) = 1 and delta'(0) > 0."""
-    return abs(delta(params, 0.0) - 1.0) <= 1e-9 and delta_prime(params, 0.0) > 0.0
+    """delta(0) = 1 and delta'(0) > 0, at the tolerances of find_critical_lambda."""
+    return (abs(delta(params, 0.0) - 1.0) <= DELTA_ONE_TOL
+            and delta_prime(params, 0.0) >= _DEGENERATE_TOL)
 
 
 def check_global_conditions(sys: SwitchedSystem, lam: float, radius_M: float = 10.0,
@@ -579,7 +581,8 @@ def check_global_conditions(sys: SwitchedSystem, lam: float, radius_M: float = 1
        angular contribution, |<A_i x, Sx>| > |<pert_i, Sx>|, at sampled
        nonzero points with radius <= 10M.  The one-sided comparison
        without absolute values is also evaluated and noted.
-    3. Index: delta(0) = 1 and delta'(0) > 0.
+    3. Index: delta(0) = 1 and delta'(0) > 0, at the tolerances of
+       find_critical_lambda.
 
     Raises ValueError unless ``radius_M`` is finite and positive and
     ``n_samples`` is an integer >= 1, and DomainError when a sampled

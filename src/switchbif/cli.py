@@ -1,18 +1,19 @@
 """Command-line interface.
 
-    switchbif <subcommand> [--config FILE] [--out DIR] [flags]
+    switchbif <subcommand> --config FILE [--out DIR] [flags]
     switchbif paper-example <subcommand> [--out DIR] [flags]
 
 Subcommands: validate, simulate, poincare, classify, delta-sweep,
 bifurcate, branch, verify-global.  ``paper-example`` runs any of them
-on the built-in benchmark system.  Exit codes: 0 success, else the
-``exit_code`` of the error raised: 1 validation/parse error, 2 numerical
-failure, 3 internal error (see ``switchbif.errors``).
+on the built-in benchmark system and takes no ``--config``.  Exit codes:
+0 success, else the ``exit_code`` of the error raised: 1 validation/parse
+error, 2 numerical failure, 3 internal error (see ``switchbif.errors``).
 
 Outputs are deterministic: identical config and command produce
 byte-identical files.  CSV files carry a comment line naming the tool
 version and config label, then a header row; JSON reports embed the
-same metadata, with floats serialized to 17 significant digits.
+same metadata.  Every float is written as Python's shortest repr, which
+reads back to the same float.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 from . import __version__
@@ -34,36 +36,14 @@ from .numeric import (StopAfterEvents, StopAtTime, StopOnReturn, integrate,
                       poincare_numeric)
 
 
-def _fmt(x: float) -> str:
-    return format(float(x), ".17g")
+def _cell(v) -> str:
+    """A CSV cell: a float as its shortest repr, an int or a bool as an integer."""
+    return repr(float(v)) if isinstance(v, float) else str(int(v))
 
 
-def _json_dumps_report(report: dict) -> str:
-    """Flat-report JSON with floats at 17 significant digits."""
-
-    def render(obj, indent):
-        pad = "  " * indent
-        if isinstance(obj, dict):
-            if not obj:
-                return "{}"
-            items = []
-            for k in sorted(obj):
-                items.append(f'{pad}  {json.dumps(k)}: {render(obj[k], indent + 1)}')
-            return "{\n" + ",\n".join(items) + f"\n{pad}}}"
-        if isinstance(obj, (list, tuple)):
-            if not obj:
-                return "[]"
-            items = [f'{pad}  {render(v, indent + 1)}' for v in obj]
-            return "[\n" + ",\n".join(items) + f"\n{pad}]"
-        if isinstance(obj, bool):
-            return "true" if obj else "false"
-        if isinstance(obj, float):
-            return _fmt(obj)
-        if obj is None:
-            return "null"
-        return json.dumps(obj)
-
-    return render(report, 0) + "\n"
+def _json(doc: dict) -> str:
+    """A JSON report; every value must be a Python scalar, list, tuple or dict."""
+    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
 def _meta(config: RunConfig, command: str) -> dict:
@@ -75,7 +55,7 @@ def _csv(config: RunConfig, command: str, columns: list[str], rows) -> str:
     """Comment line, header row, then one line per row of numbers."""
     return (f"# switchbif {__version__} {command} config={config.label}\n"
             + ",".join(columns) + "\n"
-            + "".join(",".join(map(_fmt, row)) + "\n" for row in rows))
+            + "".join(",".join(map(_cell, row)) + "\n" for row in rows))
 
 
 def _write_output(text: str, out_dir: str | None, filename: str) -> None:
@@ -122,11 +102,12 @@ def _option(config: RunConfig, args, key: str, *, required: bool = False,
 
 
 def _cmd_validate(config: RunConfig, args) -> int:
+    # parse_config has already raised ValidationError for a failing system
     report = validate(config.system)
     doc = _meta(config, "validate")
     doc.update({"passed": report.passed, "violations": list(report.violations)})
-    _write_output(_json_dumps_report(doc), args.out, "validate.json")
-    return 0 if report.passed else 1
+    _write_output(_json(doc), args.out, "validate.json")
+    return 0
 
 
 _STOPS = {"t_max": StopAtTime, "n_events": StopAfterEvents,
@@ -179,7 +160,7 @@ def _cmd_classify(config: RunConfig, args) -> int:
     verdict = classify_origin(config.system.params, lam)
     doc = _meta(config, "classify")
     doc.update({"lambda": lam, "delta": d, "class": verdict.value})
-    _write_output(_json_dumps_report(doc), args.out, "classify.json")
+    _write_output(_json(doc), args.out, "classify.json")
     return 0
 
 
@@ -211,15 +192,9 @@ def _cmd_bifurcate(config: RunConfig, args) -> int:
         "delta_prime": crit.delta_prime,
         "nondegenerate": crit.nondegenerate,
         "direction": direction.value,
-        "expansion_fit": {
-            "delta_lin": fit.delta_lin,
-            "delta_coeff": fit.delta_coeff,
-            "k_exp": fit.k_exp,
-            "fit_residual": fit.fit_residual,
-            "x1_grid": list(fit.x1_grid),
-        },
+        "expansion_fit": asdict(fit),
     })
-    _write_output(_json_dumps_report(doc), args.out, "bifurcate.json")
+    _write_output(_json(doc), args.out, "bifurcate.json")
     return 0
 
 
@@ -240,14 +215,9 @@ def _cmd_branch(config: RunConfig, args) -> int:
     doc["additional_orbits"] = [{"lambda": p.lam, "x1_fixed": p.x1_fixed,
                                  "period": p.period, "residual": p.residual}
                                 for p in result.additional]
-    if len(result.points) >= 4:
-        fit = fit_scaling_law(result.points)
-        doc["scaling_fit"] = {"gamma_est": fit.gamma_est,
-                              "exponent_est": fit.exponent_est,
-                              "fit_residual": fit.fit_residual}
-    else:
-        doc["scaling_fit"] = None
-    _write_output(_json_dumps_report(doc), args.out, "branch_fit.json")
+    doc["scaling_fit"] = (asdict(fit_scaling_law(result.points))
+                          if len(result.points) >= 4 else None)
+    _write_output(_json(doc), args.out, "branch_fit.json")
     return 0
 
 
@@ -276,7 +246,7 @@ def _cmd_verify_global(config: RunConfig, args) -> int:
         "rotation_pert_inner_max": rep.rotation_pert_inner_max,
         "notes": list(rep.notes),
     })
-    _write_output(_json_dumps_report(doc), args.out, "global_check.json")
+    _write_output(_json(doc), args.out, "global_check.json")
     all_ok = (rep.lyapunov_ok.value != "fail" and rep.rotation_ok.value != "fail"
               and rep.delta_conditions_ok)
     return 0 if all_ok else 2
@@ -310,23 +280,6 @@ class _ArgumentParser(argparse.ArgumentParser):
         raise ParseError(message)
 
 
-def _add_command_parsers(subparsers, with_config: bool) -> None:
-    for name, (_, help_text, keys) in _COMMANDS.items():
-        p = subparsers.add_parser(name, help=help_text)
-        if with_config:
-            p.add_argument("--config", required=True, metavar="FILE",
-                           help="JSON configuration document")
-        p.add_argument("--out", metavar="DIR", default=None,
-                       help="directory for output files (default: print to stdout)")
-        for key in keys:
-            flag, convert = _OPTIONS[key][:2]
-            if convert is _switch:
-                p.add_argument(flag, dest=key, action="store_const", const=True,
-                               help=_HELP.get(key))
-            else:
-                p.add_argument(flag, dest=key, help=_HELP.get(key))
-
-
 def _build_parser() -> argparse.ArgumentParser:
     parser = _ArgumentParser(
         prog="switchbif",
@@ -336,11 +289,23 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="on failure, print a machine-readable error object to stdout")
     parser.add_argument("--version", action="version", version=f"switchbif {__version__}")
     subparsers = parser.add_subparsers(dest="command", required=True, metavar="COMMAND")
-    _add_command_parsers(subparsers, with_config=True)
+    for name, (_, help_text, keys) in _COMMANDS.items():
+        p = subparsers.add_parser(name, help=help_text)
+        p.add_argument("--config", metavar="FILE",
+                       help="JSON configuration document (required, except after paper-example)")
+        p.add_argument("--out", metavar="DIR", default=None,
+                       help="directory for output files (default: print to stdout)")
+        for key in keys:
+            flag, convert = _OPTIONS[key][:2]
+            if convert is _switch:
+                p.add_argument(flag, dest=key, action="store_const", const=True,
+                               help=_HELP.get(key))
+            else:
+                p.add_argument(flag, dest=key, help=_HELP.get(key))
     pe = subparsers.add_parser("paper-example",
                                help="run a subcommand on the built-in benchmark system")
-    pe_sub = pe.add_subparsers(dest="pe_command", required=True, metavar="COMMAND")
-    _add_command_parsers(pe_sub, with_config=False)
+    pe.add_argument("argv", nargs=argparse.REMAINDER, metavar="COMMAND ...",
+                    help="a subcommand and its flags, without --config")
     return parser
 
 
@@ -348,19 +313,23 @@ def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     error_json = "--error-json" in argv
     try:
-        args = _build_parser().parse_args(argv)
+        parser = _build_parser()
+        args = parser.parse_args(argv)
         if args.command == "paper-example":
-            command = args.pe_command
+            args = parser.parse_args(args.argv)
+            if args.command == "paper-example" or args.config is not None:
+                raise ParseError("paper-example takes one other subcommand and no --config")
             config = paper_example_config()
+        elif args.config is None:
+            raise ParseError("--config is required")
         else:
-            command = args.command
             path = Path(args.config)
             try:
                 text = path.read_text(encoding="utf-8")
             except OSError as exc:
                 raise ParseError(f"cannot read config file: {exc}") from exc
             config = parse_config(text, label=path.name)
-        return _COMMANDS[command][0](config, args)
+        return _COMMANDS[args.command][0](config, args)
     except SwitchBifError as exc:
         _report_error(exc, error_json)
         return exc.exit_code

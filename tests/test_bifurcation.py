@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -6,15 +7,15 @@ import pytest
 from conftest import make_linear_system, make_params
 from switchbif import (BranchDirection, CheckStatus, DegenerateError,
                        DomainError, InsufficientDataError, LambdaPoly, MonomialTerm,
-                       NoBracketError, PerturbationTooSmallError, PolyField,
-                       Quadrant, StopOnReturn, SwitchedSystem, SystemParams,
+                       NoBracketError, OriginClass, PerturbationTooSmallError,
+                       PolyField, Quadrant, StopOnReturn, SwitchedSystem, SystemParams,
                        bifurcation_direction, check_global_conditions,
-                       continue_branch, delta, delta_prime,
+                       classify_origin, continue_branch, delta, delta_prime,
                        find_critical_lambda, fit_local_expansion,
                        fit_scaling_law, integrate, linear_matrix,
                        poincare_numeric)
 from switchbif import bifurcation, numeric
-from switchbif.bifurcation import BranchPoint
+from switchbif.bifurcation import BranchPoint, ExpansionFit
 from switchbif.rootfind import brent
 
 
@@ -136,6 +137,49 @@ class TestBifurcationDirection:
         sys = SwitchedSystem.linear(paper_params)
         with pytest.raises(PerturbationTooSmallError):
             bifurcation_direction(sys, cfg)
+
+
+class TestOneDeltaOneTolerance:
+    """Every check of delta = 1 uses analytic.DELTA_ONE_TOL (1e-12)."""
+
+    #: a stand-in fit, so that no return map is integrated
+    FIT = ExpansionFit(delta_lin=1.0, delta_coeff=-1.0, k_exp=3.0, fit_residual=0.0,
+                       x1_grid=())
+
+    @pytest.fixture
+    def near_critical(self, paper_system):
+        """The paper example with a lowered so that delta(0) - 1 = 5e-11."""
+        params = dataclasses.replace(paper_system.params, a=paper_system.params.a - 2.5e-11)
+        assert delta(params, 0.0) - 1.0 == pytest.approx(5e-11, rel=1e-3)
+        return SwitchedSystem(params, paper_system.perturbations)
+
+    def test_lambda_zero_is_not_critical(self, near_critical, cfg):
+        params = near_critical.params
+        assert classify_origin(params, 0.0) is OriginClass.Unstable
+        crit = find_critical_lambda(params, (-0.1, 0.1))
+        assert crit.lambda_star < 0.0
+        with pytest.raises(DegenerateError):
+            bifurcation_direction(near_critical, cfg, expansion=self.FIT)
+        assert (bifurcation_direction(near_critical, cfg, lam_star=crit.lambda_star,
+                                      expansion=self.FIT)
+                == BranchDirection.BranchForPositiveLambda)
+
+    def test_index_conditions_fail(self, near_critical):
+        rep = check_global_conditions(near_critical, 0.5, radius_M=5.0, n_samples=5_000)
+        assert not rep.delta_conditions_ok
+
+    def test_index_conditions_need_a_nondegenerate_derivative(self):
+        # delta(0) = 1 with 0 < delta'(0) < 1e-10, where find_critical_lambda
+        # raises DegenerateError
+        a = math.sqrt(2.0) * math.log(4.0) / (2.0 * math.pi)
+        params = SystemParams(a=a, b=LambdaPoly((2.0, 1e-13)), c=LambdaPoly.constant(1.0))
+        assert abs(delta(params, 0.0) - 1.0) <= 1e-12
+        assert 0.0 < delta_prime(params, 0.0) < 1e-10
+        with pytest.raises(DegenerateError):
+            find_critical_lambda(params, (-0.5, 0.5))
+        rep = check_global_conditions(SwitchedSystem.linear(params), 0.0,
+                                      radius_M=5.0, n_samples=5_000)
+        assert not rep.delta_conditions_ok
 
 
 class TestContinueBranch:

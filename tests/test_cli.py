@@ -1,12 +1,15 @@
 import contextlib
+import dataclasses
 import io
 import json
 import math
+import re
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from switchbif import find_critical_lambda, fit_local_expansion, poincare_numeric
 from switchbif.cli import main
 from switchbif.config import emit_canonical, paper_example_config
 
@@ -62,7 +65,7 @@ class TestConfigFile:
         path.write_text(json.dumps(doc), encoding="utf-8")
         code, out, _ = run(capsys, ["delta-sweep", "--config", str(path)])
         assert code == 0
-        assert [row.split(",")[0] for row in out.splitlines()[2:]] == ["0", "0.25", "0.5"]
+        assert [row.split(",")[0] for row in out.splitlines()[2:]] == ["0.0", "0.25", "0.5"]
 
     def test_missing_config_file(self, capsys):
         code, _, err = run(capsys, ["classify", "--config", "/nonexistent.json"])
@@ -88,13 +91,14 @@ class TestSimulate:
         assert lines[0].startswith("# switchbif")
         assert lines[1] == "t,x1,x2,quadrant,event"
         assert len(lines) == 3
-        assert lines[2].startswith("0,0.001,0,")
+        assert lines[2].startswith("0.0,0.001,0.0,")
 
     def test_event_rows_flagged(self, capsys):
         code, out, _ = run(capsys, ["paper-example", "simulate", "--lambda", "0.1",
                                     "--x0", "1,0", "--n-events", "4"])
         assert code == 0
         rows = [line.split(",") for line in out.strip().splitlines()[2:]]
+        assert all(re.fullmatch("[1-4]", r[3]) and re.fullmatch("[01]", r[4]) for r in rows)
         events = [r for r in rows if r[4] == "1"]
         assert len(events) == 4
         # event rows sit on alternating axes
@@ -128,6 +132,18 @@ class TestSimulate:
         text = (out_dir / "trajectory.csv").read_text(encoding="utf-8")
         assert text.startswith("# switchbif")
         assert "trajectory.csv" in out
+
+
+class TestPoincare:
+    def test_csv_numbers_equal_the_library_values(self, capsys):
+        code, out, _ = run(capsys, ["paper-example", "poincare", "--lambda", "0.1",
+                                    "--x1", "1e-4,0.5"])
+        assert code == 0
+        rows = [tuple(map(float, line.split(","))) for line in out.strip().splitlines()[2:]]
+        config = paper_example_config()
+        samples = [poincare_numeric(config.system, x1, 0.1, config.integrator)
+                   for x1 in (1e-4, 0.5)]
+        assert rows == [(s.x1_in, s.x1_out, s.period) for s in samples]
 
 
 class TestDeterminism:
@@ -206,6 +222,12 @@ class TestBifurcateCommand:
         assert doc["delta_prime"] == pytest.approx(4.0 / (math.e * math.pi), rel=1e-9)
         assert doc["direction"] == "BranchForPositiveLambda"
         assert doc["expansion_fit"]["delta_coeff"] < 0.0
+        # the report's numbers are the library's, unrounded
+        config = paper_example_config()
+        crit = find_critical_lambda(config.system.params, (-0.1, 0.1))
+        fit = fit_local_expansion(config.system, crit.lambda_star, config.integrator)
+        assert doc["critical_lambda"] == crit.lambda_star
+        assert doc["expansion_fit"] == {**dataclasses.asdict(fit), "x1_grid": list(fit.x1_grid)}
 
 
 class TestErrorContract:
@@ -228,6 +250,33 @@ class TestErrorContract:
         assert code == 1
         assert "Traceback" not in err
         assert err.count("\n") == 1 and err.startswith("switchbif: error: ")
+
+    @pytest.mark.parametrize("argv", [
+        ["paper-example", "classify", "--config", "F"],
+        ["paper-example", "paper-example", "classify"],
+        ["classify", "--lambda", "0"],
+    ], ids=" ".join)
+    def test_config_source_error_is_one_line_parse_error(self, capsys, argv):
+        code, out, err = run(capsys, argv)
+        assert code == 1 and out == ""
+        assert err.count("\n") == 1 and err.startswith("switchbif: error: ParseError")
+        assert "--config" in err
+
+    @pytest.mark.parametrize("system,argv", [
+        ({"b_poly": [1e200], "c_poly": [1]}, ["classify", "--lambda", "0"]),
+        ({"b_poly": [1e200], "c_poly": [1]}, ["delta-sweep", "--lambdas", "0"]),
+        ({"b_poly": [1e200], "c_poly": [1]}, ["bifurcate"]),
+        ({"b_poly": [1e200], "c_poly": [1]}, ["verify-global", "--n-samples", "100"]),
+        ({"b_poly": [1e150, 1], "c_poly": [1e150]}, ["delta-sweep", "--lambdas", "0"]),
+    ], ids=lambda v: str(v))
+    def test_overflowing_index_is_one_line_domain_error(self, capsys, tmp_path,
+                                                        system, argv):
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps({"system": {"a": 1, **system}}), encoding="utf-8")
+        code, _, err = run(capsys, [argv[0], "--config", str(path), *argv[1:]])
+        assert code == 1
+        assert err.count("\n") == 1 and err.startswith("switchbif: error: DomainError")
+        assert re.search(r"delta'?\(-?\d", err)   # names lambda
 
     def test_bad_config_option_names_its_key(self, capsys, tmp_path):
         doc = json.loads(emit_canonical(paper_example_config()))

@@ -1,4 +1,4 @@
-"""The README's lists of integrator keys and exit codes match the code."""
+"""The README's lists of integrator keys, exit codes and subcommands match the code."""
 
 import dataclasses
 import inspect
@@ -6,6 +6,7 @@ import re
 from pathlib import Path
 
 from switchbif import IntegratorConfig, errors
+from switchbif.cli import _COMMANDS
 
 README = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
 
@@ -25,3 +26,9 @@ def test_exit_code_table_lists_every_error():
     classes = {name: cls.exit_code for name, cls in inspect.getmembers(errors, inspect.isclass)
                if issubclass(cls, errors.SwitchBifError)}
     assert listed == classes
+
+
+def test_subcommand_table_lists_every_command():
+    table = re.search(r"^\| subcommand .*?\n\n", README, re.MULTILINE | re.DOTALL)
+    assert table is not None
+    assert re.findall(r"^\| `([\w-]+)` ", table.group(0), re.MULTILINE) == list(_COMMANDS)
