@@ -9,10 +9,10 @@ Hopf-like bifurcation.
 """
 
 from .errors import (BudgetError, DegenerateError, DomainError, EscapeError,
-                     InsufficientDataError, NoBracketError, NoOrbitError,
-                     OriginError, ParseError, PerturbationTooSmallError,
-                     SideError, StiffnessError, SwitchBifError, TangencyError,
-                     ValidationError)
+                     InsufficientDataError, IntegrationError, NoBracketError,
+                     NoOrbitError, NumericalError, OriginError, ParseError,
+                     PerturbationTooSmallError, SideError, StiffnessError,
+                     SwitchBifError, TangencyError, UserError, ValidationError)
 from .model import (LambdaPoly, MonomialTerm, PolyField, Quadrant,
                     SwitchedSystem, SystemParams, ValidationReport,
                     clockwise_successor, eval_field, linear_matrix, region_of,

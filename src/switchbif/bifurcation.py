@@ -36,9 +36,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .analytic import DELTA_ONE_TOL, delta, delta_prime
-from .errors import (BudgetError, DegenerateError, DomainError, EscapeError,
-                     InsufficientDataError, PerturbationTooSmallError,
-                     StiffnessError, TangencyError)
+from .errors import (DegenerateError, DomainError, InsufficientDataError,
+                     IntegrationError, PerturbationTooSmallError)
 from .model import (Quadrant, SwitchedSystem, SystemParams, collect_terms,
                     eval_terms, freeze)
 from .numeric import IntegratorConfig, poincare_numeric
@@ -85,36 +84,45 @@ def _loglog_fit(xs: np.ndarray, ys: np.ndarray) -> tuple[float, float, float]:
     return float(slope), float(intercept), float(np.sqrt(np.mean(resid ** 2)))
 
 
+def _critical_delta_prime(params: SystemParams, lam: float) -> float:
+    """delta'(lam) at a nondegenerate critical parameter ``lam``.
+
+    Raises DegenerateError unless |delta(lam) - 1| <= DELTA_ONE_TOL and
+    |delta'(lam)| >= _DEGENERATE_TOL.
+    """
+    d = delta(params, lam)
+    if abs(d - 1.0) > DELTA_ONE_TOL:
+        raise DegenerateError(f"|delta({lam}) - 1| = {abs(d - 1.0)} > {DELTA_ONE_TOL}: "
+                              f"{lam} is not a critical parameter")
+    dp = delta_prime(params, lam)
+    if abs(dp) < _DEGENERATE_TOL:
+        raise DegenerateError(f"delta'({lam}) = {dp} is below the nondegeneracy "
+                              f"threshold {_DEGENERATE_TOL}")
+    return dp
+
+
 @dataclass(frozen=True)
 class CriticalParameter:
-    """Root of delta(lam) = 1 with its nondegeneracy data."""
+    """Nondegenerate root of delta(lam) = 1 and delta' there."""
 
     lambda_star: float
     delta_prime: float
-    nondegenerate: bool
 
 
 def find_critical_lambda(params: SystemParams, bracket: tuple[float, float]) -> CriticalParameter:
     """Locate the parameter where the stability index crosses 1.
 
     Requires a sign change of delta - 1 over ``bracket``; raises
-    NoBracketError otherwise and DegenerateError when |delta - 1| at the
-    located root exceeds DELTA_ONE_TOL or |delta'| there is below
-    _DEGENERATE_TOL.
+    NoBracketError otherwise and DegenerateError when the located root
+    is not a nondegenerate critical parameter (``_critical_delta_prime``).
+    A root that brent leaves above DELTA_ONE_TOL means the index is too
+    steep for float resolution of lambda.
     """
-    lo, hi = float(bracket[0]), float(bracket[1])
     f = lambda lam: delta(params, lam) - 1.0
-    lam_star, residual = brent(f, lo, hi, xtol=1e-15, ftol=0.0)
-    if abs(residual) > DELTA_ONE_TOL:
-        # brent ran to bracket collapse; a residual above tolerance means
-        # the index is too steep for float resolution of lambda
-        raise DegenerateError(
-            f"|delta - 1| = {abs(residual)} > {DELTA_ONE_TOL} at the located root {lam_star}")
-    dp = delta_prime(params, lam_star)
-    if abs(dp) < _DEGENERATE_TOL:
-        raise DegenerateError(
-            f"delta'({lam_star}) = {dp} is below the nondegeneracy threshold {_DEGENERATE_TOL}")
-    return CriticalParameter(lambda_star=lam_star, delta_prime=dp, nondegenerate=True)
+    lam_star, _ = brent(f, float(bracket[0]), float(bracket[1]), xtol=1e-15, ftol=0.0)
+    return CriticalParameter(
+        lambda_star=lam_star,
+        delta_prime=_critical_delta_prime(params, lam_star))
 
 
 @dataclass(frozen=True)
@@ -183,16 +191,9 @@ def bifurcation_direction(sys: SwitchedSystem, cfg: IntegratorConfig,
     ``lam_star``) with a nonvanishing index derivative; the branch lies
     on the positive side iff delta_coeff * delta' < 0.
     """
-    d0 = delta(sys.params, lam_star)
-    if abs(d0 - 1.0) > DELTA_ONE_TOL:
-        raise DegenerateError(
-            f"delta({lam_star}) = {d0} != 1: system is not at its critical parameter")
-    dp = delta_prime(sys.params, lam_star)
-    if abs(dp) < _DEGENERATE_TOL:
-        raise DegenerateError(f"delta'({lam_star}) = {dp} vanishes; direction undefined")
+    dp = _critical_delta_prime(sys.params, lam_star)
     fit = expansion if expansion is not None else fit_local_expansion(sys, lam_star, cfg)
-    product = fit.delta_coeff * dp
-    if product < 0.0:
+    if fit.delta_coeff * dp < 0.0:
         return BranchDirection.BranchForPositiveLambda
     return BranchDirection.BranchForNegativeLambda
 
@@ -232,15 +233,11 @@ class BranchResult:
     additional: tuple[BranchPoint, ...]
 
 
-#: integration failures that rule an amplitude out as an orbit point
-_NO_RETURN = (EscapeError, StiffnessError, BudgetError, TangencyError)
-
-
 class _Residual:
     """Memoized x1 -> pi(x1) - x1 at one parameter value.
 
     ``samples`` maps every amplitude integrated to its return-map sample
-    or to the integration failure it raised, so an amplitude costs at
+    or to the IntegrationError it raised, so an amplitude costs at
     most one return map and ``len(samples)`` counts them.  With d =
     delta(lam) - 1 the residual's slope at an orbit is about -(k - 1) d,
     so ``solve`` stops brent at |r| <= _RESIDUAL_TOL |d| lo, an amplitude
@@ -256,7 +253,7 @@ class _Residual:
         if x1 not in self.samples:
             try:
                 self.samples[x1] = poincare_numeric(self.sys, x1, self.lam, self.cfg)
-            except _NO_RETURN as exc:
+            except IntegrationError as exc:
                 self.samples[x1] = exc
         sample = self.samples[x1]
         if isinstance(sample, Exception):
@@ -266,7 +263,7 @@ class _Residual:
     def or_none(self, x1: float) -> float | None:
         try:
             return self(x1)
-        except _NO_RETURN:
+        except IntegrationError:
             return None
 
     def solve(self, lo: float, hi: float, source: str) -> BranchPoint:
@@ -360,7 +357,7 @@ def continue_branch(sys: SwitchedSystem, lambdas, cfg: IntegratorConfig,
                                          lo=_X_SCAN_MIN, hi=x_scan_max)
                 if bracket is not None:
                     found.append(residual.solve(*bracket, "previous" if history else "expansion"))
-            except _NO_RETURN:
+            except IntegrationError:
                 pass
 
         if not found:
@@ -563,8 +560,10 @@ def _rotation(frozen, radius_M: float, n_samples: int):
 
 def _index_ok(params: SystemParams) -> bool:
     """delta(0) = 1 and delta'(0) > 0, at the tolerances of find_critical_lambda."""
-    return (abs(delta(params, 0.0) - 1.0) <= DELTA_ONE_TOL
-            and delta_prime(params, 0.0) >= _DEGENERATE_TOL)
+    try:
+        return _critical_delta_prime(params, 0.0) > 0.0
+    except DegenerateError:
+        return False
 
 
 def check_global_conditions(sys: SwitchedSystem, lam: float, radius_M: float = 10.0,

@@ -6,8 +6,8 @@
 Subcommands: validate, simulate, poincare, classify, delta-sweep,
 bifurcate, branch, verify-global.  ``paper-example`` runs any of them
 on the built-in benchmark system and takes no ``--config``.  Exit codes:
-0 success, else the ``exit_code`` of the error raised: 1 validation/parse
-error, 2 numerical failure, 3 internal error (see ``switchbif.errors``).
+0 success, else the ``exit_code`` of the error raised: 1 UserError,
+2 NumericalError, 3 internal error (see ``switchbif.errors``).
 
 Outputs are deterministic: identical config and command produce
 byte-identical files.  CSV files carry a comment line naming the tool
@@ -19,6 +19,7 @@ reads back to the same float.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from dataclasses import asdict
@@ -36,11 +37,6 @@ from .numeric import (StopAfterEvents, StopAtTime, StopOnReturn, integrate,
                       poincare_numeric)
 
 
-def _cell(v) -> str:
-    """A CSV cell: a float as its shortest repr, an int or a bool as an integer."""
-    return repr(float(v)) if isinstance(v, float) else str(int(v))
-
-
 def _json(doc: dict) -> str:
     """A JSON report; every value must be a Python scalar, list, tuple or dict."""
     return json.dumps(doc, indent=2, sort_keys=True) + "\n"
@@ -52,10 +48,10 @@ def _meta(config: RunConfig, command: str) -> dict:
 
 
 def _csv(config: RunConfig, command: str, columns: list[str], rows) -> str:
-    """Comment line, header row, then one line per row of numbers."""
+    """Comment line, header row, then one line per row of Python floats and ints."""
     return (f"# switchbif {__version__} {command} config={config.label}\n"
             + ",".join(columns) + "\n"
-            + "".join(",".join(map(_cell, row)) + "\n" for row in rows))
+            + "".join(",".join(map(repr, row)) + "\n" for row in rows))
 
 
 def _write_output(text: str, out_dir: str | None, filename: str) -> None:
@@ -134,7 +130,7 @@ def _cmd_simulate(config: RunConfig, args) -> int:
 
     n_events = len(traj.events)
     # an arc's first sample duplicates the previous arc's event row
-    rows = ((t, x1, x2, int(arc.quadrant), ai < n_events and si == len(arc.times) - 1)
+    rows = ((t, x1, x2, int(arc.quadrant), int(ai < n_events and si == len(arc.times) - 1))
             for ai, arc in enumerate(traj.arcs)
             for si, (t, (x1, x2)) in enumerate(zip(arc.times.tolist(), arc.states.tolist()))
             if ai == 0 or si > 0)
@@ -190,7 +186,6 @@ def _cmd_bifurcate(config: RunConfig, args) -> int:
     doc.update({
         "critical_lambda": crit.lambda_star,
         "delta_prime": crit.delta_prime,
-        "nondegenerate": crit.nondegenerate,
         "direction": direction.value,
         "expansion_fit": asdict(fit),
     })
@@ -280,6 +275,7 @@ class _ArgumentParser(argparse.ArgumentParser):
         raise ParseError(message)
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = _ArgumentParser(
         prog="switchbif",

@@ -1,13 +1,13 @@
 """Exception hierarchy shared by all switchbif modules.
 
 Every error carries the CLI exit code of its family in the class
-attribute ``exit_code``:
+attribute ``exit_code``, set once per family and inherited:
 
-- 1, user errors: a bad configuration or argument (ParseError,
+- 1, UserError: a bad configuration or argument (ParseError,
   ValidationError, DomainError, OriginError, SideError);
-- 2, numerical failures: the integrator failures (TangencyError,
-  BudgetError, StiffnessError, EscapeError) and the solver and
-  estimator failures, DegenerateError among them;
+- 2, NumericalError: the integration failures, IntegrationError
+  (TangencyError, BudgetError, StiffnessError, EscapeError), and the
+  solver and estimator failures, DegenerateError among them;
 - 3, any other SwitchBifError: an internal error.
 """
 
@@ -18,30 +18,42 @@ class SwitchBifError(Exception):
     exit_code = 3
 
 
+class UserError(SwitchBifError):
+    """A bad configuration or argument."""
+
+    exit_code = 1
+
+
+class NumericalError(SwitchBifError):
+    """A numerical method failed on a well-formed input."""
+
+    exit_code = 2
+
+
+class IntegrationError(NumericalError):
+    """An integration did not complete: no return map exists from its start."""
+
+
 # -- configuration / model construction ------------------------------------
 
-class ParseError(SwitchBifError):
+class ParseError(UserError):
     """A configuration document could not be parsed.
 
     Carries a human-readable location (JSON path or line/column) in
     ``location`` when one is available.
     """
 
-    exit_code = 1
-
     def __init__(self, message, location=None):
         super().__init__(message if location is None else f"{location}: {message}")
         self.location = location
 
 
-class ValidationError(SwitchBifError):
+class ValidationError(UserError):
     """A system definition violates the standing assumptions.
 
     ``report`` holds the full ValidationReport when the error was
     produced from one.
     """
-
-    exit_code = 1
 
     def __init__(self, message, report=None):
         super().__init__(message)
@@ -50,28 +62,22 @@ class ValidationError(SwitchBifError):
 
 # -- domain / argument errors -----------------------------------------------
 
-class DomainError(SwitchBifError):
+class DomainError(UserError):
     """A parameter value lies outside the system's parameter interval."""
 
-    exit_code = 1
 
-
-class OriginError(SwitchBifError):
+class OriginError(UserError):
     """A state is the origin, where the switching law is undefined, or is
     indistinguishable from it at float resolution."""
 
-    exit_code = 1
 
-
-class SideError(SwitchBifError):
+class SideError(UserError):
     """A section-map entry point lies on the wrong semi-axis."""
-
-    exit_code = 1
 
 
 # -- integration failures ----------------------------------------------------
 
-class TangencyError(SwitchBifError):
+class TangencyError(IntegrationError):
     """A switching-manifold crossing is not transversal.
 
     Raised when the normal velocity at a located crossing is too small,
@@ -79,54 +85,36 @@ class TangencyError(SwitchBifError):
     crossing direction (sliding / grazing contact).
     """
 
-    exit_code = 2
 
-
-class BudgetError(SwitchBifError):
+class BudgetError(IntegrationError):
     """An integration exhausted its switching-event or per-arc time budget."""
 
-    exit_code = 2
 
-
-class StiffnessError(SwitchBifError):
+class StiffnessError(IntegrationError):
     """The adaptive step size underflowed."""
 
-    exit_code = 2
 
-
-class EscapeError(SwitchBifError):
+class EscapeError(IntegrationError):
     """A state lies outside the bounding box, max-norm 1e6."""
-
-    exit_code = 2
 
 
 # -- solver / estimator failures ----------------------------------------------
 
-class NoBracketError(SwitchBifError):
+class NoBracketError(NumericalError):
     """No sign change was found over the supplied bracket."""
 
-    exit_code = 2
 
-
-class DegenerateError(SwitchBifError):
+class DegenerateError(NumericalError):
     """A nondegeneracy hypothesis fails (e.g. vanishing derivative)."""
 
-    exit_code = 2
 
-
-class NoOrbitError(SwitchBifError):
+class NoOrbitError(NumericalError):
     """No periodic-orbit residual sign change exists in the scan range."""
 
-    exit_code = 2
 
-
-class PerturbationTooSmallError(SwitchBifError):
+class PerturbationTooSmallError(NumericalError):
     """Return-map residuals sit below the integrator noise floor."""
 
-    exit_code = 2
 
-
-class InsufficientDataError(SwitchBifError):
+class InsufficientDataError(NumericalError):
     """Too few data points for the requested fit."""
-
-    exit_code = 2

@@ -26,8 +26,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (BudgetError, EscapeError, OriginError, SideError,
-                     StiffnessError, SwitchBifError, TangencyError)
+from .errors import (BudgetError, EscapeError, IntegrationError, OriginError,
+                     SideError, StiffnessError, TangencyError)
 from .model import Quadrant, SwitchedSystem, clockwise_successor, freeze
 from .rootfind import brent
 
@@ -223,12 +223,11 @@ def _initial_quadrant(fields, x1: float, x2: float, on_axis_tol: float) -> Quadr
     """Open quadrant whose field governs the first arc from (x1, x2).
 
     Interior points use their sign quadrant; axis points use the side
-    the transversal velocity points into.
+    the transversal velocity points into.  ``on_axis_tol`` is below
+    max(|x1|, |x2|), so no point lies on both axes.
     """
     on_x2_axis = abs(x1) <= on_axis_tol
     on_x1_axis = abs(x2) <= on_axis_tol
-    if on_x1_axis and on_x2_axis:
-        raise OriginError(f"start point ({x1}, {x2}) is indistinguishable from the origin")
     if not on_x1_axis and not on_x2_axis:
         if x1 > 0.0:
             return Quadrant.Q1 if x2 > 0.0 else Quadrant.Q4
@@ -376,8 +375,9 @@ def integrate(sys: SwitchedSystem, x0, lam: float, stop, cfg: IntegratorConfig) 
                     f"non-transversal axis crossing at t = {t_ev}, x = ({ev1}, {ev2})")
             s_cross = -1.0 if g0 > 0.0 else 1.0
             q_next = clockwise_successor(q)
-            gdot_next = fields[int(q_next)](ev1, ev2)[gidx]
-            if gdot_next * s_cross <= 0.0:
+            # the next arc's field at the event state, reused as its first stage
+            k_next = fields[int(q_next)](ev1, ev2)
+            if k_next[gidx] * s_cross <= 0.0:
                 raise TangencyError(
                     f"fields disagree at the switching manifold at t = {t_ev} "
                     f"(sliding contact), x = ({ev1}, {ev2})")
@@ -400,7 +400,7 @@ def integrate(sys: SwitchedSystem, x0, lam: float, stop, cfg: IntegratorConfig) 
             t = t_ev
             arc_start_t = t_ev
             x1, x2 = ev1, ev2
-            k11, k12 = f(x1, x2)
+            k11, k12 = k_next
             cur_t = [t_ev]
             cur_x = [(x1, x2)]
             just_rejected = False
@@ -449,13 +449,15 @@ def poincare_numeric(sys: SwitchedSystem, x1: float, lam: float,
     """One revolution of the return map from (x1, 0) on the positive x1-axis.
 
     ``integrate`` sizes every tolerance to the state, so the returned
-    ratio keeps full relative accuracy for small amplitudes.
+    ratio keeps full relative accuracy for small amplitudes.  Raises
+    IntegrationError when the orbit comes back after other than four
+    switching events.
     """
     if not (x1 > 0.0):
         raise SideError(f"return map takes x1 > 0, got {x1}")
     traj = integrate(sys, (x1, 0.0), lam, StopOnReturn(), cfg)
     if len(traj.events) != 4:
-        raise SwitchBifError(
+        raise IntegrationError(
             f"return to the section took {len(traj.events)} switching events, expected 4")
     x_end = traj.final_state
     return PoincareSample(x1_in=x1, x1_out=float(x_end[0]), period=traj.t_final)

@@ -42,7 +42,6 @@ class TestFindCriticalLambda:
         crit = find_critical_lambda(paper_params, (-0.1, 0.1))
         assert abs(crit.lambda_star) < 1e-11
         assert crit.delta_prime == pytest.approx(4.0 / (math.e * math.pi), rel=1e-9)
-        assert crit.nondegenerate
 
     def test_constant_index_has_no_bracket(self):
         params = make_params(0.1, 6.0, 1.0)  # index constant in the parameter

@@ -347,6 +347,23 @@ class TestErrorContract:
         assert code == 1
         assert "options.radius_m" in err
 
+    @pytest.mark.parametrize("argv, error", [
+        (["poincare", "--x1", "0.9"], "IntegrationError"),
+        (["branch", "--lambdas=0.1"], "NoOrbitError"),
+    ])
+    def test_return_in_one_event_is_numerical_failure(self, capsys, tmp_path, argv, error):
+        # +5 x1^2 in the x2 field of q1 and q4 turns every orbit from the
+        # positive x1-axis back onto it after one switching event, not four
+        pert = {"comp2": [{"coeff_poly": [5], "pow1": 2, "pow2": 0}]}
+        path = tmp_path / "one_event.json"
+        path.write_text(json.dumps({"system": {
+            "a": 0.1, "b_poly": [1], "c_poly": [1],
+            "perturbations": {"q1": pert, "q4": pert}}}), encoding="utf-8")
+        assert run(capsys, ["validate", "--config", str(path)])[0] == 0
+        code, _, err = run(capsys, [argv[0], "--config", str(path), *argv[1:]])
+        assert code == 2
+        assert err.count("\n") == 1 and err.startswith(f"switchbif: error: {error}: ")
+
     def test_degenerate_crossing_is_numerical_failure(self, capsys, tmp_path):
         # delta = 1 at lambda = 0 with delta'(0) = 0, since b'(0) = 0
         a = math.sqrt(2.0) * math.log(4.0) / (2.0 * math.pi)

@@ -92,6 +92,18 @@ def test_paper_example_output_matches_golden(case, tmp_path, capsys):
             _compare_csv(got, want, name)
 
 
+@pytest.mark.parametrize("case", ["branch", "delta-sweep", "poincare", "simulate"])
+def test_csv_cells_are_plain_numbers(case, tmp_path, capsys):
+    # each cell is the repr of a Python int or float, never of a numpy
+    # scalar ("np.float64(...)") or a bool ("True")
+    assert _run(case, tmp_path) == 0
+    capsys.readouterr()
+    (csv,) = tmp_path.glob("*.csv")
+    for line in csv.read_text(encoding="utf-8").splitlines()[2:]:
+        for cell in line.split(","):
+            assert cell in (repr(float(cell)), repr(int(float(cell)))), f"{csv.name}: {line}"
+
+
 if __name__ == "__main__":
     for case in sorted(CASES):
         out = GOLDEN / case
