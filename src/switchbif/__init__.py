@@ -19,7 +19,7 @@ from .model import (LambdaPoly, MonomialTerm, PolyField, Quadrant,
                     validate)
 from .analytic import (OriginClass, SectionMapValue, classify_origin, delta,
                        delta_prime, flow_linear, section_map)
-from .numeric import (Arc, HybridTrajectory, IntegratorConfig, PoincareSample,
+from .numeric import (HybridTrajectory, IntegratorConfig, PoincareSample,
                       StopAfterEvents, StopAtTime, StopOnReturn, delta_numeric,
                       integrate, poincare_numeric)
 from .bifurcation import (BranchDirection, BranchPoint, BranchResult,

@@ -489,7 +489,7 @@ def _inner(g, frozen_field):
                  for comps in (lin, (t1, t2)))
 
 
-def _confinement(frozen, radius_M: float, n_samples: int):
+def _confinement(fields: dict, radius_M: float, n_samples: int):
     """Candidate V(x) = |x|^2 on radii in (M, 10M] and the circles M, 2M, 10M.
 
     Returns (status, witness, points used).  The status is FAIL with the
@@ -508,7 +508,7 @@ def _confinement(frozen, radius_M: float, n_samples: int):
 
     witness = None
     rads = []
-    for q, fr in zip(Quadrant, frozen):
+    for fr, q in fields.items():
         lin, pert = _inner(_X, fr)
         rads.append(eval_terms(pert, x1, x2))
         vdot = 2.0 * (eval_terms(lin, x1, x2) + rads[-1])
@@ -530,7 +530,7 @@ def _confinement(frozen, radius_M: float, n_samples: int):
     return (CheckStatus.NOT_APPLICABLE if confines else CheckStatus.FAIL), witness, x1.size
 
 
-def _rotation(frozen, radius_M: float, n_samples: int):
+def _rotation(fields: dict, radius_M: float, n_samples: int):
     """|<A_i x, Sx>| > |<pert_i, Sx>| at nonzero points of radius <= 10M.
 
     Returns (status, witness, whether the one-sided comparison
@@ -541,7 +541,7 @@ def _rotation(frozen, radius_M: float, n_samples: int):
     witness = None
     one_sided = True
     pert_max = 0.0
-    for q, fr in zip(Quadrant, frozen):
+    for fr, q in fields.items():
         lin, pert = (eval_terms(terms, x1, x2) for terms in _inner(_SX, fr))
         pert_max = max(pert_max, float(np.max(np.abs(pert))))
         bad = np.nonzero(np.abs(lin) <= np.abs(pert))[0]
@@ -585,20 +585,25 @@ def check_global_conditions(sys: SwitchedSystem, lam: float, radius_M: float = 1
 
     Raises ValueError unless ``radius_M`` is finite and positive and
     ``n_samples`` is an integer >= 1, and DomainError when a sampled
-    value overflows or turns nan, where no sample could be trusted.
+    value overflows, underflows or turns nan, where no sample could be
+    trusted.
     """
     if not (math.isfinite(radius_M) and radius_M > 0.0):
         raise ValueError(f"radius_M must be finite and positive, got {radius_M}")
     if isinstance(n_samples, bool) or not isinstance(n_samples, int) or n_samples < 1:
         raise ValueError(f"n_samples must be an integer >= 1, got {n_samples!r}")
-    frozen = freeze(sys, lam)
+    # frozen field -> first region that has it: equal regions are sampled once
+    fields: dict = {}
+    for q, fr in zip(Quadrant, freeze(sys, lam)):
+        fields.setdefault(fr, q)
     try:
-        with np.errstate(over="raise", invalid="raise"):
-            lyap_status, lyap_witness, n_outer = _confinement(frozen, radius_M, n_samples)
-            rot_status, rot_witness, one_sided, pert_max = _rotation(frozen, radius_M, n_samples)
+        with np.errstate(over="raise", under="raise", invalid="raise"):
+            lyap_status, lyap_witness, n_outer = _confinement(fields, radius_M, n_samples)
+            rot_status, rot_witness, one_sided, pert_max = _rotation(fields, radius_M, n_samples)
     except FloatingPointError as exc:
-        raise DomainError(f"radius_M = {radius_M} is too large: sampled field values "
-                          f"leave the floating-point range ({exc})") from None
+        size = "small" if "underflow" in str(exc) else "large"
+        raise DomainError(f"radius_M = {radius_M} is too {size} for this system: sampled "
+                          f"field values leave the floating-point range ({exc})") from None
     notes: list[str] = []
     if not one_sided:
         notes.append("one-sided rotation comparison <A x, Sx> > <pert, Sx> fails "

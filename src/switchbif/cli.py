@@ -25,6 +25,8 @@ import sys
 from dataclasses import asdict
 from pathlib import Path
 
+import numpy as np
+
 from . import __version__
 from .analytic import classify_origin, delta, delta_prime
 from .bifurcation import (bifurcation_direction, check_global_conditions,
@@ -128,12 +130,10 @@ def _cmd_simulate(config: RunConfig, args) -> int:
     stop = _stop_condition(config, args)
     traj = integrate(config.system, x0, lam, stop, config.integrator)
 
-    n_events = len(traj.events)
-    # an arc's first sample duplicates the previous arc's event row
-    rows = ((t, x1, x2, int(arc.quadrant), int(ai < n_events and si == len(arc.times) - 1))
-            for ai, arc in enumerate(traj.arcs)
-            for si, (t, (x1, x2)) in enumerate(zip(arc.times.tolist(), arc.states.tolist()))
-            if ai == 0 or si > 0)
+    event = np.zeros(len(traj.times), dtype=int)
+    event[traj.events] = 1
+    rows = zip(traj.times.tolist(), *traj.states.T.tolist(), traj.quadrants.tolist(),
+               event.tolist())
     _write_output(_csv(config, "simulate", ["t", "x1", "x2", "quadrant", "event"], rows),
                   args.out, "trajectory.csv")
     return 0

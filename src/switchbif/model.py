@@ -194,9 +194,6 @@ class SwitchedSystem:
     def perturbation(self, q: Quadrant) -> PolyField:
         return self.perturbations[Quadrant(q) - 1]
 
-    def is_linear(self) -> bool:
-        return all(p.is_zero() for p in self.perturbations)
-
 
 def region_of(x) -> Quadrant:
     """Region index of a nonzero point under the half-open partition.

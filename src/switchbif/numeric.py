@@ -10,9 +10,10 @@ quadrants 2 and 4.  A sign change over an accepted step is located by
 step start, until the crossing coordinate is below ``event_tol`` times
 the state scale.
 
-Arc fields follow the open quadrant that contains the arc's interior:
-a trajectory on an axis evolves under the field of the quadrant it is
-entering, so axis points occur only as arc endpoints.
+The result is one time-ordered table, a row per accepted step and per
+switching event.  An arc, the rows between two event rows, follows the
+field of the open quadrant containing its interior: a trajectory on an
+axis evolves under the field of the quadrant it is entering.
 
 ``poincare_numeric`` is one revolution of the return map on the positive
 x1-axis; ``delta_numeric``, the linear return ratio, is one return of
@@ -33,8 +34,6 @@ from .rootfind import brent
 
 __all__ = [
     "IntegratorConfig",
-    "SwitchEvent",
-    "Arc",
     "HybridTrajectory",
     "PoincareSample",
     "StopAtTime",
@@ -78,37 +77,30 @@ class IntegratorConfig:
 
 
 @dataclass(frozen=True)
-class SwitchEvent:
-    """One refined switching-manifold crossing."""
+class HybridTrajectory:
+    """One row per accepted step and per switching event, in time order.
 
-    time: float
-    state: tuple[float, float]
-    from_quadrant: Quadrant
-    to_quadrant: Quadrant
+    ``quadrants[i]`` is the quadrant whose field carried the trajectory
+    to row i (row 0: that of the first step); ``events`` holds the row
+    indices of the switching events.
+    """
 
-
-@dataclass
-class Arc:
-    """One smooth piece of a hybrid trajectory, inside one open quadrant."""
-
-    quadrant: Quadrant
     times: np.ndarray
     states: np.ndarray
+    quadrants: np.ndarray
+    events: np.ndarray
 
-
-@dataclass
-class HybridTrajectory:
-    arcs: list[Arc]
-    events: list[SwitchEvent]
-    t_final: float
+    @property
+    def t_final(self) -> float:
+        return float(self.times[-1])
 
     @property
     def final_state(self) -> np.ndarray:
-        return self.arcs[-1].states[-1]
+        return self.states[-1]
 
     @property
     def n_steps(self) -> int:
-        return sum(len(a.times) - 1 for a in self.arcs)
+        return len(self.times) - 1
 
 
 @dataclass(frozen=True)
@@ -269,11 +261,21 @@ def _locate_crossing(f, x1, x2, h, end_state, gidx, k11, k12, tol_g):
     return tau, states[tau]
 
 
+def _table(rows: list, events: list[int], quadrants: list[int]) -> HybridTrajectory:
+    """The trajectory from its (t, x1, x2) rows and one quadrant per arc:
+    arc k + 1 carries rows events[k] + 1 to events[k + 1]."""
+    table = np.array(rows)
+    arc_rows = np.diff([0, *(e + 1 for e in events), len(rows)])
+    return HybridTrajectory(times=table[:, 0], states=table[:, 1:],
+                            quadrants=np.repeat(quadrants, arc_rows),
+                            events=np.array(events, dtype=int))
+
+
 def integrate(sys: SwitchedSystem, x0, lam: float, stop, cfg: IntegratorConfig) -> HybridTrajectory:
     """Integrate the switched system from ``x0`` until ``stop`` is met.
 
     ``stop`` is one of StopAtTime, StopAfterEvents, StopOnReturn.
-    Records every accepted step and every refined switching event.
+    Returns one row per accepted step and per refined switching event.
     Raises TangencyError on non-transversal or sliding crossings,
     BudgetError when the event budget or per-arc time budget is
     exhausted, StiffnessError on step underflow, EscapeError when the
@@ -298,21 +300,14 @@ def integrate(sys: SwitchedSystem, x0, lam: float, stop, cfg: IntegratorConfig) 
     on_axis_tol = 4.0 * event_tol * norm0
     q = _initial_quadrant(fields, x1, x2, on_axis_tol)
 
-    arcs: list[Arc] = []
-    events: list[SwitchEvent] = []
-    cur_t: list[float] = [0.0]
-    cur_x: list[tuple[float, float]] = [(x1, x2)]
+    rows: list[tuple[float, float, float]] = [(0.0, x1, x2)]
+    events: list[int] = []
+    quadrants: list[int] = [int(q)]
     t = 0.0
     arc_start_t = 0.0
 
-    def close_arc():
-        arcs.append(Arc(quadrant=q,
-                        times=np.array(cur_t),
-                        states=np.array(cur_x)))
-
     if t_target == 0.0:
-        close_arc()
-        return HybridTrajectory(arcs=arcs, events=events, t_final=0.0)
+        return _table(rows, events, quadrants)
 
     f = fields[int(q)]
     gidx = _monitored_index(q)
@@ -382,15 +377,13 @@ def integrate(sys: SwitchedSystem, x0, lam: float, stop, cfg: IntegratorConfig) 
                     f"fields disagree at the switching manifold at t = {t_ev} "
                     f"(sliding contact), x = ({ev1}, {ev2})")
 
-            cur_t.append(t_ev)
-            cur_x.append((ev1, ev2))
-            close_arc()
-            events.append(SwitchEvent(time=t_ev, state=(ev1, ev2),
-                                      from_quadrant=q, to_quadrant=q_next))
+            events.append(len(rows))
+            rows.append((t_ev, ev1, ev2))
+            quadrants.append(int(q_next))
 
             returned = isinstance(stop, StopOnReturn) and gidx == 1 and ev1 > 0.0
             if len(events) >= events_target or returned:
-                return HybridTrajectory(arcs=arcs, events=events, t_final=t_ev)
+                return _table(rows, events, quadrants)
             if len(events) >= _MAX_ARCS:
                 raise BudgetError(f"switching-event budget exhausted ({_MAX_ARCS})")
 
@@ -401,8 +394,6 @@ def integrate(sys: SwitchedSystem, x0, lam: float, stop, cfg: IntegratorConfig) 
             arc_start_t = t_ev
             x1, x2 = ev1, ev2
             k11, k12 = k_next
-            cur_t = [t_ev]
-            cur_x = [(x1, x2)]
             just_rejected = False
             continue
 
@@ -419,14 +410,12 @@ def integrate(sys: SwitchedSystem, x0, lam: float, stop, cfg: IntegratorConfig) 
         t = t_target if clipped else t + h
         x1, x2 = u1, u2
         k11, k12 = k71, k72
-        cur_t.append(t)
-        cur_x.append((x1, x2))
+        rows.append((t, x1, x2))
 
         if max(abs(x1), abs(x2)) > _ESCAPE_RADIUS:
             raise EscapeError(f"trajectory left the bounding box at t = {t}: ({x1}, {x2})")
         if t >= t_target:
-            close_arc()
-            return HybridTrajectory(arcs=arcs, events=events, t_final=t)
+            return _table(rows, events, quadrants)
         if t - arc_start_t > _MAX_ARC_TIME:
             raise BudgetError(
                 f"no switching event within time {_MAX_ARC_TIME} "
@@ -459,8 +448,7 @@ def poincare_numeric(sys: SwitchedSystem, x1: float, lam: float,
     if len(traj.events) != 4:
         raise IntegrationError(
             f"return to the section took {len(traj.events)} switching events, expected 4")
-    x_end = traj.final_state
-    return PoincareSample(x1_in=x1, x1_out=float(x_end[0]), period=traj.t_final)
+    return PoincareSample(x1_in=x1, x1_out=float(traj.states[-1, 0]), period=traj.t_final)
 
 
 #: Amplitude of the one return in delta_numeric.

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from switchbif import (IntegratorConfig, LambdaPoly, SwitchedSystem,
+from switchbif import (IntegratorConfig, LambdaPoly, Quadrant, SwitchedSystem,
                        SystemParams, paper_example_config)
 
 
@@ -13,6 +13,16 @@ def make_params(a, b, c, domain=(-1.0, 1.0)):
 
 def make_linear_system(a, b, c, domain=(-1.0, 1.0)):
     return SwitchedSystem.linear(make_params(a, b, c, domain))
+
+
+def arcs(traj):
+    """(quadrant, times, states) of each arc of a trajectory with events:
+    the rows from one event row (or row 0) to the next, both included."""
+    ends = [0, *traj.events.tolist()]
+    if ends[-1] != len(traj.times) - 1:
+        ends.append(len(traj.times) - 1)
+    return [(Quadrant(int(traj.quadrants[j])), traj.times[i:j + 1], traj.states[i:j + 1])
+            for i, j in zip(ends, ends[1:])]
 
 
 def rk4_integrate(f, x0, t_final, n_steps=4000):

@@ -11,7 +11,7 @@ from contextlib import contextmanager
 import numpy as np
 import pytest
 
-from conftest import make_linear_system
+from conftest import arcs, make_linear_system
 from switchbif import (BranchDirection, CheckStatus, OriginClass, Quadrant,
                        StopAfterEvents, StopOnReturn, SwitchedSystem,
                        bifurcation_direction, check_global_conditions,
@@ -135,8 +135,8 @@ def test_criterion_8_event_location(capsys, cfg):
             sys_lin = make_linear_system(a, b, c)
             traj = integrate(sys_lin, (1.0, 0.0), 0.0, StopAfterEvents(4), cfg)
             quarter = math.pi / (2.0 * math.sqrt(b * c))
-            for k, ev in enumerate(traj.events, start=1):
-                assert abs(ev.time - k * quarter) <= 1e-8, (a, b, c, k)
+            for k, t in enumerate(traj.times[traj.events], start=1):
+                assert abs(t - k * quarter) <= 1e-8, (a, b, c, k)
 
 
 def test_criterion_9_property_suites(capsys, paper_system, cfg):
@@ -145,10 +145,10 @@ def test_criterion_9_property_suites(capsys, paper_system, cfg):
         a, b, c = 0.25, 4.0, 1.5
         sys_lin = make_linear_system(a, b, c)
         traj = integrate(sys_lin, (1.0, 0.0), 0.0, StopAfterEvents(4), cfg)
-        for arc in traj.arcs:
-            w1, w2 = (c, b) if arc.quadrant in (Quadrant.Q1, Quadrant.Q3) else (b, c)
-            q_vals = w1 * arc.states[:, 0] ** 2 + w2 * arc.states[:, 1] ** 2
-            expected = q_vals[0] * np.exp(-2.0 * a * (arc.times - arc.times[0]))
+        for q, times, states in arcs(traj):
+            w1, w2 = (c, b) if q in (Quadrant.Q1, Quadrant.Q3) else (b, c)
+            q_vals = w1 * states[:, 0] ** 2 + w2 * states[:, 1] ** 2
+            expected = q_vals[0] * np.exp(-2.0 * a * (times - times[0]))
             assert np.allclose(q_vals, expected, rtol=1e-8)
 
         # return-map homogeneity in the linear case

@@ -373,8 +373,42 @@ class TestCheckGlobalConditions:
         sys = SwitchedSystem(paper_params, (out,) * 4)
         rep = check_global_conditions(sys, 0.0, radius_M=10.0, n_samples=1_000)
         assert rep.lyapunov_ok is CheckStatus.FAIL
+        assert rep.lyapunov_witness.field_index == 1   # the first of four equal regions
         with pytest.raises(DomainError, match="radius_M"):
             check_global_conditions(sys, 0.0, radius_M=1e160, n_samples=1_000)
+
+    @pytest.mark.parametrize("radius", [1e-170, 1e-100])
+    def test_underflowing_radius_is_domain_error(self, paper_system, radius):
+        # at 1e-40 the true verdict is NOT_APPLICABLE; far smaller radii
+        # underflow <x, pert> to 0, which must not read as a FAIL
+        rep = check_global_conditions(paper_system, 0.5, radius_M=1e-40, n_samples=1_000)
+        assert rep.lyapunov_ok is CheckStatus.NOT_APPLICABLE
+        with pytest.raises(DomainError, match="radius_M .* too small"):
+            check_global_conditions(paper_system, 0.5, radius_M=radius, n_samples=1_000)
+
+    def test_equal_regions_are_sampled_once(self, paper_system, monkeypatch):
+        # regions 1/3 and 2/4 of the paper example freeze to equal fields:
+        # two forms per distinct field and check, not per region
+        calls = [0]
+        eval_terms = bifurcation.eval_terms
+
+        def counting(*args):
+            calls[0] += 1
+            return eval_terms(*args)
+        monkeypatch.setattr(bifurcation, "eval_terms", counting)
+        check_global_conditions(paper_system, 0.5, radius_M=10.0, n_samples=1_000)
+        assert calls[0] == 8
+
+    def test_witness_names_the_one_region_that_differs(self, paper_system):
+        # region 3 alone gets an outward cubic; regions 1 and 3 no longer
+        # share a field, so the witness must name region 3
+        bad = PolyField(comp1=(MonomialTerm(LambdaPoly.constant(1.0), 3, 0),))
+        perts = list(paper_system.perturbations)
+        perts[2] = bad
+        sys = SwitchedSystem(paper_system.params, tuple(perts))
+        rep = check_global_conditions(sys, 0.5, radius_M=10.0, n_samples=20_000)
+        assert rep.lyapunov_ok is CheckStatus.FAIL
+        assert rep.lyapunov_witness.field_index == 3
 
     def test_unsuitable_candidate_reports_not_applicable(self):
         # weak radial damping ~ -1e-4 * x1^2 * x in every region: the

@@ -278,6 +278,13 @@ class TestErrorContract:
         assert err.count("\n") == 1 and err.startswith("switchbif: error: DomainError")
         assert re.search(r"delta'?\(-?\d", err)   # names lambda
 
+    def test_underflowing_radius_is_one_line_domain_error(self, capsys):
+        code, out, err = run(capsys, ["paper-example", "verify-global", "--lambda", "0.5",
+                                      "--radius-m", "1e-170", "--n-samples", "1000"])
+        assert code == 1 and out == ""
+        assert err.count("\n") == 1 and err.startswith("switchbif: error: DomainError")
+        assert "radius_M = 1e-170 is too small" in err
+
     def test_bad_config_option_names_its_key(self, capsys, tmp_path):
         doc = json.loads(emit_canonical(paper_example_config()))
         doc["options"] = {"n_samples": 0}

@@ -70,7 +70,7 @@ class TestParseConfig:
         rc = parse_config(MINIMAL)
         assert rc.system.params.a == 1.5
         assert rc.system.params.b.coeffs == (2.0, 1.0)
-        assert rc.system.is_linear()
+        assert all(p.is_zero() for p in rc.system.perturbations)
         assert rc.integrator.rel_tol == 1e-10
 
     def test_paper_example_values(self):

@@ -4,12 +4,12 @@ import math
 import numpy as np
 import pytest
 
-from conftest import make_linear_system, make_params
+from conftest import arcs, make_linear_system, make_params
 from switchbif import (BudgetError, EscapeError, IntegratorConfig, LambdaPoly,
                        MonomialTerm, OriginError, PolyField, Quadrant,
                        SideError, StopAfterEvents, StopAtTime, StopOnReturn,
-                       SwitchedSystem, TangencyError, delta, delta_numeric,
-                       integrate, poincare_numeric, numeric)
+                       SwitchedSystem, TangencyError, clockwise_successor, delta,
+                       delta_numeric, integrate, poincare_numeric, numeric)
 
 #: (a, b, c) grid used for the linear-case oracle comparisons
 ORACLE_GRID = [(a, b, c) for a in (0.1, 1.0, 2.0) for b in (1.0, 6.0) for c in (1.0, 3.0)]
@@ -45,65 +45,72 @@ class TestIntegrate:
         assert traj.final_state[0] == pytest.approx(d, rel=1e-9)
         assert traj.final_state[0] == pytest.approx(27.855, abs=1e-3)
         q_period = math.pi / (2.0 * math.sqrt(6.0))
-        for k, ev in enumerate(traj.events, start=1):
-            assert ev.time == pytest.approx(k * q_period, abs=1e-8)
+        for k, t in enumerate(traj.times[traj.events], start=1):
+            assert t == pytest.approx(k * q_period, abs=1e-8)
 
     def test_clockwise_arc_and_event_sequence(self, cfg):
         sys = make_linear_system(0.5, 2.0, 1.0)
         traj = integrate(sys, (1.0, 0.0), 0.0, StopAfterEvents(8), cfg)
-        assert [int(a.quadrant) for a in traj.arcs] == [4, 3, 2, 1, 4, 3, 2, 1]
-        expected = [4, 3, 2, 1, 4, 3, 2, 1]
-        assert [int(e.to_quadrant) for e in traj.events] == expected[1:] + [4]
-        for ev, arc in zip(traj.events, traj.arcs):
-            assert ev.from_quadrant == arc.quadrant
+        assert [int(q) for q, _, _ in arcs(traj)] == [4, 3, 2, 1, 4, 3, 2, 1]
 
     def test_event_states_lie_on_axes(self, cfg):
         sys = make_linear_system(0.3, 4.0, 1.5)
         traj = integrate(sys, (0.7, 0.0), 0.0, StopAfterEvents(6), cfg)
-        for ev in traj.events:
-            gidx = 1 if ev.from_quadrant in (Quadrant.Q1, Quadrant.Q3) else 0
-            scale = max(1.0, abs(ev.state[0]), abs(ev.state[1]))
-            assert abs(ev.state[gidx]) < cfg.event_tol * scale
+        for q, state in zip(traj.quadrants[traj.events], traj.states[traj.events]):
+            gidx = 1 if q in (Quadrant.Q1, Quadrant.Q3) else 0
+            scale = max(1.0, abs(state[0]), abs(state[1]))
+            assert abs(state[gidx]) < cfg.event_tol * scale
 
-    def test_arcs_are_time_contiguous_and_share_junctions(self, cfg):
+    def test_one_row_per_step_and_event(self, paper_system, cfg):
+        # a time stop past several events: row 0, then one row per
+        # accepted step or event, with each event row on its exit axis
+        traj = integrate(paper_system, (0.3, 0.2), 0.1, StopAtTime(3.0), cfg)
+        n = len(traj.times)
+        assert traj.n_steps == n - 1
+        assert traj.states.shape == (n, 2) and traj.quadrants.shape == (n,)
+        assert len(traj.events) >= 4 and np.all(np.diff(traj.events) > 0)
+        assert traj.events[-1] < n - 1
+        for i in traj.events:
+            x1, x2 = traj.states[i]
+            on_axis = x2 if traj.quadrants[i] in (Quadrant.Q1, Quadrant.Q3) else x1
+            assert abs(on_axis) < cfg.event_tol * max(abs(x1), abs(x2))
+            assert traj.quadrants[i + 1] == clockwise_successor(traj.quadrants[i])
+
+    def test_rows_are_strictly_time_ordered(self, cfg):
         sys = make_linear_system(0.2, 3.0, 1.0)
         traj = integrate(sys, (1.0, 0.5), 0.0, StopAfterEvents(5), cfg)
-        for left, right in zip(traj.arcs, traj.arcs[1:]):
-            assert left.times[-1] == right.times[0]
-            assert np.array_equal(left.states[-1], right.states[0])
-        for arc in traj.arcs:
-            assert np.all(np.diff(arc.times) > 0.0)
+        assert np.all(np.diff(traj.times) > 0.0)
 
     def test_arc_interiors_match_their_quadrant(self, cfg):
         from switchbif import region_of
         sys = make_linear_system(0.2, 3.0, 1.0)
         traj = integrate(sys, (1.0, 0.0), 0.0, StopAfterEvents(4), cfg)
-        for arc in traj.arcs:
-            for state in arc.states[1:-1]:
-                assert region_of(state) == arc.quadrant
+        for q, _, states in arcs(traj):
+            for state in states[1:-1]:
+                assert region_of(state) == q
 
     def test_time_stop_is_exact(self, cfg):
         sys = make_linear_system(0.5, 2.0, 1.0)
         traj = integrate(sys, (1.0, 0.0), 0.0, StopAtTime(1.2345), cfg)
         assert traj.t_final == 1.2345
-        assert traj.arcs[-1].times[-1] == 1.2345
+        assert traj.times[-1] == 1.2345
 
     def test_zero_time_gives_single_point(self, cfg):
         sys = make_linear_system(0.5, 2.0, 1.0)
         traj = integrate(sys, (1e-3, 0.0), 0.0, StopAtTime(0.0), cfg)
-        assert traj.events == []
-        assert len(traj.arcs) == 1
-        assert traj.arcs[0].states.shape == (1, 2)
+        assert len(traj.events) == 0
+        assert traj.states.shape == (1, 2)
+        assert traj.quadrants.tolist() == [4]
         assert traj.t_final == 0.0
 
     def test_quadratic_decay_on_every_arc(self, cfg):
         a, b, c = 0.25, 4.0, 1.5
         sys = make_linear_system(a, b, c)
         traj = integrate(sys, (1.0, 0.0), 0.0, StopAfterEvents(4), cfg)
-        for arc in traj.arcs:
-            w1, w2 = (c, b) if arc.quadrant in (Quadrant.Q1, Quadrant.Q3) else (b, c)
-            q_vals = w1 * arc.states[:, 0] ** 2 + w2 * arc.states[:, 1] ** 2
-            expected = q_vals[0] * np.exp(-2.0 * a * (arc.times - arc.times[0]))
+        for q, times, states in arcs(traj):
+            w1, w2 = (c, b) if q in (Quadrant.Q1, Quadrant.Q3) else (b, c)
+            q_vals = w1 * states[:, 0] ** 2 + w2 * states[:, 1] ** 2
+            expected = q_vals[0] * np.exp(-2.0 * a * (times - times[0]))
             assert np.allclose(q_vals, expected, rtol=1e-8)
 
     def test_origin_start_rejected(self, cfg):
@@ -116,7 +123,7 @@ class TestIntegrate:
         sys = make_linear_system(0.5, 2.0, 1.0)
         with pytest.raises(OriginError):
             integrate(sys, (5e-324, 0.0), 0.0, StopAtTime(1.0), cfg)
-        assert integrate(sys, (1e-300, 0.0), 0.0, StopAfterEvents(1), cfg).events
+        assert len(integrate(sys, (1e-300, 0.0), 0.0, StopAfterEvents(1), cfg).events) == 1
 
     def test_escape_raises(self, cfg):
         sys = make_linear_system(0.1, 6.0, 1.0)  # stability index ~27.9, expanding
@@ -159,9 +166,8 @@ class TestIntegrate:
 
     def test_interior_start_quadrant(self, cfg):
         sys = make_linear_system(0.3, 2.0, 1.0)
-        traj = integrate(sys, (-0.5, 0.8), 0.0, StopAfterEvents(1), cfg)
-        assert traj.arcs[0].quadrant == Quadrant.Q2
-        assert traj.events[0].to_quadrant == Quadrant.Q1
+        traj = integrate(sys, (-0.5, 0.8), 0.0, StopAfterEvents(2), cfg)
+        assert [q for q, _, _ in arcs(traj)] == [Quadrant.Q2, Quadrant.Q1]
 
 
 class TestPoincareNumeric:
@@ -203,14 +209,11 @@ class TestPoincareNumeric:
         # regions, so the flow from (-x, 0) is the flow from (x, 0) negated
         right = integrate(paper_system, (x, 0.0), 0.1, StopAfterEvents(2), cfg)
         left = integrate(paper_system, (-x, 0.0), 0.1, StopAfterEvents(2), cfg)
-        assert len(right.events) == len(left.events) == 2
-        for r, l in zip(right.events, left.events):
-            assert l.time == r.time
-            assert l.state == (-r.state[0], -r.state[1])
-            assert int(l.from_quadrant) == (int(r.from_quadrant) + 1) % 4 + 1
-        for r, l in zip(right.arcs, left.arcs):
-            assert np.array_equal(l.times, r.times)
-            assert np.array_equal(l.states, -r.states)
+        assert len(right.events) == 2
+        for (rq, rt, rx), (lq, lt, lx) in zip(arcs(right), arcs(left), strict=True):
+            assert int(lq) == (int(rq) + 1) % 4 + 1
+            assert np.array_equal(lt, rt)
+            assert np.array_equal(lx, -rx)
 
     def test_requires_positive_amplitude(self, paper_system, cfg):
         with pytest.raises(SideError):
@@ -230,8 +233,9 @@ class TestPoincareNumeric:
         # off-critical start relaxes onto the attracting orbit: successive
         # positive-x1-axis crossings converge to the branch amplitude
         traj = integrate(paper_system, (1.0, 0.0), 0.1, StopAtTime(30.0), cfg)
-        crossings = [ev.state[0] for ev in traj.events
-                     if ev.from_quadrant == Quadrant.Q1 and ev.state[0] > 0.0]
+        crossings = [x1 for q, x1 in zip(traj.quadrants[traj.events],
+                                         traj.states[traj.events, 0])
+                     if q == Quadrant.Q1 and x1 > 0.0]
         assert len(crossings) > 10
         assert min(crossings) > 0.2  # bounded away from the origin
         gaps = [abs(x - 0.22252914490521986) for x in crossings]

@@ -84,7 +84,9 @@ def test_paper_branch_points_are_oracle_fixed_points(paper_system, cfg):
 @pytest.mark.parametrize("x1", [0.5, 1e-3])
 def test_switching_times_and_states_match_oracle(paper_system, lam, x1, cfg):
     traj = integrate(paper_system, (x1, 0.0), lam, StopAfterEvents(4), cfg)
-    assert [int(ev.from_quadrant) for ev in traj.events] == [q for q, _, _ in ARCS]
-    for ev, (t, x) in zip(traj.events, oracle_events(lam, x1), strict=True):
-        assert ev.time == pytest.approx(t, rel=1e-8), ev
-        assert np.allclose(ev.state, x, rtol=0.0, atol=1e-8 * x1), ev
+    ev = traj.events
+    assert traj.quadrants[ev].tolist() == [q for q, _, _ in ARCS]
+    for t_ev, x_ev, (t, x) in zip(traj.times[ev], traj.states[ev], oracle_events(lam, x1),
+                                  strict=True):
+        assert t_ev == pytest.approx(t, rel=1e-8), (t_ev, x_ev)
+        assert np.allclose(x_ev, x, rtol=0.0, atol=1e-8 * x1), (t_ev, x_ev)
