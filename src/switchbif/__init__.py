@@ -15,13 +15,13 @@ from .errors import (BudgetError, DegenerateError, DomainError, EscapeError,
                      SwitchBifError, TangencyError, UserError, ValidationError)
 from .model import (LambdaPoly, MonomialTerm, PolyField, Quadrant,
                     SwitchedSystem, SystemParams, ValidationReport,
-                    clockwise_successor, eval_field, linear_matrix, region_of,
-                    validate)
+                    clockwise_successor, eval_field, is_point_symmetric,
+                    linear_matrix, region_of, validate)
 from .analytic import (OriginClass, SectionMapValue, classify_origin, delta,
                        delta_prime, flow_linear, section_map)
 from .numeric import (HybridTrajectory, IntegratorConfig, PoincareSample,
                       StopAfterEvents, StopAtTime, StopOnReturn, delta_numeric,
-                      integrate, poincare_numeric)
+                      half_return, integrate, poincare_numeric)
 from .bifurcation import (BranchDirection, BranchPoint, BranchResult,
                           CheckStatus, CriticalParameter, ExpansionFit,
                           GlobalCheckReport, ScalingFit, Witness,

@@ -10,21 +10,18 @@ periodic orbits bifurcates from the origin (branch for lam > 0 when
 delta_coeff * delta'(0) < 0), with the local amplitude scaling
 lam = gamma * x1**(k-1), gamma = -delta_coeff / delta'(0).
 
-Branch points are located as sign changes of the return-map residual
-pi(x1) - x1 and polished with a bracketed root finder.  Continuation is
-a predictor-corrector: the same local law, fitted through the previous
-branch points and evaluated at the closed-form delta(lam), predicts the
-next amplitude, a one-sided walk brackets it and brent polishes it; an
-amplitude scan is the fallback.  Residuals are memoized per parameter
-value, so no return map is integrated twice.  The global
-confinement and rotation conditions that make the bifurcating orbit
-exist for every parameter on the branch side are checked by
-falsification on deterministic low-discrepancy samples: a "pass" means
-"no violation found on the samples", never a proof.  Each condition has
-one helper (``_confinement``, ``_rotation``, ``_index_ok``); the first
-two read the fields that ``model.freeze`` fixes at the parameter and
-evaluate <x, f> and <f, Sx> as monomial forms collected in float, so
-structurally-zero forms come out exactly zero.
+Branch points are fixed points of the return map pi, or of the half
+return h when pi = h o h, continued over the parameter by
+``continue_branch`` (predictor, one-sided walk, brent, scan fallback).
+The global confinement and rotation conditions that make the
+bifurcating orbit exist for every parameter on the branch side are
+checked by falsification on deterministic low-discrepancy samples: a
+"pass" means "no violation found on the samples", never a proof.  Each
+condition has one helper (``_confinement``, ``_rotation``,
+``_index_ok``); the first two read the fields that ``model.freeze``
+fixes at the parameter and evaluate <x, f> and <f, Sx> as monomial
+forms collected in float, so structurally-zero forms come out exactly
+zero.
 """
 
 from __future__ import annotations
@@ -39,8 +36,8 @@ from .analytic import DELTA_ONE_TOL, delta, delta_prime
 from .errors import (DegenerateError, DomainError, InsufficientDataError,
                      IntegrationError, PerturbationTooSmallError)
 from .model import (Quadrant, SwitchedSystem, SystemParams, collect_terms,
-                    eval_terms, freeze)
-from .numeric import IntegratorConfig, poincare_numeric
+                    eval_terms, freeze, is_point_symmetric)
+from .numeric import IntegratorConfig, half_return, poincare_numeric
 from .rootfind import brent, expand_bracket
 
 __all__ = [
@@ -205,7 +202,9 @@ class BranchPoint:
     ``source`` says what bracketed it: a prediction from the previous
     branch points ("previous"), from the expansion fit ("expansion"),
     or the amplitude scan ("scan"); ``returns`` counts the return maps
-    integrated for its parameter value.
+    integrated for its parameter value: half returns h when the system is
+    point-symmetric at ``lam``, with ``residual`` |h(x) - x| and
+    ``period`` twice the half-turn time.
     """
 
     lam: float
@@ -225,7 +224,8 @@ class BranchResult:
     land in ``additional``.  Parameters with no residual sign change in
     the scan range are listed in ``no_orbit``, and so are parameters
     with |delta(lam) - 1| below the noise floor of ``_noise_floor`` (5e-9
-    at the default tolerances; lam = 1e-8 and 1e-9 on the paper example).
+    at the default tolerances, also for half returns, whose floor and gain
+    are both halved; lam = 1e-8 and 1e-9 on the paper example).
     """
 
     points: tuple[BranchPoint, ...]
@@ -234,37 +234,37 @@ class BranchResult:
 
 
 class _Residual:
-    """Memoized x1 -> pi(x1) - x1 at one parameter value.
+    """Memoized x1 -> m(x1) - x1 at one parameter value.
 
-    ``samples`` maps every amplitude integrated to its return-map sample
-    or to the IntegrationError it raised, so an amplitude costs at
-    most one return map and ``len(samples)`` counts them.  With d =
-    delta(lam) - 1 the residual's slope at an orbit is about -(k - 1) d,
-    so ``solve`` stops brent at |r| <= _RESIDUAL_TOL |d| lo, an amplitude
-    error of about _RESIDUAL_TOL x / (k - 1).
+    m is the half return h when the system is point-symmetric at ``lam``
+    (pi = h o h; h is increasing, so it has the fixed points of pi at
+    half the cost and half the error: ``floor`` is halved), else pi.
+    ``samples`` maps every amplitude integrated to its sample or to the
+    IntegrationError it raised, so an amplitude costs at most one return
+    and ``len(samples)`` counts them.  With d = delta(lam) - 1 for pi and
+    sqrt(delta(lam)) - 1 for h, the residual's slope at an orbit is about
+    -(k - 1) d, so ``solve`` stops brent at |r| <= _RESIDUAL_TOL |d| lo,
+    an amplitude error of about _RESIDUAL_TOL x / (k - 1).
     """
 
     def __init__(self, sys: SwitchedSystem, lam: float, cfg: IntegratorConfig, d: float):
         self.sys, self.lam, self.cfg = sys, lam, cfg
-        self.ftol = _RESIDUAL_TOL * abs(d)
+        half = is_point_symmetric(sys, lam)
+        self.ret = half_return if half else poincare_numeric
+        self.ftol = _RESIDUAL_TOL * abs(math.sqrt(1.0 + d) - 1.0 if half else d)
+        self.floor = _noise_floor(cfg) / 2.0 if half else _noise_floor(cfg)
         self.samples: dict[float, object] = {}
 
     def __call__(self, x1: float) -> float:
         if x1 not in self.samples:
             try:
-                self.samples[x1] = poincare_numeric(self.sys, x1, self.lam, self.cfg)
+                self.samples[x1] = self.ret(self.sys, x1, self.lam, self.cfg)
             except IntegrationError as exc:
                 self.samples[x1] = exc
         sample = self.samples[x1]
         if isinstance(sample, Exception):
             raise sample
         return sample.x1_out - x1
-
-    def or_none(self, x1: float) -> float | None:
-        try:
-            return self(x1)
-        except IntegrationError:
-            return None
 
     def solve(self, lo: float, hi: float, source: str) -> BranchPoint:
         x_fix, fb = brent(self, lo, hi, xtol=1e-13, ftol=self.ftol * lo)
@@ -324,7 +324,8 @@ def continue_branch(sys: SwitchedSystem, lambdas, cfg: IntegratorConfig,
     walks from the prediction toward the smallest root, upward while the
     residual pi(x1) - x1 keeps the sign of delta - 1 that it has near
     the origin, and brent polishes the bracket.  Every amplitude costs at
-    most one return map per parameter value.
+    most one return map per parameter value: a half return when the
+    system is point-symmetric at the parameter (see ``_Residual``).
 
     Without a prediction, or when the walk misses or an integration
     breaks down on it, a geometric scan over (_X_SCAN_MIN, x_scan_max]
@@ -341,7 +342,6 @@ def continue_branch(sys: SwitchedSystem, lambdas, cfg: IntegratorConfig,
     additional: list[BranchPoint] = []
     history: list[tuple[float, float, float]] = []
 
-    floor = _noise_floor(cfg)
     for lam in lambdas:
         d = delta(sys.params, lam) - 1.0
         residual = _Residual(sys, lam, cfg, d)
@@ -367,10 +367,12 @@ def continue_branch(sys: SwitchedSystem, lambdas, cfg: IntegratorConfig,
             xs.append(x_scan_max)
             brackets, prev = [], None
             for x in xs:
-                r = residual.or_none(x)
-                if r is None:
+                try:
+                    r = residual(x)
+                except IntegrationError:
                     prev = None
-                elif abs(r) > floor * x:   # a residual within the noise has no sign
+                    continue
+                if abs(r) > residual.floor * x:   # a residual within the noise has no sign
                     if prev is not None and (prev[1] > 0.0) != (r > 0.0):
                         brackets.append((prev[0], x))
                     prev = (x, r)
@@ -584,9 +586,9 @@ def check_global_conditions(sys: SwitchedSystem, lam: float, radius_M: float = 1
        find_critical_lambda.
 
     Raises ValueError unless ``radius_M`` is finite and positive and
-    ``n_samples`` is an integer >= 1, and DomainError when a sampled
-    value overflows, underflows or turns nan, where no sample could be
-    trusted.
+    ``n_samples`` is an integer >= 1, and DomainError naming the float
+    event and the radius when a sampled value overflows, underflows or
+    turns nan, where no sample could be trusted.
     """
     if not (math.isfinite(radius_M) and radius_M > 0.0):
         raise ValueError(f"radius_M must be finite and positive, got {radius_M}")
@@ -601,9 +603,9 @@ def check_global_conditions(sys: SwitchedSystem, lam: float, radius_M: float = 1
             lyap_status, lyap_witness, n_outer = _confinement(fields, radius_M, n_samples)
             rot_status, rot_witness, one_sided, pert_max = _rotation(fields, radius_M, n_samples)
     except FloatingPointError as exc:
-        size = "small" if "underflow" in str(exc) else "large"
-        raise DomainError(f"radius_M = {radius_M} is too {size} for this system: sampled "
-                          f"field values leave the floating-point range ({exc})") from None
+        raise DomainError(f"{exc}: the field values sampled at radius_M = {radius_M} "
+                          f"(radii up to {10.0 * radius_M}) leave the floating-point "
+                          "range") from None
     notes: list[str] = []
     if not one_sided:
         notes.append("one-sided rotation comparison <A x, Sx> > <pert, Sx> fails "

@@ -1,4 +1,4 @@
-"""Configuration documents: parsing, canonical emission, built-in benchmark.
+"""Configuration documents: parsing and the built-in benchmark.
 
 A configuration is a JSON document.  Every numeric leaf accepts either
 a JSON number or a string holding a constant expression over the named
@@ -48,7 +48,6 @@ from .numeric import _MAX_ARCS, IntegratorConfig
 __all__ = [
     "RunConfig",
     "parse_config",
-    "emit_canonical",
     "parse_constant_expression",
     "paper_example_config",
     "PAPER_EXAMPLE_LABEL",
@@ -257,41 +256,6 @@ def parse_config(text: str, label: str = "config") -> RunConfig:
 
     options = dict(_object(doc.get("options", {}), "options", _OPTIONS))
     return RunConfig(system=system, integrator=integrator, options=options, label=label)
-
-
-def _poly_coeffs(poly: LambdaPoly) -> list[float]:
-    return [float(cv) for cv in poly.coeffs]
-
-
-def emit_canonical(config: RunConfig) -> str:
-    """Serialize a RunConfig as a canonical JSON document.
-
-    All expressions are resolved to plain floats; re-parsing the result
-    reproduces an equal RunConfig, and emission is byte-deterministic.
-    """
-    perts = {}
-    for qi in range(1, 5):
-        fieldq = config.system.perturbations[qi - 1]
-        if fieldq.is_zero():
-            continue
-        perts[f"q{qi}"] = {
-            comp_name: [{"coeff_poly": _poly_coeffs(t.coeff),
-                         "pow1": t.pow1, "pow2": t.pow2} for t in terms]
-            for comp_name, terms in (("comp1", fieldq.comp1), ("comp2", fieldq.comp2))
-        }
-    doc = {
-        "system": {
-            "a": config.system.params.a,
-            "b_poly": _poly_coeffs(config.system.params.b),
-            "c_poly": _poly_coeffs(config.system.params.c),
-            "lambda_domain": list(config.system.params.lambda_domain),
-            "perturbations": perts,
-        },
-        "integrator": {f.name: getattr(config.integrator, f.name)
-                       for f in dataclasses.fields(IntegratorConfig)},
-        "options": config.options,
-    }
-    return json.dumps(doc, sort_keys=True, indent=2, separators=(",", ": ")) + "\n"
 
 
 def paper_example_config() -> RunConfig:

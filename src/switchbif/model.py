@@ -35,6 +35,7 @@ __all__ = [
     "region_of",
     "linear_matrix",
     "freeze",
+    "is_point_symmetric",
     "eval_field",
     "validate",
     "clockwise_successor",
@@ -269,6 +270,20 @@ def freeze(sys: SwitchedSystem, lam: float) -> tuple[tuple, ...]:
         out.append((float(m[0, 0]), float(m[0, 1]), float(m[1, 0]), float(m[1, 1]),
                     terms(pert.comp1), terms(pert.comp2)))
     return tuple(out)
+
+
+def is_point_symmetric(sys: SwitchedSystem, lam: float) -> bool:
+    """Whether f_(q+2)(x) = -f_q(-x) at ``lam``, decided exactly on :func:`freeze`:
+    regions q and q + 2 have equal linear entries, and each term (c, p1, p2)
+    of region q appears in region q + 2 as ((-1)**(p1 + p2 + 1) c, p1, p2)."""
+    def mirrored(terms):
+        return {(p1, p2): (-1.0) ** (p1 + p2 + 1) * c for c, p1, p2 in terms}
+
+    frozen = freeze(sys, lam)
+    return all(near[:4] == far[:4]
+               and all(mirrored(tn) == {(p1, p2): c for c, p1, p2 in tf}
+                       for tn, tf in zip(near[4:], far[4:]))
+               for near, far in zip(frozen[:2], frozen[2:]))
 
 
 def eval_field(sys: SwitchedSystem, q: Quadrant, x, lam: float) -> np.ndarray:

@@ -16,7 +16,8 @@ field of the open quadrant containing its interior: a trajectory on an
 axis evolves under the field of the quadrant it is entering.
 
 ``poincare_numeric`` is one revolution of the return map on the positive
-x1-axis; ``delta_numeric``, the linear return ratio, is one return of
+x1-axis, ``half_return`` half of one for point-symmetric systems;
+``delta_numeric``, the linear return ratio, is one return of
 the linear part, which ``integrate`` computes alike at every amplitude.
 """
 
@@ -41,6 +42,7 @@ __all__ = [
     "StopOnReturn",
     "integrate",
     "poincare_numeric",
+    "half_return",
     "delta_numeric",
 ]
 
@@ -105,7 +107,7 @@ class HybridTrajectory:
 
 @dataclass(frozen=True)
 class PoincareSample:
-    """One full revolution of the return map on the positive x1-axis."""
+    """One revolution of the return map on the positive x1-axis, or half of one."""
 
     x1_in: float
     x1_out: float
@@ -449,6 +451,22 @@ def poincare_numeric(sys: SwitchedSystem, x1: float, lam: float,
         raise IntegrationError(
             f"return to the section took {len(traj.events)} switching events, expected 4")
     return PoincareSample(x1_in=x1, x1_out=float(traj.states[-1, 0]), period=traj.t_final)
+
+
+def half_return(sys: SwitchedSystem, x1: float, lam: float,
+                cfg: IntegratorConfig) -> PoincareSample:
+    """Half a revolution h(x1) from (x1, 0); pi = h o h when f_(q+2)(x) = -f_q(-x).
+
+    ``x1_out`` is -x1 at the second switching event and ``period`` twice
+    its time.  Raises IntegrationError unless that event lies on the
+    negative x1-axis.
+    """
+    if not (x1 > 0.0):
+        raise SideError(f"return map takes x1 > 0, got {x1}")
+    traj = integrate(sys, (x1, 0.0), lam, StopAfterEvents(2), cfg)
+    if traj.quadrants[-1] != Quadrant.Q3:   # the arc that exits on the negative x1-axis
+        raise IntegrationError("the second switching event is not on the negative x1-axis")
+    return PoincareSample(x1_in=x1, x1_out=-float(traj.states[-1, 0]), period=2.0 * traj.t_final)
 
 
 #: Amplitude of the one return in delta_numeric.

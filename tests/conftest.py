@@ -1,3 +1,6 @@
+import dataclasses
+import json
+
 import numpy as np
 import pytest
 
@@ -13,6 +16,41 @@ def make_params(a, b, c, domain=(-1.0, 1.0)):
 
 def make_linear_system(a, b, c, domain=(-1.0, 1.0)):
     return SwitchedSystem.linear(make_params(a, b, c, domain))
+
+
+def _poly_coeffs(poly):
+    return [float(cv) for cv in poly.coeffs]
+
+
+def emit_canonical(config):
+    """Serialize a RunConfig as a canonical JSON document.
+
+    All expressions are resolved to plain floats; re-parsing the result
+    reproduces an equal RunConfig, and emission is byte-deterministic.
+    """
+    perts = {}
+    for qi in range(1, 5):
+        fieldq = config.system.perturbations[qi - 1]
+        if fieldq.is_zero():
+            continue
+        perts[f"q{qi}"] = {
+            comp_name: [{"coeff_poly": _poly_coeffs(t.coeff),
+                         "pow1": t.pow1, "pow2": t.pow2} for t in terms]
+            for comp_name, terms in (("comp1", fieldq.comp1), ("comp2", fieldq.comp2))
+        }
+    doc = {
+        "system": {
+            "a": config.system.params.a,
+            "b_poly": _poly_coeffs(config.system.params.b),
+            "c_poly": _poly_coeffs(config.system.params.c),
+            "lambda_domain": list(config.system.params.lambda_domain),
+            "perturbations": perts,
+        },
+        "integrator": {f.name: getattr(config.integrator, f.name)
+                       for f in dataclasses.fields(IntegratorConfig)},
+        "options": config.options,
+    }
+    return json.dumps(doc, sort_keys=True, indent=2, separators=(",", ": ")) + "\n"
 
 
 def arcs(traj):

@@ -11,14 +11,13 @@ from contextlib import contextmanager
 import numpy as np
 import pytest
 
-from conftest import arcs, make_linear_system
+from conftest import arcs, emit_canonical, make_linear_system
 from switchbif import (BranchDirection, CheckStatus, OriginClass, Quadrant,
                        StopAfterEvents, StopOnReturn, SwitchedSystem,
                        bifurcation_direction, check_global_conditions,
                        classify_origin, continue_branch, delta, delta_numeric,
                        delta_prime, fit_local_expansion, fit_scaling_law,
                        integrate, parse_config, poincare_numeric)
-from switchbif.config import emit_canonical
 
 GRID = [(a, b, c) for a in (0.1, 1.0, 2.0) for b in (1.0, 6.0) for c in (1.0, 3.0)]
 

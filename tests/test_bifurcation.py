@@ -12,11 +12,12 @@ from switchbif import (BranchDirection, CheckStatus, DegenerateError,
                        bifurcation_direction, check_global_conditions,
                        classify_origin, continue_branch, delta, delta_prime,
                        find_critical_lambda, fit_local_expansion,
-                       fit_scaling_law, integrate, linear_matrix,
-                       poincare_numeric)
+                       fit_scaling_law, half_return, integrate, is_point_symmetric,
+                       linear_matrix, poincare_numeric)
 from switchbif import bifurcation, numeric
 from switchbif.bifurcation import BranchPoint, ExpansionFit
 from switchbif.rootfind import brent
+from test_exact import exact_delta, exact_fixed_point
 
 
 def field_parts(sys, q, x, lam):
@@ -205,11 +206,16 @@ class TestContinueBranch:
     @pytest.mark.parametrize("lam", [1e-5, 1e-6])
     def test_amplitude_near_bifurcation_matches_tight_solve(self, paper_system, cfg, lam):
         # the residual's slope at the orbit is only about -2 (delta - 1), so
-        # an absolute stop on |pi(x) - x| would leave the amplitude far off
+        # an absolute stop on |h(x) - x| would leave the amplitude far off;
+        # the tight solve uses the same map, the half return of the
+        # point-symmetric paper example (pi and h differ by eps / |delta - 1|)
+        assert is_point_symmetric(paper_system, lam)
         x = continue_branch(paper_system, [lam], cfg).points[0].x1_fixed
-        tight, _ = brent(lambda x1: poincare_numeric(paper_system, x1, lam, cfg).x1_out - x1,
+        tight, _ = brent(lambda x1: half_return(paper_system, x1, lam, cfg).x1_out - x1,
                          x / 2.0, 2.0 * x, xtol=1e-13, ftol=0.0)
         assert abs(x - tight) <= 1e-7 * tight
+        exact = exact_fixed_point(lam, x / 2.0, 2.0 * x)
+        assert abs(x - exact) <= 7e-10 / abs(exact_delta(lam) - 1.0) * exact
 
     def test_each_point_reverified_by_full_integration(self, paper_system, cfg):
         res = continue_branch(paper_system, [0.05, 0.5], cfg)
@@ -254,13 +260,17 @@ class TestContinueBranch:
     def test_returns_per_lambda_counted(self, paper_system, cfg, monkeypatch):
         # work counter: the scan pays for the first parameter value, the
         # predictor-corrector for the rest; every point reports its returns
+        # (half returns on the point-symmetric paper example, full ones
+        # elsewhere: both return functions are counted)
         calls = []
-        original = bifurcation.poincare_numeric
 
-        def counting(sys, x1, lam, cfg_):
-            calls.append(lam)
-            return original(sys, x1, lam, cfg_)
-        monkeypatch.setattr(bifurcation, "poincare_numeric", counting)
+        def counting(original):
+            def ret(sys, x1, lam, cfg_):
+                calls.append(lam)
+                return original(sys, x1, lam, cfg_)
+            return ret
+        for name in ("poincare_numeric", "half_return"):
+            monkeypatch.setattr(bifurcation, name, counting(getattr(bifurcation, name)))
         lams = [0.02, 0.05, 0.1, 0.5, 1.0]
         res = continue_branch(paper_system, lams, cfg)
         assert len(calls) <= 60
@@ -275,6 +285,35 @@ class TestContinueBranch:
         calls.clear()
         continue_branch(paper_system, [0.05, -0.05, 0.05], cfg)
         assert calls.count(-0.05) == alone
+
+    def test_asymmetric_system_falls_back_to_full_returns(self, paper_system, cfg, monkeypatch):
+        # one even-degree term in region 1 alone breaks the point symmetry:
+        # every return is a full one, and the amplitudes are those of the
+        # full-return solve
+        p1 = paper_system.perturbations[0]
+        even = MonomialTerm(LambdaPoly.constant(0.1), 2, 0)
+        sys = SwitchedSystem(paper_system.params, (PolyField(p1.comp1 + (even,), p1.comp2),
+                                                   *paper_system.perturbations[1:]))
+        calls = {"poincare_numeric": 0, "half_return": 0}
+
+        def counting(name):
+            original = getattr(bifurcation, name)
+
+            def ret(*args):
+                calls[name] += 1
+                return original(*args)
+            return ret
+        for name in calls:
+            monkeypatch.setattr(bifurcation, name, counting(name))
+        res = continue_branch(sys, [0.05, 0.1, 0.5], cfg)
+        assert calls == {"poincare_numeric": sum(p.returns for p in res.points),
+                         "half_return": 0}
+        assert [p.x1_fixed for p in res.points] == pytest.approx(
+            [0.17602686837419315, 0.24263419462805083, 0.5505408961154841], rel=1e-12)
+        for p in res.points:
+            full = poincare_numeric(sys, p.x1_fixed, p.lam, cfg)
+            assert p.residual == abs(full.x1_out - p.x1_fixed)
+            assert p.period == full.period
 
     @pytest.mark.parametrize("lams", [[0.1, 0.1], [1.0, 0.5, 0.1], [0.05, -0.05, 0.05]])
     def test_continuation_matches_solving_each_lambda_alone(self, paper_system, cfg, lams):
@@ -374,7 +413,7 @@ class TestCheckGlobalConditions:
         rep = check_global_conditions(sys, 0.0, radius_M=10.0, n_samples=1_000)
         assert rep.lyapunov_ok is CheckStatus.FAIL
         assert rep.lyapunov_witness.field_index == 1   # the first of four equal regions
-        with pytest.raises(DomainError, match="radius_M"):
+        with pytest.raises(DomainError, match=r"^overflow .* radius_M = 1e\+160 "):
             check_global_conditions(sys, 0.0, radius_M=1e160, n_samples=1_000)
 
     @pytest.mark.parametrize("radius", [1e-170, 1e-100])
@@ -383,8 +422,20 @@ class TestCheckGlobalConditions:
         # underflow <x, pert> to 0, which must not read as a FAIL
         rep = check_global_conditions(paper_system, 0.5, radius_M=1e-40, n_samples=1_000)
         assert rep.lyapunov_ok is CheckStatus.NOT_APPLICABLE
-        with pytest.raises(DomainError, match="radius_M .* too small"):
+        with pytest.raises(DomainError, match=f"^underflow .* radius_M = {radius} "):
             check_global_conditions(paper_system, 0.5, radius_M=radius, n_samples=1_000)
+
+    def test_float_event_caused_by_coefficients_does_not_blame_the_radius(self, paper_system):
+        # a tiny coefficient underflows at the default radius: the message
+        # names the float event and the radius sampled, not a bad radius
+        tiny = PolyField(comp1=(MonomialTerm(LambdaPoly.constant(-1e-305), 3, 0),))
+        sys = SwitchedSystem(paper_system.params, (tiny, *paper_system.perturbations[1:]))
+        with pytest.raises(DomainError) as info:
+            check_global_conditions(sys, 0.5)
+        msg = str(info.value)
+        assert msg.startswith("underflow encountered in ") and "radius_M = 10.0 " in msg
+        assert "too small" not in msg and "too large" not in msg
+        assert info.value.exit_code == 1
 
     def test_equal_regions_are_sampled_once(self, paper_system, monkeypatch):
         # regions 1/3 and 2/4 of the paper example freeze to equal fields:

@@ -8,9 +8,10 @@ from pathlib import Path
 
 import pytest
 
+from conftest import emit_canonical
 from switchbif import IntegratorConfig, ParseError, ValidationError
-from switchbif.config import (emit_canonical, paper_example_config,
-                              parse_config, parse_constant_expression)
+from switchbif.config import (paper_example_config, parse_config,
+                              parse_constant_expression)
 
 MINIMAL = """
 {

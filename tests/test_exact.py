@@ -25,7 +25,8 @@ import numpy as np
 import pytest
 from numpy.polynomial.legendre import leggauss
 
-from switchbif import StopOnReturn, continue_branch, integrate, poincare_numeric
+from switchbif import (StopOnReturn, continue_branch, half_return, integrate,
+                       poincare_numeric)
 
 A = 2.0
 NODES, WEIGHTS = leggauss(40)
@@ -101,6 +102,16 @@ def test_return_map_matches_exact(paper_system, cfg, x1):
 
 
 @pytest.mark.parametrize("x1", [1e-4, 0.5])
+def test_half_return_matches_exact(paper_system, cfg, x1):
+    # the state after two quarter-turns, mirrored, and twice its time;
+    # measured x1_out 1.3e-10 / 1.7e-10, period 6.3e-12 / 1.7e-11
+    s = half_return(paper_system, x1, 0.1, cfg)
+    t, x = exact_events(0.1, x1)[1]
+    assert abs(s.x1_out + x[0]) <= 5e-10 * -x[0]
+    assert abs(s.period - 2.0 * t) <= 5e-11 * 2.0 * t
+
+
+@pytest.mark.parametrize("x1", [1e-4, 0.5])
 def test_event_rows_match_exact(paper_system, cfg, x1):
     # every event row at time k T and on the exact state; measured
     # 1.7e-11 in time and 3.0e-10 of the state's max-norm
@@ -115,7 +126,8 @@ def test_event_rows_match_exact(paper_system, cfg, x1):
 def test_branch_amplitudes_match_exact_fixed_points(paper_system, cfg):
     # the amplitude error is the return-map error over |pi'(x*) - 1|, which
     # is about 2 |delta - 1| near the bifurcation; measured
-    # |x - x*| / x* * |delta - 1| <= 2.3e-10 on these five points
+    # |x - x*| / x* * |delta - 1| <= 2.0e-10 on these five points (solved
+    # on the half return h, whose error over |h'(x*) - 1| is about the same)
     res = continue_branch(paper_system, [0.02, 0.05, 0.1, 0.5, 1.0], cfg)
     assert len(res.points) == 5
     for p in res.points:

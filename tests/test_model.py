@@ -6,7 +6,7 @@ import pytest
 from conftest import make_params
 from switchbif import (DomainError, LambdaPoly, MonomialTerm, OriginError,
                        PolyField, Quadrant, SwitchedSystem, eval_field,
-                       linear_matrix, region_of, validate)
+                       is_point_symmetric, linear_matrix, region_of, validate)
 
 
 class TestLambdaPoly:
@@ -104,6 +104,48 @@ class TestEvalField:
         for q in Quadrant:
             for lam in (-0.5, 0.0, 0.7):
                 assert np.all(eval_field(paper_system, q, (0.0, 0.0), lam) == 0.0)
+
+
+def with_terms(sys, extra):
+    """``sys`` with the x1-component terms ``extra[q]`` appended to region q + 1."""
+    return SwitchedSystem(sys.params, tuple(
+        PolyField(p.comp1 + tuple(extra.get(q, ())), p.comp2)
+        for q, p in enumerate(sys.perturbations)))
+
+
+class TestIsPointSymmetric:
+    @pytest.mark.parametrize("lam", [-0.5, 0.0, 0.1, 1.0])
+    def test_paper_example(self, paper_system, lam):
+        # odd-degree terms, equal in regions 1/3 and in regions 2/4
+        assert is_point_symmetric(paper_system, lam)
+
+    def test_even_term_in_region_1_alone_breaks_it(self, paper_system):
+        term = MonomialTerm(LambdaPoly.constant(0.1), 2, 0)
+        assert not is_point_symmetric(with_terms(paper_system, {0: [term]}), 0.1)
+        # the same sign in region 3 is not the mirror image of an even term
+        assert not is_point_symmetric(with_terms(paper_system, {0: [term], 2: [term]}), 0.1)
+
+    def test_even_term_mirrored_with_opposite_sign(self, paper_system):
+        term, mirror = (MonomialTerm(LambdaPoly.constant(c), 1, 1) for c in (0.1, -0.1))
+        sys = with_terms(paper_system, {0: [term], 2: [mirror]})
+        assert is_point_symmetric(sys, 0.1)
+        # f_3(x) = -f_1(-x), checked on the evaluated fields
+        for x in ((0.3, -0.7), (-1.2, 0.4)):
+            minus = tuple(-v for v in x)
+            assert np.array_equal(eval_field(sys, Quadrant.Q3, x, 0.1),
+                                  -eval_field(sys, Quadrant.Q1, minus, 0.1))
+
+    def test_term_order_does_not_matter(self, paper_system):
+        p1, p2, p3, p4 = paper_system.perturbations
+        swapped = PolyField(p3.comp1[::-1], p3.comp2[::-1])
+        assert is_point_symmetric(SwitchedSystem(paper_system.params, (p1, p2, swapped, p4)), 0.1)
+
+    def test_decided_at_the_parameter(self, paper_system):
+        # an even term with coefficient lam vanishes, and so breaks nothing, at lam = 0
+        term = MonomialTerm(LambdaPoly((0.0, 1.0)), 0, 2)
+        sys = with_terms(paper_system, {1: [term]})
+        assert is_point_symmetric(sys, 0.0)
+        assert not is_point_symmetric(sys, 0.1)
 
 
 class TestValidate:
