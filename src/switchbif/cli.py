@@ -33,7 +33,7 @@ from .bifurcation import (bifurcation_direction, check_global_conditions,
                           continue_branch, find_critical_lambda,
                           fit_local_expansion, fit_scaling_law)
 from .config import _OPTIONS, RunConfig, _switch, paper_example_config, parse_config
-from .errors import NoOrbitError, ParseError, SwitchBifError
+from .errors import InsufficientDataError, NoOrbitError, ParseError, SwitchBifError
 from .model import validate
 from .numeric import (StopAfterEvents, StopAtTime, StopOnReturn, integrate,
                       poincare_numeric)
@@ -210,8 +210,10 @@ def _cmd_branch(config: RunConfig, args) -> int:
     doc["additional_orbits"] = [{"lambda": p.lam, "x1_fixed": p.x1_fixed,
                                  "period": p.period, "residual": p.residual}
                                 for p in result.additional]
-    doc["scaling_fit"] = (asdict(fit_scaling_law(result.points))
-                          if len(result.points) >= 4 else None)
+    try:
+        doc["scaling_fit"] = asdict(fit_scaling_law(result.points))
+    except InsufficientDataError:   # fewer than four points, or both sides of lambda*
+        doc["scaling_fit"] = None
     _write_output(_json(doc), args.out, "branch_fit.json")
     return 0
 

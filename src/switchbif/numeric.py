@@ -12,8 +12,11 @@ the state scale.
 
 The result is one time-ordered table, a row per accepted step and per
 switching event.  An arc, the rows between two event rows, follows the
-field of the open quadrant containing its interior: a trajectory on an
-axis evolves under the field of the quadrant it is entering.
+field of the open quadrant containing its interior.  Every arc end is
+checked by one rule: the ending arc's field crosses its exit semi-axis
+outward and transversally, and the clockwise successor's field carries
+on across it.  A start on an axis counts as the end of an arc of the
+half-open region that holds it, so it leaves that axis clockwise too.
 
 ``poincare_numeric`` is one revolution of the return map on the positive
 x1-axis, ``half_return`` half of one for point-symmetric systems;
@@ -28,9 +31,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (BudgetError, EscapeError, IntegrationError, OriginError,
-                     SideError, StiffnessError, TangencyError)
-from .model import Quadrant, SwitchedSystem, clockwise_successor, freeze
+from .errors import (BudgetError, EscapeError, OriginError, SideError, StiffnessError,
+                     TangencyError)
+from .model import Quadrant, SwitchedSystem, clockwise_successor, freeze, region_of
 from .rootfind import brent
 
 __all__ = [
@@ -208,39 +211,33 @@ def _compiled_fields(sys: SwitchedSystem, lam: float) -> dict[int, object]:
     return fields
 
 
-def _monitored_index(q: Quadrant) -> int:
-    """Coordinate that vanishes at the arc's clockwise exit axis."""
-    return 1 if q in (Quadrant.Q1, Quadrant.Q3) else 0
+#: per quadrant: the coordinate that vanishes on its clockwise exit
+#: semi-axis, the sign of that coordinate inside it, and the sign of the
+#: other one, which the exit semi-axis shares
+_EXIT = {Quadrant.Q1: (1, 1.0, 1.0), Quadrant.Q2: (0, -1.0, 1.0),
+         Quadrant.Q3: (1, -1.0, -1.0), Quadrant.Q4: (0, 1.0, -1.0)}
 
 
-def _initial_quadrant(fields, x1: float, x2: float, on_axis_tol: float) -> Quadrant:
-    """Open quadrant whose field governs the first arc from (x1, x2).
+def _leave(fields, q: Quadrant, x1: float, x2: float, t: float):
+    """(successor, its field value) where an arc of ``q`` ends at (x1, x2).
 
-    Interior points use their sign quadrant; axis points use the side
-    the transversal velocity points into.  ``on_axis_tol`` is below
-    max(|x1|, |x2|), so no point lies on both axes.
+    Raises TangencyError unless the state lies on q's exit semi-axis,
+    q's field crosses it outward and transversally, and the clockwise
+    successor's field carries on across it (no sliding).
     """
-    on_x2_axis = abs(x1) <= on_axis_tol
-    on_x1_axis = abs(x2) <= on_axis_tol
-    if not on_x1_axis and not on_x2_axis:
-        if x1 > 0.0:
-            return Quadrant.Q1 if x2 > 0.0 else Quadrant.Q4
-        return Quadrant.Q2 if x2 > 0.0 else Quadrant.Q3
-    if on_x1_axis:
-        side_pos, side_neg = (Quadrant.Q1, Quadrant.Q4) if x1 > 0.0 else (Quadrant.Q2, Quadrant.Q3)
-        tidx = 1
-    else:
-        side_pos, side_neg = (Quadrant.Q1, Quadrant.Q2) if x2 > 0.0 else (Quadrant.Q4, Quadrant.Q3)
-        tidx = 0
-    v_pos = fields[int(side_pos)](x1, x2)[tidx]
-    v_neg = fields[int(side_neg)](x1, x2)[tidx]
-    pos_ok = v_pos > 0.0
-    neg_ok = v_neg < 0.0
-    if pos_ok == neg_ok:
-        raise TangencyError(
-            f"departure from axis at ({x1}, {x2}) is ambiguous or sliding "
-            f"(transversal velocities {v_pos}, {v_neg})")
-    return side_pos if pos_ok else side_neg
+    gidx, s_g, s_o = _EXIT[q]
+    d1, d2 = fields[int(q)](x1, x2)
+    if not ((x1, x2)[1 - gidx] * s_o > 0.0
+            and (d1, d2)[gidx] * s_g < -_TANGENCY_TOL * max(math.hypot(d1, d2), 1e-300)):
+        raise TangencyError(f"an arc of quadrant {int(q)} cannot end at t = {t}, "
+                            f"x = ({x1}, {x2}): its field must cross its exit semi-axis "
+                            "there outward and transversally")
+    q_next = clockwise_successor(q)
+    k = fields[int(q_next)](x1, x2)
+    if not (k[gidx] * s_g < 0.0):
+        raise TangencyError(f"fields disagree at the switching manifold at t = {t} "
+                            f"(sliding contact), x = ({x1}, {x2})")
+    return q_next, k
 
 
 def _locate_crossing(f, x1, x2, h, end_state, gidx, k11, k12, tol_g):
@@ -282,13 +279,16 @@ def integrate(sys: SwitchedSystem, x0, lam: float, stop, cfg: IntegratorConfig) 
     BudgetError when the event budget or per-arc time budget is
     exhausted, StiffnessError on step underflow, EscapeError when the
     start point or the trajectory lies outside the bounding box, and
-    OriginError when a state decays below the smallest normal float.
+    OriginError when the start or a later state lies below the smallest
+    normal float.  A start within 4 * event_tol * |x0| of an axis ends
+    an arc of the region holding the point snapped onto that axis and is
+    checked like every switching event, but it is not recorded as one.
     """
     sys.params.check_lambda(lam)
     x1, x2 = float(x0[0]), float(x0[1])
     norm0 = max(abs(x1), abs(x2))
-    if norm0 == 0.0:
-        raise OriginError("cannot integrate from the origin")
+    if norm0 < _FLOAT_MIN:
+        raise OriginError(f"start point ({x1}, {x2}) is the origin at float resolution")
     if norm0 > _ESCAPE_RADIUS:
         raise EscapeError(f"start point ({x1}, {x2}) lies outside the bounding box "
                           f"(max-norm {_ESCAPE_RADIUS})")
@@ -300,7 +300,12 @@ def integrate(sys: SwitchedSystem, x0, lam: float, stop, cfg: IntegratorConfig) 
 
     fields = _compiled_fields(sys, lam)
     on_axis_tol = 4.0 * event_tol * norm0
-    q = _initial_quadrant(fields, x1, x2, on_axis_tol)
+    snapped = tuple(0.0 if abs(v) <= on_axis_tol else v for v in (x1, x2))
+    q = region_of(snapped)
+    if 0.0 in snapped:
+        q, (k11, k12) = _leave(fields, q, x1, x2, 0.0)
+    else:
+        k11, k12 = fields[int(q)](x1, x2)
 
     rows: list[tuple[float, float, float]] = [(0.0, x1, x2)]
     events: list[int] = []
@@ -312,8 +317,7 @@ def integrate(sys: SwitchedSystem, x0, lam: float, stop, cfg: IntegratorConfig) 
         return _table(rows, events, quadrants)
 
     f = fields[int(q)]
-    gidx = _monitored_index(q)
-    k11, k12 = f(x1, x2)
+    gidx, s_g, _ = _EXIT[q]
     h = _H0
     facold = 1e-4
     just_rejected = False
@@ -352,9 +356,7 @@ def integrate(sys: SwitchedSystem, x0, lam: float, stop, cfg: IntegratorConfig) 
             raise OriginError(f"trajectory decayed below float resolution at t = {t + h}: "
                               f"({u1}, {u2})")
 
-        g0 = (x1, x2)[gidx]
-        g1 = (u1, u2)[gidx]
-        crossed = (g1 == 0.0) or ((g0 > 0.0) != (g1 > 0.0))
+        crossed = not ((u1, u2)[gidx] * s_g > 0.0)
         # event-side tolerance relative to the local state scale: the event
         # time error is then ~ event_tol / rotation_rate regardless of decay
         tol_x = event_tol * max(abs(x1), abs(x2))
@@ -363,27 +365,14 @@ def integrate(sys: SwitchedSystem, x0, lam: float, stop, cfg: IntegratorConfig) 
             tau, (ev1, ev2) = _locate_crossing(f, x1, x2, h, (u1, u2), gidx,
                                                k11, k12, tol_x)
             t_ev = t + tau
-            # tangency check against the field that carried the crossing
-            d1, d2 = f(ev1, ev2)
-            speed = math.hypot(d1, d2)
-            gdot = (d1, d2)[gidx]
-            if abs(gdot) <= _TANGENCY_TOL * max(speed, 1e-300):
-                raise TangencyError(
-                    f"non-transversal axis crossing at t = {t_ev}, x = ({ev1}, {ev2})")
-            s_cross = -1.0 if g0 > 0.0 else 1.0
-            q_next = clockwise_successor(q)
-            # the next arc's field at the event state, reused as its first stage
-            k_next = fields[int(q_next)](ev1, ev2)
-            if k_next[gidx] * s_cross <= 0.0:
-                raise TangencyError(
-                    f"fields disagree at the switching manifold at t = {t_ev} "
-                    f"(sliding contact), x = ({ev1}, {ev2})")
+            # the next arc's field at the event state is its first stage
+            q_next, (k11, k12) = _leave(fields, q, ev1, ev2, t_ev)
 
             events.append(len(rows))
             rows.append((t_ev, ev1, ev2))
             quadrants.append(int(q_next))
 
-            returned = isinstance(stop, StopOnReturn) and gidx == 1 and ev1 > 0.0
+            returned = isinstance(stop, StopOnReturn) and q == Quadrant.Q1
             if len(events) >= events_target or returned:
                 return _table(rows, events, quadrants)
             if len(events) >= _MAX_ARCS:
@@ -391,11 +380,10 @@ def integrate(sys: SwitchedSystem, x0, lam: float, stop, cfg: IntegratorConfig) 
 
             q = q_next
             f = fields[int(q)]
-            gidx = _monitored_index(q)
+            gidx, s_g, _ = _EXIT[q]
             t = t_ev
             arc_start_t = t_ev
             x1, x2 = ev1, ev2
-            k11, k12 = k_next
             just_rejected = False
             continue
 
@@ -440,16 +428,12 @@ def poincare_numeric(sys: SwitchedSystem, x1: float, lam: float,
     """One revolution of the return map from (x1, 0) on the positive x1-axis.
 
     ``integrate`` sizes every tolerance to the state, so the returned
-    ratio keeps full relative accuracy for small amplitudes.  Raises
-    IntegrationError when the orbit comes back after other than four
-    switching events.
+    ratio keeps full relative accuracy for small amplitudes.  The start
+    ends a quadrant-1 arc, so the return is the fourth switching event.
     """
     if not (x1 > 0.0):
         raise SideError(f"return map takes x1 > 0, got {x1}")
     traj = integrate(sys, (x1, 0.0), lam, StopOnReturn(), cfg)
-    if len(traj.events) != 4:
-        raise IntegrationError(
-            f"return to the section took {len(traj.events)} switching events, expected 4")
     return PoincareSample(x1_in=x1, x1_out=float(traj.states[-1, 0]), period=traj.t_final)
 
 
@@ -457,15 +441,12 @@ def half_return(sys: SwitchedSystem, x1: float, lam: float,
                 cfg: IntegratorConfig) -> PoincareSample:
     """Half a revolution h(x1) from (x1, 0); pi = h o h when f_(q+2)(x) = -f_q(-x).
 
-    ``x1_out`` is -x1 at the second switching event and ``period`` twice
-    its time.  Raises IntegrationError unless that event lies on the
-    negative x1-axis.
+    ``x1_out`` is -x1 at the second switching event, which ends a
+    quadrant-3 arc on the negative x1-axis, and ``period`` twice its time.
     """
     if not (x1 > 0.0):
         raise SideError(f"return map takes x1 > 0, got {x1}")
     traj = integrate(sys, (x1, 0.0), lam, StopAfterEvents(2), cfg)
-    if traj.quadrants[-1] != Quadrant.Q3:   # the arc that exits on the negative x1-axis
-        raise IntegrationError("the second switching event is not on the negative x1-axis")
     return PoincareSample(x1_in=x1, x1_out=-float(traj.states[-1, 0]), period=2.0 * traj.t_final)
 
 

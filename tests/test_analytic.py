@@ -127,6 +127,10 @@ class TestSectionMap:
         with pytest.raises(SideError):
             section_map(1, 0.0, params, 0.0)
 
+    def test_index_outside_one_to_four_raises(self):
+        with pytest.raises(ValueError, match="must be 1..4, got 5"):
+            section_map(5, 0.5, make_params(0.1, 2.0, 1.0), 0.0)
+
 
 class TestDelta:
     def test_paper_example_is_one(self, paper_params):

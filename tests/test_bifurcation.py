@@ -7,6 +7,7 @@ import pytest
 from conftest import make_linear_system, make_params
 from switchbif import (BranchDirection, CheckStatus, DegenerateError,
                        DomainError, InsufficientDataError, LambdaPoly, MonomialTerm,
+                       TangencyError,
                        NoBracketError, OriginClass, PerturbationTooSmallError,
                        PolyField, Quadrant, StopOnReturn, SwitchedSystem, SystemParams,
                        bifurcation_direction, check_global_conditions,
@@ -315,6 +316,27 @@ class TestContinueBranch:
             assert p.residual == abs(full.x1_out - p.x1_fixed)
             assert p.period == full.period
 
+    def test_walk_broken_by_an_integration_error_falls_back_to_the_scan(
+            self, paper_system, cfg, monkeypatch):
+        # the first return at the second parameter value, the walk's start
+        # at the predicted amplitude, fails: the scan finds the same orbit
+        plain = continue_branch(paper_system, [0.05, 0.1], cfg)
+        broken = []
+        original = bifurcation.half_return
+
+        def ret(sys, x1, lam, cfg_):
+            if lam == 0.1 and not broken:
+                broken.append(x1)
+                raise TangencyError("injected")
+            return original(sys, x1, lam, cfg_)
+        monkeypatch.setattr(bifurcation, "half_return", ret)
+        res = continue_branch(paper_system, [0.05, 0.1], cfg)
+        assert len(broken) == 1
+        assert [p.source for p in res.points] == ["scan", "scan"]
+        assert [p.source for p in plain.points] == ["scan", "previous"]
+        assert res.points[1].x1_fixed == pytest.approx(plain.points[1].x1_fixed, rel=1e-7)
+        assert res.points[1].returns > plain.points[1].returns
+
     @pytest.mark.parametrize("lams", [[0.1, 0.1], [1.0, 0.5, 0.1], [0.05, -0.05, 0.05]])
     def test_continuation_matches_solving_each_lambda_alone(self, paper_system, cfg, lams):
         self.assert_matches_alone(paper_system, lams, cfg)
@@ -360,6 +382,14 @@ class TestFitScalingLaw:
         pts = [BranchPoint(lam=x * x, x1_fixed=x, period=1.0, residual=0.0)
                for x in (0.1, 0.2, 0.4)]
         with pytest.raises(InsufficientDataError):
+            fit_scaling_law(pts)
+
+    @pytest.mark.parametrize("x_bad", [0.0, -0.3])
+    def test_nonpositive_amplitude_insufficient(self, x_bad):
+        pts = [BranchPoint(lam=x * x, x1_fixed=x, period=1.0, residual=0.0)
+               for x in (0.1, 0.2, 0.4)]
+        pts.append(BranchPoint(lam=0.09, x1_fixed=x_bad, period=1.0, residual=0.0))
+        with pytest.raises(InsufficientDataError, match="positive amplitudes"):
             fit_scaling_law(pts)
 
     def test_mixed_sides_insufficient(self):

@@ -3,7 +3,11 @@ import dataclasses
 import io
 import json
 import math
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -19,6 +23,28 @@ BAD_SYSTEM = """
   "system": {"a": "-1", "b_poly": [1], "c_poly": [1], "lambda_domain": [-1, 1]}
 }
 """
+
+_TURN_BACK = {"comp1": [{"coeff_poly": [-10], "pow1": 0, "pow2": 2}],
+              "comp2": [{"coeff_poly": [10], "pow1": 2, "pow2": 0}]}
+#: p = (-10 x2^2, 10 x1^2) in regions 1, 3 and 4: at (0.5, 0) region 1's
+#: field points back into region 1, so no arc of it ends there
+TURNING_BACK = {"system": {"a": 0.1, "b_poly": [1], "c_poly": [1], "perturbations": {
+    "q1": _TURN_BACK, "q3": _TURN_BACK, "q4": _TURN_BACK}}}
+
+#: (coefficient, powers) of |x|^2 - |x|^4
+_RADIAL = [(1, 2, 0), (1, 0, 2), (-1, 4, 0), (-2, 2, 2), (-1, 0, 4)]
+_SHELL = {"comp1": [{"coeff_poly": [c], "pow1": p1 + 1, "pow2": p2} for c, p1, p2 in _RADIAL],
+          "comp2": [{"coeff_poly": [c], "pow1": p1, "pow2": p2 + 1} for c, p1, p2 in _RADIAL]}
+#: the paper's a, b(lam), c(lam) with p = (|x|^2 - |x|^4) x in every region:
+#: orbits on both sides of lambda* = 0
+TWO_SIDED = {"system": {"a": "2", "b_poly": ["e*pi", 1, 1], "c_poly": ["pi/e", 0, 1],
+                        "lambda_domain": [-2, 2],
+                        "perturbations": {q: _SHELL for q in ("q1", "q2", "q3", "q4")}}}
+
+
+def write_json(path, doc):
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    return str(path)
 
 
 def run(capsys, argv):
@@ -119,6 +145,16 @@ class TestSimulate:
         assert code == 0
         assert len(out.strip().splitlines()) > 3
 
+    @pytest.mark.parametrize("x0", ["0.5,0", "0.5,1e-13"])
+    def test_start_that_region_1_turns_back_is_tangency(self, capsys, tmp_path, x0):
+        path = write_json(tmp_path / "turning_back.json", TURNING_BACK)
+        code, out, err = run(capsys, ["simulate", "--config", path, "--x0", x0,
+                                      "--n-events", "2"])
+        assert code == 2 and out == ""
+        assert err.count("\n") == 1
+        assert err.startswith("switchbif: error: TangencyError: an arc of quadrant 1 "
+                              "cannot end at t = 0.0,")
+
     def test_origin_start_is_user_error(self, capsys):
         code, _, _ = run(capsys, ["paper-example", "simulate", "--x0", "0,0",
                                   "--t-max", "1"])
@@ -187,6 +223,22 @@ class TestBranchCommand:
         assert code == 2
         assert "NoOrbit" in err
 
+    def test_branch_on_both_sides_has_no_scaling_fit(self, capsys, tmp_path):
+        # four branch points, one on the negative side: the scaling law
+        # does not apply, and both files are written
+        out_dir = tmp_path / "results"
+        code, _, err = run(capsys, ["branch", "--config",
+                                    write_json(tmp_path / "two_sided.json", TWO_SIDED),
+                                    "--lambdas=-0.05,0.05,0.1,0.2", "--out", str(out_dir)])
+        assert code == 0 and err == ""
+        rows = (out_dir / "branch.csv").read_text(encoding="utf-8").splitlines()[2:]
+        assert [float(r.split(",")[0]) for r in rows] == [-0.05, 0.05, 0.1, 0.2]
+        doc = json.loads((out_dir / "branch_fit.json").read_text(encoding="utf-8"))
+        assert doc["scaling_fit"] is None
+        [extra] = doc["additional_orbits"]
+        assert extra["lambda"] == -0.05
+        assert extra["x1_fixed"] == pytest.approx(0.8597, abs=1e-4)
+
 
 class TestVerifyGlobal:
     def test_paper_example(self, capsys):
@@ -241,6 +293,7 @@ class TestErrorContract:
         ["simulate", "--x0", "1,0", "--t-max=-1"],
         ["simulate", "--x0", "1,2,3", "--t-max", "1"],
         ["delta-sweep", "--lambda-min", "0", "--lambda-max", "1", "--n", "0"],
+        ["delta-sweep", "--lambda-min", "0"],
         ["classify", "--lambda", "foo"],
         ["classify", "--lambda", "1/0"],
         ["poincare", "--x1", "0.5", "--unknown-flag"],
@@ -356,12 +409,13 @@ class TestErrorContract:
         assert "options.radius_m" in err
 
     @pytest.mark.parametrize("argv, error", [
-        (["poincare", "--x1", "0.9"], "IntegrationError"),
+        (["poincare", "--x1", "0.9"], "TangencyError"),
         (["branch", "--lambdas=0.1"], "NoOrbitError"),
     ])
     def test_return_in_one_event_is_numerical_failure(self, capsys, tmp_path, argv, error):
-        # +5 x1^2 in the x2 field of q1 and q4 turns every orbit from the
-        # positive x1-axis back onto it after one switching event, not four
+        # +5 x1^2 in the x2 field of q1 and q4 points region 1's field at
+        # (x1, 0) upward for x1 > 0.2: no arc of region 1 ends there, so no
+        # orbit leaves the positive x1-axis clockwise
         pert = {"comp2": [{"coeff_poly": [5], "pow1": 2, "pow2": 0}]}
         path = tmp_path / "one_event.json"
         path.write_text(json.dumps({"system": {
@@ -371,6 +425,26 @@ class TestErrorContract:
         code, _, err = run(capsys, [argv[0], "--config", str(path), *argv[1:]])
         assert code == 2
         assert err.count("\n") == 1 and err.startswith(f"switchbif: error: {error}: ")
+
+    @pytest.mark.parametrize("doc,location", [
+        ({"system": {"a": 1, "b_poly": 1, "c_poly": [1]}}, "system.b_poly"),
+        ({"system": {"a": 1, "b_poly": [], "c_poly": [1]}}, "system.b_poly"),
+        ({"system": [1]}, "system"),
+        ({"system": {"b_poly": [1], "c_poly": [1]}}, "system"),
+        ({"system": {"a": 1, "b_poly": [1], "c_poly": [1],
+                     "perturbations": {"q1": {"comp1": 5}}}}, "system.perturbations.q1.comp1"),
+        ({"system": {"a": 1, "b_poly": [1], "c_poly": [1], "lambda_domain": [1]}},
+         "system.lambda_domain"),
+        ({"system": {"a": 1, "b_poly": [1], "c_poly": [1]}, "integrator": {"rel_tol": -1}},
+         "integrator"),
+    ], ids=["b_poly-not-a-list", "b_poly-empty", "system-not-an-object", "a-missing",
+            "comp1-not-a-list", "lambda_domain-one-element", "rel_tol-negative"])
+    def test_malformed_config_is_one_line_parse_error(self, capsys, tmp_path, doc, location):
+        code, out, err = run(capsys, ["validate", "--config",
+                                      write_json(tmp_path / "bad.json", doc)])
+        assert code == 1 and out == ""
+        assert err.count("\n") == 1
+        assert err.startswith(f"switchbif: error: ParseError: {location}: ")
 
     def test_degenerate_crossing_is_numerical_failure(self, capsys, tmp_path):
         # delta = 1 at lambda = 0 with delta'(0) = 0, since b'(0) = 0
@@ -382,6 +456,27 @@ class TestErrorContract:
                                     "--bracket=-0.5,0.4"])
         assert code == 2
         assert "DegenerateError" in err
+
+
+class TestModuleEntryPoint:
+    """``python -m switchbif.cli`` exits with ``main``'s code."""
+
+    @pytest.mark.parametrize("argv,code", [
+        (["paper-example", "classify"], 0),
+        (["paper-example", "simulate", "--x0", "0,0", "--t-max", "1"], 1),
+        (["simulate", "--config", "{turning_back}", "--x0", "0.5,0", "--n-events", "2"], 2),
+    ], ids=["classify", "origin-start", "turning-back-start"])
+    def test_exit_code(self, tmp_path, argv, code):
+        config = write_json(tmp_path / "turning_back.json", TURNING_BACK)
+        src = Path(__file__).resolve().parent.parent / "src"
+        proc = subprocess.run(
+            [sys.executable, "-m", "switchbif.cli",
+             *(arg.format(turning_back=config) for arg in argv)],
+            env={**os.environ, "PYTHONPATH": str(src)}, capture_output=True, text=True,
+            timeout=120)
+        assert proc.returncode == code
+        assert proc.stderr.count("\n") == (code != 0)
+        assert "Traceback" not in proc.stderr
 
 
 _VALUE = st.one_of(st.text(alphabet="0123456789.eEpi+-*/() x", max_size=24),

@@ -183,6 +183,10 @@ class TestValidate:
         with pytest.raises(TypeError):
             MonomialTerm(LambdaPoly.constant(1.0), 1.5, 1)
 
+    def test_system_needs_four_fields(self):
+        with pytest.raises(ValueError, match="exactly four"):
+            SwitchedSystem(make_params(1.0, 1.0, 1.0), (PolyField.zero(),) * 3)
+
     def test_lambda_domain_must_contain_zero(self):
         with pytest.raises(ValueError):
             make_params(1.0, 1.0, 1.0, domain=(0.1, 0.5))

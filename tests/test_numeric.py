@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from conftest import arcs, make_linear_system, make_params
-from switchbif import (BudgetError, EscapeError, IntegrationError, IntegratorConfig,
+from switchbif import (BudgetError, EscapeError, IntegratorConfig,
                        LambdaPoly, MonomialTerm, OriginError, PolyField, Quadrant,
                        SideError, StopAfterEvents, StopAtTime, StopOnReturn,
                        SwitchedSystem, TangencyError, clockwise_successor,
@@ -14,6 +14,15 @@ from switchbif import (BudgetError, EscapeError, IntegrationError, IntegratorCon
 
 #: (a, b, c) grid used for the linear-case oracle comparisons
 ORACLE_GRID = [(a, b, c) for a in (0.1, 1.0, 2.0) for b in (1.0, 6.0) for c in (1.0, 3.0)]
+
+
+def turning_back_system():
+    """p = (-10 x2^2, 10 x1^2) in regions 1, 3 and 4 (a = 0.1, b = c = 1):
+    at (0.5, 0) region 1's field points up, back into region 1."""
+    P = LambdaPoly.constant
+    pert = PolyField(comp1=(MonomialTerm(P(-10.0), 0, 2),),
+                     comp2=(MonomialTerm(P(10.0), 2, 0),))
+    return SwitchedSystem(make_params(0.1, 1.0, 1.0), (pert, PolyField.zero(), pert, pert))
 
 
 def return_residual(sys, x1, lam, cfg):
@@ -126,6 +135,12 @@ class TestIntegrate:
             integrate(sys, (5e-324, 0.0), 0.0, StopAtTime(1.0), cfg)
         assert len(integrate(sys, (1e-300, 0.0), 0.0, StopAfterEvents(1), cfg).events) == 1
 
+    def test_underflowing_error_scale_is_origin(self):
+        # abs_tol * |x| and rel_tol * |x| both underflow to zero at rel_tol = 1e-300
+        sys = make_linear_system(0.5, 2.0, 1.0)
+        with pytest.raises(OriginError, match="indistinguishable from the origin"):
+            integrate(sys, (1e-300, 0.0), 0.0, StopAtTime(1.0), IntegratorConfig(rel_tol=1e-300))
+
     def test_escape_raises(self, cfg):
         sys = make_linear_system(0.1, 6.0, 1.0)  # stability index ~27.9, expanding
         # leaves the bounding box (max-norm 1e6) near t = 10.6
@@ -146,6 +161,18 @@ class TestIntegrate:
         monkeypatch.setattr(numeric, "_MAX_ARCS", 3)
         with pytest.raises(BudgetError):
             integrate(sys, (1.0, 0.0), 0.0, stop, cfg)
+
+    def test_arc_time_budget_raises(self, cfg, monkeypatch):
+        # a quarter turn of this system takes pi / (2 sqrt(2)) ~ 1.11
+        sys = make_linear_system(0.5, 2.0, 1.0)
+        monkeypatch.setattr(numeric, "_MAX_ARC_TIME", 0.5)
+        with pytest.raises(BudgetError, match="no switching event within time 0.5"):
+            integrate(sys, (1.0, 0.0), 0.0, StopAfterEvents(1), cfg)
+
+    def test_unsupported_stop_raises(self, cfg):
+        sys = make_linear_system(0.5, 2.0, 1.0)
+        with pytest.raises(TypeError, match="unsupported stop condition"):
+            integrate(sys, (1.0, 0.0), 0.0, 1.0, cfg)
 
     def test_sliding_contact_raises(self, cfg):
         # third-quadrant field pushes back across the negative x2-axis:
@@ -253,7 +280,7 @@ class TestEventLocationCost:
         assert 0 < rhs_evals[0] <= budget
 
     def test_paper_branch_budget(self, paper_config, rhs_evals):
-        # half returns on the point-symmetric paper example: 35,662 RHS
+        # half returns on the point-symmetric paper example: 35,610 RHS
         # evals measured (68,654 with full returns, the same 52 returns)
         res = continue_branch(paper_config.system, [0.02, 0.05, 0.1, 0.5, 1.0],
                               paper_config.integrator)
@@ -274,17 +301,54 @@ class TestHalfReturn:
         with pytest.raises(SideError):
             half_return(paper_system, -0.5, 0.1, cfg)
 
-    def test_second_event_off_the_negative_x1_axis_raises(self, cfg):
-        # p = (-10 x2^2, 10 x1^2) in regions 1, 3, 4 turns the start at
-        # (0.5, 0) upward: the second event lies on the positive x2-axis
-        P = LambdaPoly.constant
-        pert = PolyField(comp1=(MonomialTerm(P(-10.0), 0, 2),),
-                         comp2=(MonomialTerm(P(10.0), 2, 0),))
-        sys = SwitchedSystem(make_params(0.1, 1.0, 1.0), (pert, PolyField.zero(), pert, pert))
-        traj = integrate(sys, (0.5, 0.0), 0.0, StopAfterEvents(2), cfg)
-        assert traj.states[traj.events[-1], 1] > 0.0
-        with pytest.raises(IntegrationError, match="negative x1-axis"):
-            half_return(sys, 0.5, 0.0, cfg)
+
+class TestCrossingRule:
+    """A start on an axis ends an arc of the region that holds it."""
+
+    @pytest.mark.parametrize("x2", [0.0, 1e-13])
+    def test_start_that_region_1_turns_back_raises_at_t0(self, cfg, x2):
+        # region 1 holds the positive x1-axis, and its field at (0.5, 0)
+        # points back into it: no arc of region 1 ends there
+        sys = turning_back_system()
+        for run in (lambda: integrate(sys, (0.5, x2), 0.0, StopAfterEvents(2), cfg),
+                    lambda: poincare_numeric(sys, 0.5, 0.0, cfg),
+                    lambda: half_return(sys, 0.5, 0.0, cfg)):
+            with pytest.raises(TangencyError, match=r"quadrant 1 cannot end at t = 0\.0,"):
+                run()
+
+    def test_zero_normal_velocity_at_the_start_raises(self, cfg):
+        # region 1's x2-velocity -c x1 + x1^2 vanishes at (1, 0); region 4's
+        # field would carry the trajectory on, but the start is region 1's
+        pert = PolyField(comp2=(MonomialTerm(LambdaPoly.constant(1.0), 2, 0),))
+        sys = SwitchedSystem(make_params(0.1, 2.0, 1.0),
+                             (pert, PolyField.zero(), PolyField.zero(), PolyField.zero()))
+        with pytest.raises(TangencyError, match=r"quadrant 1 cannot end at t = 0\.0,"):
+            integrate(sys, (1.0, 0.0), 0.0, StopAtTime(0.1), cfg)
+
+    @pytest.mark.parametrize("x0,first", [((0.0, 0.7), Quadrant.Q1), ((-0.4, 0.0), Quadrant.Q2),
+                                          ((0.0, -0.3), Quadrant.Q3),
+                                          ((0.5, -1e-13), Quadrant.Q4)])
+    def test_start_on_an_axis_is_not_an_event(self, cfg, x0, first):
+        sys = make_linear_system(0.3, 2.0, 1.0)
+        traj = integrate(sys, x0, 0.0, StopAfterEvents(1), cfg)
+        assert traj.quadrants[0] == first and traj.events.tolist() == [len(traj.times) - 1]
+        assert traj.times[traj.events[0]] > 0.1
+
+    def test_state_off_the_exit_semi_axis_raises(self):
+        # both fields point down, but only the positive x1-axis closes region 1
+        def down(x1, x2):
+            return 0.0, -1.0
+        fields = {1: down, 4: down}
+        assert numeric._leave(fields, Quadrant.Q1, 0.5, 0.0, 0.0) == (Quadrant.Q4, (0.0, -1.0))
+        with pytest.raises(TangencyError, match="quadrant 1 cannot end"):
+            numeric._leave(fields, Quadrant.Q1, -0.5, 0.0, 0.0)
+
+    def test_mid_arc_wrong_axis_raises(self, cfg):
+        # from (0.5, -0.1) region 4's field swings the trajectory up
+        # through the positive x1-axis instead of on to the negative x2-axis
+        with pytest.raises(TangencyError, match=r"left quadrant 4 through an unexpected "
+                                                r"axis near t = 0\.056"):
+            integrate(turning_back_system(), (0.5, -0.1), 0.0, StopAfterEvents(2), cfg)
 
 
 class TestReturnResidual:

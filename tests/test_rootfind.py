@@ -20,6 +20,7 @@ def test_brent_transcendental():
 def test_brent_endpoint_root():
     x, fx = brent(lambda x: x - 1.0, 1.0, 2.0)
     assert x == 1.0 and fx == 0.0
+    assert brent(lambda x: x - 2.0, 1.0, 2.0) == (2.0, 0.0)
 
 
 def test_brent_ftol_stops_early():
