@@ -241,17 +241,19 @@ class _Residual:
     half the cost and half the error: ``floor`` is halved), else pi.
     ``samples`` maps every amplitude integrated to its sample or to the
     IntegrationError it raised, so an amplitude costs at most one return
-    and ``len(samples)`` counts them.  With d = delta(lam) - 1 for pi and
-    sqrt(delta(lam)) - 1 for h, the residual's slope at an orbit is about
-    -(k - 1) d, so ``solve`` stops brent at |r| <= _RESIDUAL_TOL |d| lo,
-    an amplitude error of about _RESIDUAL_TOL x / (k - 1).
+    and ``len(samples)`` counts them.  ``gain`` is |d|, with
+    d = delta(lam) - 1 for pi and sqrt(delta(lam)) - 1 for h: the residual
+    is about d x near the origin, and its slope at an orbit about
+    -(k - 1) d, so ``solve`` stops brent at |r| <= _RESIDUAL_TOL |d| lo, an
+    amplitude error of about _RESIDUAL_TOL x / (k - 1).
     """
 
     def __init__(self, sys: SwitchedSystem, lam: float, cfg: IntegratorConfig, d: float):
         self.sys, self.lam, self.cfg = sys, lam, cfg
         half = is_point_symmetric(sys, lam)
         self.ret = half_return if half else poincare_numeric
-        self.ftol = _RESIDUAL_TOL * abs(math.sqrt(1.0 + d) - 1.0 if half else d)
+        self.gain = abs(math.sqrt(1.0 + d) - 1.0 if half else d)
+        self.ftol = _RESIDUAL_TOL * self.gain
         self.floor = _noise_floor(cfg) / 2.0 if half else _noise_floor(cfg)
         self.samples: dict[float, object] = {}
 
@@ -327,11 +329,12 @@ def continue_branch(sys: SwitchedSystem, lambdas, cfg: IntegratorConfig,
     most one return map per parameter value: a half return when the
     system is point-symmetric at the parameter (see ``_Residual``).
 
-    Without a prediction, or when the walk misses or an integration
-    breaks down on it, a geometric scan over (_X_SCAN_MIN, x_scan_max]
-    is used and the smallest sign change is taken as the branch point
-    (larger ones are reported as additional orbits).  A scan residual
-    with |r| <= _noise_floor(cfg) * x1 has no sign: it neither opens nor
+    Without a prediction, with a residual gain |delta - 1| (|sqrt(delta) - 1|
+    for half returns) at or below the scan's noise floor, or when the walk
+    misses or an integration breaks down on it, a geometric scan over
+    (_X_SCAN_MIN, x_scan_max] is used and the smallest sign change is
+    taken as the branch point (larger ones are reported as additional
+    orbits).  A scan residual with |r| <= _noise_floor(cfg) * x1 has no sign: it neither opens nor
     closes a bracket.  An amplitude where the integration breaks down
     ends the current bracket (no orbit can pass through it).  Parameters
     without any sign change are recorded in ``no_orbit``, which also
@@ -348,7 +351,10 @@ def continue_branch(sys: SwitchedSystem, lambdas, cfg: IntegratorConfig,
         seed = _predict(lam, d, history, expansion)
 
         found: list[BranchPoint] = []
-        if seed is not None and _X_SCAN_MIN < seed < x_scan_max:
+        # within the noise floor, a walk from the prediction brackets noise:
+        # only the scan, whose noisy residuals carry no sign, tells no orbit
+        if (seed is not None and residual.gain > residual.floor
+                and _X_SCAN_MIN < seed < x_scan_max):
             # oriented to rise through the smallest root, where the
             # residual leaves the sign of d it has near the origin
             sign = -1.0 if d > 0.0 else 1.0

@@ -1,14 +1,17 @@
 """Event-detecting adaptive integration of the full switched system.
 
-Each smooth arc lives in one open quadrant and is integrated with an
-embedded Dormand-Prince 5(4) pair under PI step-size control.  The
-switching manifolds are the four coordinate semi-axes, so the event
-function on an arc is simply the coordinate about to vanish under
-clockwise motion: x2 on arcs in quadrants 1 and 3, x1 on arcs in
-quadrants 2 and 4.  A sign change over an accepted step is located by
-``rootfind.brent`` on the length tau of a single re-taken step from the
-step start, until the crossing coordinate is below ``event_tol`` times
-the state scale.
+Each smooth arc lives in one open quadrant and is integrated with
+Hairer's DOP853 pair (Hairer, Norsett and Wanner, Solving ODEs I, II.5):
+an 8th-order step takes 11 new RHS evaluations, and f at an accepted
+state is the next step's first stage.  The step size follows Hairer's
+error norm, which blends the pair's 5th- and 3rd-order estimates, with
+exponent 1/8.  The switching manifolds are the four coordinate
+semi-axes, so the event function on an arc is simply the coordinate
+about to vanish under clockwise motion: x2 on arcs in quadrants 1 and 3,
+x1 on arcs in quadrants 2 and 4.  A sign change over an accepted step is
+located by ``rootfind.brent`` on the length tau of a single re-taken
+step from the step start, until the crossing coordinate is below
+``event_tol`` times the state scale.
 
 The result is one time-ordered table, a row per accepted step and per
 switching event.  An arc, the rows between two event rows, follows the
@@ -55,10 +58,10 @@ class IntegratorConfig:
     """The hybrid integrator's one accuracy setting, ``rel_tol``.
 
     ``integrate`` alone sizes the tolerances to the state, with |x| the
-    max-norm of the current state: step error control allows
-    abs_tol * min(1, |x|) + rel_tol * |x_i| in coordinate i, and every
-    event-side tolerance (crossing location, on-axis start, wrong-axis
-    guard) is a multiple of event_tol * |x|, so a linear system
+    max-norm of the current state: step error control scales the DOP853
+    pair's error estimates by abs_tol * min(1, |x|) + rel_tol * |x_i| in
+    coordinate i, and every event-side tolerance (crossing location,
+    on-axis start, wrong-axis guard) is a multiple of event_tol * |x|, so a linear system
     integrates scale-invariantly below |x| = 1.  The derived
     abs_tol = min(rel_tol, 1e-10) and event_tol = min(1e-12, rel_tol / 100)
     are 1e-10 and 1e-12 for every rel_tol >= 1e-10.  The event budget, the
@@ -140,16 +143,59 @@ class StopOnReturn:
     """Stop at the first switching event on the positive x1-axis."""
 
 
-# -- Dormand-Prince 5(4) coefficients -----------------------------------------
+# -- DOP853 coefficients (Hairer, Norsett and Wanner, Solving ODEs I, II.5) -----
+# _Aij: stage i from stage j; _Bi: the 8th-order weights; _Ei: the 5th-order
+# error weights; _BHHi: the 3rd-order weights of stages 1, 9 and 12
 
-_A21 = 1 / 5
-_A31, _A32 = 3 / 40, 9 / 40
-_A41, _A42, _A43 = 44 / 45, -56 / 15, 32 / 9
-_A51, _A52, _A53, _A54 = 19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729
-_A61, _A62, _A63, _A64, _A65 = 9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656
-_B1, _B3, _B4, _B5, _B6 = 35 / 384, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84
-_E1, _E3, _E4, _E5, _E6, _E7 = (71 / 57600, -71 / 16695, 71 / 1920,
-                                -17253 / 339200, 22 / 525, -1 / 40)
+_A21 = 5.26001519587677318785587544488e-2
+_A31, _A32 = 1.97250569845378994544595329183e-2, 5.91751709536136983633785987549e-2
+_A41, _A43 = 2.95875854768068491816892993775e-2, 8.87627564304205475450678981324e-2
+_A51, _A53, _A54 = (
+    2.41365134159266685502369798665e-1, -8.84549479328286085344864962717e-1,
+    9.24834003261792003115737966543e-1)
+_A61, _A64, _A65 = (
+    3.7037037037037037037037037037e-2, 1.70828608729473871279604482173e-1,
+    1.25467687566822425016691814123e-1)
+_A71, _A74, _A75, _A76 = (
+    3.7109375e-2, 1.70252211019544039314978060272e-1, 6.02165389804559606850219397283e-2,
+    -1.7578125e-2)
+_A81, _A84, _A85, _A86, _A87 = (
+    3.70920001185047927108779319836e-2, 1.70383925712239993810214054705e-1,
+    1.07262030446373284651809199168e-1, -1.53194377486244017527936158236e-2,
+    8.27378916381402288758473766002e-3)
+_A91, _A94, _A95, _A96, _A97, _A98 = (
+    6.24110958716075717114429577812e-1, -3.36089262944694129406857109825,
+    -8.68219346841726006818189891453e-1, 2.75920996994467083049415600797e1,
+    2.01540675504778934086186788979e1, -4.34898841810699588477366255144e1)
+_A101, _A104, _A105, _A106, _A107, _A108, _A109 = (
+    4.77662536438264365890433908527e-1, -2.48811461997166764192642586468,
+    -5.90290826836842996371446475743e-1, 2.12300514481811942347288949897e1,
+    1.52792336328824235832596922938e1, -3.32882109689848629194453265587e1,
+    -2.03312017085086261358222928593e-2)
+_A111, _A114, _A115, _A116, _A117, _A118, _A119, _A1110 = (
+    -9.3714243008598732571704021658e-1, 5.18637242884406370830023853209,
+    1.09143734899672957818500254654, -8.14978701074692612513997267357,
+    -1.85200656599969598641566180701e1, 2.27394870993505042818970056734e1,
+    2.49360555267965238987089396762, -3.0467644718982195003823669022)
+_A121, _A124, _A125, _A126, _A127, _A128, _A129, _A1210, _A1211 = (
+    2.27331014751653820792359768449, -1.05344954667372501984066689879e1,
+    -2.00087205822486249909675718444, -1.79589318631187989172765950534e1,
+    2.79488845294199600508499808837e1, -2.85899827713502369474065508674,
+    -8.87285693353062954433549289258, 1.23605671757943030647266201528e1,
+    6.43392746015763530355970484046e-1)
+_B1, _B6, _B7, _B8, _B9, _B10, _B11, _B12 = (
+    5.42937341165687622380535766363e-2, 4.45031289275240888144113950566,
+    1.89151789931450038304281599044, -5.8012039600105847814672114227,
+    3.1116436695781989440891606237e-1, -1.52160949662516078556178806805e-1,
+    2.01365400804030348374776537501e-1, 4.47106157277725905176885569043e-2)
+_E1, _E6, _E7, _E8, _E9, _E10, _E11, _E12 = (
+    0.1312004499419488073250102996e-1, -0.1225156446376204440720569753e+1,
+    -0.4957589496572501915214079952, 0.1664377182454986536961530415e+1,
+    -0.3503288487499736816886487290, 0.3341791187130174790297318841,
+    0.8192320648511571246570742613e-1, -0.2235530786388629525884427845e-1)
+_BHH1, _BHH2, _BHH3 = (
+    0.244094488188976377952755905512, 0.733846688281611857341361741547,
+    0.220588235294117647058823529412e-1)
 
 _H_FLOOR = 1e-14
 #: first and largest step, least |normal velocity| / speed at a crossing, longest arc
@@ -158,31 +204,55 @@ _H0, _MAX_STEP, _TANGENCY_TOL, _MAX_ARC_TIME = 1e-3, 1.0, 1e-10, 1e4
 _MAX_ARCS, _ESCAPE_RADIUS = 10_000, 1e6
 #: smallest normal float: a state below it has lost its relative precision
 _FLOAT_MIN = float(np.finfo(float).tiny)
-_SAFETY = 0.9
-_MIN_FACTOR = 0.2
-_MAX_FACTOR = 10.0
-_BETA = 0.04
-_EXPO = 0.2 - 0.75 * _BETA
+#: step-size controller: h *= SAFETY * err**-EXPO within [MIN_FACTOR, MAX_FACTOR]
+_SAFETY, _EXPO, _MIN_FACTOR, _MAX_FACTOR = 0.9, 1 / 8, 0.333, 6.0
 
 
-def _rk_stages(f, x1, x2, h, k11, k12):
-    """One 5th-order step of size h; returns solution, error, and the
-    final stage (reusable as the next step's first stage)."""
-    k21, k22 = f(x1 + h * _A21 * k11, x2 + h * _A21 * k12)
-    k31, k32 = f(x1 + h * (_A31 * k11 + _A32 * k21),
-                 x2 + h * (_A31 * k12 + _A32 * k22))
-    k41, k42 = f(x1 + h * (_A41 * k11 + _A42 * k21 + _A43 * k31),
-                 x2 + h * (_A41 * k12 + _A42 * k22 + _A43 * k32))
-    k51, k52 = f(x1 + h * (_A51 * k11 + _A52 * k21 + _A53 * k31 + _A54 * k41),
-                 x2 + h * (_A51 * k12 + _A52 * k22 + _A53 * k32 + _A54 * k42))
-    k61, k62 = f(x1 + h * (_A61 * k11 + _A62 * k21 + _A63 * k31 + _A64 * k41 + _A65 * k51),
-                 x2 + h * (_A61 * k12 + _A62 * k22 + _A63 * k32 + _A64 * k42 + _A65 * k52))
-    u1 = x1 + h * (_B1 * k11 + _B3 * k31 + _B4 * k41 + _B5 * k51 + _B6 * k61)
-    u2 = x2 + h * (_B1 * k12 + _B3 * k32 + _B4 * k42 + _B5 * k52 + _B6 * k62)
-    k71, k72 = f(u1, u2)
-    e1 = h * (_E1 * k11 + _E3 * k31 + _E4 * k41 + _E5 * k51 + _E6 * k61 + _E7 * k71)
-    e2 = h * (_E1 * k12 + _E3 * k32 + _E4 * k42 + _E5 * k52 + _E6 * k62 + _E7 * k72)
-    return u1, u2, e1, e2, k71, k72
+def _rk_stages(f, x1, x2, h, p1, q1):
+    """One 8th-order step of size h from the first stage (p1, q1) = f(x1, x2).
+
+    Stage i is (p_i, q_i).  Returns the solution (u1, u2), the 5th-order
+    error (e1, e2) and the 3rd-order one (d1, d2); f(u) is left to the
+    caller, as the next step's first stage.
+    """
+    p2, q2 = f(x1 + h * _A21 * p1, x2 + h * _A21 * q1)
+    p3, q3 = f(x1 + h * (_A31 * p1 + _A32 * p2), x2 + h * (_A31 * q1 + _A32 * q2))
+    p4, q4 = f(x1 + h * (_A41 * p1 + _A43 * p3), x2 + h * (_A41 * q1 + _A43 * q3))
+    p5, q5 = f(x1 + h * (_A51 * p1 + _A53 * p3 + _A54 * p4),
+               x2 + h * (_A51 * q1 + _A53 * q3 + _A54 * q4))
+    p6, q6 = f(x1 + h * (_A61 * p1 + _A64 * p4 + _A65 * p5),
+               x2 + h * (_A61 * q1 + _A64 * q4 + _A65 * q5))
+    p7, q7 = f(x1 + h * (_A71 * p1 + _A74 * p4 + _A75 * p5 + _A76 * p6),
+               x2 + h * (_A71 * q1 + _A74 * q4 + _A75 * q5 + _A76 * q6))
+    p8, q8 = f(x1 + h * (_A81 * p1 + _A84 * p4 + _A85 * p5 + _A86 * p6 + _A87 * p7),
+               x2 + h * (_A81 * q1 + _A84 * q4 + _A85 * q5 + _A86 * q6 + _A87 * q7))
+    p9, q9 = f(x1 + h * (_A91 * p1 + _A94 * p4 + _A95 * p5 + _A96 * p6 + _A97 * p7
+                         + _A98 * p8),
+               x2 + h * (_A91 * q1 + _A94 * q4 + _A95 * q5 + _A96 * q6 + _A97 * q7
+                         + _A98 * q8))
+    p10, q10 = f(x1 + h * (_A101 * p1 + _A104 * p4 + _A105 * p5 + _A106 * p6 + _A107 * p7
+                           + _A108 * p8 + _A109 * p9),
+                 x2 + h * (_A101 * q1 + _A104 * q4 + _A105 * q5 + _A106 * q6 + _A107 * q7
+                           + _A108 * q8 + _A109 * q9))
+    p11, q11 = f(x1 + h * (_A111 * p1 + _A114 * p4 + _A115 * p5 + _A116 * p6 + _A117 * p7
+                           + _A118 * p8 + _A119 * p9 + _A1110 * p10),
+                 x2 + h * (_A111 * q1 + _A114 * q4 + _A115 * q5 + _A116 * q6 + _A117 * q7
+                           + _A118 * q8 + _A119 * q9 + _A1110 * q10))
+    p12, q12 = f(x1 + h * (_A121 * p1 + _A124 * p4 + _A125 * p5 + _A126 * p6 + _A127 * p7
+                           + _A128 * p8 + _A129 * p9 + _A1210 * p10 + _A1211 * p11),
+                 x2 + h * (_A121 * q1 + _A124 * q4 + _A125 * q5 + _A126 * q6 + _A127 * q7
+                           + _A128 * q8 + _A129 * q9 + _A1210 * q10 + _A1211 * q11))
+    s1 = (_B1 * p1 + _B6 * p6 + _B7 * p7 + _B8 * p8 + _B9 * p9 + _B10 * p10 + _B11 * p11
+          + _B12 * p12)
+    s2 = (_B1 * q1 + _B6 * q6 + _B7 * q7 + _B8 * q8 + _B9 * q9 + _B10 * q10 + _B11 * q11
+          + _B12 * q12)
+    e1 = h * (_E1 * p1 + _E6 * p6 + _E7 * p7 + _E8 * p8 + _E9 * p9 + _E10 * p10 + _E11 * p11
+              + _E12 * p12)
+    e2 = h * (_E1 * q1 + _E6 * q6 + _E7 * q7 + _E8 * q8 + _E9 * q9 + _E10 * q10 + _E11 * q11
+              + _E12 * q12)
+    d1 = h * (s1 - _BHH1 * p1 - _BHH2 * p9 - _BHH3 * p12)
+    d2 = h * (s2 - _BHH1 * q1 - _BHH2 * q9 - _BHH3 * q12)
+    return x1 + h * s1, x2 + h * s2, e1, e2, d1, d2
 
 
 def _compiled_fields(sys: SwitchedSystem, lam: float) -> dict[int, object]:
@@ -243,7 +313,7 @@ def _leave(fields, q: Quadrant, x1: float, x2: float, t: float):
 def _locate_crossing(f, x1, x2, h, end_state, gidx, k11, k12, tol_g):
     """(tau, state) where the monitored coordinate g crosses zero within [0, h].
 
-    g(tau) is that coordinate after one 5th-order step of size tau; the
+    g(tau) is that coordinate after one 8th-order step of size tau; the
     known bracket ends and every state evaluated are kept, so neither
     brent's first calls nor the returned state cost a further step.
     """
@@ -252,7 +322,7 @@ def _locate_crossing(f, x1, x2, h, end_state, gidx, k11, k12, tol_g):
     def g(tau):
         state = states.get(tau)
         if state is None:
-            u1, u2, _, _, _, _ = _rk_stages(f, x1, x2, tau, k11, k12)
+            u1, u2, *_ = _rk_stages(f, x1, x2, tau, k11, k12)
             state = states[tau] = (u1, u2)
         return state[gidx]
 
@@ -319,7 +389,6 @@ def integrate(sys: SwitchedSystem, x0, lam: float, stop, cfg: IntegratorConfig) 
     f = fields[int(q)]
     gidx, s_g, _ = _EXIT[q]
     h = _H0
-    facold = 1e-4
     just_rejected = False
 
     while True:
@@ -330,7 +399,7 @@ def integrate(sys: SwitchedSystem, x0, lam: float, stop, cfg: IntegratorConfig) 
         if h <= _H_FLOOR * max(1.0, abs(t)):
             raise StiffnessError(f"step size underflow (h = {h}) at t = {t}")
 
-        u1, u2, e1, e2, k71, k72 = _rk_stages(f, x1, x2, h, k11, k12)
+        u1, u2, e1, e2, d1, d2 = _rk_stages(f, x1, x2, h, k11, k12)
         # the absolute-tolerance floor follows the trajectory scale, so
         # control stays relative while a contracting spiral decays; without
         # this, event times on strongly damped orbits lose absolute accuracy
@@ -338,18 +407,24 @@ def integrate(sys: SwitchedSystem, x0, lam: float, stop, cfg: IntegratorConfig) 
         sc1 = abs_tol * loc + rel_tol * max(abs(x1), abs(u1))
         sc2 = abs_tol * loc + rel_tol * max(abs(x2), abs(u2))
         try:
-            err = math.hypot(e1 / sc1, e2 / sc2) / math.sqrt(2.0)
+            n5 = math.hypot(e1 / sc1, e2 / sc2)
+            n3 = math.hypot(d1 / sc1, d2 / sc2)
         except ZeroDivisionError:   # the scale underflowed: no tolerance is left
             raise OriginError(f"state ({x1}, {x2}) at t = {t} is indistinguishable "
                               "from the origin at float resolution") from None
+        # Hairer's n5^2 / sqrt(2 (n5^2 + 0.01 n3^2)), in a form that neither
+        # overflows nor divides by zero: inf or nan on overflow, 0 for n5 = 0
+        err = n5 * (n5 / math.hypot(n5, 0.1 * n3)) / math.sqrt(2.0) if n5 else 0.0
         if not math.isfinite(err):
             err = math.inf
+        factor = (min(_MAX_FACTOR, max(_MIN_FACTOR, _SAFETY * err ** -_EXPO)) if err
+                  else _MAX_FACTOR)
 
         if err > 1.0:
             if max(abs(u1), abs(u2)) > _ESCAPE_RADIUS:
                 raise EscapeError(
                     f"trajectory left the bounding box near t = {t}: ({u1}, {u2})")
-            h *= max(_MIN_FACTOR, _SAFETY * err ** (-0.2)) if math.isfinite(err) else _MIN_FACTOR
+            h *= factor
             just_rejected = True
             continue
         if max(abs(u1), abs(u2)) < _FLOAT_MIN:
@@ -395,11 +470,10 @@ def integrate(sys: SwitchedSystem, x0, lam: float, stop, cfg: IntegratorConfig) 
         if abs(o0) > 10.0 * tol_x and (o0 > 0.0) != (o1 > 0.0):
             raise TangencyError(
                 f"trajectory left quadrant {int(q)} through an unexpected axis "
-                f"near t = {t + h} (rotation is not clockwise)")
+                f"in the step from t = {t} to {t + h} (rotation is not clockwise)")
 
         t = t_target if clipped else t + h
         x1, x2 = u1, u2
-        k11, k12 = k71, k72
         rows.append((t, x1, x2))
 
         if max(abs(x1), abs(x2)) > _ESCAPE_RADIUS:
@@ -411,15 +485,10 @@ def integrate(sys: SwitchedSystem, x0, lam: float, stop, cfg: IntegratorConfig) 
                 f"no switching event within time {_MAX_ARC_TIME} "
                 f"(arc started at t = {arc_start_t})")
 
-        if err == 0.0:
-            factor = _MAX_FACTOR
-        else:
-            factor = _SAFETY * err ** (-_EXPO) * facold ** _BETA
-            factor = min(_MAX_FACTOR, max(_MIN_FACTOR, factor))
+        k11, k12 = f(x1, x2)
         if just_rejected:
             factor = min(1.0, factor)
             just_rejected = False
-        facold = max(err, 1e-4)
         h = min(h * factor, _MAX_STEP)
 
 

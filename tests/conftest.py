@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from switchbif import (IntegratorConfig, LambdaPoly, Quadrant, SwitchedSystem,
-                       SystemParams, paper_example_config)
+                       SystemParams, numeric, paper_example_config)
 
 
 def make_params(a, b, c, domain=(-1.0, 1.0)):
@@ -94,3 +94,20 @@ def paper_params(paper_system):
 @pytest.fixture(scope="session")
 def cfg():
     return IntegratorConfig()
+
+
+@pytest.fixture
+def rhs_evals(monkeypatch):
+    """RHS evaluations, counted around the compiled fields."""
+    count = [0]
+    compiled = numeric._compiled_fields
+
+    def counting_fields(*args):
+        def counted(f):
+            def g(x1, x2):
+                count[0] += 1
+                return f(x1, x2)
+            return g
+        return {q: counted(f) for q, f in compiled(*args).items()}
+    monkeypatch.setattr(numeric, "_compiled_fields", counting_fields)
+    return count

@@ -25,8 +25,8 @@ import numpy as np
 import pytest
 from numpy.polynomial.legendre import leggauss
 
-from switchbif import (StopOnReturn, continue_branch, half_return, integrate,
-                       poincare_numeric)
+from switchbif import (IntegratorConfig, StopOnReturn, continue_branch, delta_numeric,
+                       half_return, integrate, poincare_numeric)
 
 A = 2.0
 NODES, WEIGHTS = leggauss(40)
@@ -94,43 +94,73 @@ def test_exact_map_at_zero_lambda_is_the_critical_linear_return():
 
 @pytest.mark.parametrize("x1", [1e-4, 0.5])
 def test_return_map_matches_exact(paper_system, cfg, x1):
-    # measured at rel_tol 1e-10: x1_out 2.5e-10 / 3.0e-10, period 6.3e-12 / 1.6e-11
+    # measured at rel_tol 1e-10: x1_out 1.1e-10 / 5.8e-11, period 3.8e-12 / 3.4e-12
     s = poincare_numeric(paper_system, x1, 0.1, cfg)
     t, x = exact_events(0.1, x1)[-1]
-    assert abs(s.x1_out - x[0]) <= 9e-10 * x[0]
-    assert abs(s.period - t) <= 5e-11 * t
+    assert abs(s.x1_out - x[0]) <= 3.5e-10 * x[0]
+    assert abs(s.period - t) <= 1.2e-11 * t
 
 
 @pytest.mark.parametrize("x1", [1e-4, 0.5])
 def test_half_return_matches_exact(paper_system, cfg, x1):
     # the state after two quarter-turns, mirrored, and twice its time;
-    # measured x1_out 1.3e-10 / 1.7e-10, period 6.3e-12 / 1.7e-11
+    # measured x1_out 5.5e-11 / 3.1e-11, period 3.9e-12 / 3.3e-12
     s = half_return(paper_system, x1, 0.1, cfg)
     t, x = exact_events(0.1, x1)[1]
-    assert abs(s.x1_out + x[0]) <= 5e-10 * -x[0]
-    assert abs(s.period - 2.0 * t) <= 5e-11 * 2.0 * t
+    assert abs(s.x1_out + x[0]) <= 1.7e-10 * -x[0]
+    assert abs(s.period - 2.0 * t) <= 1.2e-11 * 2.0 * t
 
 
 @pytest.mark.parametrize("x1", [1e-4, 0.5])
 def test_event_rows_match_exact(paper_system, cfg, x1):
     # every event row at time k T and on the exact state; measured
-    # 1.7e-11 in time and 3.0e-10 of the state's max-norm
+    # 3.9e-12 in time and 1.1e-10 of the state's max-norm
     traj = integrate(paper_system, (x1, 0.0), 0.1, StopOnReturn(), cfg)
     exact = exact_events(0.1, x1)
     assert len(traj.events) == len(exact)
     for i, (t, x) in zip(traj.events, exact):
-        assert abs(traj.times[i] - t) <= 5e-11 * t
-        assert np.max(np.abs(traj.states[i] - x)) <= 9e-10 * np.max(np.abs(x))
+        assert abs(traj.times[i] - t) <= 1.2e-11 * t
+        assert np.max(np.abs(traj.states[i] - x)) <= 3.5e-10 * np.max(np.abs(x))
+
+
+#: (rel_tol, x1): bound on the relative error of one return at lam = 0.1.
+#: Measured: 3.9e-7 / 1.6e-7, 4.8e-9 / 2.5e-9, 1.1e-10 / 5.8e-11 and
+#: 1.0e-12 / 6.7e-13 at x1 = 1e-4 / 0.5; each bound is 3x that, capped by
+#: the 5(4) pair's error (7.1e-7 / 1.2e-6, 7.9e-9 / 9.5e-9, 2.5e-10 /
+#: 3.0e-10, 2.7e-12 / 2.9e-12)
+WORK_PRECISION = {(1e-6, 1e-4): 7.1e-7, (1e-6, 0.5): 4.8e-7,
+                  (1e-8, 1e-4): 7.9e-9, (1e-8, 0.5): 7.4e-9,
+                  (1e-10, 1e-4): 2.5e-10, (1e-10, 0.5): 1.75e-10,
+                  (1e-12, 1e-4): 2.6e-12, (1e-12, 0.5): 2.0e-12}
+
+
+@pytest.mark.parametrize("rel_tol,x1", sorted(WORK_PRECISION))
+def test_work_precision(paper_system, rhs_evals, rel_tol, x1):
+    # at the default rel_tol 1e-10, 527 / 634 RHS evals measured
+    s = poincare_numeric(paper_system, x1, 0.1, IntegratorConfig(rel_tol))
+    exact = exact_return(0.1, x1)
+    assert abs(s.x1_out - exact) <= WORK_PRECISION[rel_tol, x1] * exact
+    if rel_tol == 1e-10:
+        assert rhs_evals[0] <= 700
+
+
+@pytest.mark.parametrize("lam,bound", [(0.0, 3.5e-10), (0.1, 3.5e-10), (1.0, 3.5e-11),
+                                       (-0.3, 3.5e-10)])
+def test_delta_numeric_matches_exact(paper_system, cfg, lam, bound):
+    # measured 1.05e-10, 1.10e-10, 1.03e-11 and 1.19e-10 relative
+    exact = exact_delta(lam)
+    assert abs(delta_numeric(paper_system, lam, cfg) - exact) <= bound * exact
 
 
 def test_branch_amplitudes_match_exact_fixed_points(paper_system, cfg):
     # the amplitude error is the return-map error over |pi'(x*) - 1|, which
     # is about 2 |delta - 1| near the bifurcation; measured
-    # |x - x*| / x* * |delta - 1| <= 2.0e-10 on these five points (solved
-    # on the half return h, whose error over |h'(x*) - 1| is about the same)
+    # |x - x*| / x* * |delta - 1| = 3.8e-11 to 6.2e-11 on these five points
+    # (1.3e-10 to 2.4e-10 with the 5(4) pair; solved on the half return h,
+    # whose error over |h'(x*) - 1| is about the same)
     res = continue_branch(paper_system, [0.02, 0.05, 0.1, 0.5, 1.0], cfg)
     assert len(res.points) == 5
     for p in res.points:
         exact = exact_fixed_point(p.lam, 0.5 * p.x1_fixed, 2.0 * p.x1_fixed)
-        bound = 7e-10 / abs(exact_delta(p.lam) - 1.0)
+        bound = 1.8e-10 / abs(exact_delta(p.lam) - 1.0)
         assert abs(p.x1_fixed - exact) <= bound * exact, p
