@@ -27,6 +27,7 @@ zero.
 from __future__ import annotations
 
 import enum
+import itertools
 import math
 from dataclasses import dataclass, replace
 
@@ -473,15 +474,30 @@ class GlobalCheckReport:
 
 _GOLDEN = 0.6180339887498949
 
+#: points per block of the sampled checks, which walk their sample sets
+#: block by block: memory is bounded by the block, not by n_samples
+_BLOCK = 1 << 15
+
 #: monomial vectors x and Sx = (-x2, x1), S = [[0, -1], [1, 0]], as (sign, pow1, pow2)
 _X = ((1.0, 1, 0), (1.0, 0, 1))
 _SX = ((-1.0, 0, 1), (1.0, 1, 0))
 
 
-def _golden_points(radii: np.ndarray, offset: float) -> tuple[np.ndarray, np.ndarray]:
-    j = np.arange(radii.size, dtype=float)
-    theta = 2.0 * math.pi * ((j * _GOLDEN + offset) % 1.0)
-    return radii * np.cos(theta), radii * np.sin(theta)
+def _golden_blocks(n: int, radius, offset: float):
+    """Golden-angle points j = 0 .. n-1 at radius(j), as (x1, x2) blocks of
+    at most ``_BLOCK`` points in index order; a point does not depend on
+    the block that holds it."""
+    for j0 in range(0, n, _BLOCK):
+        j = np.arange(j0, min(n, j0 + _BLOCK), dtype=float)
+        theta = 2.0 * math.pi * ((j * _GOLDEN + offset) % 1.0)
+        r = radius(j)
+        yield r * np.cos(theta), r * np.sin(theta)
+
+
+def _circle(n: int, radius: float):
+    """Blocks of n points on the circle of ``radius``; all circles share
+    their sample angles, so radial decay can be compared along matched rays."""
+    return _golden_blocks(n, lambda j: radius, 0.17)
 
 
 def _inner(g, frozen_field):
@@ -506,36 +522,37 @@ def _confinement(fields: dict, radius_M: float, n_samples: int):
     |x|^2 / |<x, pert>| falls from the inner to the outer circle.
     """
     n_circ = max(64, n_samples // 100)
-    j = np.arange(n_samples, dtype=float)
-    xs = [_golden_points(radius_M * np.sqrt(1.0 + 99.0 * (j + 0.5) / n_samples), 0.0)]
-    # the three circles share sample angles so radial decay can be
-    # compared along matched rays
-    xs += [_golden_points(np.full(n_circ, rc * radius_M), 0.17) for rc in (1.0, 2.0, 10.0)]
-    x1 = np.concatenate([p[0] for p in xs])
-    x2 = np.concatenate([p[1] for p in xs])
-
-    witness = None
-    rads = []
-    for fr, q in fields.items():
-        lin, pert = _inner(_X, fr)
-        rads.append(eval_terms(pert, x1, x2))
-        vdot = 2.0 * (eval_terms(lin, x1, x2) + rads[-1])
-        bad = np.nonzero(vdot >= 0.0)[0]
-        if bad.size and witness is None:
-            k = int(bad[np.argmax(vdot[bad])])
-            witness = Witness(
-                field_index=int(q), x=(float(x1[k]), float(x2[k])), value=float(vdot[k]),
-                description=(f"dV/dt = {vdot[k]:.6g} >= 0 for field {int(q)} at "
-                             f"x = ({x1[k]:.6g}, {x2[k]:.6g}), |x| = {math.hypot(x1[k], x2[k]):.6g}"))
+    forms = [(q, *_inner(_X, fr)) for fr, q in fields.items()]
+    best = [None] * len(forms)   # per region: the witness at its largest dV/dt >= 0 so far
+    outward = False   # some <x, pert> >= 0
+    shells = _golden_blocks(
+        n_samples, lambda j: radius_M * np.sqrt(1.0 + 99.0 * (j + 0.5) / n_samples), 0.0)
+    for x1, x2 in itertools.chain(shells, *(_circle(n_circ, rc * radius_M)
+                                            for rc in (1.0, 2.0, 10.0))):
+        for i, (q, lin, pert) in enumerate(forms):
+            rad = eval_terms(pert, x1, x2)
+            vdot = 2.0 * (eval_terms(lin, x1, x2) + rad)
+            outward = outward or bool(np.any(rad >= 0.0))
+            k = int(np.argmax(vdot))
+            # strict > across blocks: equal values go to the lowest index
+            if vdot[k] >= 0.0 and (best[i] is None or vdot[k] > best[i].value):
+                v, y1, y2 = float(vdot[k]), float(x1[k]), float(x2[k])
+                best[i] = Witness(int(q), (y1, y2), v, (
+                    f"dV/dt = {v:.6g} >= 0 for field {int(q)} at "
+                    f"x = ({y1:.6g}, {y2:.6g}), |x| = {math.hypot(y1, y2):.6g}"))
+    n_used = n_samples + 3 * n_circ
+    witness = next(filter(None, best), None)
     if witness is None:
-        return CheckStatus.PASS_SAMPLED, None, x1.size
-    inner = slice(n_samples, n_samples + n_circ)
-    outer = slice(n_samples + 2 * n_circ, None)
-    r2 = x1 ** 2 + x2 ** 2
-    confines = not any(np.any(rad >= 0.0) for rad in rads) and not any(
-        np.any(r2[outer] / np.abs(rad[outer]) >= r2[inner] / np.abs(rad[inner]))
-        for rad in rads)
-    return (CheckStatus.NOT_APPLICABLE if confines else CheckStatus.FAIL), witness, x1.size
+        return CheckStatus.PASS_SAMPLED, None, n_used
+
+    def grows(pert):   # |x|^2 / |<x, pert>| does not fall from M to 10M on some ray
+        return any(np.any((o1 ** 2 + o2 ** 2) / np.abs(eval_terms(pert, o1, o2))
+                          >= (i1 ** 2 + i2 ** 2) / np.abs(eval_terms(pert, i1, i2)))
+                   for (i1, i2), (o1, o2) in zip(_circle(n_circ, radius_M),
+                                                 _circle(n_circ, 10.0 * radius_M)))
+
+    confines = not outward and not any(grows(pert) for _, _, pert in forms)
+    return (CheckStatus.NOT_APPLICABLE if confines else CheckStatus.FAIL), witness, n_used
 
 
 def _rotation(fields: dict, radius_M: float, n_samples: int):
@@ -543,25 +560,26 @@ def _rotation(fields: dict, radius_M: float, n_samples: int):
 
     Returns (status, witness, whether the one-sided comparison
     <A_i x, Sx> > <pert_i, Sx> holds everywhere, max |<pert_i, Sx>|).
+    The witness is the first violation of the first failing region.
     """
-    j = np.arange(n_samples, dtype=float)
-    x1, x2 = _golden_points(10.0 * radius_M * np.sqrt((j + 0.5) / n_samples), 0.43)
-    witness = None
+    forms = [(q, *_inner(_SX, fr)) for fr, q in fields.items()]
+    first = [None] * len(forms)   # per region: the witness at its first violation
     one_sided = True
     pert_max = 0.0
-    for fr, q in fields.items():
-        lin, pert = (eval_terms(terms, x1, x2) for terms in _inner(_SX, fr))
-        pert_max = max(pert_max, float(np.max(np.abs(pert))))
-        bad = np.nonzero(np.abs(lin) <= np.abs(pert))[0]
-        if bad.size and witness is None:
-            k = int(bad[0])
-            witness = Witness(
-                field_index=int(q), x=(float(x1[k]), float(x2[k])),
-                value=float(abs(pert[k]) - abs(lin[k])),
-                description=(f"|<A x, Sx>| = {abs(lin[k]):.6g} <= "
-                             f"|<pert, Sx>| = {abs(pert[k]):.6g} for field "
-                             f"{int(q)} at x = ({x1[k]:.6g}, {x2[k]:.6g})"))
-        one_sided = one_sided and not np.any(lin <= pert)
+    for x1, x2 in _golden_blocks(
+            n_samples, lambda j: 10.0 * radius_M * np.sqrt((j + 0.5) / n_samples), 0.43):
+        for i, (q, lin_terms, pert_terms) in enumerate(forms):
+            lin, pert = eval_terms(lin_terms, x1, x2), eval_terms(pert_terms, x1, x2)
+            pert_max = max(pert_max, float(np.max(np.abs(pert))))
+            bad = np.abs(lin) <= np.abs(pert)
+            k = int(np.argmax(bad))
+            if bad[k] and first[i] is None:
+                y1, y2, a, p = float(x1[k]), float(x2[k]), abs(float(lin[k])), abs(float(pert[k]))
+                first[i] = Witness(int(q), (y1, y2), p - a, (
+                    f"|<A x, Sx>| = {a:.6g} <= |<pert, Sx>| = {p:.6g} for field "
+                    f"{int(q)} at x = ({y1:.6g}, {y2:.6g})"))
+            one_sided = one_sided and not np.any(lin <= pert)
+    witness = next(filter(None, first), None)
     status = CheckStatus.PASS_SAMPLED if witness is None else CheckStatus.FAIL
     return status, witness, one_sided, pert_max
 

@@ -242,16 +242,24 @@ def collect_terms(terms) -> tuple[tuple[float, int, int], ...]:
 
 
 def eval_terms(terms, x1, x2):
-    """Evaluate ``(coeff, pow1, pow2)`` terms at (x1, x2); scalars or numpy arrays."""
-    total = 0.0 * (x1 + x2)
-    for c, p1, p2 in terms:
+    """Evaluate ``(coeff, pow1, pow2)`` terms at (x1, x2): scalars or numpy
+    arrays of one shape.
+
+    Each power x**p is built once per call by repeated multiplication,
+    x**p = x**(p-1) * x, so it may differ from ``x ** p`` by a few ulps.
+    The products are taken in place, which keeps large temporaries few.
+    """
+    total = None
+    powers = ([1.0, x1], [1.0, x2])
+    for c, *ps in terms:
         term = c
-        if p1:
-            term = term * x1 ** p1
-        if p2:
-            term = term * x2 ** p2
-        total += term
-    return total
+        for table, p in zip(powers, ps):
+            while len(table) <= p:
+                table.append(table[-1] * table[1])
+            if p:
+                term *= table[p]   # a new array on the first power, in place after
+        total = term if total is None else total + term
+    return 0.0 * (x1 + x2) if total is None else total
 
 
 def freeze(sys: SwitchedSystem, lam: float) -> tuple[tuple, ...]:

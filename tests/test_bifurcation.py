@@ -1,3 +1,4 @@
+import collections
 import dataclasses
 import math
 
@@ -475,16 +476,20 @@ class TestCheckGlobalConditions:
 
     def test_equal_regions_are_sampled_once(self, paper_system, monkeypatch):
         # regions 1/3 and 2/4 of the paper example freeze to equal fields:
-        # two forms per distinct field and check, not per region
-        calls = [0]
+        # two forms per distinct field, check and block, not per region
+        blocks = []   # the x1 block of each call, kept alive so ids stay unique
         eval_terms = bifurcation.eval_terms
 
-        def counting(*args):
-            calls[0] += 1
-            return eval_terms(*args)
+        def counting(terms, x1, x2):
+            blocks.append(x1)
+            return eval_terms(terms, x1, x2)
         monkeypatch.setattr(bifurcation, "eval_terms", counting)
+        monkeypatch.setattr(bifurcation, "_BLOCK", 256)
         check_global_conditions(paper_system, 0.5, radius_M=10.0, n_samples=1_000)
-        assert calls[0] == 8
+        calls = collections.Counter(id(x1) for x1 in blocks)
+        # confinement: 4 blocks of samples and one per circle; rotation: 4
+        assert len(calls) == 4 + 3 + 4
+        assert set(calls.values()) == {2 * 2}
 
     def test_witness_names_the_one_region_that_differs(self, paper_system):
         # region 3 alone gets an outward cubic; regions 1 and 3 no longer

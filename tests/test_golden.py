@@ -9,7 +9,8 @@ integrator's default tolerance, which lies above the event and
 fixed-point tolerances.
 
 Regenerate the files after an intended output change with
-``PYTHONPATH=src python tests/test_golden.py``.
+``PYTHONPATH=src python tests/test_golden.py [CASE ...]``: only the
+named cases, or every case when none is named.
 """
 
 import json
@@ -105,7 +106,10 @@ def test_csv_cells_are_plain_numbers(case, tmp_path, capsys):
 
 
 if __name__ == "__main__":
-    for case in sorted(CASES):
+    unknown = set(sys.argv[1:]) - set(CASES)
+    if unknown:
+        sys.exit(f"unknown case(s) {', '.join(sorted(unknown))}; cases: {', '.join(sorted(CASES))}")
+    for case in sorted(sys.argv[1:] or CASES):
         out = GOLDEN / case
         out.mkdir(parents=True, exist_ok=True)
         for old in out.iterdir():
