@@ -36,8 +36,9 @@ import numpy as np
 from .analytic import DELTA_ONE_TOL, delta, delta_prime
 from .errors import (DegenerateError, DomainError, InsufficientDataError,
                      IntegrationError, PerturbationTooSmallError)
-from .model import (Quadrant, SwitchedSystem, SystemParams, collect_terms,
-                    eval_terms, freeze, is_point_symmetric)
+from . import numeric
+from .model import (Quadrant, SwitchedSystem, SystemParams, collect_terms, compile_forms,
+                    freeze, is_point_symmetric)
 from .numeric import IntegratorConfig, half_return, poincare_numeric
 from .rootfind import brent, expand_bracket
 
@@ -155,7 +156,8 @@ def fit_local_expansion(sys: SwitchedSystem, lam: float, cfg: IntegratorConfig,
     the numerical one (used to test the fit in isolation).
     """
     if return_map is None:
-        return_map = lambda x: poincare_numeric(sys, x, lam, cfg).x1_out
+        fields = numeric._compiled_fields(sys, lam)
+        return_map = lambda x: poincare_numeric(sys, x, lam, cfg, fields=fields).x1_out
     d_lin = delta(sys.params, lam)
     xs = np.array([x_max * 2.0 ** (-j) for j in range(n_points)])
     rs = np.array([return_map(float(x)) - d_lin * x for x in xs])
@@ -242,7 +244,8 @@ class _Residual:
     half the cost and half the error: ``floor`` is halved), else pi.
     ``samples`` maps every amplitude integrated to its sample or to the
     IntegrationError it raised, so an amplitude costs at most one return
-    and ``len(samples)`` counts them.  ``gain`` is |d|, with
+    and ``len(samples)`` counts them; the fields are compiled once, for all of
+    them.  ``gain`` is |d|, with
     d = delta(lam) - 1 for pi and sqrt(delta(lam)) - 1 for h: the residual
     is about d x near the origin, and its slope at an orbit about
     -(k - 1) d, so ``solve`` stops brent at |r| <= _RESIDUAL_TOL |d| lo, an
@@ -257,11 +260,13 @@ class _Residual:
         self.ftol = _RESIDUAL_TOL * self.gain
         self.floor = _noise_floor(cfg) / 2.0 if half else _noise_floor(cfg)
         self.samples: dict[float, object] = {}
+        self.fields = numeric._compiled_fields(sys, lam)
 
     def __call__(self, x1: float) -> float:
         if x1 not in self.samples:
             try:
-                self.samples[x1] = self.ret(self.sys, x1, self.lam, self.cfg)
+                self.samples[x1] = self.ret(self.sys, x1, self.lam, self.cfg,
+                                            fields=self.fields)
             except IntegrationError as exc:
                 self.samples[x1] = exc
         sample = self.samples[x1]
@@ -522,16 +527,16 @@ def _confinement(fields: dict, radius_M: float, n_samples: int):
     |x|^2 / |<x, pert>| falls from the inner to the outer circle.
     """
     n_circ = max(64, n_samples // 100)
-    forms = [(q, *_inner(_X, fr)) for fr, q in fields.items()]
+    forms = [(q, compile_forms(*_inner(_X, fr))) for fr, q in fields.items()]
     best = [None] * len(forms)   # per region: the witness at its largest dV/dt >= 0 so far
     outward = False   # some <x, pert> >= 0
     shells = _golden_blocks(
         n_samples, lambda j: radius_M * np.sqrt(1.0 + 99.0 * (j + 0.5) / n_samples), 0.0)
     for x1, x2 in itertools.chain(shells, *(_circle(n_circ, rc * radius_M)
                                             for rc in (1.0, 2.0, 10.0))):
-        for i, (q, lin, pert) in enumerate(forms):
-            rad = eval_terms(pert, x1, x2)
-            vdot = 2.0 * (eval_terms(lin, x1, x2) + rad)
+        for i, (q, form) in enumerate(forms):
+            lin, rad = form(x1, x2)
+            vdot = 2.0 * (lin + rad)
             outward = outward or bool(np.any(rad >= 0.0))
             k = int(np.argmax(vdot))
             # strict > across blocks: equal values go to the lowest index
@@ -545,13 +550,13 @@ def _confinement(fields: dict, radius_M: float, n_samples: int):
     if witness is None:
         return CheckStatus.PASS_SAMPLED, None, n_used
 
-    def grows(pert):   # |x|^2 / |<x, pert>| does not fall from M to 10M on some ray
-        return any(np.any((o1 ** 2 + o2 ** 2) / np.abs(eval_terms(pert, o1, o2))
-                          >= (i1 ** 2 + i2 ** 2) / np.abs(eval_terms(pert, i1, i2)))
+    def grows(form):   # |x|^2 / |<x, pert>| does not fall from M to 10M on some ray
+        return any(np.any((o1 ** 2 + o2 ** 2) / np.abs(form(o1, o2)[1])
+                          >= (i1 ** 2 + i2 ** 2) / np.abs(form(i1, i2)[1]))
                    for (i1, i2), (o1, o2) in zip(_circle(n_circ, radius_M),
                                                  _circle(n_circ, 10.0 * radius_M)))
 
-    confines = not outward and not any(grows(pert) for _, _, pert in forms)
+    confines = not outward and not any(grows(form) for _, form in forms)
     return (CheckStatus.NOT_APPLICABLE if confines else CheckStatus.FAIL), witness, n_used
 
 
@@ -562,14 +567,14 @@ def _rotation(fields: dict, radius_M: float, n_samples: int):
     <A_i x, Sx> > <pert_i, Sx> holds everywhere, max |<pert_i, Sx>|).
     The witness is the first violation of the first failing region.
     """
-    forms = [(q, *_inner(_SX, fr)) for fr, q in fields.items()]
+    forms = [(q, compile_forms(*_inner(_SX, fr))) for fr, q in fields.items()]
     first = [None] * len(forms)   # per region: the witness at its first violation
     one_sided = True
     pert_max = 0.0
     for x1, x2 in _golden_blocks(
             n_samples, lambda j: 10.0 * radius_M * np.sqrt((j + 0.5) / n_samples), 0.43):
-        for i, (q, lin_terms, pert_terms) in enumerate(forms):
-            lin, pert = eval_terms(lin_terms, x1, x2), eval_terms(pert_terms, x1, x2)
+        for i, (q, form) in enumerate(forms):
+            lin, pert = form(x1, x2)
             pert_max = max(pert_max, float(np.max(np.abs(pert))))
             bad = np.abs(lin) <= np.abs(pert)
             k = int(np.argmax(bad))

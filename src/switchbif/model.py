@@ -241,25 +241,36 @@ def collect_terms(terms) -> tuple[tuple[float, int, int], ...]:
     return tuple((c, p1, p2) for (p1, p2), c in acc.items() if c != 0.0)
 
 
-def eval_terms(terms, x1, x2):
-    """Evaluate ``(coeff, pow1, pow2)`` terms at (x1, x2): scalars or numpy
-    arrays of one shape.
+def compile_forms(*forms):
+    """One function (x1, x2) -> (sum of each form's ``(coeff, pow1, pow2)`` terms, ...).
 
-    Each power x**p is built once per call by repeated multiplication,
-    x**p = x**(p-1) * x, so it may differ from ``x ** p`` by a few ulps.
-    The products are taken in place, which keeps large temporaries few.
+    The function is straight-line code compiled once, and runs alike on
+    floats and on numpy arrays of one shape: each power is a local built as
+    x**p = x**(p-1) * x, a term is coeff * x1**p1 * x2**p2 in that order,
+    a form sums its terms left to right, and an empty form is 0.0 * (x1 + x2).
+    The source holds only ``repr(float)`` coefficients and int powers, with
+    ``inf`` and ``nan`` bound to their floats; float ``*`` overflows to inf.
     """
-    total = None
-    powers = ([1.0, x1], [1.0, x2])
-    for c, *ps in terms:
-        term = c
-        for table, p in zip(powers, ps):
-            while len(table) <= p:
-                table.append(table[-1] * table[1])
-            if p:
-                term *= table[p]   # a new array on the first power, in place after
-        total = term if total is None else total + term
-    return 0.0 * (x1 + x2) if total is None else total
+    lines = ["def f(x1_1, x2_1):"]   # xi_p is the local xi**p
+    for i in (1, 2):
+        top = max((int(t[i]) for form in forms for t in form), default=0)
+        lines += [f"    x{i}_{p} = x{i}_{p - 1} * x{i}_1" for p in range(2, top + 1)]
+
+    def term(c, *powers):
+        return " * ".join([repr(float(c))]
+                          + [f"x{i}_{int(p)}" for i, p in enumerate(powers, 1) if p])
+
+    sums = (" + ".join(term(*t) for t in form) or "0.0 * (x1_1 + x2_1)" for form in forms)
+    lines.append(f"    return ({', '.join(sums)},)")
+    namespace = {"__builtins__": {}, "inf": math.inf, "nan": math.nan}
+    exec("\n".join(lines), namespace)
+    return namespace["f"]
+
+
+def compile_field(frozen):
+    """One region of :func:`freeze` as f(x1, x2) -> (dx1, dx2), linear terms first."""
+    a11, a12, a21, a22, t1, t2 = frozen
+    return compile_forms(((a11, 1, 0), (a12, 0, 1), *t1), ((a21, 1, 0), (a22, 0, 1), *t2))
 
 
 def freeze(sys: SwitchedSystem, lam: float) -> tuple[tuple, ...]:
@@ -296,11 +307,8 @@ def is_point_symmetric(sys: SwitchedSystem, lam: float) -> bool:
 
 def eval_field(sys: SwitchedSystem, q: Quadrant, x, lam: float) -> np.ndarray:
     """Velocity of region ``q``'s field at point ``x``: A_q(lam) x + perturbation."""
-    a11, a12, a21, a22, t1, t2 = freeze(sys, lam)[Quadrant(q) - 1]
-    x1, x2 = float(x[0]), float(x[1])
-    d1 = a11 * x1 + a12 * x2 + eval_terms(t1, x1, x2)
-    d2 = a21 * x1 + a22 * x2 + eval_terms(t2, x1, x2)
-    return np.array([d1, d2])
+    f = compile_field(freeze(sys, lam)[Quadrant(q) - 1])
+    return np.array(f(float(x[0]), float(x[1])))
 
 
 @dataclass(frozen=True)

@@ -36,7 +36,8 @@ import numpy as np
 
 from .errors import (BudgetError, EscapeError, OriginError, SideError, StiffnessError,
                      TangencyError)
-from .model import Quadrant, SwitchedSystem, clockwise_successor, freeze, region_of
+from .model import (Quadrant, SwitchedSystem, clockwise_successor, compile_field, freeze,
+                    region_of)
 from .rootfind import brent
 
 __all__ = [
@@ -256,29 +257,11 @@ def _rk_stages(f, x1, x2, h, p1, q1):
 
 
 def _compiled_fields(sys: SwitchedSystem, lam: float) -> dict[int, object]:
-    """Per-quadrant scalar closures with coefficients frozen at ``lam``."""
-    fields: dict[int, object] = {}
-    for q, (a11, a12, a21, a22, t1, t2) in zip(Quadrant, freeze(sys, lam)):
-        if not t1 and not t2:
-            def f_lin(x1, x2, a11=a11, a12=a12, a21=a21, a22=a22):
-                return a11 * x1 + a12 * x2, a21 * x1 + a22 * x2
-            fields[int(q)] = f_lin
-        else:
-            def f_full(x1, x2, a11=a11, a12=a12, a21=a21, a22=a22, t1=t1, t2=t2):
-                # float overflow in a rejected trial step must surface as an
-                # infinite error estimate, not an exception
-                try:
-                    d1 = a11 * x1 + a12 * x2
-                    for cc, p1, p2 in t1:
-                        d1 += cc * x1 ** p1 * x2 ** p2
-                    d2 = a21 * x1 + a22 * x2
-                    for cc, p1, p2 in t2:
-                        d2 += cc * x1 ** p1 * x2 ** p2
-                except OverflowError:
-                    return math.inf, math.inf
-                return d1, d2
-            fields[int(q)] = f_full
-    return fields
+    """Every region's field at ``lam``, compiled once by ``model.compile_field``:
+    {region: f(x1, x2) -> (dx1, dx2)}; regions that freeze alike share one f."""
+    frozen = freeze(sys, lam)
+    shared = {fr: compile_field(fr) for fr in set(frozen)}
+    return {int(q): shared[fr] for q, fr in zip(Quadrant, frozen)}
 
 
 #: per quadrant: the coordinate that vanishes on its clockwise exit
@@ -340,7 +323,8 @@ def _table(rows: list, events: list[int], quadrants: list[int]) -> HybridTraject
                             events=np.array(events, dtype=int))
 
 
-def integrate(sys: SwitchedSystem, x0, lam: float, stop, cfg: IntegratorConfig) -> HybridTrajectory:
+def integrate(sys: SwitchedSystem, x0, lam: float, stop, cfg: IntegratorConfig,
+              fields=None) -> HybridTrajectory:
     """Integrate the switched system from ``x0`` until ``stop`` is met.
 
     ``stop`` is one of StopAtTime, StopAfterEvents, StopOnReturn.
@@ -353,6 +337,7 @@ def integrate(sys: SwitchedSystem, x0, lam: float, stop, cfg: IntegratorConfig) 
     normal float.  A start within 4 * event_tol * |x0| of an axis ends
     an arc of the region holding the point snapped onto that axis and is
     checked like every switching event, but it is not recorded as one.
+    ``fields`` is ``_compiled_fields(sys, lam)`` when the caller holds it.
     """
     sys.params.check_lambda(lam)
     x1, x2 = float(x0[0]), float(x0[1])
@@ -368,7 +353,8 @@ def integrate(sys: SwitchedSystem, x0, lam: float, stop, cfg: IntegratorConfig) 
     events_target = stop.count if isinstance(stop, StopAfterEvents) else math.inf
     rel_tol, abs_tol, event_tol = cfg.rel_tol, cfg.abs_tol, cfg.event_tol
 
-    fields = _compiled_fields(sys, lam)
+    if fields is None:
+        fields = _compiled_fields(sys, lam)
     on_axis_tol = 4.0 * event_tol * norm0
     snapped = tuple(0.0 if abs(v) <= on_axis_tol else v for v in (x1, x2))
     q = region_of(snapped)
@@ -493,7 +479,7 @@ def integrate(sys: SwitchedSystem, x0, lam: float, stop, cfg: IntegratorConfig) 
 
 
 def poincare_numeric(sys: SwitchedSystem, x1: float, lam: float,
-                     cfg: IntegratorConfig) -> PoincareSample:
+                     cfg: IntegratorConfig, fields=None) -> PoincareSample:
     """One revolution of the return map from (x1, 0) on the positive x1-axis.
 
     ``integrate`` sizes every tolerance to the state, so the returned
@@ -502,12 +488,12 @@ def poincare_numeric(sys: SwitchedSystem, x1: float, lam: float,
     """
     if not (x1 > 0.0):
         raise SideError(f"return map takes x1 > 0, got {x1}")
-    traj = integrate(sys, (x1, 0.0), lam, StopOnReturn(), cfg)
+    traj = integrate(sys, (x1, 0.0), lam, StopOnReturn(), cfg, fields=fields)
     return PoincareSample(x1_in=x1, x1_out=float(traj.states[-1, 0]), period=traj.t_final)
 
 
 def half_return(sys: SwitchedSystem, x1: float, lam: float,
-                cfg: IntegratorConfig) -> PoincareSample:
+                cfg: IntegratorConfig, fields=None) -> PoincareSample:
     """Half a revolution h(x1) from (x1, 0); pi = h o h when f_(q+2)(x) = -f_q(-x).
 
     ``x1_out`` is -x1 at the second switching event, which ends a
@@ -515,7 +501,7 @@ def half_return(sys: SwitchedSystem, x1: float, lam: float,
     """
     if not (x1 > 0.0):
         raise SideError(f"return map takes x1 > 0, got {x1}")
-    traj = integrate(sys, (x1, 0.0), lam, StopAfterEvents(2), cfg)
+    traj = integrate(sys, (x1, 0.0), lam, StopAfterEvents(2), cfg, fields=fields)
     return PoincareSample(x1_in=x1, x1_out=-float(traj.states[-1, 0]), period=2.0 * traj.t_final)
 
 

@@ -18,6 +18,7 @@ from switchbif import (BranchDirection, CheckStatus, DegenerateError,
                        linear_matrix, poincare_numeric)
 from switchbif import bifurcation, numeric
 from switchbif.bifurcation import BranchPoint, ExpansionFit
+from switchbif.model import freeze
 from switchbif.rootfind import brent
 from test_exact import exact_delta, exact_fixed_point
 
@@ -267,9 +268,9 @@ class TestContinueBranch:
         calls = []
 
         def counting(original):
-            def ret(sys, x1, lam, cfg_):
+            def ret(sys, x1, lam, cfg_, **kw):
                 calls.append(lam)
-                return original(sys, x1, lam, cfg_)
+                return original(sys, x1, lam, cfg_, **kw)
             return ret
         for name in ("poincare_numeric", "half_return"):
             monkeypatch.setattr(bifurcation, name, counting(getattr(bifurcation, name)))
@@ -301,9 +302,9 @@ class TestContinueBranch:
         def counting(name):
             original = getattr(bifurcation, name)
 
-            def ret(*args):
+            def ret(*args, **kw):
                 calls[name] += 1
-                return original(*args)
+                return original(*args, **kw)
             return ret
         for name in calls:
             monkeypatch.setattr(bifurcation, name, counting(name))
@@ -328,11 +329,11 @@ class TestContinueBranch:
         broken = []
         original = bifurcation.half_return
 
-        def ret(sys, x1, lam, cfg_):
+        def ret(sys, x1, lam, cfg_, **kw):
             if lam == 0.1 and not broken:
                 broken.append(x1)
                 raise TangencyError("injected")
-            return original(sys, x1, lam, cfg_)
+            return original(sys, x1, lam, cfg_, **kw)
         monkeypatch.setattr(bifurcation, "half_return", ret)
         res = continue_branch(paper_system, [0.05, 0.1], cfg)
         assert len(broken) == 1
@@ -476,20 +477,28 @@ class TestCheckGlobalConditions:
 
     def test_equal_regions_are_sampled_once(self, paper_system, monkeypatch):
         # regions 1/3 and 2/4 of the paper example freeze to equal fields:
-        # two forms per distinct field, check and block, not per region
+        # one generated (lin, pert) form per distinct field and check, called
+        # once per block, not per region
         blocks = []   # the x1 block of each call, kept alive so ids stay unique
-        eval_terms = bifurcation.eval_terms
+        compiled = []   # the forms of each generated function
+        compile_forms = bifurcation.compile_forms
 
-        def counting(terms, x1, x2):
-            blocks.append(x1)
-            return eval_terms(terms, x1, x2)
-        monkeypatch.setattr(bifurcation, "eval_terms", counting)
+        def counting(*forms):
+            form = compile_forms(*forms)
+
+            def counted(x1, x2):
+                blocks.append(x1)
+                return form(x1, x2)
+            compiled.append(forms)
+            return counted
+        monkeypatch.setattr(bifurcation, "compile_forms", counting)
         monkeypatch.setattr(bifurcation, "_BLOCK", 256)
         check_global_conditions(paper_system, 0.5, radius_M=10.0, n_samples=1_000)
         calls = collections.Counter(id(x1) for x1 in blocks)
         # confinement: 4 blocks of samples and one per circle; rotation: 4
+        assert len(compiled) == 2 * 2
         assert len(calls) == 4 + 3 + 4
-        assert set(calls.values()) == {2 * 2}
+        assert set(calls.values()) == {2}
 
     def test_witness_names_the_one_region_that_differs(self, paper_system):
         # region 3 alone gets an outward cubic; regions 1 and 3 no longer
@@ -541,7 +550,11 @@ class TestCheckGlobalConditions:
                                 MonomialTerm(LambdaPoly.constant(-1.0), 3, 0)))
         sys = SwitchedSystem(paper_params,
                              (null, PolyField.zero(), PolyField.zero(), PolyField.zero()))
-        assert numeric._compiled_fields(sys, 0.5)[1].__name__ == "f_lin"
+        a11, a12, a21, a22, t1, t2 = freeze(sys, 0.5)[0]
+        assert t1 == t2 == ()
+        f = numeric._compiled_fields(sys, 0.5)[1]
+        for x1, x2 in ((0.3, 0.7), (1e-3, -2.5), (-4.0, 1e5)):
+            assert f(x1, x2) == (a11 * x1 + a12 * x2, a21 * x1 + a22 * x2)
         rep = check_global_conditions(sys, 0.5, radius_M=10.0, n_samples=5_000)
         assert rep.rotation_pert_inner_max == 0.0
 

@@ -332,6 +332,28 @@ class TestErrorContract:
         assert err.count("\n") == 1 and err.startswith("switchbif: error: DomainError")
         assert re.search(r"delta'?\(-?\d", err)   # names lambda
 
+    @pytest.mark.parametrize("argv, code, message", [
+        (["simulate", "--x0", "1,0", "--t-max", "1"], 2,
+         "TangencyError: an arc of quadrant 1 cannot end at t = 0.0, x = (1.0, 0.0)"),
+        (["poincare", "--x1", "0.5"], 2,
+         "TangencyError: an arc of quadrant 1 cannot end at t = 0.0, x = (0.5, 0.0)"),
+        (["verify-global"], 1,
+         "DomainError: invalid value encountered in multiply: the field values sampled "
+         "at radius_M = 10.0"),
+    ], ids=["simulate", "poincare", "verify-global"])
+    def test_infinite_frozen_coefficient_is_one_line_error(self, capsys, tmp_path,
+                                                           argv, code, message):
+        # two 1.5e308 x2^3 terms collect to inf x2^3 at lambda = 0.5, which
+        # the compiled field writes as the float constant inf: at (x1, 0)
+        # region 1's dx2 is inf * 0 = nan, and so is <x, pert> at x2 = 0
+        term = {"coeff_poly": [1e308, 1e308], "pow1": 0, "pow2": 3}
+        doc = {"system": {"a": 0.1, "b_poly": [1], "c_poly": [1], "perturbations": {
+            "q1": {"comp2": [term, term]}}}}
+        got, out, err = run(capsys, [argv[0], "--config", write_json(tmp_path / "inf.json", doc),
+                                     "--lambda", "0.5", *argv[1:], "--out", str(tmp_path)])
+        assert got == code and out == ""
+        assert err.count("\n") == 1 and err.startswith(f"switchbif: error: {message}")
+
     def test_underflowing_radius_is_one_line_domain_error(self, capsys):
         code, out, err = run(capsys, ["paper-example", "verify-global", "--lambda", "0.5",
                                       "--radius-m", "1e-170", "--n-samples", "1000"])

@@ -1,4 +1,5 @@
 import math
+import random
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from conftest import make_params
 from switchbif import (DomainError, LambdaPoly, MonomialTerm, OriginError,
                        PolyField, Quadrant, SwitchedSystem, eval_field,
                        is_point_symmetric, linear_matrix, region_of, validate)
+from switchbif.model import compile_forms
 
 
 class TestLambdaPoly:
@@ -104,6 +106,78 @@ class TestEvalField:
         for q in Quadrant:
             for lam in (-0.5, 0.0, 0.7):
                 assert np.all(eval_field(paper_system, q, (0.0, 0.0), lam) == 0.0)
+
+
+def random_forms(seed):
+    """Three seeded forms of degree <= 6: terms with a cancelling pair
+    among them, terms alone, and the empty form."""
+    rng = random.Random(seed)
+
+    def term():
+        p1 = rng.randint(0, 6)
+        return rng.uniform(-1.0, 1.0) * 10.0 ** rng.randint(-3, 3), p1, rng.randint(0, 6 - p1)
+
+    cancelling = [term() for _ in range(rng.randint(1, 6))]
+    c, p1, p2 = cancelling[0]
+    cancelling.append((-c, p1, p2))
+    rng.shuffle(cancelling)
+    return cancelling, [term() for _ in range(rng.randint(1, 8))], []
+
+
+def reference_sum(terms, x1, x2):
+    """The generated order by a loop: each power x**p once as x**(p-1) * x,
+    a term c * x1**p1 * x2**p2 left to right, terms added in order."""
+    total = None
+    powers = ([1.0, x1], [1.0, x2])
+    for c, *ps in terms:
+        term = c
+        for table, p in zip(powers, ps):
+            while len(table) <= p:
+                table.append(table[-1] * table[1])
+            if p:
+                term = term * table[p]
+        total = term if total is None else total + term
+    return 0.0 * (x1 + x2) if total is None else total
+
+
+class TestCompileForms:
+    """The one field evaluator against sympy and against a reference loop."""
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_scalars_match_the_exact_expansion(self, seed):
+        sympy = pytest.importorskip("sympy")
+        X1, X2 = sympy.symbols("x1 x2")
+        forms = random_forms(seed)
+        f = compile_forms(*forms)
+        rng = random.Random(1000 + seed)
+        for x1, x2 in [(rng.uniform(-2.0, 2.0), rng.uniform(-2.0, 2.0)) for _ in range(3)] \
+                + [(0.0, rng.uniform(-2.0, 2.0))]:
+            at = {X1: sympy.Rational(x1), X2: sympy.Rational(x2)}
+            for got, form in zip(f(x1, x2), forms):
+                monomials = [sympy.Rational(c) * X1 ** p1 * X2 ** p2 for c, p1, p2 in form]
+                exact = sympy.expand(sum(monomials, sympy.Integer(0))).subs(at)
+                scale = float(sum((abs(m.subs(at)) for m in monomials), sympy.Integer(0)))
+                # each term rounds at most 7 times and each sum once
+                assert type(got) is float
+                assert abs(got - float(exact)) <= 16 * math.ulp(scale) if scale else got == 0.0
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_arrays_equal_the_reference_loop_bit_for_bit(self, seed):
+        forms = random_forms(seed)
+        rng = np.random.default_rng(seed)
+        x1, x2 = rng.uniform(-3.0, 3.0, 101), rng.uniform(-3.0, 3.0, 101)
+        x1[0] = x2[1] = 0.0
+        for got, form in zip(compile_forms(*forms)(x1, x2), forms):
+            assert np.array_equal(got, reference_sum(form, x1, x2))
+
+    def test_non_finite_coefficients_are_float_constants(self):
+        f = compile_forms(((math.inf, 1, 0),), ((-math.inf, 0, 2), (math.nan, 0, 0)))
+        d1, d2 = f(2.0, 3.0)
+        assert d1 == math.inf and math.isnan(d2)
+
+    def test_numpy_scalars_are_written_as_floats_and_ints(self):
+        f = compile_forms(((np.float64(0.5), np.int64(2), 0), (np.float32(2.0), 0, 1)))
+        assert f(3.0, 1.0) == (6.5,)
 
 
 def with_terms(sys, extra):

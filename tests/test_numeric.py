@@ -10,8 +10,8 @@ from switchbif import (BudgetError, EscapeError, IntegratorConfig,
                        LambdaPoly, MonomialTerm, OriginError, PolyField, Quadrant,
                        SideError, StopAfterEvents, StopAtTime, StopOnReturn,
                        SwitchedSystem, TangencyError, clockwise_successor,
-                       continue_branch, delta, delta_numeric, half_return,
-                       integrate, poincare_numeric, numeric)
+                       continue_branch, delta, delta_numeric, fit_local_expansion,
+                       half_return, integrate, poincare_numeric, numeric)
 
 #: (a, b, c) grid used for the linear-case oracle comparisons
 ORACLE_GRID = [(a, b, c) for a in (0.1, 1.0, 2.0) for b in (1.0, 6.0) for c in (1.0, 3.0)]
@@ -308,6 +308,24 @@ class TestEventLocationCost:
                               paper_config.integrator)
         assert [p.returns for p in res.points] == [32, 4, 4, 6, 6]
         assert 0 < rhs_evals[0] <= 18_000
+
+    def test_fields_compile_once_per_lambda(self, paper_config, monkeypatch):
+        # every return at one parameter value shares its compiled fields:
+        # the paper branch's 52 returns take 5 compiles, the expansion
+        # fit's 8 returns one
+        compiled = []
+        original = numeric._compiled_fields
+
+        def counting(sys, lam):
+            compiled.append(lam)
+            return original(sys, lam)
+        monkeypatch.setattr(numeric, "_compiled_fields", counting)
+        lams = [0.02, 0.05, 0.1, 0.5, 1.0]
+        continue_branch(paper_config.system, lams, paper_config.integrator)
+        assert compiled == lams
+        compiled.clear()
+        fit_local_expansion(paper_config.system, 0.0, paper_config.integrator)
+        assert compiled == [0.0]
 
 
 class TestHalfReturn:
