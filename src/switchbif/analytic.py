@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, SideError
-from .model import Quadrant, SystemParams
+from .model import REGIONS, Quadrant, SystemParams
 
 __all__ = [
     "SectionMapValue",
@@ -86,23 +86,19 @@ def flow_linear(q: Quadrant, x0, t: float, params: SystemParams, lam: float) -> 
     ])
 
 
-#: Map index -> (entry coordinate sign required, exit sign), clockwise order.
-#: Map 1: +x2-axis -> +x1-axis;  map 2: +x1-axis -> -x2-axis;
-#: map 3: -x2-axis -> -x1-axis;  map 4: -x1-axis -> +x2-axis.
-_SECTION_SIGNS = {1: (+1, +1), 2: (+1, -1), 3: (-1, -1), 4: (-1, +1)}
-
-
 def section_map(i: int, entry: float, params: SystemParams, lam: float) -> SectionMapValue:
-    """Quarter-turn map ``i`` applied to a coordinate on its source semi-axis.
+    """Quarter-turn map ``i``, across the i-th region of ``model.REGIONS`` from
+    the previous region's exit semi-axis to its own (map 1: +x2- to +x1-axis).
 
     Every map scales the entry magnitude by sqrt(b/c) *
     exp(-a*pi / (2*sqrt(b*c))) and takes time pi / (2*sqrt(b*c)).
     Raises SideError if ``entry`` does not lie on the source open
     semi-axis for map ``i``.
     """
-    if i not in _SECTION_SIGNS:
+    rows = dict(enumerate(REGIONS.values(), 1))
+    if i not in rows:
         raise ValueError(f"section map index must be 1..4, got {i}")
-    entry_sign, exit_sign = _SECTION_SIGNS[i]
+    _, entry_sign, exit_sign, _ = rows[i]   # the entry is the exit's vanishing coordinate
     if entry * entry_sign <= 0.0:
         want = "positive" if entry_sign > 0 else "negative"
         raise SideError(f"section map {i} takes a {want} entry coordinate, got {entry}")

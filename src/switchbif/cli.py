@@ -27,7 +27,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__
+from . import __version__, numeric
 from .analytic import classify_origin, delta, delta_prime
 from .bifurcation import (bifurcation_direction, check_global_conditions,
                           continue_branch, find_critical_lambda,
@@ -142,7 +142,8 @@ def _cmd_simulate(config: RunConfig, args) -> int:
 def _cmd_poincare(config: RunConfig, args) -> int:
     lam = _option(config, args, "lambda")
     x1_values = _option(config, args, "x1_values", required=True)
-    samples = [poincare_numeric(config.system, x1, lam, config.integrator)
+    fields = numeric._compiled_fields(config.system, lam)
+    samples = [poincare_numeric(config.system, x1, lam, config.integrator, fields=fields)
                for x1 in x1_values]
     _write_output(_csv(config, "poincare", ["x1_in", "x1_out", "period"],
                        [(s.x1_in, s.x1_out, s.period) for s in samples]),

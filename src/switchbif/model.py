@@ -117,14 +117,18 @@ class Quadrant(enum.IntEnum):
     Q4 = 4
 
 
-#: Successor under clockwise rotation: an orbit starting on the positive
-#: x1-axis visits the open quadrants in the order 4, 3, 2, 1.
-_CLOCKWISE_NEXT = {Quadrant.Q1: Quadrant.Q4, Quadrant.Q4: Quadrant.Q3,
-                   Quadrant.Q3: Quadrant.Q2, Quadrant.Q2: Quadrant.Q1}
+#: One row per region, clockwise from the positive x1-axis: the coordinate that
+#: vanishes on the region's exit semi-axis, its sign inside the region, the other
+#: coordinate's sign (the exit semi-axis's too) and the clockwise successor.  Each
+#: region holds its exit semi-axis, so the rows also define the partition.
+REGIONS = {Quadrant.Q1: (1, 1.0, 1.0, Quadrant.Q4),      # exit: positive x1-axis
+           Quadrant.Q4: (0, 1.0, -1.0, Quadrant.Q3),     # exit: negative x2-axis
+           Quadrant.Q3: (1, -1.0, -1.0, Quadrant.Q2),    # exit: negative x1-axis
+           Quadrant.Q2: (0, -1.0, 1.0, Quadrant.Q1)}     # exit: positive x2-axis
 
 
 def clockwise_successor(q: Quadrant) -> Quadrant:
-    return _CLOCKWISE_NEXT[Quadrant(q)]
+    return REGIONS[Quadrant(q)][3]
 
 
 @dataclass(frozen=True)
@@ -197,20 +201,17 @@ class SwitchedSystem:
 
 
 def region_of(x) -> Quadrant:
-    """Region index of a nonzero point under the half-open partition.
-
-    Raises OriginError at (0, 0), where the switching law is undefined.
+    """Region index of a nonzero point: the row of ``REGIONS`` whose exit
+    semi-axis or open quadrant holds it.  Raises OriginError at (0, 0), where
+    the switching law is undefined, and ValueError at a NaN coordinate.
     """
-    x1, x2 = float(x[0]), float(x[1])
-    if x1 == 0.0 and x2 == 0.0:
+    x = (float(x[0]), float(x[1]))
+    for q, (g, s_g, s_o, _) in REGIONS.items():
+        if x[1 - g] * s_o > 0.0 and x[g] * s_g >= 0.0:
+            return q
+    if x == (0.0, 0.0):
         raise OriginError("switching law is undefined at the origin")
-    if x1 > 0.0 and x2 >= 0.0:
-        return Quadrant.Q1
-    if x1 <= 0.0 and x2 > 0.0:
-        return Quadrant.Q2
-    if x1 < 0.0 and x2 <= 0.0:
-        return Quadrant.Q3
-    return Quadrant.Q4
+    raise ValueError(f"no region holds the point {x}")
 
 
 def linear_matrix(q: Quadrant, params: SystemParams, lam: float) -> np.ndarray:

@@ -6,12 +6,11 @@ an 8th-order step takes 11 new RHS evaluations, and f at an accepted
 state is the next step's first stage.  The step size follows Hairer's
 error norm, which blends the pair's 5th- and 3rd-order estimates, with
 exponent 1/8.  The switching manifolds are the four coordinate
-semi-axes, so the event function on an arc is simply the coordinate
-about to vanish under clockwise motion: x2 on arcs in quadrants 1 and 3,
-x1 on arcs in quadrants 2 and 4.  A sign change over an accepted step is
-located by ``rootfind.brent`` on the length tau of a single re-taken
-step from the step start, until the crossing coordinate is below
-``event_tol`` times the state scale.
+semi-axes, so the event function on an arc is the coordinate that
+vanishes on its quadrant's exit semi-axis in ``model.REGIONS``.  A sign
+change over an accepted step is located by ``rootfind.brent`` on the
+length tau of a single re-taken step from the step start, until the
+crossing coordinate is below ``event_tol`` times the state scale.
 
 The result is one time-ordered table, a row per accepted step and per
 switching event.  An arc, the rows between two event rows, follows the
@@ -36,8 +35,7 @@ import numpy as np
 
 from .errors import (BudgetError, EscapeError, OriginError, SideError, StiffnessError,
                      TangencyError)
-from .model import (Quadrant, SwitchedSystem, clockwise_successor, compile_field, freeze,
-                    region_of)
+from .model import REGIONS, Quadrant, SwitchedSystem, compile_field, freeze, region_of
 from .rootfind import brent
 
 __all__ = [
@@ -264,13 +262,6 @@ def _compiled_fields(sys: SwitchedSystem, lam: float) -> dict[int, object]:
     return {int(q): shared[fr] for q, fr in zip(Quadrant, frozen)}
 
 
-#: per quadrant: the coordinate that vanishes on its clockwise exit
-#: semi-axis, the sign of that coordinate inside it, and the sign of the
-#: other one, which the exit semi-axis shares
-_EXIT = {Quadrant.Q1: (1, 1.0, 1.0), Quadrant.Q2: (0, -1.0, 1.0),
-         Quadrant.Q3: (1, -1.0, -1.0), Quadrant.Q4: (0, 1.0, -1.0)}
-
-
 def _leave(fields, q: Quadrant, x1: float, x2: float, t: float):
     """(successor, its field value) where an arc of ``q`` ends at (x1, x2).
 
@@ -278,14 +269,13 @@ def _leave(fields, q: Quadrant, x1: float, x2: float, t: float):
     q's field crosses it outward and transversally, and the clockwise
     successor's field carries on across it (no sliding).
     """
-    gidx, s_g, s_o = _EXIT[q]
+    gidx, s_g, s_o, q_next = REGIONS[q]
     d1, d2 = fields[int(q)](x1, x2)
     if not ((x1, x2)[1 - gidx] * s_o > 0.0
             and (d1, d2)[gidx] * s_g < -_TANGENCY_TOL * max(math.hypot(d1, d2), 1e-300)):
         raise TangencyError(f"an arc of quadrant {int(q)} cannot end at t = {t}, "
                             f"x = ({x1}, {x2}): its field must cross its exit semi-axis "
                             "there outward and transversally")
-    q_next = clockwise_successor(q)
     k = fields[int(q_next)](x1, x2)
     if not (k[gidx] * s_g < 0.0):
         raise TangencyError(f"fields disagree at the switching manifold at t = {t} "
@@ -332,7 +322,7 @@ def integrate(sys: SwitchedSystem, x0, lam: float, stop, cfg: IntegratorConfig,
     Raises TangencyError on non-transversal or sliding crossings,
     BudgetError when the event budget or per-arc time budget is
     exhausted, StiffnessError on step underflow, EscapeError when the
-    start point or the trajectory lies outside the bounding box, and
+    start point (NaN too) or the trajectory lies outside the bounding box, and
     OriginError when the start or a later state lies below the smallest
     normal float.  A start within 4 * event_tol * |x0| of an axis ends
     an arc of the region holding the point snapped onto that axis and is
@@ -341,12 +331,12 @@ def integrate(sys: SwitchedSystem, x0, lam: float, stop, cfg: IntegratorConfig,
     """
     sys.params.check_lambda(lam)
     x1, x2 = float(x0[0]), float(x0[1])
+    if not (abs(x1) <= _ESCAPE_RADIUS and abs(x2) <= _ESCAPE_RADIUS):   # NaN included
+        raise EscapeError(f"start point ({x1}, {x2}) lies outside the bounding box "
+                          f"(max-norm {_ESCAPE_RADIUS})")
     norm0 = max(abs(x1), abs(x2))
     if norm0 < _FLOAT_MIN:
         raise OriginError(f"start point ({x1}, {x2}) is the origin at float resolution")
-    if norm0 > _ESCAPE_RADIUS:
-        raise EscapeError(f"start point ({x1}, {x2}) lies outside the bounding box "
-                          f"(max-norm {_ESCAPE_RADIUS})")
     if not isinstance(stop, (StopAtTime, StopAfterEvents, StopOnReturn)):
         raise TypeError(f"unsupported stop condition: {stop!r}")
     t_target = stop.t_max if isinstance(stop, StopAtTime) else math.inf
@@ -373,7 +363,7 @@ def integrate(sys: SwitchedSystem, x0, lam: float, stop, cfg: IntegratorConfig,
         return _table(rows, events, quadrants)
 
     f = fields[int(q)]
-    gidx, s_g, _ = _EXIT[q]
+    gidx, s_g, _, _ = REGIONS[q]
     h = _H0
     just_rejected = False
 
@@ -441,7 +431,7 @@ def integrate(sys: SwitchedSystem, x0, lam: float, stop, cfg: IntegratorConfig,
 
             q = q_next
             f = fields[int(q)]
-            gidx, s_g, _ = _EXIT[q]
+            gidx, s_g, _, _ = REGIONS[q]
             t = t_ev
             arc_start_t = t_ev
             x1, x2 = ev1, ev2

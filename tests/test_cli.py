@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import emit_canonical
-from switchbif import find_critical_lambda, fit_local_expansion, poincare_numeric
+from switchbif import find_critical_lambda, fit_local_expansion, numeric, poincare_numeric
 from switchbif.cli import main
 from switchbif.config import paper_example_config
 
@@ -181,6 +181,20 @@ class TestPoincare:
         samples = [poincare_numeric(config.system, x1, 0.1, config.integrator)
                    for x1 in (1e-4, 0.5)]
         assert rows == [(s.x1_in, s.x1_out, s.period) for s in samples]
+
+    def test_fields_compile_once_per_command(self, capsys, monkeypatch):
+        # the golden case's three amplitudes share one compile
+        compiled = []
+        original = numeric._compiled_fields
+
+        def counting(sys, lam):
+            compiled.append(lam)
+            return original(sys, lam)
+        monkeypatch.setattr(numeric, "_compiled_fields", counting)
+        code, _, _ = run(capsys, ["paper-example", "poincare", "--lambda", "0.1",
+                                  "--x1", "1e-4,0.5,1"])
+        assert code == 0
+        assert compiled == [0.1]
 
 
 class TestDeterminism:

@@ -1,7 +1,10 @@
-"""The README's lists of integrator keys, exit codes and subcommands match the code."""
+"""The README's lists of integrator keys, exit codes and subcommands match the
+code, and its library example prints what its comments say."""
 
+import contextlib
 import dataclasses
 import inspect
+import io
 import re
 from pathlib import Path
 
@@ -32,3 +35,17 @@ def test_subcommand_table_lists_every_command():
     table = re.search(r"^\| subcommand .*?\n\n", README, re.MULTILINE | re.DOTALL)
     assert table is not None
     assert re.findall(r"^\| `([\w-]+)` ", table.group(0), re.MULTILINE) == list(_COMMANDS)
+
+
+def test_library_example_prints_its_comments():
+    block = re.search(r"^## Library example\n\n```python\n(.*?)^```", README,
+                      re.MULTILINE | re.DOTALL)
+    assert block is not None
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        exec(block.group(1), {})
+    printed = out.getvalue().splitlines()
+    assert printed[:2] == ["0.9999999999999998", "BranchDirection.BranchForPositiveLambda"]
+    calls = [line for line in block.group(1).splitlines() if line.startswith("print(")]
+    for call, value in zip(calls[:2], printed):
+        assert call.split("# ", 1)[1].startswith(value)

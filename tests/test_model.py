@@ -6,8 +6,9 @@ import pytest
 
 from conftest import make_params
 from switchbif import (DomainError, LambdaPoly, MonomialTerm, OriginError,
-                       PolyField, Quadrant, SwitchedSystem, eval_field,
-                       is_point_symmetric, linear_matrix, region_of, validate)
+                       PolyField, Quadrant, SideError, SwitchedSystem,
+                       clockwise_successor, eval_field, is_point_symmetric,
+                       linear_matrix, region_of, section_map, validate)
 from switchbif.model import compile_forms
 
 
@@ -33,6 +34,10 @@ class TestRegionOf:
         assert region_of((0.0, 1.0)) == Quadrant.Q2
         assert region_of((-1.0, 0.0)) == Quadrant.Q3
         assert region_of((0.0, -1.0)) == Quadrant.Q4
+        # a signed zero is zero: -0.0 <= 0 and -0.0 >= 0 both hold
+        assert region_of((-0.0, 1.0)) == Quadrant.Q2
+        assert region_of((1.0, -0.0)) == Quadrant.Q1
+        assert region_of((-0.0, -1.0)) == Quadrant.Q4
 
     def test_interior_points(self):
         assert region_of((2.0, 3.0)) == Quadrant.Q1
@@ -43,6 +48,13 @@ class TestRegionOf:
     def test_origin_rejected(self):
         with pytest.raises(OriginError):
             region_of((0.0, 0.0))
+        with pytest.raises(OriginError):
+            region_of((-0.0, -0.0))
+
+    def test_nan_has_no_region(self):
+        for x in [(math.nan, 1.0), (1.0, math.nan), (math.nan, 0.0), (math.nan, math.nan)]:
+            with pytest.raises(ValueError, match="no region holds"):
+                region_of(x)
 
     def test_partition_covers_plane_exactly_once(self):
         # membership counted from the half-open definitions
@@ -64,6 +76,60 @@ class TestRegionOf:
             phi = math.atan2(x[1], x[0]) % (2.0 * math.pi)
             expected = 1 + int(phi // (math.pi / 2.0))
             assert int(region_of(x)) == expected
+
+
+#: the half-open regions as defined, independent of ``model.REGIONS``
+_HALF_OPEN = {Quadrant.Q1: lambda x1, x2: x1 > 0 and x2 >= 0,
+              Quadrant.Q2: lambda x1, x2: x1 <= 0 and x2 > 0,
+              Quadrant.Q3: lambda x1, x2: x1 < 0 and x2 <= 0,
+              Quadrant.Q4: lambda x1, x2: x1 >= 0 and x2 < 0}
+
+
+def _holding(x):
+    (q,) = [q for q, inside in _HALF_OPEN.items() if inside(*x)]
+    return q
+
+
+def _clockwise_eighths(x, k):
+    """x turned clockwise by k * 45 degrees and stretched by sqrt(2) per turn."""
+    for _ in range(k % 8):
+        x = (x[0] + x[1], x[1] - x[0])
+    return x
+
+
+class TestClockwiseGeometry:
+    """The clockwise order, exit semi-axes and section maps, derived by
+    turning the first-quadrant bisector (1, 1) clockwise in eighths."""
+
+    def test_successor_walk_is_clockwise(self):
+        walk = [Quadrant.Q1]
+        for _ in range(4):
+            walk.append(clockwise_successor(walk[-1]))
+        assert walk == [Quadrant.Q1, Quadrant.Q4, Quadrant.Q3, Quadrant.Q2, Quadrant.Q1]
+        for k in range(4):
+            q = _holding(_clockwise_eighths((1.0, 1.0), 2 * k))
+            assert clockwise_successor(q) == _holding(_clockwise_eighths((1.0, 1.0), 2 * k + 2))
+
+    def test_each_region_holds_its_exit_semi_axis(self):
+        # turning an open quadrant's bisector clockwise by 45 degrees lands
+        # on the semi-axis its orbits leave it through
+        for k in range(4):
+            q = _holding(_clockwise_eighths((1.0, 1.0), 2 * k))
+            exit_point = _clockwise_eighths((1.0, 1.0), 2 * k + 1)
+            assert 0.0 in exit_point
+            assert _holding(exit_point) == q == region_of(exit_point)
+
+    def test_section_map_takes_the_previous_exit_semi_axis(self):
+        # map i crosses the i-th region clockwise from Q1, entering on the
+        # exit semi-axis of the region before it and leaving on its own
+        params = make_params(0.1, 2.0, 1.0)
+        for i in (1, 2, 3, 4):
+            entry = sum(_clockwise_eighths((1.0, 1.0), 2 * i - 3))
+            exit_ = sum(_clockwise_eighths((1.0, 1.0), 2 * i - 1))
+            assert section_map(i, 0.5 * entry, params, 0.0).exit_value * exit_ > 0.0
+            for wrong in (0.0, -0.5 * entry):
+                with pytest.raises(SideError):
+                    section_map(i, wrong, params, 0.0)
 
 
 class TestLinearMatrix:

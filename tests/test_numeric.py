@@ -131,13 +131,15 @@ class TestIntegrate:
         with pytest.raises(EscapeError):
             integrate(sys, (1.0, 0.0), 0.0, StopAtTime(50.0), cfg)
 
-    def test_start_outside_bounding_box_is_escape(self, cfg, monkeypatch):
+    def test_start_outside_bounding_box_is_escape(self, paper_system, cfg, monkeypatch):
+        # a NaN coordinate is outside the box too, and fails before any field
+        # is compiled rather than as an origin, tangency or stiffness error
         def no_fields(*args):
             raise AssertionError("a field was compiled for a rejected start point")
         monkeypatch.setattr(numeric, "_compiled_fields", no_fields)
-        sys = make_linear_system(0.5, 2.0, 1.0)
-        with pytest.raises(EscapeError):
-            integrate(sys, (1e300, 0.0), 0.0, StopOnReturn(), cfg)
+        for x0 in [(1e300, 0.0), (0.0, math.nan), (math.nan, 0.0), (math.nan, 1.0)]:
+            with pytest.raises(EscapeError):
+                integrate(paper_system, x0, 0.1, StopOnReturn(), cfg)
 
     def test_event_budget_raises(self, cfg, monkeypatch):
         sys = make_linear_system(0.5, 2.0, 1.0)
