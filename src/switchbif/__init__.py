@@ -27,7 +27,7 @@ from .bifurcation import (BranchDirection, BranchPoint, BranchResult,
                           GlobalCheckReport, ScalingFit, Witness,
                           bifurcation_direction, check_global_conditions,
                           continue_branch, find_critical_lambda,
-                          fit_local_expansion, fit_scaling_law)
+                          fit_local_expansion, fit_scaling_law, leading_coefficient)
 from .config import RunConfig, paper_example_config, parse_config
 
 __version__ = "0.1.0"

@@ -68,7 +68,9 @@ def flow_linear(q: Quadrant, x0, t: float, params: SystemParams, lam: float) -> 
 
     with w = sqrt(b c) and s = sqrt(b/c) for regions 1, 3
     (s = sqrt(c/b) for regions 2, 4), which is free of the branch
-    ambiguities of an amplitude-phase representation.
+    ambiguities of an amplitude-phase representation.  ``t`` and the
+    entries of ``x0`` may be numpy arrays of one shape; the result then
+    stacks both coordinates, shape (2, ...).
     """
     b, c = _bc(params, lam)
     a = params.a
@@ -77,9 +79,9 @@ def flow_linear(q: Quadrant, x0, t: float, params: SystemParams, lam: float) -> 
         s = math.sqrt(b / c)
     else:
         s = math.sqrt(c / b)
-    x10, x20 = float(x0[0]), float(x0[1])
-    damp = math.exp(-a * t)
-    cw, sw = math.cos(w * t), math.sin(w * t)
+    x10, x20 = x0[0], x0[1]
+    damp = np.exp(-a * t)
+    cw, sw = np.cos(w * t), np.sin(w * t)
     return np.array([
         damp * (x10 * cw + s * x20 * sw),
         damp * (-(x10 / s) * sw + x20 * cw),

@@ -9,10 +9,14 @@ then decides on which side of the critical parameter a branch of
 periodic orbits bifurcates from the origin (branch for lam > 0 when
 delta_coeff * delta'(0) < 0), with the local amplitude scaling
 lam = gamma * x1**(k-1), gamma = -delta_coeff / delta'(0).
+``leading_coefficient`` computes k and delta_coeff from the perturbation
+polynomials by the first-order variation of constants along the linear
+flow; ``fit_local_expansion`` fits both from integrated returns.
 
 Branch points are fixed points of the return map pi, or of the half
 return h when pi = h o h, continued over the parameter by
-``continue_branch`` (predictor, one-sided walk, brent, scan fallback).
+``continue_branch`` (predictor from the leading coefficient or the
+previous points, one-sided walk, brent, scan fallback).
 The global confinement and rotation conditions that make the
 bifurcating orbit exist for every parameter on the branch side are
 checked by falsification on deterministic low-discrepancy samples: a
@@ -27,18 +31,19 @@ zero.
 from __future__ import annotations
 
 import enum
+import functools
 import itertools
 import math
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .analytic import DELTA_ONE_TOL, delta, delta_prime
+from .analytic import DELTA_ONE_TOL, delta, delta_prime, flow_linear, section_map
 from .errors import (DegenerateError, DomainError, InsufficientDataError,
                      IntegrationError, PerturbationTooSmallError)
 from . import numeric
-from .model import (Quadrant, SwitchedSystem, SystemParams, collect_terms, compile_forms,
-                    freeze, is_point_symmetric)
+from .model import (REGIONS, Quadrant, SwitchedSystem, SystemParams, collect_terms,
+                    compile_forms, freeze, is_point_symmetric, linear_matrix)
 from .numeric import IntegratorConfig, half_return, poincare_numeric
 from .rootfind import brent, expand_bracket
 
@@ -54,6 +59,7 @@ __all__ = [
     "GlobalCheckReport",
     "find_critical_lambda",
     "fit_local_expansion",
+    "leading_coefficient",
     "bifurcation_direction",
     "continue_branch",
     "fit_scaling_law",
@@ -177,6 +183,63 @@ def fit_local_expansion(sys: SwitchedSystem, lam: float, cfg: IntegratorConfig,
                         x1_grid=tuple(float(x) for x in xs_u))
 
 
+@functools.cache
+def _gauss_legendre(n: int = 16) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes and weights of the n-point Gauss-Legendre rule on [-1, 1]:
+    Newton's method on the Legendre polynomial P_n from its asymptotic
+    nodes, with P_n and P_n' from the three-term recurrence (numpy only,
+    which keeps LAPACK and its workspace out of the branch run)."""
+    x = np.cos(math.pi * (np.arange(1, n + 1) - 0.25) / (n + 0.5))
+    for _ in range(8):
+        p_prev, p = np.ones(n), x
+        for j in range(2, n + 1):
+            p_prev, p = p, ((2 * j - 1) * x * p - (j - 1) * p_prev) / j
+        dp = n * (x * p - p_prev) / (x * x - 1.0)
+        x = x - p / dp
+    return x, 2.0 / ((1.0 - x * x) * dp * dp)
+
+
+def leading_coefficient(sys: SwitchedSystem, lam: float) -> tuple[float, int]:
+    """(C, k) of the return map pi(x1) = delta(lam) x1 + C x1**k + O(x1**(k+1)).
+
+    k is the lowest total degree among the perturbation terms whose
+    polynomial in the parameter is not identically zero (0, with C = 0.0,
+    when there is none); C is first order in those degree-k terms P_k, taken
+    at ``lam``.  On each quarter-turn, from the unit vector u of its entry
+    semi-axis, the variation of constants gives the first-order displacement
+    z = int_0^T e^{A (T - s)} P_k(e^{A s} u) ds at the linear exit time T,
+    evaluated with 16 Gauss-Legendre nodes on ``flow_linear``; projecting z onto
+    the exit semi-axis along the linear velocity y'(T) = A y(T) corrects the
+    crossing time.  The quarter-turn then maps an entry r to sigma r + c r**k,
+    sigma its section-map factor, and the four from the positive x1-axis
+    compose to C = sum of each c times the later factors sigma and the
+    earlier ones to the power k (Coll, Gasull and Prohens, JMAA 253, 2001;
+    Zou, Kuepper and Beyn, J. Nonlinear Sci. 16, 2006).
+    """
+    k = min((t.degree for pert in sys.perturbations for t in pert.comp1 + pert.comp2
+             if not t.coeff.is_zero()), default=0)
+    if not k:
+        return 0.0, 0
+    frozen = freeze(sys, lam)
+    p_k = compile_forms(*(tuple(t for t in comp if t[1] + t[2] == k)
+                          for fr in frozen for comp in fr[4:]))
+    nodes, weights = _gauss_legendre()
+    rows = list(enumerate(REGIONS.items(), 1))
+    lin, nl, entry = 1.0, 0.0, (1.0, 0.0)   # after each quarter-turn r = lin x1 + nl x1**k
+    for i, (q, (g, _, s_o, _)) in rows[1:] + rows[:1]:   # section maps 2, 3, 4, 1
+        sm = section_map(i, sum(entry), sys.params, lam)
+        s = 0.5 * sm.transit_time * (nodes + 1.0)
+        pert = p_k(*flow_linear(q, entry, s, sys.params, lam))[2 * q - 2:2 * q]
+        z = 0.5 * sm.transit_time * (flow_linear(q, pert, sm.transit_time - s,
+                                                 sys.params, lam) @ weights)
+        out = (0.0, s_o) if g == 0 else (s_o, 0.0)   # unit vector of the exit semi-axis
+        v = linear_matrix(q, sys.params, lam) @ out   # along y'(T)
+        c = s_o * (z[1 - g] - v[1 - g] * z[g] / v[g])
+        sigma = abs(sm.exit_value)
+        lin, nl, entry = sigma * lin, sigma * nl + c * lin ** k, out
+    return float(nl), k
+
+
 class BranchDirection(enum.Enum):
     BranchForPositiveLambda = "BranchForPositiveLambda"
     BranchForNegativeLambda = "BranchForNegativeLambda"
@@ -203,11 +266,11 @@ class BranchPoint:
     """Fixed point of the return map: a periodic orbit through (x1_fixed, 0).
 
     ``source`` says what bracketed it: a prediction from the previous
-    branch points ("previous"), from the expansion fit ("expansion"),
-    or the amplitude scan ("scan"); ``returns`` counts the return maps
-    integrated for its parameter value: half returns h when the system is
-    point-symmetric at ``lam``, with ``residual`` |h(x) - x| and
-    ``period`` twice the half-turn time.
+    branch points ("previous"), from the return map's leading coefficient
+    ("expansion"), or the amplitude scan ("scan"); ``returns`` counts the
+    return maps integrated for its parameter value: half returns h when
+    the system is point-symmetric at ``lam``, with ``residual`` |h(x) - x|
+    and ``period`` twice the half-turn time.
     """
 
     lam: float
@@ -222,9 +285,10 @@ class BranchPoint:
 class BranchResult:
     """Outcome of a branch continuation run.
 
-    ``points`` holds the orbit born at the bifurcation (smallest fixed
-    point per parameter value); further fixed points found by the scan
-    land in ``additional``.  Parameters with no residual sign change in
+    ``points`` holds the orbit born at the bifurcation (the fixed point
+    that the walk from the prediction reaches, else the smallest one the
+    scan finds); further fixed points found by the scan land in
+    ``additional``.  Parameters with no residual sign change in
     the scan range are listed in ``no_orbit``, and so are parameters
     with |delta(lam) - 1| below the noise floor of ``_noise_floor`` (5e-9
     at the default tolerances, also for half returns, whose floor and gain
@@ -280,7 +344,7 @@ class _Residual:
                            residual=abs(fb), source=source)
 
 
-def _predict(lam: float, d: float, history, expansion: ExpansionFit | None) -> float | None:
+def _predict(sys: SwitchedSystem, lam: float, d: float, history) -> float | None:
     """Predicted amplitude x = (d / -C)**(1/m) of the local law
 
         pi(x) - x = d * x + C * x**(m + 1),  d = delta(lam) - 1.
@@ -288,10 +352,11 @@ def _predict(lam: float, d: float, history, expansion: ExpansionFit | None) -> f
     ``history`` holds (lam, d, x1) of the branch points since the last
     reset, newest last.  C puts the law through the newest point and m
     is the log-log slope of d against x1 over the two newest points, 2
-    with one point; without points C = delta_coeff and m = k_exp - 1
-    from ``expansion``.  None is returned when the law has no positive
-    root, so that the caller scans at once; the newest amplitude (None
-    without points) when the parameter repeats or m is not a positive number.
+    with one point; without points (C, m + 1) is the
+    ``leading_coefficient`` at ``lam``.  None is returned when the law has
+    no positive root, so that the caller scans at once; the newest
+    amplitude (None without points) when the parameter repeats or m is not
+    a positive number.
     """
     if history:
         lam_p, d_ref, x_ref = history[-1]
@@ -303,12 +368,10 @@ def _predict(lam: float, d: float, history, expansion: ExpansionFit | None) -> f
             m = (math.log(d_ref / d_q) / math.log(x_ref / x_q)
                  if d_ref * d_q > 0.0 and x_ref != x_q else math.nan)
         fallback = x_ref
-    elif expansion is not None:
-        # the same law with its reference point at x = 1
-        d_ref, x_ref, m = -expansion.delta_coeff, 1.0, expansion.k_exp - 1.0
-        fallback = None
     else:
-        return None
+        # the same law with its reference point at x = 1
+        C, k = leading_coefficient(sys, lam)
+        d_ref, x_ref, m, fallback = -C, 1.0, k - 1.0, None
     if not d * d_ref > 0.0:
         return None
     if not (math.isfinite(m) and m > 0.0):
@@ -320,32 +383,42 @@ def _predict(lam: float, d: float, history, expansion: ExpansionFit | None) -> f
 
 
 def continue_branch(sys: SwitchedSystem, lambdas, cfg: IntegratorConfig,
-                    x_scan_max: float = 10.0,
-                    expansion: ExpansionFit | None = None) -> BranchResult:
+                    x_scan_max: float = 10.0) -> BranchResult:
     """Solve the return-map fixed point for each parameter value in turn.
 
     Predictor: the amplitude of the local law pi(x) - x = (delta - 1) x
     + C x**(m+1) at the closed-form delta(lam), fitted through the
-    previous branch points (see ``_predict``), or through the expansion
-    fit while there is none (at the first parameter value and after a
-    parameter without orbit).  Corrector: ``expand_bracket``
-    walks from the prediction toward the smallest root, upward while the
-    residual pi(x1) - x1 keeps the sign of delta - 1 that it has near
-    the origin, and brent polishes the bracket.  Every amplitude costs at
-    most one return map per parameter value: a half return when the
-    system is point-symmetric at the parameter (see ``_Residual``).
+    previous branch points (see ``_predict``), or, at a cold parameter
+    value (the first one and any after a parameter without orbit), with
+    C and m + 1 = k of ``leading_coefficient`` at the parameter.
+    Corrector: ``expand_bracket`` walks from the prediction toward the
+    smallest root, upward while the residual pi(x1) - x1 keeps the sign
+    of delta - 1 that it has near the origin, and brent polishes the
+    bracket.  Every amplitude costs at most one return map per parameter
+    value: a half return when the system is point-symmetric at the
+    parameter (see ``_Residual``).
 
-    Without a prediction, with a residual gain |delta - 1| (|sqrt(delta) - 1|
-    for half returns) at or below the scan's noise floor, or when the walk
-    misses or an integration breaks down on it, a geometric scan over
-    (_X_SCAN_MIN, x_scan_max] is used and the smallest sign change is
-    taken as the branch point (larger ones are reported as additional
-    orbits).  A scan residual with |r| <= _noise_floor(cfg) * x1 has no sign: it neither opens nor
-    closes a bracket.  An amplitude where the integration breaks down
-    ends the current bracket (no orbit can pass through it).  Parameters
-    without any sign change are recorded in ``no_orbit``, which also
-    resets the prediction, and continuation proceeds.
+    The scan is a geometric grid over (_X_SCAN_MIN, x_scan_max].  A cold
+    parameter value whose walk found an orbit scans the grid points above
+    it; sign changes there are additional orbits.  Without a prediction,
+    with a residual gain |delta - 1| (|sqrt(delta) - 1| for half returns)
+    at or below the scan's noise floor, or when the walk misses or an
+    integration breaks down on it, the whole grid is scanned, and the
+    smallest sign change is taken as the branch point (larger ones are
+    reported as additional orbits).  A scan residual with
+    |r| <= _noise_floor(cfg) * x1 has no sign: it neither opens nor closes
+    a bracket.  An amplitude where the integration breaks down ends the
+    current bracket (no orbit can pass through it).  Parameters without
+    any sign change are recorded in ``no_orbit``, which also resets the
+    prediction, and continuation proceeds.  Raises ValueError unless
+    x_scan_max is finite and above _X_SCAN_MIN.
     """
+    if not _X_SCAN_MIN < x_scan_max < math.inf:
+        raise ValueError(f"x_scan_max must be finite and > {_X_SCAN_MIN}, got {x_scan_max}")
+    grid = [_X_SCAN_MIN]
+    while grid[-1] * _SCAN_RATIO < x_scan_max:
+        grid.append(grid[-1] * _SCAN_RATIO)
+    grid.append(x_scan_max)
     points: list[BranchPoint] = []
     no_orbit: list[float] = []
     additional: list[BranchPoint] = []
@@ -354,7 +427,8 @@ def continue_branch(sys: SwitchedSystem, lambdas, cfg: IntegratorConfig,
     for lam in lambdas:
         d = delta(sys.params, lam) - 1.0
         residual = _Residual(sys, lam, cfg, d)
-        seed = _predict(lam, d, history, expansion)
+        cold = not history
+        seed = _predict(sys, lam, d, history)
 
         found: list[BranchPoint] = []
         # within the noise floor, a walk from the prediction brackets noise:
@@ -368,17 +442,15 @@ def continue_branch(sys: SwitchedSystem, lambdas, cfg: IntegratorConfig,
                 bracket = expand_bracket(lambda x: sign * residual(x), seed,
                                          lo=_X_SCAN_MIN, hi=x_scan_max)
                 if bracket is not None:
-                    found.append(residual.solve(*bracket, "previous" if history else "expansion"))
+                    found.append(residual.solve(*bracket, "expansion" if cold else "previous"))
             except IntegrationError:
                 pass
 
-        if not found:
-            xs = [_X_SCAN_MIN]
-            while xs[-1] * _SCAN_RATIO < x_scan_max:
-                xs.append(xs[-1] * _SCAN_RATIO)
-            xs.append(x_scan_max)
+        if cold or not found:
             brackets, prev = [], None
-            for x in xs:
+            for x in grid:
+                if found and x <= found[0].x1_fixed:
+                    continue
                 try:
                     r = residual(x)
                 except IntegrationError:
@@ -388,11 +460,11 @@ def continue_branch(sys: SwitchedSystem, lambdas, cfg: IntegratorConfig,
                     if prev is not None and (prev[1] > 0.0) != (r > 0.0):
                         brackets.append((prev[0], x))
                     prev = (x, r)
-            if not brackets:
+            if not (found or brackets):
                 no_orbit.append(lam)
                 history.clear()
                 continue
-            found = [residual.solve(lo, hi, "scan") for lo, hi in brackets]
+            found += [residual.solve(lo, hi, "scan") for lo, hi in brackets]
 
         found = [replace(p, returns=len(residual.samples)) for p in found]
         points.append(found[0])

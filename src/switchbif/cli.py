@@ -31,7 +31,7 @@ from . import __version__, numeric
 from .analytic import classify_origin, delta, delta_prime
 from .bifurcation import (bifurcation_direction, check_global_conditions,
                           continue_branch, find_critical_lambda,
-                          fit_local_expansion, fit_scaling_law)
+                          fit_local_expansion, fit_scaling_law, leading_coefficient)
 from .config import _OPTIONS, RunConfig, _switch, paper_example_config, parse_config
 from .errors import InsufficientDataError, NoOrbitError, ParseError, SwitchBifError
 from .model import validate
@@ -183,12 +183,14 @@ def _cmd_bifurcate(config: RunConfig, args) -> int:
     fit = fit_local_expansion(config.system, crit.lambda_star, config.integrator)
     direction = bifurcation_direction(config.system, config.integrator,
                                       lam_star=crit.lambda_star, expansion=fit)
+    C, k = leading_coefficient(config.system, crit.lambda_star)
     doc = _meta(config, "bifurcate")
     doc.update({
         "critical_lambda": crit.lambda_star,
         "delta_prime": crit.delta_prime,
         "direction": direction.value,
         "expansion_fit": asdict(fit),
+        "leading_coefficient": {"C": C, "k": k, "gamma": -C / crit.delta_prime},
     })
     _write_output(_json(doc), args.out, "bifurcate.json")
     return 0

@@ -40,6 +40,7 @@ import re
 import sys
 from dataclasses import dataclass, field
 
+from .bifurcation import _X_SCAN_MIN
 from .errors import ParseError, ValidationError
 from .model import (LambdaPoly, MonomialTerm, PolyField, SwitchedSystem,
                     SystemParams, validate)
@@ -196,7 +197,8 @@ _OPTIONS = {
     "n": ("--n", _count, 101, lambda v: v >= 1, "must be >= 1"),
     "bracket": ("--bracket", _numbers, [-0.1, 0.1], lambda v: len(v) == 2,
                 "must be two numbers"),
-    "x_scan_max": ("--x-scan-max", _num, 10.0, lambda v: v > 0.0, "must be > 0"),
+    "x_scan_max": ("--x-scan-max", _num, 10.0, lambda v: v > _X_SCAN_MIN,
+                   f"must be > {_X_SCAN_MIN}"),
     "radius_m": ("--radius-m", _num, 10.0, lambda v: v > 0.0, "must be > 0"),
     "n_samples": ("--n-samples", _count, 100_000, lambda v: v >= 1, "must be >= 1"),
 }

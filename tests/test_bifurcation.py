@@ -7,20 +7,20 @@ import pytest
 
 from conftest import make_linear_system, make_params
 from switchbif import (BranchDirection, CheckStatus, DegenerateError,
-                       DomainError, InsufficientDataError, LambdaPoly, MonomialTerm,
-                       TangencyError,
+                       DomainError, InsufficientDataError, IntegratorConfig, LambdaPoly,
+                       MonomialTerm, TangencyError,
                        NoBracketError, OriginClass, PerturbationTooSmallError,
                        PolyField, Quadrant, StopOnReturn, SwitchedSystem, SystemParams,
                        bifurcation_direction, check_global_conditions,
                        classify_origin, continue_branch, delta, delta_prime,
                        find_critical_lambda, fit_local_expansion,
                        fit_scaling_law, half_return, integrate, is_point_symmetric,
-                       linear_matrix, poincare_numeric)
+                       leading_coefficient, linear_matrix, poincare_numeric)
 from switchbif import bifurcation, numeric
 from switchbif.bifurcation import BranchPoint, ExpansionFit
 from switchbif.model import freeze
 from switchbif.rootfind import brent
-from test_exact import exact_delta, exact_fixed_point
+from test_exact import exact_delta, exact_fixed_point, exact_leading_coefficient
 
 
 def field_parts(sys, q, x, lam):
@@ -32,6 +32,16 @@ def field_parts(sys, q, x, lam):
     pert = tuple(sum(t.coeff.value_at(lam) * x[0] ** t.pow1 * x[1] ** t.pow2 for t in comp)
                  for comp in (pf.comp1, pf.comp2))
     return lin, pert
+
+
+def with_x1_squared(paper_system, coeffs=(0.1,)):
+    """The paper example plus coeffs(lam) x1^2 in region 1's first component:
+    not point-symmetric where coeffs(lam) != 0, and k = 2 unless the
+    polynomial is zero."""
+    p1 = paper_system.perturbations[0]
+    even = MonomialTerm(LambdaPoly(coeffs), 2, 0)
+    return SwitchedSystem(paper_system.params, (PolyField(p1.comp1 + (even,), p1.comp2),
+                                                *paper_system.perturbations[1:]))
 
 
 def engineered_params():
@@ -108,6 +118,62 @@ class TestFitLocalExpansion:
         assert fit.delta_lin == pytest.approx(d, rel=1e-12)
         assert fit.k_exp == pytest.approx(3.0, abs=1e-6)
         assert fit.delta_coeff == pytest.approx(coeff, rel=1e-6)
+
+
+class TestLeadingCoefficient:
+    def test_paper_example_at_the_critical_parameter(self, paper_system, paper_params):
+        # reference values of the exact map in test_exact
+        crit = find_critical_lambda(paper_params, (-0.1, 0.1))
+        C, k = leading_coefficient(paper_system, crit.lambda_star)
+        assert k == 3
+        assert C == pytest.approx(-0.99241215900, rel=1e-9)
+        assert -C / crit.delta_prime == pytest.approx(2.11873401931, rel=1e-9)
+
+    @pytest.mark.parametrize("lam", [0.02, 0.5, 1.0, -0.3])
+    def test_paper_example_matches_the_exact_map(self, paper_system, lam):
+        # measured 3e-15 to 5e-15 relative
+        C, k = leading_coefficient(paper_system, lam)
+        assert k == 3
+        assert C == pytest.approx(exact_leading_coefficient(lam), rel=1e-12)
+
+    def test_asymmetric_system_matches_numeric_returns(self, paper_system):
+        # q(h) = (pi(h) - delta h) / h^2 = C + a1 h + a2 h^2 + ..., from
+        # returns at rel_tol 1e-13 on h = 0.02 / 2^j, extrapolated three
+        # times (Richardson); measured 4.5e-9 relative off
+        sys = with_x1_squared(paper_system)
+        C, k = leading_coefficient(sys, 0.1)
+        assert k == 2
+        d, cfg = delta(sys.params, 0.1), IntegratorConfig(rel_tol=1e-13)
+        hs = [0.02 / 2 ** j for j in range(5)]
+        q = [(poincare_numeric(sys, h, 0.1, cfg).x1_out - d * h) / h ** k for h in hs]
+        for level in (1, 2, 3):
+            q = [(2 ** level * fine - coarse) / (2 ** level - 1)
+                 for coarse, fine in zip(q, q[1:])]
+        assert C == pytest.approx(q[-1], rel=1e-6)
+
+    def test_lowest_degree_comes_from_the_polynomials(self, paper_system):
+        # lam x1^2 freezes to 0.0 at lam = 0 but still sets k = 2 there,
+        # with C = 0; a term whose polynomial is zero does not count
+        lam_x1_squared = with_x1_squared(paper_system, (0.0, 1.0))
+        assert leading_coefficient(lam_x1_squared, 0.0) == (0.0, 2)
+        assert leading_coefficient(lam_x1_squared, 0.1)[0] != 0.0
+        assert (leading_coefficient(with_x1_squared(paper_system, (0.0, 0.0)), 0.1)
+                == leading_coefficient(paper_system, 0.1))
+
+    def test_linear_system_gives_no_seed_and_is_scanned(self, cfg, monkeypatch):
+        sys = make_linear_system(0.1, 2.0, 1.0)
+        assert leading_coefficient(sys, 0.0) == (0.0, 0)
+        calls = []
+        original = bifurcation.half_return
+
+        def ret(*args, **kw):
+            calls.append(args[1])
+            return original(*args, **kw)
+        monkeypatch.setattr(bifurcation, "half_return", ret)
+        res = continue_branch(sys, [0.0], cfg)
+        assert res.points == () and res.no_orbit == (0.0,)
+        assert calls[0] == bifurcation._X_SCAN_MIN and calls[-1] == 10.0
+        assert calls == sorted(calls) and len(calls) == 25
 
 
 class TestBifurcationDirection:
@@ -250,19 +316,24 @@ class TestContinueBranch:
         assert len(res.points) == 1
         assert res.points[0].x1_fixed == pytest.approx(0.343285, abs=1e-4)
 
+    @pytest.mark.parametrize("x_max", [1e-6, 1e-7, math.inf, math.nan])
+    def test_scan_limit_must_lie_above_the_smallest_scan_amplitude(self, paper_system, cfg,
+                                                                   x_max):
+        with pytest.raises(ValueError, match="x_scan_max"):
+            continue_branch(paper_system, [0.1], cfg, x_scan_max=x_max)
+
     def test_scaling_seed_matches_sequential(self, paper_system, cfg):
-        from switchbif import fit_local_expansion
-        fit = fit_local_expansion(paper_system, 0.0, cfg)
+        # each parameter value solved cold and alone is seeded from the
+        # leading coefficient and gives the sequential amplitude
         seq = continue_branch(paper_system, [0.02, 0.05], cfg)
-        seeded = [continue_branch(paper_system, [lam], cfg, expansion=fit).points[0]
-                  for lam in (0.02, 0.05)]
+        seeded = [continue_branch(paper_system, [lam], cfg).points[0] for lam in (0.02, 0.05)]
         for a, b in zip(seq.points, seeded):
             assert b.x1_fixed == pytest.approx(a.x1_fixed, rel=1e-7)
         assert [p.source for p in seeded] == ["expansion", "expansion"]
 
     def test_returns_per_lambda_counted(self, paper_system, cfg, monkeypatch):
-        # work counter: the scan pays for the first parameter value, the
-        # predictor-corrector for the rest; every point reports its returns
+        # work counter: the leading coefficient seeds the first parameter
+        # value, the previous points the rest; every point reports its returns
         # (half returns on the point-symmetric paper example, full ones
         # elsewhere: both return functions are counted)
         calls = []
@@ -278,7 +349,7 @@ class TestContinueBranch:
         res = continue_branch(paper_system, lams, cfg)
         assert len(calls) <= 60
         assert [p.returns for p in res.points] == [calls.count(lam) for lam in lams]
-        assert [p.source for p in res.points] == ["scan"] + ["previous"] * 4
+        assert [p.source for p in res.points] == ["expansion"] + ["previous"] * 4
         assert all(p.returns <= 8 for p in res.points[1:])
         # where the local law has no root the scan runs at once, so a
         # parameter value on the other side costs what it costs alone
@@ -293,10 +364,7 @@ class TestContinueBranch:
         # one even-degree term in region 1 alone breaks the point symmetry:
         # every return is a full one, and the amplitudes are those of the
         # full-return solve
-        p1 = paper_system.perturbations[0]
-        even = MonomialTerm(LambdaPoly.constant(0.1), 2, 0)
-        sys = SwitchedSystem(paper_system.params, (PolyField(p1.comp1 + (even,), p1.comp2),
-                                                   *paper_system.perturbations[1:]))
+        sys = with_x1_squared(paper_system)
         calls = {"poincare_numeric": 0, "half_return": 0}
 
         def counting(name):
@@ -337,8 +405,8 @@ class TestContinueBranch:
         monkeypatch.setattr(bifurcation, "half_return", ret)
         res = continue_branch(paper_system, [0.05, 0.1], cfg)
         assert len(broken) == 1
-        assert [p.source for p in res.points] == ["scan", "scan"]
-        assert [p.source for p in plain.points] == ["scan", "previous"]
+        assert [p.source for p in res.points] == ["expansion", "scan"]
+        assert [p.source for p in plain.points] == ["expansion", "previous"]
         assert res.points[1].x1_fixed == pytest.approx(plain.points[1].x1_fixed, rel=1e-7)
         assert res.points[1].returns > plain.points[1].returns
 

@@ -232,6 +232,14 @@ class TestBranchCommand:
         assert code == 0
         assert -0.11 in json.loads(out[out.index("{"):])["no_orbit_lambdas"]
 
+    @pytest.mark.parametrize("x_max", ["1e-7", "1e-6"])
+    def test_scan_limit_at_or_below_the_smallest_scan_amplitude_exits_1(self, capsys, x_max):
+        # the scan starts at 1e-6: a limit there or below would scan downward
+        code, out, err = run(capsys, ["paper-example", "branch", "--lambdas=0.1",
+                                      f"--x-scan-max={x_max}"])
+        assert code == 1 and out == ""
+        assert err == f"switchbif: error: ParseError: --x-scan-max: must be > 1e-06, got {float(x_max)!r}\n"
+
     def test_no_orbit_exit_code(self, capsys):
         code, _, err = run(capsys, ["paper-example", "branch", "--lambdas=-0.05"])
         assert code == 2

@@ -42,23 +42,32 @@ def coefficients(lam):
     return b, c, math.pi / (2.0 * math.sqrt(b * c))
 
 
-def exact_events(lam, x1):
-    """(time, state) of the four switching events of one revolution from (x1, 0)."""
+def quarter_integrals(lam):
+    """J_q of each quarter-turn of QUARTERS, in order."""
     b, c, T = coefficients(lam)
     omega, ratio = math.sqrt(b * c), math.sqrt(b / c)
     tau = 0.5 * T * (NODES + 1.0)
-    r, u_in, events = x1, np.array([1.0, 0.0]), []
-    for k, (m, exit_axis) in enumerate(QUARTERS, start=1):
+    u_in, integrals = np.array([1.0, 0.0]), []
+    for m, exit_axis in QUARTERS:
         u_out = np.array(exit_axis)
         # every region's linear flow turns the entry axis onto the exit axis
         # in time T and stretches it by ratio * exp(-A T)
         y = np.exp(-A * tau) * (np.cos(omega * tau) * u_in[:, None]
                                 + ratio * np.sin(omega * tau) * u_out[:, None])
         s = -lam * y[0] ** 4 if m == 4 else -(y[0] ** 2 + lam * y[1] ** 2)
-        J = 0.5 * T * (WEIGHTS @ s)
-        r = ratio * math.exp(-A * T) * r * (1.0 - m * J * r ** m) ** (-1.0 / m)
-        events.append((k * T, r * u_out))
+        integrals.append(0.5 * T * (WEIGHTS @ s))
         u_in = u_out
+    return integrals
+
+
+def exact_events(lam, x1):
+    """(time, state) of the four switching events of one revolution from (x1, 0)."""
+    b, c, T = coefficients(lam)
+    sigma = math.sqrt(b / c) * math.exp(-A * T)
+    r, events = x1, []
+    for k, ((m, exit_axis), J) in enumerate(zip(QUARTERS, quarter_integrals(lam)), start=1):
+        r = sigma * r * (1.0 - m * J * r ** m) ** (-1.0 / m)
+        events.append((k * T, r * np.array(exit_axis)))
     return events
 
 
@@ -71,6 +80,17 @@ def exact_delta(lam):
     """The linear return ratio: the map's gain at zero amplitude."""
     b, c, T = coefficients(lam)
     return (math.sqrt(b / c) * math.exp(-A * T)) ** 4
+
+
+def exact_leading_coefficient(lam):
+    """C of pi(x) = delta x + C x^3 + O(x^5): a quarter-turn maps r to
+    sigma r (1 + J r^m + ...), so only the cubic (m = 2) quarters count."""
+    b, c, T = coefficients(lam)
+    sigma = math.sqrt(b / c) * math.exp(-A * T)
+    lin, C = 1.0, 0.0
+    for (m, _), J in zip(QUARTERS, quarter_integrals(lam)):
+        lin, C = sigma * lin, sigma * C + (sigma * J * lin ** 3 if m == 2 else 0.0)
+    return C
 
 
 def exact_fixed_point(lam, lo, hi):
