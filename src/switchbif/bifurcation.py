@@ -268,7 +268,8 @@ class BranchPoint:
     ``source`` says what bracketed it: a prediction from the previous
     branch points ("previous"), from the return map's leading coefficient
     ("expansion"), or the amplitude scan ("scan"); ``returns`` counts the
-    return maps integrated for its parameter value: half returns h when
+    return maps integrated for its parameter value, not the scan amplitudes
+    whose sign a larger one decided (``_scan``): half returns h when
     the system is point-symmetric at ``lam``, with ``residual`` |h(x) - x|
     and ``period`` twice the half-turn time.
     """
@@ -382,6 +383,43 @@ def _predict(sys: SwitchedSystem, lam: float, d: float, history) -> float | None
         return math.inf
 
 
+def _scan(residual: _Residual, xs: list[float]) -> list[tuple[float, float]]:
+    """Brackets (lo, hi) of the residual's sign changes over the ascending grid ``xs``.
+
+    A residual with |r| <= floor * x has no sign; an amplitude where the
+    integration breaks down ends the current bracket.  The return map m is
+    increasing, so r(x) < -floor * x decides every y < x with
+    y - m(x) > 2 * floor * y: m(y) <= m(x) < y, a negative residual beyond
+    the noise of both returns.  The first pass integrates from the top down,
+    skipping what the last integrated amplitude decides; the second brackets
+    from the bottom up.  A run of decided amplitudes ends above at the
+    negative one deciding it, so only its lowest can close a bracket: that
+    one is integrated where it would.
+    """
+    decided, m = set(), math.inf
+    for x in reversed(xs):
+        if x - m > 2.0 * residual.floor * x:
+            decided.add(x)
+            continue
+        try:
+            r = residual(x)
+        except IntegrationError:
+            r = 0.0   # no sign: decides nothing
+        m = x + r if r < -residual.floor * x else math.inf
+    brackets, prev = [], None
+    for x in xs:
+        try:
+            r = -math.inf if x in decided and not (prev and prev[1] > 0.0) else residual(x)
+        except IntegrationError:
+            prev = None
+            continue
+        if abs(r) > residual.floor * x:
+            if prev is not None and (prev[1] > 0.0) != (r > 0.0):
+                brackets.append((prev[0], x))
+            prev = (x, r)
+    return brackets
+
+
 def continue_branch(sys: SwitchedSystem, lambdas, cfg: IntegratorConfig,
                     x_scan_max: float = 10.0) -> BranchResult:
     """Solve the return-map fixed point for each parameter value in turn.
@@ -405,13 +443,12 @@ def continue_branch(sys: SwitchedSystem, lambdas, cfg: IntegratorConfig,
     at or below the scan's noise floor, or when the walk misses or an
     integration breaks down on it, the whole grid is scanned, and the
     smallest sign change is taken as the branch point (larger ones are
-    reported as additional orbits).  A scan residual with
-    |r| <= _noise_floor(cfg) * x1 has no sign: it neither opens nor closes
-    a bracket.  An amplitude where the integration breaks down ends the
-    current bracket (no orbit can pass through it).  Parameters without
-    any sign change are recorded in ``no_orbit``, which also resets the
-    prediction, and continuation proceeds.  Raises ValueError unless
-    x_scan_max is finite and above _X_SCAN_MIN.
+    reported as additional orbits).  ``_scan`` skips the grid amplitudes
+    whose sign a larger contracting one fixes, with the brackets of
+    integrating all.  Parameters without any sign change are recorded in
+    ``no_orbit``, which also resets the prediction, and continuation
+    proceeds.  Raises ValueError unless x_scan_max is finite and above
+    _X_SCAN_MIN.
     """
     if not _X_SCAN_MIN < x_scan_max < math.inf:
         raise ValueError(f"x_scan_max must be finite and > {_X_SCAN_MIN}, got {x_scan_max}")
@@ -447,19 +484,7 @@ def continue_branch(sys: SwitchedSystem, lambdas, cfg: IntegratorConfig,
                 pass
 
         if cold or not found:
-            brackets, prev = [], None
-            for x in grid:
-                if found and x <= found[0].x1_fixed:
-                    continue
-                try:
-                    r = residual(x)
-                except IntegrationError:
-                    prev = None
-                    continue
-                if abs(r) > residual.floor * x:   # a residual within the noise has no sign
-                    if prev is not None and (prev[1] > 0.0) != (r > 0.0):
-                        brackets.append((prev[0], x))
-                    prev = (x, r)
+            brackets = _scan(residual, [x for x in grid if not found or x > found[0].x1_fixed])
             if not (found or brackets):
                 no_orbit.append(lam)
                 history.clear()

@@ -1,5 +1,6 @@
 import collections
 import dataclasses
+import json
 import math
 
 import numpy as np
@@ -7,19 +8,20 @@ import pytest
 
 from conftest import make_linear_system, make_params
 from switchbif import (BranchDirection, CheckStatus, DegenerateError,
-                       DomainError, InsufficientDataError, IntegratorConfig, LambdaPoly,
-                       MonomialTerm, TangencyError,
+                       DomainError, InsufficientDataError, IntegrationError,
+                       IntegratorConfig, LambdaPoly, MonomialTerm, TangencyError,
                        NoBracketError, OriginClass, PerturbationTooSmallError,
                        PolyField, Quadrant, StopOnReturn, SwitchedSystem, SystemParams,
                        bifurcation_direction, check_global_conditions,
                        classify_origin, continue_branch, delta, delta_prime,
                        find_critical_lambda, fit_local_expansion,
                        fit_scaling_law, half_return, integrate, is_point_symmetric,
-                       leading_coefficient, linear_matrix, poincare_numeric)
+                       leading_coefficient, linear_matrix, parse_config, poincare_numeric)
 from switchbif import bifurcation, numeric
 from switchbif.bifurcation import BranchPoint, ExpansionFit
 from switchbif.model import freeze
 from switchbif.rootfind import brent
+from test_cli import TWO_SIDED
 from test_exact import exact_delta, exact_fixed_point, exact_leading_coefficient
 
 
@@ -161,7 +163,24 @@ class TestLeadingCoefficient:
                 == leading_coefficient(paper_system, 0.1))
 
     def test_linear_system_gives_no_seed_and_is_scanned(self, cfg, monkeypatch):
-        sys = make_linear_system(0.1, 2.0, 1.0)
+        # no seed: the whole grid gets a sign, from x_scan_max down; every
+        # residual is positive (sqrt(delta) = 1.60), so none decides another
+        # grid point and all 25 are integrated
+        assert self.scan_calls(make_linear_system(0.1, 2.0, 1.0), cfg,
+                               monkeypatch) == self.GRID[::-1]
+
+    def test_contracting_linear_system_decides_every_other_grid_point(self, cfg,
+                                                                      monkeypatch):
+        # sqrt(delta) = 0.40: h(x) = 0.4 x decides the grid points in
+        # (0.4 x, x), so below x_scan_max every other one is integrated
+        assert (self.scan_calls(make_linear_system(0.1, 1.0, 2.0), cfg, monkeypatch)
+                == [10.0] + self.GRID[-4::-2])
+
+    GRID = [bifurcation._X_SCAN_MIN * 2.0 ** j for j in range(24)] + [10.0]
+
+    @staticmethod
+    def scan_calls(sys, cfg, monkeypatch):
+        """Amplitudes integrated, in order, for a linear system at lam = 0."""
         assert leading_coefficient(sys, 0.0) == (0.0, 0)
         calls = []
         original = bifurcation.half_return
@@ -172,8 +191,7 @@ class TestLeadingCoefficient:
         monkeypatch.setattr(bifurcation, "half_return", ret)
         res = continue_branch(sys, [0.0], cfg)
         assert res.points == () and res.no_orbit == (0.0,)
-        assert calls[0] == bifurcation._X_SCAN_MIN and calls[-1] == 10.0
-        assert calls == sorted(calls) and len(calls) == 25
+        return calls
 
 
 class TestBifurcationDirection:
@@ -436,6 +454,87 @@ class TestContinueBranch:
                         [p for a in alone for p in a.points + a.additional]):
             assert p.x1_fixed == pytest.approx(q.x1_fixed, rel=1e-7)
             assert p.period == pytest.approx(q.period, rel=1e-7)
+
+
+def full_scan(residual, xs):
+    """Reference for ``bifurcation._scan``: integrates every amplitude of
+    ``xs`` from the bottom up and brackets each sign change."""
+    brackets, prev = [], None
+    for x in xs:
+        try:
+            r = residual(x)
+        except IntegrationError:
+            prev = None
+            continue
+        if abs(r) > residual.floor * x:
+            if prev is not None and (prev[1] > 0.0) != (r > 0.0):
+                brackets.append((prev[0], x))
+            prev = (x, r)
+    return brackets
+
+
+def outcome(res):
+    """Everything a branch run reports but its work counter ``returns``."""
+    return (tuple(dataclasses.replace(p, returns=0) for p in res.points + res.additional),
+            res.no_orbit)
+
+
+def two_sided_system():
+    return parse_config(json.dumps(TWO_SIDED)).system
+
+
+class TestMonotoneScan:
+    SYSTEMS = {"paper": lambda paper: paper,
+               "two_sided": lambda paper: two_sided_system(),
+               "x1_squared": with_x1_squared,
+               "expanding_linear": lambda paper: make_linear_system(0.1, 2.0, 1.0),
+               "contracting_linear": lambda paper: make_linear_system(0.1, 1.0, 2.0)}
+
+    # outer additional orbits of two_sided at lam < 0, full returns for
+    # x1_squared at lam != 0
+    @pytest.mark.parametrize("name, lams", [
+        ("paper", [-0.11, 0.1]),
+        ("paper", [-0.3, -0.05, 0.02, 0.05, 0.1, 0.5, 1.0, 1.5, 1.9]),
+        ("two_sided", [-1.4, -1.0, -0.3, -0.05, 0.02, 0.1]),
+        ("x1_squared", [-0.1, 0.05, 0.1, 0.5]),
+        ("expanding_linear", [0.0]),
+        ("contracting_linear", [0.0])])
+    def test_matches_the_full_scan(self, paper_system, cfg, monkeypatch, name, lams):
+        # in sequence and each parameter value alone (a cold scan above the
+        # seeded orbit), bit for bit, at no more returns
+        sys = self.SYSTEMS[name](paper_system)
+        for run in [lams] + [[lam] for lam in lams]:
+            monotone = continue_branch(sys, run, cfg)
+            with monkeypatch.context() as m:
+                m.setattr(bifurcation, "_scan", full_scan)
+                full = continue_branch(sys, run, cfg)
+            assert outcome(monotone) == outcome(full)
+            assert all(p.returns <= q.returns for p, q in
+                       zip(monotone.points + monotone.additional, full.points + full.additional))
+
+    def test_failed_confirmation_matches_the_full_scan(self, cfg, monkeypatch):
+        # two_sided at lam = 0.02 has no seed, so the whole grid is scanned;
+        # h(4.19) = 0.89 decides 2.10 and 1.05, whose lower neighbour 0.52 lies
+        # between the origin and the outer orbit (positive residual): 1.05 is
+        # integrated after the first pass, to close that bracket.  Its
+        # integration breaks down here, so no bracket closes there, as in
+        # the full scan
+        sys = two_sided_system()
+        x_bad = bifurcation._X_SCAN_MIN * 2.0 ** 20
+        calls = []
+        original = bifurcation.half_return
+
+        def ret(sys_, x1, lam, cfg_, **kw):
+            calls.append(x1)
+            if x1 == x_bad:
+                raise TangencyError("injected")
+            return original(sys_, x1, lam, cfg_, **kw)
+        monkeypatch.setattr(bifurcation, "half_return", ret)
+        broken = continue_branch(sys, [0.02], cfg)
+        assert calls.index(x_bad) > calls.index(bifurcation._X_SCAN_MIN)
+        assert broken.no_orbit == (0.02,)
+        monkeypatch.setattr(bifurcation, "_scan", full_scan)
+        assert outcome(broken) == outcome(continue_branch(sys, [0.02], cfg))
 
 
 class TestFitScalingLaw:
