@@ -202,10 +202,10 @@ def _gauss_legendre(n: int = 16) -> tuple[np.ndarray, np.ndarray]:
 def leading_coefficient(sys: SwitchedSystem, lam: float) -> tuple[float, int]:
     """(C, k) of the return map pi(x1) = delta(lam) x1 + C x1**k + O(x1**(k+1)).
 
-    k is the lowest total degree among the perturbation terms whose
-    polynomial in the parameter is not identically zero (0, with C = 0.0,
-    when there is none); C is first order in those degree-k terms P_k, taken
-    at ``lam``.  On each quarter-turn, from the unit vector u of its entry
+    k is the lowest total degree among the perturbation terms that
+    ``model.freeze`` keeps at ``lam``, those with a nonzero coefficient there
+    (0, with C = 0.0, when there is none); C is first order in those degree-k
+    terms P_k.  On each quarter-turn, from the unit vector u of its entry
     semi-axis, the variation of constants gives the first-order displacement
     z = int_0^T e^{A (T - s)} P_k(e^{A s} u) ds at the linear exit time T,
     evaluated with 16 Gauss-Legendre nodes on ``flow_linear``; projecting z onto
@@ -216,11 +216,10 @@ def leading_coefficient(sys: SwitchedSystem, lam: float) -> tuple[float, int]:
     earlier ones to the power k (Coll, Gasull and Prohens, JMAA 253, 2001;
     Zou, Kuepper and Beyn, J. Nonlinear Sci. 16, 2006).
     """
-    k = min((t.degree for pert in sys.perturbations for t in pert.comp1 + pert.comp2
-             if not t.coeff.is_zero()), default=0)
+    frozen = freeze(sys, lam)
+    k = min((t[1] + t[2] for fr in frozen for comp in fr[4:] for t in comp), default=0)
     if not k:
         return 0.0, 0
-    frozen = freeze(sys, lam)
     p_k = compile_forms(*(tuple(t for t in comp if t[1] + t[2] == k)
                           for fr in frozen for comp in fr[4:]))
     nodes, weights = _gauss_legendre()
@@ -245,18 +244,21 @@ class BranchDirection(enum.Enum):
     BranchForNegativeLambda = "BranchForNegativeLambda"
 
 
-def bifurcation_direction(sys: SwitchedSystem, cfg: IntegratorConfig,
-                          lam_star: float = 0.0,
-                          expansion: ExpansionFit | None = None) -> BranchDirection:
+def bifurcation_direction(sys: SwitchedSystem, lam_star: float = 0.0) -> BranchDirection:
     """Side of the critical parameter on which periodic orbits bifurcate.
 
     Requires the system to sit at its critical parameter (delta = 1 at
     ``lam_star``) with a nonvanishing index derivative; the branch lies
-    on the positive side iff delta_coeff * delta' < 0.
+    on the positive side iff C * delta' < 0, with C the
+    ``leading_coefficient`` at ``lam_star``.  Raises
+    PerturbationTooSmallError when C = 0, which leaves the side undecided.
     """
     dp = _critical_delta_prime(sys.params, lam_star)
-    fit = expansion if expansion is not None else fit_local_expansion(sys, lam_star, cfg)
-    if fit.delta_coeff * dp < 0.0:
+    C, k = leading_coefficient(sys, lam_star)
+    if C == 0.0:
+        raise PerturbationTooSmallError(f"the leading return-map coefficient (degree {k}) "
+                                        f"is 0 at {lam_star}: the branch side is undecided")
+    if C * dp < 0.0:
         return BranchDirection.BranchForPositiveLambda
     return BranchDirection.BranchForNegativeLambda
 

@@ -181,8 +181,7 @@ def _cmd_bifurcate(config: RunConfig, args) -> int:
     bracket = _option(config, args, "bracket")
     crit = find_critical_lambda(config.system.params, tuple(bracket))
     fit = fit_local_expansion(config.system, crit.lambda_star, config.integrator)
-    direction = bifurcation_direction(config.system, config.integrator,
-                                      lam_star=crit.lambda_star, expansion=fit)
+    direction = bifurcation_direction(config.system, lam_star=crit.lambda_star)
     C, k = leading_coefficient(config.system, crit.lambda_star)
     doc = _meta(config, "bifurcate")
     doc.update({

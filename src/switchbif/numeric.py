@@ -3,11 +3,13 @@
 Each smooth arc lives in one open quadrant and is integrated with
 Hairer's DOP853 pair (Hairer, Norsett and Wanner, Solving ODEs I, II.5):
 an 8th-order step takes 11 new RHS evaluations, and f at an accepted
-state is the next step's first stage.  The step size follows Hairer's
-error norm, which blends the pair's 5th- and 3rd-order estimates, with
-exponent 1/8.  The switching manifolds are the four coordinate
-semi-axes, so the event function on an arc is the coordinate that
-vanishes on its quadrant's exit semi-axis in ``model.REGIONS``.  A sign
+state is the next step's first stage.  The tableau is stated once, as
+data, and the step is straight-line code generated from it at import.
+The step size follows Hairer's error norm, which blends the pair's 5th-
+and 3rd-order estimates, with exponent 1/8.  The switching manifolds are
+the four coordinate semi-axes, so the event function on an arc is the
+coordinate that vanishes on its quadrant's exit semi-axis in
+``model.REGIONS``.  A sign
 change over an accepted step is located by ``rootfind.brent`` on the
 length tau of a single re-taken step from the step start, until the
 crossing coordinate is below ``event_tol`` times the state scale.
@@ -142,59 +144,50 @@ class StopOnReturn:
     """Stop at the first switching event on the positive x1-axis."""
 
 
-# -- DOP853 coefficients (Hairer, Norsett and Wanner, Solving ODEs I, II.5) -----
-# _Aij: stage i from stage j; _Bi: the 8th-order weights; _Ei: the 5th-order
-# error weights; _BHHi: the 3rd-order weights of stages 1, 9 and 12
-
-_A21 = 5.26001519587677318785587544488e-2
-_A31, _A32 = 1.97250569845378994544595329183e-2, 5.91751709536136983633785987549e-2
-_A41, _A43 = 2.95875854768068491816892993775e-2, 8.87627564304205475450678981324e-2
-_A51, _A53, _A54 = (
-    2.41365134159266685502369798665e-1, -8.84549479328286085344864962717e-1,
-    9.24834003261792003115737966543e-1)
-_A61, _A64, _A65 = (
-    3.7037037037037037037037037037e-2, 1.70828608729473871279604482173e-1,
-    1.25467687566822425016691814123e-1)
-_A71, _A74, _A75, _A76 = (
-    3.7109375e-2, 1.70252211019544039314978060272e-1, 6.02165389804559606850219397283e-2,
-    -1.7578125e-2)
-_A81, _A84, _A85, _A86, _A87 = (
-    3.70920001185047927108779319836e-2, 1.70383925712239993810214054705e-1,
-    1.07262030446373284651809199168e-1, -1.53194377486244017527936158236e-2,
-    8.27378916381402288758473766002e-3)
-_A91, _A94, _A95, _A96, _A97, _A98 = (
-    6.24110958716075717114429577812e-1, -3.36089262944694129406857109825,
-    -8.68219346841726006818189891453e-1, 2.75920996994467083049415600797e1,
-    2.01540675504778934086186788979e1, -4.34898841810699588477366255144e1)
-_A101, _A104, _A105, _A106, _A107, _A108, _A109 = (
-    4.77662536438264365890433908527e-1, -2.48811461997166764192642586468,
-    -5.90290826836842996371446475743e-1, 2.12300514481811942347288949897e1,
-    1.52792336328824235832596922938e1, -3.32882109689848629194453265587e1,
-    -2.03312017085086261358222928593e-2)
-_A111, _A114, _A115, _A116, _A117, _A118, _A119, _A1110 = (
-    -9.3714243008598732571704021658e-1, 5.18637242884406370830023853209,
-    1.09143734899672957818500254654, -8.14978701074692612513997267357,
-    -1.85200656599969598641566180701e1, 2.27394870993505042818970056734e1,
-    2.49360555267965238987089396762, -3.0467644718982195003823669022)
-_A121, _A124, _A125, _A126, _A127, _A128, _A129, _A1210, _A1211 = (
-    2.27331014751653820792359768449, -1.05344954667372501984066689879e1,
-    -2.00087205822486249909675718444, -1.79589318631187989172765950534e1,
-    2.79488845294199600508499808837e1, -2.85899827713502369474065508674,
-    -8.87285693353062954433549289258, 1.23605671757943030647266201528e1,
-    6.43392746015763530355970484046e-1)
-_B1, _B6, _B7, _B8, _B9, _B10, _B11, _B12 = (
-    5.42937341165687622380535766363e-2, 4.45031289275240888144113950566,
-    1.89151789931450038304281599044, -5.8012039600105847814672114227,
-    3.1116436695781989440891606237e-1, -1.52160949662516078556178806805e-1,
-    2.01365400804030348374776537501e-1, 4.47106157277725905176885569043e-2)
-_E1, _E6, _E7, _E8, _E9, _E10, _E11, _E12 = (
-    0.1312004499419488073250102996e-1, -0.1225156446376204440720569753e+1,
-    -0.4957589496572501915214079952, 0.1664377182454986536961530415e+1,
-    -0.3503288487499736816886487290, 0.3341791187130174790297318841,
-    0.8192320648511571246570742613e-1, -0.2235530786388629525884427845e-1)
-_BHH1, _BHH2, _BHH3 = (
-    0.244094488188976377952755905512, 0.733846688281611857341361741547,
-    0.220588235294117647058823529412e-1)
+# -- DOP853 tableau (Hairer, Norsett and Wanner, Solving ODEs I, II.5) ------------
+#: stage i = 2..12: the nonzero (j, a_ij) over the stages j < i
+_A = {
+    2: ((1, 5.26001519587677318785587544488e-2),),
+    3: ((1, 1.97250569845378994544595329183e-2), (2, 5.91751709536136983633785987549e-2)),
+    4: ((1, 2.95875854768068491816892993775e-2), (3, 8.87627564304205475450678981324e-2)),
+    5: ((1, 2.41365134159266685502369798665e-1), (3, -8.84549479328286085344864962717e-1),
+        (4, 9.24834003261792003115737966543e-1)),
+    6: ((1, 3.7037037037037037037037037037e-2), (4, 1.70828608729473871279604482173e-1),
+        (5, 1.25467687566822425016691814123e-1)),
+    7: ((1, 3.7109375e-2), (4, 1.70252211019544039314978060272e-1),
+        (5, 6.02165389804559606850219397283e-2), (6, -1.7578125e-2)),
+    8: ((1, 3.70920001185047927108779319836e-2), (4, 1.70383925712239993810214054705e-1),
+        (5, 1.07262030446373284651809199168e-1), (6, -1.53194377486244017527936158236e-2),
+        (7, 8.27378916381402288758473766002e-3)),
+    9: ((1, 6.24110958716075717114429577812e-1), (4, -3.36089262944694129406857109825),
+        (5, -8.68219346841726006818189891453e-1), (6, 2.75920996994467083049415600797e1),
+        (7, 2.01540675504778934086186788979e1), (8, -4.34898841810699588477366255144e1)),
+    10: ((1, 4.77662536438264365890433908527e-1), (4, -2.48811461997166764192642586468),
+         (5, -5.90290826836842996371446475743e-1), (6, 2.12300514481811942347288949897e1),
+         (7, 1.52792336328824235832596922938e1), (8, -3.32882109689848629194453265587e1),
+         (9, -2.03312017085086261358222928593e-2)),
+    11: ((1, -9.3714243008598732571704021658e-1), (4, 5.18637242884406370830023853209),
+         (5, 1.09143734899672957818500254654), (6, -8.14978701074692612513997267357),
+         (7, -1.85200656599969598641566180701e1), (8, 2.27394870993505042818970056734e1),
+         (9, 2.49360555267965238987089396762), (10, -3.0467644718982195003823669022)),
+    12: ((1, 2.27331014751653820792359768449), (4, -1.05344954667372501984066689879e1),
+         (5, -2.00087205822486249909675718444), (6, -1.79589318631187989172765950534e1),
+         (7, 2.79488845294199600508499808837e1), (8, -2.85899827713502369474065508674),
+         (9, -8.87285693353062954433549289258), (10, 1.23605671757943030647266201528e1),
+         (11, 6.43392746015763530355970484046e-1)),
+}
+#: (j, weight): the 8th-order weights, the 5th-order error weights, and the
+#: 3rd-order weights, whose difference from _B is the 3rd-order error
+_B = ((1, 5.42937341165687622380535766363e-2), (6, 4.45031289275240888144113950566),
+      (7, 1.89151789931450038304281599044), (8, -5.8012039600105847814672114227),
+      (9, 3.1116436695781989440891606237e-1), (10, -1.52160949662516078556178806805e-1),
+      (11, 2.01365400804030348374776537501e-1), (12, 4.47106157277725905176885569043e-2))
+_E = ((1, 0.1312004499419488073250102996e-1), (6, -0.1225156446376204440720569753e+1),
+      (7, -0.4957589496572501915214079952), (8, 0.1664377182454986536961530415e+1),
+      (9, -0.3503288487499736816886487290), (10, 0.3341791187130174790297318841),
+      (11, 0.8192320648511571246570742613e-1), (12, -0.2235530786388629525884427845e-1))
+_BHH = ((1, 0.244094488188976377952755905512), (9, 0.733846688281611857341361741547),
+        (12, 0.220588235294117647058823529412e-1))
 
 _H_FLOOR = 1e-14
 #: first and largest step, least |normal velocity| / speed at a crossing, longest arc
@@ -207,51 +200,34 @@ _FLOAT_MIN = float(np.finfo(float).tiny)
 _SAFETY, _EXPO, _MIN_FACTOR, _MAX_FACTOR = 0.9, 1 / 8, 0.333, 6.0
 
 
-def _rk_stages(f, x1, x2, h, p1, q1):
-    """One 8th-order step of size h from the first stage (p1, q1) = f(x1, x2).
+def _generate_step():
+    """``_rk_stages`` as straight-line code generated from _A, _B, _E and _BHH.
 
-    Stage i is (p_i, q_i).  Returns the solution (u1, u2), the 5th-order
-    error (e1, e2) and the 3rd-order one (d1, d2); f(u) is left to the
-    caller, as the next step's first stage.
+    _rk_stages(f, x1, x2, h, p1, q1) takes one 8th-order step of size h
+    from the first stage (p1, q1) = f(x1, x2); stage i is (p_i, q_i).  It
+    returns the solution (u1, u2), the 5th-order error (e1, e2) and the
+    3rd-order one (d1, d2); f(u) is left to the caller, as the next step's
+    first stage.  Only the nonzero coefficients appear, as ``repr(float)``
+    literals, and each sum runs left to right in increasing j.
     """
-    p2, q2 = f(x1 + h * _A21 * p1, x2 + h * _A21 * q1)
-    p3, q3 = f(x1 + h * (_A31 * p1 + _A32 * p2), x2 + h * (_A31 * q1 + _A32 * q2))
-    p4, q4 = f(x1 + h * (_A41 * p1 + _A43 * p3), x2 + h * (_A41 * q1 + _A43 * q3))
-    p5, q5 = f(x1 + h * (_A51 * p1 + _A53 * p3 + _A54 * p4),
-               x2 + h * (_A51 * q1 + _A53 * q3 + _A54 * q4))
-    p6, q6 = f(x1 + h * (_A61 * p1 + _A64 * p4 + _A65 * p5),
-               x2 + h * (_A61 * q1 + _A64 * q4 + _A65 * q5))
-    p7, q7 = f(x1 + h * (_A71 * p1 + _A74 * p4 + _A75 * p5 + _A76 * p6),
-               x2 + h * (_A71 * q1 + _A74 * q4 + _A75 * q5 + _A76 * q6))
-    p8, q8 = f(x1 + h * (_A81 * p1 + _A84 * p4 + _A85 * p5 + _A86 * p6 + _A87 * p7),
-               x2 + h * (_A81 * q1 + _A84 * q4 + _A85 * q5 + _A86 * q6 + _A87 * q7))
-    p9, q9 = f(x1 + h * (_A91 * p1 + _A94 * p4 + _A95 * p5 + _A96 * p6 + _A97 * p7
-                         + _A98 * p8),
-               x2 + h * (_A91 * q1 + _A94 * q4 + _A95 * q5 + _A96 * q6 + _A97 * q7
-                         + _A98 * q8))
-    p10, q10 = f(x1 + h * (_A101 * p1 + _A104 * p4 + _A105 * p5 + _A106 * p6 + _A107 * p7
-                           + _A108 * p8 + _A109 * p9),
-                 x2 + h * (_A101 * q1 + _A104 * q4 + _A105 * q5 + _A106 * q6 + _A107 * q7
-                           + _A108 * q8 + _A109 * q9))
-    p11, q11 = f(x1 + h * (_A111 * p1 + _A114 * p4 + _A115 * p5 + _A116 * p6 + _A117 * p7
-                           + _A118 * p8 + _A119 * p9 + _A1110 * p10),
-                 x2 + h * (_A111 * q1 + _A114 * q4 + _A115 * q5 + _A116 * q6 + _A117 * q7
-                           + _A118 * q8 + _A119 * q9 + _A1110 * q10))
-    p12, q12 = f(x1 + h * (_A121 * p1 + _A124 * p4 + _A125 * p5 + _A126 * p6 + _A127 * p7
-                           + _A128 * p8 + _A129 * p9 + _A1210 * p10 + _A1211 * p11),
-                 x2 + h * (_A121 * q1 + _A124 * q4 + _A125 * q5 + _A126 * q6 + _A127 * q7
-                           + _A128 * q8 + _A129 * q9 + _A1210 * q10 + _A1211 * q11))
-    s1 = (_B1 * p1 + _B6 * p6 + _B7 * p7 + _B8 * p8 + _B9 * p9 + _B10 * p10 + _B11 * p11
-          + _B12 * p12)
-    s2 = (_B1 * q1 + _B6 * q6 + _B7 * q7 + _B8 * q8 + _B9 * q9 + _B10 * q10 + _B11 * q11
-          + _B12 * q12)
-    e1 = h * (_E1 * p1 + _E6 * p6 + _E7 * p7 + _E8 * p8 + _E9 * p9 + _E10 * p10 + _E11 * p11
-              + _E12 * p12)
-    e2 = h * (_E1 * q1 + _E6 * q6 + _E7 * q7 + _E8 * q8 + _E9 * q9 + _E10 * q10 + _E11 * q11
-              + _E12 * q12)
-    d1 = h * (s1 - _BHH1 * p1 - _BHH2 * p9 - _BHH3 * p12)
-    d2 = h * (s2 - _BHH1 * q1 - _BHH2 * q9 - _BHH3 * q12)
-    return x1 + h * s1, x2 + h * s2, e1, e2, d1, d2
+    def dot(pairs, v, sep=" + "):
+        return sep.join(f"{a!r} * {v}{j}" for j, a in pairs)
+
+    lines = ["def _rk_stages(f, x1, x2, h, p1, q1):"]
+    for i, row in _A.items():
+        incs = [f"h * {dot(row, v)}" if len(row) == 1 else f"h * ({dot(row, v)})"
+                for v in "pq"]
+        lines.append(f"    p{i}, q{i} = f(x1 + {incs[0]}, x2 + {incs[1]})")
+    for k, v in ((1, "p"), (2, "q")):
+        lines += [f"    s{k} = {dot(_B, v)}", f"    e{k} = h * ({dot(_E, v)})",
+                  f"    d{k} = h * (s{k} - {dot(_BHH, v, ' - ')})"]
+    lines.append("    return x1 + h * s1, x2 + h * s2, e1, e2, d1, d2")
+    namespace = {"__builtins__": {}}
+    exec("\n".join(lines), namespace)
+    return namespace["_rk_stages"]
+
+
+_rk_stages = _generate_step()
 
 
 def _compiled_fields(sys: SwitchedSystem, lam: float) -> dict[int, object]:

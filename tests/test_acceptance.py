@@ -82,7 +82,7 @@ def test_criterion_3_index_derivative(capsys, paper_params):
 
 def test_criterion_4_bifurcation_direction(capsys, paper_system, cfg):
     with criterion(capsys, 4, "branch side and absence on the wrong side"):
-        assert (bifurcation_direction(paper_system, cfg)
+        assert (bifurcation_direction(paper_system)
                 == BranchDirection.BranchForPositiveLambda)
         res = continue_branch(paper_system, [-0.05], cfg)
         assert res.points == ()

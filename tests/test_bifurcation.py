@@ -18,7 +18,7 @@ from switchbif import (BranchDirection, CheckStatus, DegenerateError,
                        fit_scaling_law, half_return, integrate, is_point_symmetric,
                        leading_coefficient, linear_matrix, parse_config, poincare_numeric)
 from switchbif import bifurcation, numeric
-from switchbif.bifurcation import BranchPoint, ExpansionFit
+from switchbif.bifurcation import BranchPoint
 from switchbif.model import freeze
 from switchbif.rootfind import brent
 from test_cli import TWO_SIDED
@@ -153,12 +153,14 @@ class TestLeadingCoefficient:
                  for coarse, fine in zip(q, q[1:])]
         assert C == pytest.approx(q[-1], rel=1e-6)
 
-    def test_lowest_degree_comes_from_the_polynomials(self, paper_system):
-        # lam x1^2 freezes to 0.0 at lam = 0 but still sets k = 2 there,
-        # with C = 0; a term whose polynomial is zero does not count
+    def test_lowest_degree_comes_from_the_frozen_terms(self, paper_system):
+        # lam x1^2 freezes to 0.0 at lam = 0, which leaves the paper
+        # example's k = 3 there, and sets k = 2 elsewhere
         lam_x1_squared = with_x1_squared(paper_system, (0.0, 1.0))
-        assert leading_coefficient(lam_x1_squared, 0.0) == (0.0, 2)
-        assert leading_coefficient(lam_x1_squared, 0.1)[0] != 0.0
+        assert (leading_coefficient(lam_x1_squared, 0.0)
+                == leading_coefficient(paper_system, 0.0))
+        C, k = leading_coefficient(lam_x1_squared, 0.1)
+        assert k == 2 and C != 0.0
         assert (leading_coefficient(with_x1_squared(paper_system, (0.0, 0.0)), 0.1)
                 == leading_coefficient(paper_system, 0.1))
 
@@ -195,8 +197,8 @@ class TestLeadingCoefficient:
 
 
 class TestBifurcationDirection:
-    def test_paper_example_positive_side(self, paper_system, cfg):
-        assert (bifurcation_direction(paper_system, cfg)
+    def test_paper_example_positive_side(self, paper_system):
+        assert (bifurcation_direction(paper_system)
                 == BranchDirection.BranchForPositiveLambda)
 
     def test_flipped_derivative_gives_negative_side(self, paper_system, cfg):
@@ -207,31 +209,43 @@ class TestBifurcationDirection:
                                c=p.c, lambda_domain=p.lambda_domain)
         sys_flipped = SwitchedSystem(flipped, paper_system.perturbations)
         assert delta_prime(flipped, 0.0) == pytest.approx(-4.0 / (math.e * math.pi), rel=1e-9)
-        assert (bifurcation_direction(sys_flipped, cfg)
+        assert (bifurcation_direction(sys_flipped)
                 == BranchDirection.BranchForNegativeLambda)
         # brute-force confirmation: an orbit exists on the negative side only
         res = continue_branch(sys_flipped, [-0.05, 0.05], cfg)
         assert [p.lam for p in res.points] == [-0.05]
         assert res.no_orbit == (0.05,)
 
-    def test_off_critical_system_raises_degenerate(self, cfg):
+    def test_vanishing_cubic_leaves_the_quintic(self, paper_params, cfg):
+        # p = (-lam x1^3 - x1^5, -lam x1^2 x2 - x1^4 x2) in every region: at
+        # lam = 0 only the quintic is left, and C = -1.389 agrees with the
+        # fitted -1.378 (k_exp 4.997)
+        lam_cubic = PolyField(comp1=(MonomialTerm(LambdaPoly((0.0, -1.0)), 3, 0),
+                                     MonomialTerm(LambdaPoly.constant(-1.0), 5, 0)),
+                              comp2=(MonomialTerm(LambdaPoly((0.0, -1.0)), 2, 1),
+                                     MonomialTerm(LambdaPoly.constant(-1.0), 4, 1)))
+        sys = SwitchedSystem(paper_params, (lam_cubic,) * 4)
+        C, k = leading_coefficient(sys, 0.0)
+        fit = fit_local_expansion(sys, 0.0, cfg)
+        assert k == 5 and fit.k_exp == pytest.approx(5.0, abs=0.01)
+        assert C == pytest.approx(fit.delta_coeff, rel=0.02)
+        assert fit.delta_coeff * delta_prime(paper_params, 0.0) < 0.0
+        assert bifurcation_direction(sys) == BranchDirection.BranchForPositiveLambda
+
+    def test_off_critical_system_raises_degenerate(self):
         sys = SwitchedSystem.linear(make_params(1.0, 2.0, 1.0))
         assert abs(delta(sys.params, 0.0) - 1.0) > 1e-3
         with pytest.raises(DegenerateError):
-            bifurcation_direction(sys, cfg)
+            bifurcation_direction(sys)
 
-    def test_critical_linear_system_raises_perturbation_too_small(self, paper_params, cfg):
+    def test_critical_linear_system_raises_perturbation_too_small(self, paper_params):
         sys = SwitchedSystem.linear(paper_params)
         with pytest.raises(PerturbationTooSmallError):
-            bifurcation_direction(sys, cfg)
+            bifurcation_direction(sys)
 
 
 class TestOneDeltaOneTolerance:
     """Every check of delta = 1 uses analytic.DELTA_ONE_TOL (1e-12)."""
-
-    #: a stand-in fit, so that no return map is integrated
-    FIT = ExpansionFit(delta_lin=1.0, delta_coeff=-1.0, k_exp=3.0, fit_residual=0.0,
-                       x1_grid=())
 
     @pytest.fixture
     def near_critical(self, paper_system):
@@ -240,15 +254,14 @@ class TestOneDeltaOneTolerance:
         assert delta(params, 0.0) - 1.0 == pytest.approx(5e-11, rel=1e-3)
         return SwitchedSystem(params, paper_system.perturbations)
 
-    def test_lambda_zero_is_not_critical(self, near_critical, cfg):
+    def test_lambda_zero_is_not_critical(self, near_critical):
         params = near_critical.params
         assert classify_origin(params, 0.0) is OriginClass.Unstable
         crit = find_critical_lambda(params, (-0.1, 0.1))
         assert crit.lambda_star < 0.0
         with pytest.raises(DegenerateError):
-            bifurcation_direction(near_critical, cfg, expansion=self.FIT)
-        assert (bifurcation_direction(near_critical, cfg, lam_star=crit.lambda_star,
-                                      expansion=self.FIT)
+            bifurcation_direction(near_critical)
+        assert (bifurcation_direction(near_critical, lam_star=crit.lambda_star)
                 == BranchDirection.BranchForPositiveLambda)
 
     def test_index_conditions_fail(self, near_critical):

@@ -94,6 +94,21 @@ class TestConfigFile:
         assert code == 0
         assert [row.split(",")[0] for row in out.splitlines()[2:]] == ["0.0", "0.25", "0.5"]
 
+    def test_delta_sweep_reads_lambdas_from_the_flag_only(self, capsys, tmp_path):
+        # options.lambdas is branch's list: delta-sweep needs its own range,
+        # so one config can hold both
+        doc = json.loads(emit_canonical(paper_example_config()))
+        doc["options"] = {"lambdas": [0.1, 0.2]}
+        code, _, err = run(capsys, ["delta-sweep", "--config",
+                                    write_json(tmp_path / "lambdas.json", doc)])
+        assert code == 1
+        assert "give --lambdas or both --lambda-min and --lambda-max" in err
+        doc["options"].update({"lambda_min": 0, "lambda_max": "1/2", "n": 3})
+        code, out, _ = run(capsys, ["delta-sweep", "--config",
+                                    write_json(tmp_path / "both.json", doc)])
+        assert code == 0
+        assert [row.split(",")[0] for row in out.splitlines()[2:]] == ["0.0", "0.25", "0.5"]
+
     def test_missing_config_file(self, capsys):
         code, _, err = run(capsys, ["classify", "--config", "/nonexistent.json"])
         assert code == 1

@@ -258,39 +258,53 @@ class TestPoincareNumeric:
 
 
 class TestDop853Coefficients:
-    """The hand-typed DOP853 table against scipy's copy and the order conditions."""
-
-    #: (i, j) of every strictly lower-triangular entry of the 12-stage table
-    LOWER = [(i, j) for i in range(2, 13) for j in range(1, i)]
+    """The DOP853 tables against scipy's copy and the order conditions, and
+    the step generated from them against scipy's own Runge-Kutta step."""
 
     @staticmethod
-    def coefficient(name):
-        return getattr(numeric, name, 0.0)
+    def dense(pairs, n=12):
+        row = [0.0] * n
+        for j, a in pairs:
+            row[j - 1] = a
+        return row
 
     def test_every_constant_equals_scipys(self):
         coef = pytest.importorskip("scipy.integrate._ivp.dop853_coefficients")
-        names = {f"_A{i}{j}" for i, j in self.LOWER}
-        assert {n for n in vars(numeric) if re.fullmatch(r"_A\d+", n)} <= names
-        for i, j in self.LOWER:
-            assert self.coefficient(f"_A{i}{j}") == coef.A[i - 1, j - 1], (i, j)
-        # the 3rd-order error weights are b less _BHH1..3 at stages 1, 9, 12
-        bhh = {1: numeric._BHH1, 9: numeric._BHH2, 12: numeric._BHH3}
-        for i in range(1, 13):
-            b = self.coefficient(f"_B{i}")
-            assert b == coef.B[i - 1], i
-            assert self.coefficient(f"_E{i}") == coef.E5[i - 1], i
-            assert b - bhh.get(i, 0.0) == coef.E3[i - 1], i
+        # dense rows catch both a missing nonzero and a stated zero
+        assert sorted(numeric._A) == list(range(2, 13))
+        a = [[0.0] * 12] + [self.dense(numeric._A[i]) for i in range(2, 13)]
+        assert a == coef.A[:12, :12].tolist()
+        b = self.dense(numeric._B)
+        assert b == coef.B.tolist()
+        assert self.dense(numeric._E) == coef.E5[:12].tolist()
+        # the 3rd-order error weights are b less the _BHH weights
+        bhh = self.dense(numeric._BHH)
+        for i in range(12):
+            assert b[i] - bhh[i] == coef.E3[i], i + 1
         assert coef.E3[12] == coef.E5[12] == 0.0   # f at the new state is not used
 
     def test_order_conditions(self):
         coef = pytest.importorskip("scipy.integrate._ivp.dop853_coefficients")
-        c = [0.0] + [sum(self.coefficient(f"_A{i}{j}") for j in range(1, i))
-                     for i in range(2, 13)]
+        c = [0.0] + [sum(self.dense(numeric._A[i])) for i in range(2, 13)]
         assert c == pytest.approx(coef.C[:12], abs=1e-14)
-        b = [self.coefficient(f"_B{i}") for i in range(1, 13)]
+        b = self.dense(numeric._B)
         for k in range(1, 9):
             assert math.fsum(bi * ci ** (k - 1) for bi, ci in zip(b, c)) == pytest.approx(
                 1.0 / k, abs=1e-14), k
+
+    def test_step_matches_scipys_rk_step(self, paper_system):
+        # one step of the generated code against scipy's table-driven one
+        rk = pytest.importorskip("scipy.integrate._ivp.rk")
+        coef = pytest.importorskip("scipy.integrate._ivp.dop853_coefficients")
+        f = numeric._compiled_fields(paper_system, 0.3)[1]
+        x, h = np.array([0.7, 0.4]), 0.05
+        k = np.empty((13, 2))
+        u, _ = rk.rk_step(lambda t, y: np.array(f(*y)), 0.0, x, np.array(f(*x)), h,
+                          coef.A[:12, :12], coef.B, coef.C[:12], k)
+        u1, u2, e1, e2, d1, d2 = numeric._rk_stages(f, *x, h, *f(*x))
+        assert [u1, u2] == pytest.approx(u, rel=1e-15, abs=0.0)
+        assert [e1, e2] == pytest.approx(h * k.T @ coef.E5, rel=0.0, abs=1e-15)
+        assert [d1, d2] == pytest.approx(h * k.T @ coef.E3, rel=0.0, abs=1e-15)
 
 
 class TestEventLocationCost:
