@@ -439,7 +439,8 @@ def continue_branch(sys: SwitchedSystem, lambdas, cfg: IntegratorConfig,
     parameter (see ``_Residual``).
 
     The scan is a geometric grid over (_X_SCAN_MIN, x_scan_max].  A cold
-    parameter value whose walk found an orbit scans the grid points above
+    parameter value whose walk found an orbit scans from the upper end of
+    the walk's bracket, whose residual is signed, over the grid points above
     it; sign changes there are additional orbits.  Without a prediction,
     with a residual gain |delta - 1| (|sqrt(delta) - 1| for half returns)
     at or below the scan's noise floor, or when the walk misses or an
@@ -486,7 +487,8 @@ def continue_branch(sys: SwitchedSystem, lambdas, cfg: IntegratorConfig,
                 pass
 
         if cold or not found:
-            brackets = _scan(residual, [x for x in grid if not found or x > found[0].x1_fixed])
+            xs = [bracket[1], *(x for x in grid if x > bracket[1])] if found else grid
+            brackets = _scan(residual, xs)
             if not (found or brackets):
                 no_orbit.append(lam)
                 history.clear()

@@ -270,36 +270,14 @@ def paper_example_config() -> RunConfig:
     1 at lam = 0 with positive derivative, so periodic orbits bifurcate
     for lam > 0.
     """
-    document = """\
-{
-  "system": {
-    "a": "2",
-    "b_poly": ["e*pi", 1, 1],
-    "c_poly": ["pi/e", 0, 1],
-    "lambda_domain": [-2, 2],
-    "perturbations": {
-      "q1": {
-        "comp1": [{"coeff_poly": [-1], "pow1": 3, "pow2": 0},
-                  {"coeff_poly": [0, -1], "pow1": 1, "pow2": 2}],
-        "comp2": [{"coeff_poly": [0, -1], "pow1": 0, "pow2": 3},
-                  {"coeff_poly": [-1], "pow1": 2, "pow2": 1}]
-      },
-      "q2": {
-        "comp1": [{"coeff_poly": [0, -1], "pow1": 5, "pow2": 0}],
-        "comp2": [{"coeff_poly": [0, -1], "pow1": 4, "pow2": 1}]
-      },
-      "q3": {
-        "comp1": [{"coeff_poly": [-1], "pow1": 3, "pow2": 0},
-                  {"coeff_poly": [0, -1], "pow1": 1, "pow2": 2}],
-        "comp2": [{"coeff_poly": [0, -1], "pow1": 0, "pow2": 3},
-                  {"coeff_poly": [-1], "pow1": 2, "pow2": 1}]
-      },
-      "q4": {
-        "comp1": [{"coeff_poly": [0, -1], "pow1": 5, "pow2": 0}],
-        "comp2": [{"coeff_poly": [0, -1], "pow1": 4, "pow2": 1}]
-      }
-    }
-  }
-}
-"""
-    return parse_config(document, label=PAPER_EXAMPLE_LABEL)
+    cubic = {"comp1": [{"coeff_poly": [-1], "pow1": 3, "pow2": 0},
+                       {"coeff_poly": [0, -1], "pow1": 1, "pow2": 2}],
+             "comp2": [{"coeff_poly": [0, -1], "pow1": 0, "pow2": 3},
+                       {"coeff_poly": [-1], "pow1": 2, "pow2": 1}]}
+    quintic = {"comp1": [{"coeff_poly": [0, -1], "pow1": 5, "pow2": 0}],
+               "comp2": [{"coeff_poly": [0, -1], "pow1": 4, "pow2": 1}]}
+    document = {"system": {"a": "2", "b_poly": ["e*pi", 1, 1], "c_poly": ["pi/e", 0, 1],
+                           "lambda_domain": [-2, 2],
+                           "perturbations": {"q1": cubic, "q2": quintic,
+                                             "q3": cubic, "q4": quintic}}}
+    return parse_config(json.dumps(document), label=PAPER_EXAMPLE_LABEL)

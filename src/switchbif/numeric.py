@@ -9,10 +9,10 @@ The step size follows Hairer's error norm, which blends the pair's 5th-
 and 3rd-order estimates, with exponent 1/8.  The switching manifolds are
 the four coordinate semi-axes, so the event function on an arc is the
 coordinate that vanishes on its quadrant's exit semi-axis in
-``model.REGIONS``.  A sign
-change over an accepted step is located by ``rootfind.brent`` on the
-length tau of a single re-taken step from the step start, until the
-crossing coordinate is below ``event_tol`` times the state scale.
+``model.REGIONS``.  A sign change over an accepted step is located by
+``rootfind.brent`` on the step's 7th-order dense output (II.6, 4 more RHS
+evaluations) to ``event_tol`` times the state scale; one step of that length
+and a first-order move along the field then put the event state on the axis.
 
 The result is one time-ordered table, a row per accepted step and per
 switching event.  An arc, the rows between two event rows, follows the
@@ -188,6 +188,48 @@ _E = ((1, 0.1312004499419488073250102996e-1), (6, -0.122515644637620444072056975
       (11, 0.8192320648511571246570742613e-1), (12, -0.2235530786388629525884427845e-1))
 _BHH = ((1, 0.244094488188976377952755905512), (9, 0.733846688281611857341361741547),
         (12, 0.220588235294117647058823529412e-1))
+#: dense output (II.6): stage i = 14..16 as (j, a_ij), where stage 13 is f at the
+#: step's end, and the interpolant's coefficients 4..7, h * sum_j d_j k_j, as (j, d_j)
+_A_DENSE = {
+    14: ((1, 5.61675022830479523392909219681e-2), (7, 2.53500210216624811088794765333e-1),
+         (8, -2.46239037470802489917441475441e-1), (9, -1.24191423263816360469010140626e-1),
+         (10, 1.5329179827876569731206322685e-1), (11, 8.20105229563468988491666602057e-3),
+         (12, 7.56789766054569976138603589584e-3), (13, -8.298e-3)),
+    15: ((1, 3.18346481635021405060768473261e-2), (6, 2.83009096723667755288322961402e-2),
+         (7, 5.35419883074385676223797384372e-2), (8, -5.49237485713909884646569340306e-2),
+         (11, -1.08347328697249322858509316994e-4), (12, 3.82571090835658412954920192323e-4),
+         (13, -3.40465008687404560802977114492e-4), (14, 1.41312443674632500278074618366e-1)),
+    16: ((1, -4.28896301583791923408573538692e-1), (6, -4.69762141536116384314449447206),
+         (7, 7.68342119606259904184240953878), (8, 4.06898981839711007970213554331),
+         (9, 3.56727187455281109270669543021e-1), (13, -1.39902416515901462129418009734e-3),
+         (14, 2.9475147891527723389556272149), (15, -9.15095847217987001081870187138)),
+}
+_D = (
+    ((1, -0.84289382761090128651353491142e+1), (6, 0.56671495351937776962531783590),
+     (7, -0.30689499459498916912797304727e+1), (8, 0.23846676565120698287728149680e+1),
+     (9, 0.21170345824450282767155149946e+1), (10, -0.87139158377797299206789907490),
+     (11, 0.22404374302607882758541771650e+1), (12, 0.63157877876946881815570249290),
+     (13, -0.88990336451333310820698117400e-1), (14, 0.18148505520854727256656404962e+2),
+     (15, -0.91946323924783554000451984436e+1), (16, -0.44360363875948939664310572000e+1)),
+    ((1, 0.10427508642579134603413151009e+2), (6, 0.24228349177525818288430175319e+3),
+     (7, 0.16520045171727028198505394887e+3), (8, -0.37454675472269020279518312152e+3),
+     (9, -0.22113666853125306036270938578e+2), (10, 0.77334326684722638389603898808e+1),
+     (11, -0.30674084731089398182061213626e+2), (12, -0.93321305264302278729567221706e+1),
+     (13, 0.15697238121770843886131091075e+2), (14, -0.31139403219565177677282850411e+2),
+     (15, -0.93529243588444783865713862664e+1), (16, 0.35816841486394083752465898540e+2)),
+    ((1, 0.19985053242002433820987653617e+2), (6, -0.38703730874935176555105901742e+3),
+     (7, -0.18917813819516756882830838328e+3), (8, 0.52780815920542364900561016686e+3),
+     (9, -0.11573902539959630126141871134e+2), (10, 0.68812326946963000169666922661e+1),
+     (11, -0.10006050966910838403183860980e+1), (12, 0.77771377980534432092869265740),
+     (13, -0.27782057523535084065932004339e+1), (14, -0.60196695231264120758267380846e+2),
+     (15, 0.84320405506677161018159903784e+2), (16, 0.11992291136182789328035130030e+2)),
+    ((1, -0.25693933462703749003312586129e+2), (6, -0.15418974869023643374053993627e+3),
+     (7, -0.23152937917604549567536039109e+3), (8, 0.35763911791061412378285349910e+3),
+     (9, 0.93405324183624310003907691704e+2), (10, -0.37458323136451633156875139351e+2),
+     (11, 0.10409964950896230045147246184e+3), (12, 0.29840293426660503123344363579e+2),
+     (13, -0.43533456590011143754432175058e+2), (14, 0.96324553959188282948394950600e+2),
+     (15, -0.39177261675615439165231486172e+2), (16, -0.14972683625798562581422125276e+3)),
+)
 
 _H_FLOOR = 1e-14
 #: first and largest step, least |normal velocity| / speed at a crossing, longest arc
@@ -201,33 +243,51 @@ _SAFETY, _EXPO, _MIN_FACTOR, _MAX_FACTOR = 0.9, 1 / 8, 0.333, 6.0
 
 
 def _generate_step():
-    """``_rk_stages`` as straight-line code generated from _A, _B, _E and _BHH.
+    """``_rk_stages`` and ``_dense`` as straight-line code generated from the tables.
 
     _rk_stages(f, x1, x2, h, p1, q1) takes one 8th-order step of size h
     from the first stage (p1, q1) = f(x1, x2); stage i is (p_i, q_i).  It
-    returns the solution (u1, u2), the 5th-order error (e1, e2) and the
-    3rd-order one (d1, d2); f(u) is left to the caller, as the next step's
-    first stage.  Only the nonzero coefficients appear, as ``repr(float)``
-    literals, and each sum runs left to right in increasing j.
+    returns the solution (u1, u2), the 5th-order error (e1, e2), the
+    3rd-order one (d1, d2) and the stages (p1, q1, ..., p12, q12); f(u) is
+    left to the caller, as the next step's first stage.  _dense(f, x1, x2,
+    u1, u2, h, k) turns the stages k of that step into the interpolant's
+    coefficients 2..7, a 6-tuple per coordinate, at 4 RHS evaluations: f(u)
+    and stages 14..16.  Only the nonzero coefficients appear, as
+    ``repr(float)`` literals, and each sum runs left to right in increasing j.
     """
     def dot(pairs, v, sep=" + "):
         return sep.join(f"{a!r} * {v}{j}" for j, a in pairs)
 
-    lines = ["def _rk_stages(f, x1, x2, h, p1, q1):"]
-    for i, row in _A.items():
-        incs = [f"h * {dot(row, v)}" if len(row) == 1 else f"h * ({dot(row, v)})"
-                for v in "pq"]
-        lines.append(f"    p{i}, q{i} = f(x1 + {incs[0]}, x2 + {incs[1]})")
-    for k, v in ((1, "p"), (2, "q")):
-        lines += [f"    s{k} = {dot(_B, v)}", f"    e{k} = h * ({dot(_E, v)})",
-                  f"    d{k} = h * (s{k} - {dot(_BHH, v, ' - ')})"]
-    lines.append("    return x1 + h * s1, x2 + h * s2, e1, e2, d1, d2")
+    def stages(rows):
+        for i, row in rows.items():
+            incs = [f"h * {dot(row, v)}" if len(row) == 1 else f"h * ({dot(row, v)})"
+                    for v in "pq"]
+            yield f"    p{i}, q{i} = f(x1 + {incs[0]}, x2 + {incs[1]})"
+
+    k = ", ".join(f"p{j}, q{j}" for j in range(1, 13))
+    step = ["def _rk_stages(f, x1, x2, h, p1, q1):", *stages(_A)]
+    dense = ["def _dense(f, x1, x2, u1, u2, h, k):", f"    {k} = k", "    p13, q13 = f(u1, u2)",
+             *stages(_A_DENSE)]
+    for c, v in ((1, "p"), (2, "q")):
+        step += [f"    s{c} = {dot(_B, v)}", f"    e{c} = h * ({dot(_E, v)})",
+                 f"    d{c} = h * (s{c} - {dot(_BHH, v, ' - ')})"]
+        dense += [f"    y{c} = u{c} - x{c}", f"    F{c} = (h * {v}1 - y{c}, 2.0 * y{c} - h * "
+                  f"({v}13 + {v}1), {', '.join(f'h * ({dot(row, v)})' for row in _D)})"]
+    step.append(f"    return x1 + h * s1, x2 + h * s2, e1, e2, d1, d2, ({k})")
     namespace = {"__builtins__": {}}
-    exec("\n".join(lines), namespace)
-    return namespace["_rk_stages"]
+    exec("\n".join([*step, *dense, "    return F1, F2"]), namespace)
+    return namespace["_rk_stages"], namespace["_dense"]
 
 
-_rk_stages = _generate_step()
+_rk_stages, _dense = _generate_step()
+
+
+def _interpolate(a: float, b: float, F, theta: float) -> float:
+    """Dense output at theta = tau / h of a coordinate that a step takes from a
+    to b, with its coefficients F from ``_dense``: exactly a and b at 0 and 1."""
+    s = 1.0 - theta
+    return s * a + theta * b + theta * s * (
+        F[0] + theta * (F[1] + s * (F[2] + theta * (F[3] + s * (F[4] + theta * F[5])))))
 
 
 def _compiled_fields(sys: SwitchedSystem, lam: float) -> dict[int, object]:
@@ -245,13 +305,8 @@ def _leave(fields, q: Quadrant, x1: float, x2: float, t: float):
     q's field crosses it outward and transversally, and the clockwise
     successor's field carries on across it (no sliding).
     """
-    gidx, s_g, s_o, q_next = REGIONS[q]
-    d1, d2 = fields[int(q)](x1, x2)
-    if not ((x1, x2)[1 - gidx] * s_o > 0.0
-            and (d1, d2)[gidx] * s_g < -_TANGENCY_TOL * max(math.hypot(d1, d2), 1e-300)):
-        raise TangencyError(f"an arc of quadrant {int(q)} cannot end at t = {t}, "
-                            f"x = ({x1}, {x2}): its field must cross its exit semi-axis "
-                            "there outward and transversally")
+    gidx, s_g, _, q_next = REGIONS[q]
+    _check_exit(q, x1, x2, fields[int(q)](x1, x2), t)
     k = fields[int(q_next)](x1, x2)
     if not (k[gidx] * s_g < 0.0):
         raise TangencyError(f"fields disagree at the switching manifold at t = {t} "
@@ -259,24 +314,31 @@ def _leave(fields, q: Quadrant, x1: float, x2: float, t: float):
     return q_next, k
 
 
-def _locate_crossing(f, x1, x2, h, end_state, gidx, k11, k12, tol_g):
-    """(tau, state) where the monitored coordinate g crosses zero within [0, h].
+def _check_exit(q: Quadrant, x1: float, x2: float, d, t: float):
+    """Raise TangencyError unless q's field value d at (x1, x2), on q's exit
+    semi-axis, crosses that semi-axis outward and transversally."""
+    gidx, s_g, s_o, _ = REGIONS[q]
+    if not ((x1, x2)[1 - gidx] * s_o > 0.0
+            and d[gidx] * s_g < -_TANGENCY_TOL * max(math.hypot(*d), 1e-300)):
+        raise TangencyError(f"an arc of quadrant {int(q)} cannot end at t = {t}, "
+                            f"x = ({x1}, {x2}): its field must cross its exit semi-axis "
+                            "there outward and transversally")
 
-    g(tau) is that coordinate after one 8th-order step of size tau; the
-    known bracket ends and every state evaluated are kept, so neither
-    brent's first calls nor the returned state cost a further step.
-    """
-    states = {0.0: (x1, x2), h: end_state}
 
-    def g(tau):
-        state = states.get(tau)
-        if state is None:
-            u1, u2, *_ = _rk_stages(f, x1, x2, tau, k11, k12)
-            state = states[tau] = (u1, u2)
-        return state[gidx]
-
-    tau, _ = brent(g, 0.0, h, xtol=math.ulp(h), ftol=tol_g)
-    return tau, states[tau]
+def _locate_crossing(f, q: Quadrant, t, x1, x2, h, u1, u2, k, tol_g):
+    """(time, state) where the arc of ``q`` crosses its exit semi-axis g = 0 in
+    the step from (x1, x2) at t to (u1, u2) at t + h with stages k: brent on the
+    step's dense output for the length tau, one 8th-order step of size tau, and
+    a first-order move along the field, of time -g / g', onto the axis.  Raises
+    TangencyError (``_check_exit``) where the field does not cross there."""
+    gidx = REGIONS[q][0]
+    a, b, F = (x1, x2)[gidx], (u1, u2)[gidx], _dense(f, x1, x2, u1, u2, h, k)[gidx]
+    tau, _ = brent(lambda s: _interpolate(a, b, F, s / h), 0.0, h, xtol=math.ulp(h), ftol=tol_g)
+    v = _rk_stages(f, x1, x2, tau, k[0], k[1])[:2]
+    d = f(*v)
+    _check_exit(q, *v, d, t + tau)   # so the normal velocity d[gidx] is nonzero
+    dt = -v[gidx] / d[gidx]
+    return t + tau + dt, (0.0, v[1] + dt * d[1]) if gidx == 0 else (v[0] + dt * d[0], 0.0)
 
 
 def _table(rows: list, events: list[int], quadrants: list[int]) -> HybridTrajectory:
@@ -351,7 +413,7 @@ def integrate(sys: SwitchedSystem, x0, lam: float, stop, cfg: IntegratorConfig,
         if h <= _H_FLOOR * max(1.0, abs(t)):
             raise StiffnessError(f"step size underflow (h = {h}) at t = {t}")
 
-        u1, u2, e1, e2, d1, d2 = _rk_stages(f, x1, x2, h, k11, k12)
+        u1, u2, e1, e2, d1, d2, stages = _rk_stages(f, x1, x2, h, k11, k12)
         # the absolute-tolerance floor follows the trajectory scale, so
         # control stays relative while a contracting spiral decays; without
         # this, event times on strongly damped orbits lose absolute accuracy
@@ -389,9 +451,7 @@ def integrate(sys: SwitchedSystem, x0, lam: float, stop, cfg: IntegratorConfig,
         tol_x = event_tol * max(abs(x1), abs(x2))
 
         if crossed:
-            tau, (ev1, ev2) = _locate_crossing(f, x1, x2, h, (u1, u2), gidx,
-                                               k11, k12, tol_x)
-            t_ev = t + tau
+            t_ev, (ev1, ev2) = _locate_crossing(f, q, t, x1, x2, h, u1, u2, stages, tol_x)
             # the next arc's field at the event state is its first stage
             q_next, (k11, k12) = _leave(fields, q, ev1, ev2, t_ev)
 

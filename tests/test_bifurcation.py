@@ -525,6 +525,22 @@ class TestMonotoneScan:
             assert all(p.returns <= q.returns for p, q in
                        zip(monotone.points + monotone.additional, full.points + full.additional))
 
+    @pytest.mark.parametrize("lam", [-1.6, -1.7])
+    def test_orbit_above_a_walked_one_in_its_grid_cell(self, cfg, lam):
+        # a cold walk solves the inner orbit; the outer one lies in the same
+        # scan-grid cell (0.52, 1.05), so the scan above it starts at the
+        # walk bracket's upper end.  Reference: the sign changes of the
+        # residual on a 0.025-step grid (the full scan misses the pair too)
+        sys = two_sided_system()
+        res = continue_branch(sys, [lam], cfg)
+        grid = np.linspace(0.3, 1.2, 37)
+        r = [half_return(sys, x, lam, cfg).x1_out - x for x in grid]
+        cells = [(a, b) for a, b, ra, rb in zip(grid, grid[1:], r, r[1:])
+                 if (ra > 0.0) != (rb > 0.0)]
+        orbits = sorted(p.x1_fixed for p in res.points + res.additional)
+        assert len(cells) == len(orbits) == 2
+        assert all(a < x < b for x, (a, b) in zip(orbits, cells))
+
     def test_failed_confirmation_matches_the_full_scan(self, cfg, monkeypatch):
         # two_sided at lam = 0.02 has no seed, so the whole grid is scanned;
         # h(4.19) = 0.89 decides 2.10 and 1.05, whose lower neighbour 0.52 lies

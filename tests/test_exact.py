@@ -156,12 +156,13 @@ WORK_PRECISION = {(1e-6, 1e-4): 7.1e-7, (1e-6, 0.5): 4.8e-7,
 
 @pytest.mark.parametrize("rel_tol,x1", sorted(WORK_PRECISION))
 def test_work_precision(paper_system, rhs_evals, rel_tol, x1):
-    # at the default rel_tol 1e-10, 527 / 634 RHS evals measured
+    # at the default rel_tol 1e-10, 382 / 500 RHS evals measured (527 / 634
+    # with brent on re-taken steps to locate each crossing)
     s = poincare_numeric(paper_system, x1, 0.1, IntegratorConfig(rel_tol))
     exact = exact_return(0.1, x1)
     assert abs(s.x1_out - exact) <= WORK_PRECISION[rel_tol, x1] * exact
     if rel_tol == 1e-10:
-        assert rhs_evals[0] <= 700
+        assert rhs_evals[0] <= 550
 
 
 @pytest.mark.parametrize("lam,bound", [(0.0, 3.5e-10), (0.1, 3.5e-10), (1.0, 3.5e-11),

@@ -12,6 +12,8 @@ from switchbif import (BudgetError, EscapeError, IntegratorConfig,
                        SwitchedSystem, TangencyError, clockwise_successor,
                        continue_branch, delta, delta_numeric, fit_local_expansion,
                        half_return, integrate, poincare_numeric, numeric)
+from switchbif.model import REGIONS
+from switchbif.rootfind import brent
 
 #: (a, b, c) grid used for the linear-case oracle comparisons
 ORACLE_GRID = [(a, b, c) for a in (0.1, 1.0, 2.0) for b in (1.0, 6.0) for c in (1.0, 3.0)]
@@ -301,10 +303,37 @@ class TestDop853Coefficients:
         k = np.empty((13, 2))
         u, _ = rk.rk_step(lambda t, y: np.array(f(*y)), 0.0, x, np.array(f(*x)), h,
                           coef.A[:12, :12], coef.B, coef.C[:12], k)
-        u1, u2, e1, e2, d1, d2 = numeric._rk_stages(f, *x, h, *f(*x))
+        u1, u2, e1, e2, d1, d2, _ = numeric._rk_stages(f, *x, h, *f(*x))
         assert [u1, u2] == pytest.approx(u, rel=1e-15, abs=0.0)
         assert [e1, e2] == pytest.approx(h * k.T @ coef.E5, rel=0.0, abs=1e-15)
         assert [d1, d2] == pytest.approx(h * k.T @ coef.E3, rel=0.0, abs=1e-15)
+
+    def test_dense_output_tables_equal_scipys(self):
+        coef = pytest.importorskip("scipy.integrate._ivp.dop853_coefficients")
+        assert sorted(numeric._A_DENSE) == [14, 15, 16]
+        a = [self.dense(numeric._A_DENSE[i], 16) for i in (14, 15, 16)]
+        assert a == coef.A[13:16].tolist()
+        assert [self.dense(row, 16) for row in numeric._D] == coef.D.tolist()
+
+    def test_dense_output_matches_scipys(self, paper_system):
+        # the step of test_step_matches_scipys_rk_step, taken by scipy's
+        # solver at tolerances that accept it, and that solver's interpolant
+        solvers = pytest.importorskip("scipy.integrate")
+        f = numeric._compiled_fields(paper_system, 0.3)[1]
+        x, h = (0.7, 0.4), 0.05
+        solver = solvers.DOP853(lambda t, y: np.array(f(*y)), 0.0, np.array(x), h,
+                                first_step=h, rtol=1e3, atol=1e3)
+        solver.step()
+        assert solver.t == h
+        u1, u2, *_, stages = numeric._rk_stages(f, *x, h, *f(*x))
+        coefs = numeric._dense(f, *x, u1, u2, h, stages)
+        ends = list(zip(x, (u1, u2), coefs))
+        assert [numeric._interpolate(a, b, F, 0.0) for a, b, F in ends] == list(x)
+        assert [numeric._interpolate(a, b, F, 1.0) for a, b, F in ends] == [u1, u2]
+        scipy_dense = solver.dense_output()
+        for theta in (0.25, 0.5, 0.75):
+            assert [numeric._interpolate(a, b, F, theta) for a, b, F in ends] == pytest.approx(
+                scipy_dense(theta * h), rel=1e-15, abs=0.0), theta
 
 
 class TestEventLocationCost:
@@ -312,21 +341,39 @@ class TestEventLocationCost:
 
     @pytest.mark.parametrize("x1", [0.5, 1e-4])
     def test_one_return_budget(self, paper_config, rhs_evals, x1):
-        # 634 and 527 measured (1,300 and 1,288 with the 5(4) pair)
+        # 500 and 382 measured (634 and 527 with brent on re-taken steps,
+        # 1,300 and 1,288 with the 5(4) pair)
         poincare_numeric(paper_config.system, x1, 0.1, paper_config.integrator)
-        assert 0 < rhs_evals[0] <= 700
+        assert 0 < rhs_evals[0] <= 550
+
+    def test_one_crossing_costs_16_evals(self, paper_system, cfg):
+        # the dense output's 4 stages, one step to the located time and the
+        # field there for the move onto the axis
+        calls = []
+        field = numeric._compiled_fields(paper_system, 0.1)[1]
+
+        def f(x1, x2):
+            calls.append((x1, x2))
+            return field(x1, x2)
+        x, h = (0.3, 0.05), 0.2
+        u1, u2, *_, stages = numeric._rk_stages(f, *x, h, *f(*x))
+        assert u2 < 0.0 < u1
+        calls.clear()
+        t, state = numeric._locate_crossing(f, Quadrant.Q1, 0.0, *x, h, u1, u2, stages, 1e-13)
+        assert 0.0 < t < h and state[1] == 0.0 and len(calls) == 16
 
     def test_paper_branch_budget(self, paper_config, rhs_evals):
         # half returns on the point-symmetric paper example, the first
         # parameter value seeded from the leading coefficient and h(10)
-        # deciding four grid points above its orbit: 9,657 RHS evals
-        # measured (11,895 with the whole grid above the orbit integrated,
+        # deciding four grid points above its orbit: 7,769 RHS evals
+        # measured (9,657 with brent on re-taken steps to locate each
+        # crossing, 11,895 with the whole grid above the orbit integrated,
         # 17,099 with the first value scanned in 32 returns, 35,610 with the
         # 5(4) pair, 68,654 with full returns)
         res = continue_branch(paper_config.system, [0.02, 0.05, 0.1, 0.5, 1.0],
                               paper_config.integrator)
         assert [p.returns for p in res.points] == [9, 4, 4, 6, 6]
-        assert 0 < rhs_evals[0] <= 10_000
+        assert 0 < rhs_evals[0] <= 7_800
 
     def test_fields_compile_once_per_lambda(self, paper_config, monkeypatch):
         # every return at one parameter value shares its compiled fields:
@@ -345,6 +392,64 @@ class TestEventLocationCost:
         compiled.clear()
         fit_local_expansion(paper_config.system, 0.0, paper_config.integrator)
         assert compiled == [0.0]
+
+
+def retaken_crossing(f, q, t, x1, x2, h, u1, u2, k, tol_g):
+    """Reference for ``numeric._locate_crossing``: brent on the monitored
+    coordinate g(tau) after one 8th-order step of size tau, each evaluation a
+    re-taken step; the bracket ends and every state evaluated are kept."""
+    gidx = REGIONS[q][0]
+    states = {0.0: (x1, x2), h: (u1, u2)}
+
+    def g(tau):
+        if tau not in states:
+            states[tau] = numeric._rk_stages(f, x1, x2, tau, k[0], k[1])[:2]
+        return states[tau][gidx]
+
+    tau, _ = brent(g, 0.0, h, xtol=math.ulp(h), ftol=tol_g)
+    return t + tau, states[tau]
+
+
+class TestCrossingLocation:
+    """Crossings located on the dense output against brent on re-taken steps."""
+
+    #: rel_tol: (time, state) bounds, 3x the largest relative difference of
+    #: the event rows measured over the parameter grid below (9.4e-13 and
+    #: 7.9e-12 at 1e-6, 6.6e-13 and 1.8e-12 at 1e-10)
+    BOUNDS = {1e-6: (2.9e-12, 2.4e-11), 1e-10: (2.0e-12, 5.4e-12)}
+
+    @pytest.mark.parametrize("rel_tol", sorted(BOUNDS))
+    @pytest.mark.parametrize("lam", [0.1, 1.0])
+    @pytest.mark.parametrize("x1", [1e-4, 0.5, 2.0])
+    def test_event_rows_match_the_retaken_steps(self, paper_system, monkeypatch,
+                                                rel_tol, lam, x1):
+        cfg = IntegratorConfig(rel_tol)
+        dense = integrate(paper_system, (x1, 0.0), lam, StopOnReturn(), cfg)
+        monkeypatch.setattr(numeric, "_locate_crossing", retaken_crossing)
+        retaken = integrate(paper_system, (x1, 0.0), lam, StopOnReturn(), cfg)
+        assert len(dense.events) == len(retaken.events) == 4
+        t_ref, x_ref = retaken.times[retaken.events], retaken.states[retaken.events]
+        t_bound, x_bound = self.BOUNDS[rel_tol]
+        assert np.all(np.abs(dense.times[dense.events] - t_ref) <= t_bound * t_ref)
+        scale = np.max(np.abs(x_ref), axis=1, keepdims=True)
+        assert np.all(np.abs(dense.states[dense.events] - x_ref) <= x_bound * scale)
+        assert np.all(np.any(dense.states[dense.events] == 0.0, axis=1))   # on the axis
+
+    @pytest.mark.parametrize("normal", [
+        lambda x1, x2: -3.0 * (0.75 - x1) ** 2,
+        lambda x1, x2: -3.0 * (0.75 - x1) ** 2 if abs(x2) > 1e-9 else 0.0],
+        ids=["cubic_tangency", "zero_near_the_axis"])
+    def test_zero_normal_velocity_raises(self, normal):
+        # x2 = (0.25 - t)^3 crosses the positive x1-axis at t = 0.25 with
+        # zero velocity (tangentially); the second field's normal velocity is
+        # exactly zero near the axis, which must not reach the division
+        def f(x1, x2):
+            return 1.0, normal(x1, x2)
+        x, h = (0.5, 0.25 ** 3), 0.5
+        u1, u2, *_, stages = numeric._rk_stages(f, *x, h, *f(*x))
+        assert u2 < 0.0
+        with pytest.raises(TangencyError, match="quadrant 1 cannot end at t = 0.2499"):
+            numeric._locate_crossing(f, Quadrant.Q1, 0.0, *x, h, u1, u2, stages, 1e-13)
 
 
 class TestHalfReturn:
