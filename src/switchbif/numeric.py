@@ -16,11 +16,15 @@ and a first-order move along the field then put the event state on the axis.
 
 The result is one time-ordered table, a row per accepted step and per
 switching event.  An arc, the rows between two event rows, follows the
-field of the open quadrant containing its interior.  Every arc end is
-checked by one rule: the ending arc's field crosses its exit semi-axis
-outward and transversally, and the clockwise successor's field carries
-on across it.  A start on an axis counts as the end of an arc of the
-half-open region that holds it, so it leaves that axis clockwise too.
+field of the open quadrant containing its interior; ``integrate`` takes
+one pass per arc, whose step loop ends at the step that crosses the exit
+semi-axis, and each row records the quadrant of the arc that reached it.
+A stop at t_max ends at the first row that leaves at most the step
+floor before t_max: t_max itself, or an event row at or past it.  Every arc
+end is checked by one rule: the ending arc's field crosses its exit
+semi-axis outward and transversally, and the clockwise successor's field
+carries on across it.  A start on an axis counts as the end of an arc of
+the half-open region that holds it, so it leaves that axis clockwise too.
 
 ``poincare_numeric`` is one revolution of the return map on the positive
 x1-axis, ``half_return`` half of one for point-symmetric systems;
@@ -90,8 +94,9 @@ class HybridTrajectory:
     """One row per accepted step and per switching event, in time order.
 
     ``quadrants[i]`` is the quadrant whose field carried the trajectory
-    to row i (row 0: that of the first step); ``events`` holds the row
-    indices of the switching events.
+    to row i, so an event row has the quadrant of the arc it ends (row 0:
+    that of the first step); ``events`` holds the row indices of the
+    switching events.
     """
 
     times: np.ndarray
@@ -231,6 +236,7 @@ _D = (
      (15, -0.39177261675615439165231486172e+2), (16, -0.14972683625798562581422125276e+3)),
 )
 
+#: step floor, relative to max(1, |t|): no step is shorter
 _H_FLOOR = 1e-14
 #: first and largest step, least |normal velocity| / speed at a crossing, longest arc
 _H0, _MAX_STEP, _TANGENCY_TOL, _MAX_ARC_TIME = 1e-3, 1.0, 1e-10, 1e4
@@ -341,22 +347,15 @@ def _locate_crossing(f, q: Quadrant, t, x1, x2, h, u1, u2, k, tol_g):
     return t + tau + dt, (0.0, v[1] + dt * d[1]) if gidx == 0 else (v[0] + dt * d[0], 0.0)
 
 
-def _table(rows: list, events: list[int], quadrants: list[int]) -> HybridTrajectory:
-    """The trajectory from its (t, x1, x2) rows and one quadrant per arc:
-    arc k + 1 carries rows events[k] + 1 to events[k + 1]."""
-    table = np.array(rows)
-    arc_rows = np.diff([0, *(e + 1 for e in events), len(rows)])
-    return HybridTrajectory(times=table[:, 0], states=table[:, 1:],
-                            quadrants=np.repeat(quadrants, arc_rows),
-                            events=np.array(events, dtype=int))
-
-
 def integrate(sys: SwitchedSystem, x0, lam: float, stop, cfg: IntegratorConfig,
               fields=None) -> HybridTrajectory:
     """Integrate the switched system from ``x0`` until ``stop`` is met.
 
     ``stop`` is one of StopAtTime, StopAfterEvents, StopOnReturn.
     Returns one row per accepted step and per refined switching event.
+    A StopAtTime ends at the first row that leaves at most the step floor,
+    _H_FLOOR * max(1, |t|), before t_max: t_max itself, or an event row at
+    or past it.
     Raises TangencyError on non-transversal or sliding crossings,
     BudgetError when the event budget or per-arc time budget is
     exhausted, StiffnessError on step underflow, EscapeError when the
@@ -391,117 +390,90 @@ def integrate(sys: SwitchedSystem, x0, lam: float, stop, cfg: IntegratorConfig,
     else:
         k11, k12 = fields[int(q)](x1, x2)
 
-    rows: list[tuple[float, float, float]] = [(0.0, x1, x2)]
+    rows = [(0.0, x1, x2, int(q))]
     events: list[int] = []
-    quadrants: list[int] = [int(q)]
-    t = 0.0
-    arc_start_t = 0.0
+    t, h, returned = 0.0, _H0, False
+    # one pass per arc: q's field from (x1, x2) at t, with first stage (k11, k12)
+    while (len(events) < events_target and not returned
+           and t_target - t > _H_FLOOR * max(1.0, abs(t))):
+        if len(events) >= _MAX_ARCS:
+            raise BudgetError(f"switching-event budget exhausted ({_MAX_ARCS})")
+        f, (gidx, s_g, _, _), t_arc, h_max = fields[int(q)], REGIONS[q], t, _MAX_STEP
+        while True:   # DOP853 steps, until one crosses q's exit semi-axis or ends at t_target
+            clipped = t + h >= t_target
+            if clipped:
+                h = t_target - t
+            if h <= _H_FLOOR * max(1.0, abs(t)):
+                raise StiffnessError(f"step size underflow (h = {h}) at t = {t}")
 
-    if t_target == 0.0:
-        return _table(rows, events, quadrants)
+            u1, u2, e1, e2, d1, d2, stages = _rk_stages(f, x1, x2, h, k11, k12)
+            # the absolute-tolerance floor follows the trajectory scale, so
+            # control stays relative while a contracting spiral decays; without
+            # this, event times on strongly damped orbits lose absolute accuracy
+            loc = min(1.0, max(abs(x1), abs(x2), abs(u1), abs(u2)))
+            sc1 = abs_tol * loc + rel_tol * max(abs(x1), abs(u1))
+            sc2 = abs_tol * loc + rel_tol * max(abs(x2), abs(u2))
+            try:
+                n5 = math.hypot(e1 / sc1, e2 / sc2)
+                n3 = math.hypot(d1 / sc1, d2 / sc2)
+            except ZeroDivisionError:   # the scale underflowed: no tolerance is left
+                raise OriginError(f"state ({x1}, {x2}) at t = {t} is indistinguishable "
+                                  "from the origin at float resolution") from None
+            # Hairer's n5^2 / sqrt(2 (n5^2 + 0.01 n3^2)), in a form that neither
+            # overflows nor divides by zero: inf or nan on overflow, 0 for n5 = 0
+            err = n5 * (n5 / math.hypot(n5, 0.1 * n3)) / math.sqrt(2.0) if n5 else 0.0
+            if not math.isfinite(err):
+                err = math.inf
+            factor = (min(_MAX_FACTOR, max(_MIN_FACTOR, _SAFETY * err ** -_EXPO)) if err
+                      else _MAX_FACTOR)
 
-    f = fields[int(q)]
-    gidx, s_g, _, _ = REGIONS[q]
-    h = _H0
-    just_rejected = False
+            if err > 1.0:
+                if max(abs(u1), abs(u2)) > _ESCAPE_RADIUS:
+                    raise EscapeError(
+                        f"trajectory left the bounding box near t = {t}: ({u1}, {u2})")
+                h = h_max = h * factor   # the step after a rejection does not grow
+                continue
+            if max(abs(u1), abs(u2)) < _FLOAT_MIN:
+                raise OriginError(f"trajectory decayed below float resolution at t = {t + h}: "
+                                  f"({u1}, {u2})")
+            # event-side tolerance relative to the local state scale: the event
+            # time error is then ~ event_tol / rotation_rate regardless of decay
+            tol_x = event_tol * max(abs(x1), abs(x2))
+            crossed = not ((u1, u2)[gidx] * s_g > 0.0)
+            if crossed:
+                break
 
-    while True:
-        clipped = False
-        if t + h >= t_target:
-            h = t_target - t
-            clipped = True
-        if h <= _H_FLOOR * max(1.0, abs(t)):
-            raise StiffnessError(f"step size underflow (h = {h}) at t = {t}")
+            # guard: the non-monitored coordinate must not cross back through
+            # its axis mid-arc (would mean the rotation is not clockwise)
+            o0, o1 = (x1, x2)[1 - gidx], (u1, u2)[1 - gidx]
+            if abs(o0) > 10.0 * tol_x and (o0 > 0.0) != (o1 > 0.0):
+                raise TangencyError(
+                    f"trajectory left quadrant {int(q)} through an unexpected axis "
+                    f"in the step from t = {t} to {t + h} (rotation is not clockwise)")
 
-        u1, u2, e1, e2, d1, d2, stages = _rk_stages(f, x1, x2, h, k11, k12)
-        # the absolute-tolerance floor follows the trajectory scale, so
-        # control stays relative while a contracting spiral decays; without
-        # this, event times on strongly damped orbits lose absolute accuracy
-        loc = min(1.0, max(abs(x1), abs(x2), abs(u1), abs(u2)))
-        sc1 = abs_tol * loc + rel_tol * max(abs(x1), abs(u1))
-        sc2 = abs_tol * loc + rel_tol * max(abs(x2), abs(u2))
-        try:
-            n5 = math.hypot(e1 / sc1, e2 / sc2)
-            n3 = math.hypot(d1 / sc1, d2 / sc2)
-        except ZeroDivisionError:   # the scale underflowed: no tolerance is left
-            raise OriginError(f"state ({x1}, {x2}) at t = {t} is indistinguishable "
-                              "from the origin at float resolution") from None
-        # Hairer's n5^2 / sqrt(2 (n5^2 + 0.01 n3^2)), in a form that neither
-        # overflows nor divides by zero: inf or nan on overflow, 0 for n5 = 0
-        err = n5 * (n5 / math.hypot(n5, 0.1 * n3)) / math.sqrt(2.0) if n5 else 0.0
-        if not math.isfinite(err):
-            err = math.inf
-        factor = (min(_MAX_FACTOR, max(_MIN_FACTOR, _SAFETY * err ** -_EXPO)) if err
-                  else _MAX_FACTOR)
-
-        if err > 1.0:
-            if max(abs(u1), abs(u2)) > _ESCAPE_RADIUS:
-                raise EscapeError(
-                    f"trajectory left the bounding box near t = {t}: ({u1}, {u2})")
-            h *= factor
-            just_rejected = True
-            continue
-        if max(abs(u1), abs(u2)) < _FLOAT_MIN:
-            raise OriginError(f"trajectory decayed below float resolution at t = {t + h}: "
-                              f"({u1}, {u2})")
-
-        crossed = not ((u1, u2)[gidx] * s_g > 0.0)
-        # event-side tolerance relative to the local state scale: the event
-        # time error is then ~ event_tol / rotation_rate regardless of decay
-        tol_x = event_tol * max(abs(x1), abs(x2))
-
+            t = t_target if clipped else t + h
+            x1, x2 = u1, u2
+            rows.append((t, x1, x2, int(q)))
+            if max(abs(x1), abs(x2)) > _ESCAPE_RADIUS:
+                raise EscapeError(f"trajectory left the bounding box at t = {t}: ({x1}, {x2})")
+            if t_target - t <= _H_FLOOR * max(1.0, abs(t)):
+                break   # no step fits before t_target: the outer loop ends too
+            if t - t_arc > _MAX_ARC_TIME:
+                raise BudgetError(f"no switching event within time {_MAX_ARC_TIME} "
+                                  f"(arc started at t = {t_arc})")
+            k11, k12 = f(x1, x2)
+            h, h_max = min(h * factor, h_max), _MAX_STEP
         if crossed:
-            t_ev, (ev1, ev2) = _locate_crossing(f, q, t, x1, x2, h, u1, u2, stages, tol_x)
-            # the next arc's field at the event state is its first stage
-            q_next, (k11, k12) = _leave(fields, q, ev1, ev2, t_ev)
-
+            t, (x1, x2) = _locate_crossing(f, q, t, x1, x2, h, u1, u2, stages, tol_x)
             events.append(len(rows))
-            rows.append((t_ev, ev1, ev2))
-            quadrants.append(int(q_next))
-
+            rows.append((t, x1, x2, int(q)))
             returned = isinstance(stop, StopOnReturn) and q == Quadrant.Q1
-            if len(events) >= events_target or returned:
-                return _table(rows, events, quadrants)
-            if len(events) >= _MAX_ARCS:
-                raise BudgetError(f"switching-event budget exhausted ({_MAX_ARCS})")
+            # the next arc's field at the event state is its first stage
+            q, (k11, k12) = _leave(fields, q, x1, x2, t)
 
-            q = q_next
-            f = fields[int(q)]
-            gidx, s_g, _, _ = REGIONS[q]
-            t = t_ev
-            arc_start_t = t_ev
-            x1, x2 = ev1, ev2
-            just_rejected = False
-            continue
-
-        # guard: the non-monitored coordinate must not cross back through
-        # its axis mid-arc (would mean the rotation is not clockwise)
-        oidx = 1 - gidx
-        o0 = (x1, x2)[oidx]
-        o1 = (u1, u2)[oidx]
-        if abs(o0) > 10.0 * tol_x and (o0 > 0.0) != (o1 > 0.0):
-            raise TangencyError(
-                f"trajectory left quadrant {int(q)} through an unexpected axis "
-                f"in the step from t = {t} to {t + h} (rotation is not clockwise)")
-
-        t = t_target if clipped else t + h
-        x1, x2 = u1, u2
-        rows.append((t, x1, x2))
-
-        if max(abs(x1), abs(x2)) > _ESCAPE_RADIUS:
-            raise EscapeError(f"trajectory left the bounding box at t = {t}: ({x1}, {x2})")
-        if t >= t_target:
-            return _table(rows, events, quadrants)
-        if t - arc_start_t > _MAX_ARC_TIME:
-            raise BudgetError(
-                f"no switching event within time {_MAX_ARC_TIME} "
-                f"(arc started at t = {arc_start_t})")
-
-        k11, k12 = f(x1, x2)
-        if just_rejected:
-            factor = min(1.0, factor)
-            just_rejected = False
-        h = min(h * factor, _MAX_STEP)
+    table = np.array(rows)
+    return HybridTrajectory(times=table[:, 0], states=table[:, 1:3],
+                            quadrants=table[:, 3].astype(int), events=np.array(events, dtype=int))
 
 
 def poincare_numeric(sys: SwitchedSystem, x1: float, lam: float,

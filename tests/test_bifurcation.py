@@ -362,6 +362,12 @@ class TestContinueBranch:
             assert b.x1_fixed == pytest.approx(a.x1_fixed, rel=1e-7)
         assert [p.source for p in seeded] == ["expansion", "expansion"]
 
+    def test_prediction_past_float_range_is_infinite(self, paper_system):
+        # the log-log slope of d against x1 over these two points is
+        # m = log(1 + 1e-7) / log(1e3) ~ 1.4e-8, so (d / d_ref)**(1 / m) overflows
+        history = [(0.1, 1e-3, 1e-3), (0.2, 1.0000001e-3, 1.0)]
+        assert bifurcation._predict(paper_system, 0.3, 1.0, history) == math.inf
+
     def test_returns_per_lambda_counted(self, paper_system, cfg, monkeypatch):
         # work counter: the leading coefficient seeds the first parameter
         # value, the previous points the rest; every point reports its returns

@@ -148,6 +148,14 @@ class TestSimulate:
         assert abs(float(events[0][1])) < 1e-10  # first crossing: x1 ~ 0
         assert abs(float(events[1][2])) < 1e-10  # second crossing: x2 ~ 0
 
+    def test_t_max_at_a_switching_event_ends_on_its_row(self, capsys):
+        # the trajectory's second event time: the run ends on the event row
+        code, out, _ = run(capsys, ["paper-example", "simulate", "--lambda", "0.1",
+                                    "--x0", "0.5,0", "--t-max", "0.9893500912364693"])
+        assert code == 0
+        t, _, x2, _, event = out.strip().splitlines()[-1].split(",")
+        assert (t, x2, event) == ("0.9893500912364693", "0.0", "1")
+
     def test_requires_stop_condition(self, capsys):
         code, _, err = run(capsys, ["paper-example", "simulate", "--x0", "1,0"])
         assert code == 1

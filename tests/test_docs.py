@@ -1,5 +1,6 @@
 """The README's lists of integrator keys, exit codes and subcommands match the
-code, and its library example prints what its comments say."""
+code, its library example prints what its comments say, and the package stays
+within ROADMAP.md's line cap."""
 
 import contextlib
 import dataclasses
@@ -11,7 +12,10 @@ from pathlib import Path
 from switchbif import IntegratorConfig, errors
 from switchbif.cli import _COMMANDS
 
-README = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+ROOT = Path(__file__).resolve().parent.parent
+README = (ROOT / "README.md").read_text(encoding="utf-8")
+#: ROADMAP.md's cap on the lines of src/switchbif/*.py
+LINE_CAP = 2_700
 
 
 def test_integrator_keys_match_config_fields():
@@ -49,3 +53,9 @@ def test_library_example_prints_its_comments():
     calls = [line for line in block.group(1).splitlines() if line.startswith("print(")]
     for call, value in zip(calls[:2], printed):
         assert call.split("# ", 1)[1].startswith(value)
+
+
+def test_source_stays_within_the_line_cap():
+    lines = sum(len(path.read_text(encoding="utf-8").splitlines())
+                for path in (ROOT / "src" / "switchbif").glob("*.py"))
+    assert lines <= LINE_CAP, f"src/switchbif/*.py has {lines} lines, over the cap of {LINE_CAP}"

@@ -27,6 +27,11 @@ class TestLambdaPoly:
         with pytest.raises(ValueError):
             LambdaPoly((1.0, math.inf))
 
+    def test_no_coefficients_is_the_zero_polynomial(self):
+        p = LambdaPoly(())
+        assert p.coeffs == (0.0,)
+        assert p.value_at(3.0) == 0.0 and p.deriv_at(3.0) == 0.0
+
 
 class TestRegionOf:
     def test_axis_points(self):
@@ -293,6 +298,10 @@ class TestValidate:
         report = validate(paper_system)
         assert report.passed
         assert report.violations == ()
+
+    def test_report_is_true_when_it_passed(self, paper_system):
+        assert validate(paper_system)
+        assert not validate(SwitchedSystem.linear(make_params(-1.0, 1.0, 1.0)))
 
     def test_negative_damping_fails(self):
         sys = SwitchedSystem.linear(

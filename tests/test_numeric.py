@@ -8,7 +8,7 @@ import pytest
 from conftest import arcs, make_linear_system, make_params
 from switchbif import (BudgetError, EscapeError, IntegratorConfig,
                        LambdaPoly, MonomialTerm, OriginError, PolyField, Quadrant,
-                       SideError, StopAfterEvents, StopAtTime, StopOnReturn,
+                       SideError, StiffnessError, StopAfterEvents, StopAtTime, StopOnReturn,
                        SwitchedSystem, TangencyError, clockwise_successor,
                        continue_branch, delta, delta_numeric, fit_local_expansion,
                        half_return, integrate, poincare_numeric, numeric)
@@ -464,6 +464,37 @@ class TestHalfReturn:
     def test_rejects_start_off_the_positive_axis(self, paper_system, cfg):
         with pytest.raises(SideError):
             half_return(paper_system, -0.5, 0.1, cfg)
+
+
+class TestStopAtEventTime:
+    """A t_max at or next to a switching event ends the run at its last row."""
+
+    STARTS = [(0.5, 0.0), (1e-4, 0.0), (2.0, 0.0), (-0.3, 0.7), (0.0, -1.2), (0.9, -0.4)]
+
+    def test_event_times_as_t_max_end_without_error(self, paper_system, cfg):
+        # 6 starts x 4 lambdas x 6 event times x {t_e and its two float
+        # neighbours}: 432 runs; a row within the step floor of t_max ends
+        # the run rather than forcing a step under the floor
+        runs = 0
+        for lam in (0.02, 0.1, 0.5, 1.0):
+            for x0 in self.STARTS:
+                full = integrate(paper_system, x0, lam, StopAfterEvents(6), cfg)
+                for t_e in full.times[full.events].tolist():
+                    for t_max in (t_e, math.nextafter(t_e, 0.0), math.nextafter(t_e, math.inf)):
+                        traj = integrate(paper_system, x0, lam, StopAtTime(t_max), cfg)
+                        runs += 1
+                        n = len(traj.times) - 1
+                        # the steps before the last are those of the full run
+                        assert np.array_equal(traj.times[:n], full.times[:n])
+                        assert traj.t_final == t_max or n in traj.events.tolist()
+                        assert t_max - traj.t_final <= numeric._H_FLOOR * max(1.0, t_max)
+        assert runs == 432
+
+    def test_step_underflow_short_of_t_max_raises(self, paper_system, cfg):
+        # at lambda = -0.5 the step from (2, 0) shrinks under the floor near
+        # t = 0.036, far from t_max: no clipped step, so stiffness
+        with pytest.raises(StiffnessError, match="step size underflow"):
+            integrate(paper_system, (2.0, 0.0), -0.5, StopAtTime(0.5), cfg)
 
 
 class TestCrossingRule:

@@ -45,6 +45,20 @@ def test_brent_steep_function():
     assert x == pytest.approx(0.0, abs=1e-12)
 
 
+def test_brent_returns_its_last_iterate_when_the_budget_runs_out():
+    # a step on a bracket of width 2e300: the 200 iterations at best halve
+    # the bracket each, far short of its tolerance
+    calls = []
+
+    def step(x):
+        calls.append(x)
+        return -1.0 if x < 0.0 else 1.0
+
+    x, fx = brent(step, -1e300, 1e300)
+    assert len(calls) == 2 + 200
+    assert (x, fx) == (calls[-1], step(calls[-1])) and abs(x) > 1e200
+
+
 def test_expand_bracket_finds_sign_change():
     f = lambda x: (x - 2.5) * (x + 3.0)
     res = expand_bracket(f, 1.0, lo=0.0, hi=10.0)
