@@ -347,34 +347,32 @@ class _Residual:
                            residual=abs(fb), source=source)
 
 
-def _predict(sys: SwitchedSystem, lam: float, d: float, history) -> float | None:
+def _predict(lam: float, d: float, history, C: float, k: int) -> float | None:
     """Predicted amplitude x = (d / -C)**(1/m) of the local law
 
         pi(x) - x = d * x + C * x**(m + 1),  d = delta(lam) - 1.
 
     ``history`` holds (lam, d, x1) of the branch points since the last
-    reset, newest last.  C puts the law through the newest point and m
-    is the log-log slope of d against x1 over the two newest points, 2
-    with one point; without points (C, m + 1) is the
-    ``leading_coefficient`` at ``lam``.  None is returned when the law has
-    no positive root, so that the caller scans at once; the newest
-    amplitude (None without points) when the parameter repeats or m is not
-    a positive number.
+    reset, newest last, and (C, k) is the ``leading_coefficient`` at the
+    cold parameter that started it.  Without points the law is (C, m) with
+    m = k - 1.  With points, C puts the law through the newest one, and m
+    stays k - 1 with one point and is the log-log slope of d against x1
+    over the two newest with more.  None is returned when the law has no
+    positive root, so that the caller scans at once; the newest amplitude
+    (None without points) when the parameter repeats or m is not a
+    positive number.
     """
+    # without points, the leading coefficient's law, its reference point at x = 1
+    d_ref, x_ref, m, fallback = -C, 1.0, k - 1.0, None
     if history:
         lam_p, d_ref, x_ref = history[-1]
         if lam == lam_p:
             return x_ref
-        m = 2.0
         if len(history) > 1:
             _, d_q, x_q = history[-2]
             m = (math.log(d_ref / d_q) / math.log(x_ref / x_q)
                  if d_ref * d_q > 0.0 and x_ref != x_q else math.nan)
         fallback = x_ref
-    else:
-        # the same law with its reference point at x = 1
-        C, k = leading_coefficient(sys, lam)
-        d_ref, x_ref, m, fallback = -C, 1.0, k - 1.0, None
     if not d * d_ref > 0.0:
         return None
     if not (math.isfinite(m) and m > 0.0):
@@ -468,7 +466,9 @@ def continue_branch(sys: SwitchedSystem, lambdas, cfg: IntegratorConfig,
         d = delta(sys.params, lam) - 1.0
         residual = _Residual(sys, lam, cfg, d)
         cold = not history
-        seed = _predict(sys, lam, d, history)
+        if cold:
+            C, k = leading_coefficient(sys, lam)
+        seed = _predict(lam, d, history, C, k)
 
         found: list[BranchPoint] = []
         # within the noise floor, a walk from the prediction brackets noise:

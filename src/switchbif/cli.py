@@ -9,11 +9,12 @@ on the built-in benchmark system and takes no ``--config``.  Exit codes:
 0 success, else the ``exit_code`` of the error raised: 1 UserError,
 2 NumericalError, 3 internal error (see ``switchbif.errors``).
 
-Outputs are deterministic: identical config and command produce
-byte-identical files.  CSV files carry a comment line naming the tool
-version and config label, then a header row; JSON reports embed the
-same metadata.  Every float is written as Python's shortest repr, which
-reads back to the same float.
+Each handler returns its exit code and reports; ``_write_reports``
+formats and writes every one.  Outputs are deterministic: identical
+config and command produce byte-identical files.  CSV files carry a
+comment line naming the tool version and config label, then a header
+row; JSON reports embed the same metadata.  Every float is written as
+Python's shortest repr, which reads back to the same float.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ import numpy as np
 
 from . import __version__, numeric
 from .analytic import classify_origin, delta, delta_prime
-from .bifurcation import (bifurcation_direction, check_global_conditions,
+from .bifurcation import (CheckStatus, bifurcation_direction, check_global_conditions,
                           continue_branch, find_critical_lambda,
                           fit_local_expansion, fit_scaling_law, leading_coefficient)
 from .config import _OPTIONS, RunConfig, _switch, paper_example_config, parse_config
@@ -39,31 +40,30 @@ from .numeric import (StopAfterEvents, StopAtTime, StopOnReturn, integrate,
                       poincare_numeric)
 
 
-def _json(doc: dict) -> str:
-    """A JSON report; every value must be a Python scalar, list, tuple or dict."""
-    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+def _write_reports(config: RunConfig, args, reports: dict) -> None:
+    """Format each report and write it as ``args.out/filename``, else to stdout.
 
-
-def _meta(config: RunConfig, command: str) -> dict:
-    return {"tool": "switchbif", "version": __version__,
-            "command": command, "config": config.label}
-
-
-def _csv(config: RunConfig, command: str, columns: list[str], rows) -> str:
-    """Comment line, header row, then one line per row of Python floats and ints."""
-    return (f"# switchbif {__version__} {command} config={config.label}\n"
-            + ",".join(columns) + "\n"
-            + "".join(",".join(map(repr, row)) + "\n" for row in rows))
-
-
-def _write_output(text: str, out_dir: str | None, filename: str) -> None:
-    if out_dir is not None:
-        path = Path(out_dir)
-        path.mkdir(parents=True, exist_ok=True)
-        (path / filename).write_text(text, encoding="utf-8")
-        print(f"wrote {path / filename}")
-    else:
-        sys.stdout.write(text)
+    A dict is a JSON report under the tool/version/command/config metadata;
+    (columns, rows) is a CSV report: a comment line with the same metadata,
+    the header row, then one line per row of Python floats and ints.
+    """
+    for filename, body in reports.items():
+        if isinstance(body, dict):
+            meta = {"tool": "switchbif", "version": __version__,
+                    "command": args.command, "config": config.label}
+            text = json.dumps({**meta, **body}, indent=2, sort_keys=True) + "\n"
+        else:
+            columns, rows = body
+            text = (f"# switchbif {__version__} {args.command} config={config.label}\n"
+                    + ",".join(columns) + "\n"
+                    + "".join(",".join(map(repr, row)) + "\n" for row in rows))
+        if args.out is None:
+            sys.stdout.write(text)
+        else:
+            path = Path(args.out) / filename
+            path.parent.mkdir(parents=True, exist_ok=True)
+            path.write_text(text, encoding="utf-8")
+            print(f"wrote {path}")
 
 
 _HELP = {
@@ -96,16 +96,14 @@ def _option(config: RunConfig, args, key: str, *, required: bool = False,
     return value
 
 
-# -- subcommand handlers -------------------------------------------------------
+# -- subcommand handlers: each returns (exit code, {filename: report body}) ----
 
 
-def _cmd_validate(config: RunConfig, args) -> int:
+def _cmd_validate(config: RunConfig, args) -> tuple[int, dict]:
     # parse_config has already raised ValidationError for a failing system
     report = validate(config.system)
-    doc = _meta(config, "validate")
-    doc.update({"passed": report.passed, "violations": list(report.violations)})
-    _write_output(_json(doc), args.out, "validate.json")
-    return 0
+    return 0, {"validate.json": {"passed": report.passed,
+                                 "violations": list(report.violations)}}
 
 
 _STOPS = {"t_max": StopAtTime, "n_events": StopAfterEvents,
@@ -124,7 +122,7 @@ def _stop_condition(config: RunConfig, args):
     raise ParseError("a stop condition is required: --t-max, --n-events or --return-to-section")
 
 
-def _cmd_simulate(config: RunConfig, args) -> int:
+def _cmd_simulate(config: RunConfig, args) -> tuple[int, dict]:
     lam = _option(config, args, "lambda")
     x0 = _option(config, args, "x0")
     stop = _stop_condition(config, args)
@@ -134,34 +132,27 @@ def _cmd_simulate(config: RunConfig, args) -> int:
     event[traj.events] = 1
     rows = zip(traj.times.tolist(), *traj.states.T.tolist(), traj.quadrants.tolist(),
                event.tolist())
-    _write_output(_csv(config, "simulate", ["t", "x1", "x2", "quadrant", "event"], rows),
-                  args.out, "trajectory.csv")
-    return 0
+    return 0, {"trajectory.csv": (["t", "x1", "x2", "quadrant", "event"], rows)}
 
 
-def _cmd_poincare(config: RunConfig, args) -> int:
+def _cmd_poincare(config: RunConfig, args) -> tuple[int, dict]:
     lam = _option(config, args, "lambda")
     x1_values = _option(config, args, "x1_values", required=True)
     fields = numeric._compiled_fields(config.system, lam)
     samples = [poincare_numeric(config.system, x1, lam, config.integrator, fields=fields)
                for x1 in x1_values]
-    _write_output(_csv(config, "poincare", ["x1_in", "x1_out", "period"],
-                       [(s.x1_in, s.x1_out, s.period) for s in samples]),
-                  args.out, "poincare.csv")
-    return 0
+    return 0, {"poincare.csv": (["x1_in", "x1_out", "period"],
+                                [(s.x1_in, s.x1_out, s.period) for s in samples])}
 
 
-def _cmd_classify(config: RunConfig, args) -> int:
+def _cmd_classify(config: RunConfig, args) -> tuple[int, dict]:
     lam = _option(config, args, "lambda")
-    d = delta(config.system.params, lam)
     verdict = classify_origin(config.system.params, lam)
-    doc = _meta(config, "classify")
-    doc.update({"lambda": lam, "delta": d, "class": verdict.value})
-    _write_output(_json(doc), args.out, "classify.json")
-    return 0
+    return 0, {"classify.json": {"lambda": lam, "delta": delta(config.system.params, lam),
+                                 "class": verdict.value}}
 
 
-def _cmd_delta_sweep(config: RunConfig, args) -> int:
+def _cmd_delta_sweep(config: RunConfig, args) -> tuple[int, dict]:
     lams = _option(config, args, "lambdas", from_config=False)
     if lams is None:
         lo = _option(config, args, "lambda_min")
@@ -171,69 +162,60 @@ def _cmd_delta_sweep(config: RunConfig, args) -> int:
         n = _option(config, args, "n")
         lams = [lo + (hi - lo) * i / (n - 1) for i in range(n)] if n > 1 else [lo]
     p = config.system.params
-    _write_output(_csv(config, "delta-sweep", ["lambda", "delta", "delta_prime"],
-                       [(lam, delta(p, lam), delta_prime(p, lam)) for lam in lams]),
-                  args.out, "delta_sweep.csv")
-    return 0
+    return 0, {"delta_sweep.csv": (["lambda", "delta", "delta_prime"],
+                                   [(lam, delta(p, lam), delta_prime(p, lam)) for lam in lams])}
 
 
-def _cmd_bifurcate(config: RunConfig, args) -> int:
+def _cmd_bifurcate(config: RunConfig, args) -> tuple[int, dict]:
     bracket = _option(config, args, "bracket")
     crit = find_critical_lambda(config.system.params, tuple(bracket))
     fit = fit_local_expansion(config.system, crit.lambda_star, config.integrator)
     direction = bifurcation_direction(config.system, lam_star=crit.lambda_star)
     C, k = leading_coefficient(config.system, crit.lambda_star)
-    doc = _meta(config, "bifurcate")
-    doc.update({
+    return 0, {"bifurcate.json": {
         "critical_lambda": crit.lambda_star,
         "delta_prime": crit.delta_prime,
         "direction": direction.value,
         "expansion_fit": asdict(fit),
         "leading_coefficient": {"C": C, "k": k, "gamma": -C / crit.delta_prime},
-    })
-    _write_output(_json(doc), args.out, "bifurcate.json")
-    return 0
+    }}
 
 
-def _cmd_branch(config: RunConfig, args) -> int:
+def _cmd_branch(config: RunConfig, args) -> tuple[int, dict]:
     lams = _option(config, args, "lambdas", required=True)
     x_scan_max = _option(config, args, "x_scan_max")
     result = continue_branch(config.system, lams, config.integrator,
                              x_scan_max=x_scan_max)
     if not result.points:
         raise NoOrbitError(f"no periodic orbit found for any of lambdas {lams}")
-
-    _write_output(_csv(config, "branch", ["lambda", "x1_fixed", "period", "residual"],
-                       [(p.lam, p.x1_fixed, p.period, p.residual) for p in result.points]),
-                  args.out, "branch.csv")
-
-    doc = _meta(config, "branch")
-    doc["no_orbit_lambdas"] = list(result.no_orbit)
-    doc["additional_orbits"] = [{"lambda": p.lam, "x1_fixed": p.x1_fixed,
-                                 "period": p.period, "residual": p.residual}
-                                for p in result.additional]
     try:
-        doc["scaling_fit"] = asdict(fit_scaling_law(result.points))
+        scaling_fit = asdict(fit_scaling_law(result.points))
     except InsufficientDataError:   # fewer than four points, or both sides of lambda*
-        doc["scaling_fit"] = None
-    _write_output(_json(doc), args.out, "branch_fit.json")
-    return 0
+        scaling_fit = None
+    return 0, {
+        "branch.csv": (["lambda", "x1_fixed", "period", "residual"],
+                       [(p.lam, p.x1_fixed, p.period, p.residual) for p in result.points]),
+        "branch_fit.json": {
+            "no_orbit_lambdas": list(result.no_orbit),
+            "additional_orbits": [{"lambda": p.lam, "x1_fixed": p.x1_fixed,
+                                   "period": p.period, "residual": p.residual}
+                                  for p in result.additional],
+            "scaling_fit": scaling_fit}}
 
 
-def _cmd_verify_global(config: RunConfig, args) -> int:
+def _cmd_verify_global(config: RunConfig, args) -> tuple[int, dict]:
     lam = _option(config, args, "lambda")
     radius = _option(config, args, "radius_m")
     n_samples = _option(config, args, "n_samples")
     rep = check_global_conditions(config.system, lam, radius_M=radius,
                                   n_samples=n_samples)
     def witness_doc(w):
-        if w is None:
-            return None
-        return {"field": w.field_index, "x": list(w.x), "value": w.value,
-                "description": w.description}
+        return None if w is None else {"field": w.field_index, "x": list(w.x),
+                                       "value": w.value, "description": w.description}
 
-    doc = _meta(config, "verify-global")
-    doc.update({
+    all_ok = (CheckStatus.FAIL not in (rep.lyapunov_ok, rep.rotation_ok)
+              and rep.delta_conditions_ok)
+    return (0 if all_ok else 2), {"global_check.json": {
         "lambda": lam,
         "lyapunov_ok": rep.lyapunov_ok.value,
         "lyapunov_witness": witness_doc(rep.lyapunov_witness),
@@ -244,11 +226,7 @@ def _cmd_verify_global(config: RunConfig, args) -> int:
         "radius_M": rep.radius_M,
         "rotation_pert_inner_max": rep.rotation_pert_inner_max,
         "notes": list(rep.notes),
-    })
-    _write_output(_json(doc), args.out, "global_check.json")
-    all_ok = (rep.lyapunov_ok.value != "fail" and rep.rotation_ok.value != "fail"
-              and rep.delta_conditions_ok)
-    return 0 if all_ok else 2
+    }}
 
 
 #: subcommand -> (handler, help, options it takes)
@@ -329,7 +307,9 @@ def main(argv=None) -> int:
             except OSError as exc:
                 raise ParseError(f"cannot read config file: {exc}") from exc
             config = parse_config(text, label=path.name)
-        return _COMMANDS[args.command][0](config, args)
+        code, reports = _COMMANDS[args.command][0](config, args)
+        _write_reports(config, args, reports)
+        return code
     except SwitchBifError as exc:
         _report_error(exc, error_json)
         return exc.exit_code

@@ -362,11 +362,25 @@ class TestContinueBranch:
             assert b.x1_fixed == pytest.approx(a.x1_fixed, rel=1e-7)
         assert [p.source for p in seeded] == ["expansion", "expansion"]
 
-    def test_prediction_past_float_range_is_infinite(self, paper_system):
+    def test_one_point_prediction_uses_the_leading_degree(self, paper_params, cfg):
+        # p = -|x|^4 x has k = 5: after one point the law's exponent is
+        # m = k - 1 = 4, and the walk from its prediction is short
+        terms = [(1.0, 4, 0), (2.0, 2, 2), (1.0, 0, 4)]   # |x|^4 = sum of c x1^i x2^j
+        pert = PolyField(
+            comp1=tuple(MonomialTerm(LambdaPoly.constant(-c), i + 1, j) for c, i, j in terms),
+            comp2=tuple(MonomialTerm(LambdaPoly.constant(-c), i, j + 1) for c, i, j in terms))
+        quintic = SwitchedSystem(paper_params, (pert,) * 4)
+        assert leading_coefficient(quintic, 0.1)[1] == 5
+        seq = continue_branch(quintic, [0.01, 0.1], cfg)
+        assert seq.points[1].source == "previous" and seq.points[1].returns <= 5
+        cold = continue_branch(quintic, [0.1], cfg).points[0]
+        assert seq.points[1].x1_fixed == pytest.approx(cold.x1_fixed, rel=1e-7)
+
+    def test_prediction_past_float_range_is_infinite(self):
         # the log-log slope of d against x1 over these two points is
         # m = log(1 + 1e-7) / log(1e3) ~ 1.4e-8, so (d / d_ref)**(1 / m) overflows
         history = [(0.1, 1e-3, 1e-3), (0.2, 1.0000001e-3, 1.0)]
-        assert bifurcation._predict(paper_system, 0.3, 1.0, history) == math.inf
+        assert bifurcation._predict(0.3, 1.0, history, -1.0, 3) == math.inf
 
     def test_returns_per_lambda_counted(self, paper_system, cfg, monkeypatch):
         # work counter: the leading coefficient seeds the first parameter

@@ -105,6 +105,26 @@ def test_csv_cells_are_plain_numbers(case, tmp_path, capsys):
             assert cell in (repr(float(cell)), repr(int(float(cell)))), f"{csv.name}: {line}"
 
 
+#: the golden cases, which exit 0, and a sampled check that fails and exits 2
+WRITER_CASES = {**{case: (argv, 0) for case, argv in CASES.items()},
+                "verify-global-fail": (["verify-global", "--lambda", "-0.5",
+                                        "--n-samples", "1000"], 2)}
+
+
+@pytest.mark.parametrize("case", sorted(WRITER_CASES))
+def test_stdout_is_the_written_files_in_order(case, tmp_path, capsys):
+    # without --out a command prints exactly the files it writes with --out,
+    # in the order of its "wrote" lines, and exits alike
+    argv, code = WRITER_CASES[case]
+    assert main(["paper-example", *argv]) == code
+    printed = capsys.readouterr().out
+    assert main(["paper-example", *argv, "--out", str(tmp_path)]) == code
+    wrote = capsys.readouterr().out.splitlines()
+    assert wrote and all(line.startswith(f"wrote {tmp_path}") for line in wrote)
+    assert printed == "".join(Path(line[len("wrote "):]).read_text(encoding="utf-8")
+                              for line in wrote)
+
+
 if __name__ == "__main__":
     unknown = set(sys.argv[1:]) - set(CASES)
     if unknown:
