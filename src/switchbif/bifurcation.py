@@ -34,6 +34,7 @@ import enum
 import functools
 import itertools
 import math
+import operator
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -581,8 +582,9 @@ class GlobalCheckReport:
 _GOLDEN = 0.6180339887498949
 
 #: points per block of the sampled checks, which walk their sample sets
-#: block by block: memory is bounded by the block, not by n_samples
-_BLOCK = 1 << 15
+#: block by block: memory is bounded by the block, not by n_samples, and a
+#: block's live arrays (64 KB each) stay in a 2 MB L2 cache
+_BLOCK = 1 << 13
 
 #: monomial vectors x and Sx = (-x2, x1), S = [[0, -1], [1, 0]], as (sign, pow1, pow2)
 _X = ((1.0, 1, 0), (1.0, 0, 1))
@@ -595,7 +597,8 @@ def _golden_blocks(n: int, radius, offset: float):
     the block that holds it."""
     for j0 in range(0, n, _BLOCK):
         j = np.arange(j0, min(n, j0 + _BLOCK), dtype=float)
-        theta = 2.0 * math.pi * ((j * _GOLDEN + offset) % 1.0)
+        u = j * _GOLDEN + offset   # >= 0, so u - floor(u) is exact and equals u % 1.0
+        theta = 2.0 * math.pi * (u - np.floor(u))
         r = radius(j)
         yield r * np.cos(theta), r * np.sin(theta)
 
@@ -722,8 +725,9 @@ def check_global_conditions(sys: SwitchedSystem, lam: float, radius_M: float = 1
     """
     if not (math.isfinite(radius_M) and radius_M > 0.0):
         raise ValueError(f"radius_M must be finite and positive, got {radius_M}")
-    if isinstance(n_samples, bool) or not isinstance(n_samples, int) or n_samples < 1:
+    if isinstance(n_samples, bool) or not hasattr(n_samples, "__index__") or n_samples < 1:
         raise ValueError(f"n_samples must be an integer >= 1, got {n_samples!r}")
+    n_samples = operator.index(n_samples)
     # frozen field -> first region that has it: equal regions are sampled once
     fields: dict = {}
     for q, fr in zip(Quadrant, freeze(sys, lam)):

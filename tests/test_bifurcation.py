@@ -777,10 +777,19 @@ class TestCheckGlobalConditions:
     @pytest.mark.parametrize("kwargs", [
         {"radius_M": math.nan}, {"radius_M": math.inf}, {"radius_M": -1.0},
         {"radius_M": 0.0}, {"n_samples": 0}, {"n_samples": -5}, {"n_samples": 100.0},
-    ], ids=lambda kw: f"{next(iter(kw))}={next(iter(kw.values()))}")
+        {"n_samples": True}, {"n_samples": np.True_}, {"n_samples": np.float64(100.0)},
+        {"n_samples": np.int64(0)},
+    ], ids=lambda kw: f"{next(iter(kw))}={next(iter(kw.values()))!r}")
     def test_bad_arguments_rejected(self, paper_system, kwargs):
         with pytest.raises(ValueError, match=next(iter(kwargs))):
             check_global_conditions(paper_system, 0.5, **kwargs)
+
+    def test_any_integral_sample_count_is_accepted(self, paper_system):
+        want = check_global_conditions(paper_system, 0.5, n_samples=1000)
+        for n in (np.int64(1000), np.int32(1000), np.uint16(1000)):
+            got = check_global_conditions(paper_system, 0.5, n_samples=n)
+            assert got == want
+            assert type(got.samples_used) is int
 
     def test_delta_conditions_false_off_critical_family(self):
         params = make_params(0.1, 6.0, 1.0)

@@ -1,6 +1,6 @@
-"""The README's lists of integrator keys, exit codes and subcommands match the
-code, its library example prints what its comments say, and the package stays
-within ROADMAP.md's line cap."""
+"""The README's lists of integrator keys, exit codes and subcommands and its
+global-check block size match the code, its library example prints what its
+comments say, and the package stays within ROADMAP.md's line cap."""
 
 import contextlib
 import dataclasses
@@ -9,7 +9,7 @@ import io
 import re
 from pathlib import Path
 
-from switchbif import IntegratorConfig, errors
+from switchbif import IntegratorConfig, bifurcation, errors
 from switchbif.cli import _COMMANDS
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -53,6 +53,11 @@ def test_library_example_prints_its_comments():
     calls = [line for line in block.group(1).splitlines() if line.startswith("print(")]
     for call, value in zip(calls[:2], printed):
         assert call.split("# ", 1)[1].startswith(value)
+
+
+def test_global_check_block_size_matches_the_code():
+    stated = re.findall(r"blocks of 2\^(\d+) points", README)
+    assert stated and all(1 << int(e) == bifurcation._BLOCK for e in stated)
 
 
 def test_source_stays_within_the_line_cap():

@@ -150,6 +150,28 @@ def test_blocked_check_equals_unblocked_reference(case, monkeypatch):
         assert radius < math.hypot(*getattr(got, name).x) < 10.0 * radius_M
 
 
+@pytest.mark.parametrize("case", CASES)
+def test_report_does_not_depend_on_the_block_size(case, monkeypatch):
+    # witnesses and rotation_pert_inner_max bit for bit, and equal notes
+    system, lam, radius_M = CASES[case][:3]
+    reports = []
+    for block in (256, 1 << 13, 1 << 15):
+        monkeypatch.setattr(bifurcation, "_BLOCK", block)
+        reports.append(check_global_conditions(system, lam, radius_M, N))
+    assert reports[0] == reports[1] == reports[2]
+
+
+@pytest.mark.parametrize("offset", [0.0, 0.17, 0.43])
+def test_fraction_is_exact_at_late_indices(offset):
+    # j * _GOLDEN + offset passes 6.5e5 here, where few fraction bits are left
+    n = (1 << 20) + 3
+    x1, x2 = (np.concatenate(c) for c in
+              zip(*bifurcation._golden_blocks(n, lambda j: 1.0, offset)))
+    want1, want2 = _points(np.ones(n), offset)
+    assert np.array_equal(x1, want1)
+    assert np.array_equal(x2, want2)
+
+
 def test_blocks_hold_the_unblocked_points():
     # a point does not depend on the block that holds it
     n = 2 * bifurcation._BLOCK + 7
@@ -161,7 +183,7 @@ def test_blocks_hold_the_unblocked_points():
 
 
 def test_memory_is_bounded_by_the_block():
-    # 1e6 samples in blocks: about 16 block-sized float arrays live at the
+    # 1e6 samples in blocks: about 19 block-sized float arrays live at the
     # peak, where the unblocked check held about 86 MB
     bound = 32 * bifurcation._BLOCK * 8
     tracemalloc.start()
