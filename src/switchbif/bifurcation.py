@@ -223,19 +223,18 @@ def leading_coefficient(sys: SwitchedSystem, lam: float) -> tuple[float, int]:
         return 0.0, 0
     p_k = compile_forms(*(tuple(t for t in comp if t[1] + t[2] == k)
                           for fr in frozen for comp in fr[4:]))
+    sm = section_map(1, 1.0, sys.params, lam)   # every quarter-turn's T and sigma
+    T, sigma = sm.transit_time, abs(sm.exit_value)
     nodes, weights = _gauss_legendre()
-    rows = list(enumerate(REGIONS.items(), 1))
+    s = 0.5 * T * (nodes + 1.0)
+    rows = list(REGIONS.items())
     lin, nl, entry = 1.0, 0.0, (1.0, 0.0)   # after each quarter-turn r = lin x1 + nl x1**k
-    for i, (q, (g, _, s_o, _)) in rows[1:] + rows[:1]:   # section maps 2, 3, 4, 1
-        sm = section_map(i, sum(entry), sys.params, lam)
-        s = 0.5 * sm.transit_time * (nodes + 1.0)
+    for q, (g, _, s_o, _) in rows[1:] + rows[:1]:   # from the positive x1-axis
         pert = p_k(*flow_linear(q, entry, s, sys.params, lam))[2 * q - 2:2 * q]
-        z = 0.5 * sm.transit_time * (flow_linear(q, pert, sm.transit_time - s,
-                                                 sys.params, lam) @ weights)
+        z = 0.5 * T * (flow_linear(q, pert, T - s, sys.params, lam) @ weights)
         out = (0.0, s_o) if g == 0 else (s_o, 0.0)   # unit vector of the exit semi-axis
         v = linear_matrix(q, sys.params, lam) @ out   # along y'(T)
         c = s_o * (z[1 - g] - v[1 - g] * z[g] / v[g])
-        sigma = abs(sm.exit_value)
         lin, nl, entry = sigma * lin, sigma * nl + c * lin ** k, out
     return float(nl), k
 
@@ -348,36 +347,17 @@ class _Residual:
                            residual=abs(fb), source=source)
 
 
-def _predict(lam: float, d: float, history, C: float, k: int) -> float | None:
-    """Predicted amplitude x = (d / -C)**(1/m) of the local law
-
-        pi(x) - x = d * x + C * x**(m + 1),  d = delta(lam) - 1.
-
-    ``history`` holds (lam, d, x1) of the branch points since the last
-    reset, newest last, and (C, k) is the ``leading_coefficient`` at the
-    cold parameter that started it.  Without points the law is (C, m) with
-    m = k - 1.  With points, C puts the law through the newest one, and m
-    stays k - 1 with one point and is the log-log slope of d against x1
-    over the two newest with more.  None is returned when the law has no
-    positive root, so that the caller scans at once; the newest amplitude
-    (None without points) when the parameter repeats or m is not a
-    positive number.
+def _predict(d: float, law) -> float | None:
+    """Root x_ref * (d / d_ref)**(1/m) of the local law pi(x) - x = d x + C x**(m+1),
+    d = delta(lam) - 1, with C through the point (x_ref, d_ref) of ``law = (d_ref,
+    x_ref, m)``; None when it has no positive root, so that the caller scans at
+    once, and x_ref when m is not a positive number.
     """
-    # without points, the leading coefficient's law, its reference point at x = 1
-    d_ref, x_ref, m, fallback = -C, 1.0, k - 1.0, None
-    if history:
-        lam_p, d_ref, x_ref = history[-1]
-        if lam == lam_p:
-            return x_ref
-        if len(history) > 1:
-            _, d_q, x_q = history[-2]
-            m = (math.log(d_ref / d_q) / math.log(x_ref / x_q)
-                 if d_ref * d_q > 0.0 and x_ref != x_q else math.nan)
-        fallback = x_ref
+    d_ref, x_ref, m = law
     if not d * d_ref > 0.0:
         return None
     if not (math.isfinite(m) and m > 0.0):
-        return fallback
+        return x_ref
     try:
         return x_ref * (d / d_ref) ** (1.0 / m)
     except OverflowError:   # far beyond any scan range
@@ -425,11 +405,12 @@ def continue_branch(sys: SwitchedSystem, lambdas, cfg: IntegratorConfig,
                     x_scan_max: float = 10.0) -> BranchResult:
     """Solve the return-map fixed point for each parameter value in turn.
 
-    Predictor: the amplitude of the local law pi(x) - x = (delta - 1) x
-    + C x**(m+1) at the closed-form delta(lam), fitted through the
-    previous branch points (see ``_predict``), or, at a cold parameter
-    value (the first one and any after a parameter without orbit), with
-    C and m + 1 = k of ``leading_coefficient`` at the parameter.
+    Predictor: the root of the local law pi(x) - x = (delta - 1) x + C x**(m+1)
+    at the closed-form delta(lam) (``_predict``): at a cold parameter value (the
+    first one and any after a parameter without orbit) C and m + 1 = k of
+    ``leading_coefficient``, else C through the newest branch point and m the
+    log-log slope of delta - 1 against x1 over the two newest (m stays after a
+    cold point).
     Corrector: ``expand_bracket`` walks from the prediction toward the
     smallest root, upward while the residual pi(x1) - x1 keeps the sign
     of delta - 1 that it has near the origin, and brent polishes the
@@ -461,15 +442,16 @@ def continue_branch(sys: SwitchedSystem, lambdas, cfg: IntegratorConfig,
     points: list[BranchPoint] = []
     no_orbit: list[float] = []
     additional: list[BranchPoint] = []
-    history: list[tuple[float, float, float]] = []
+    law = None   # (d_ref, x_ref, m) of _predict; None at a cold parameter value
 
     for lam in lambdas:
         d = delta(sys.params, lam) - 1.0
         residual = _Residual(sys, lam, cfg, d)
-        cold = not history
-        if cold:
+        cold = law is None
+        if cold:   # the leading coefficient's law, its reference point at x = 1
             C, k = leading_coefficient(sys, lam)
-        seed = _predict(lam, d, history, C, k)
+            law = (-C, 1.0, k - 1)
+        seed = _predict(d, law)
 
         found: list[BranchPoint] = []
         # within the noise floor, a walk from the prediction brackets noise:
@@ -492,14 +474,18 @@ def continue_branch(sys: SwitchedSystem, lambdas, cfg: IntegratorConfig,
             brackets = _scan(residual, xs)
             if not (found or brackets):
                 no_orbit.append(lam)
-                history.clear()
+                law = None
                 continue
             found += [residual.solve(lo, hi, "scan") for lo, hi in brackets]
 
         found = [replace(p, returns=len(residual.samples)) for p in found]
         points.append(found[0])
         additional.extend(found[1:])
-        history.append((lam, d, found[0].x1_fixed))
+        (d_ref, x_ref, m), x = law, found[0].x1_fixed
+        if not cold:   # the log-log slope of d against x1 from the old reference
+            m = (math.log(d / d_ref) / math.log(x / x_ref)
+                 if d * d_ref > 0.0 and x != x_ref else math.nan)
+        law = (d, x, m)
 
     return BranchResult(points=tuple(points), no_orbit=tuple(no_orbit),
                         additional=tuple(additional))
@@ -517,13 +503,14 @@ class ScalingFit:
 def fit_scaling_law(branch) -> ScalingFit:
     """Least-squares log-log fit of parameter against orbit amplitude.
 
-    Needs at least four branch points, all on one side of the critical
-    parameter, with positive amplitudes.  For a branch on the negative
+    Needs branch points at four or more distinct amplitudes, all positive and
+    on one side of the critical parameter.  For a branch on the negative
     side the fit uses |lam| and gamma_est carries the sign.
     """
     pts = list(branch)
-    if len(pts) < 4:
-        raise InsufficientDataError(f"scaling-law fit needs >= 4 branch points, got {len(pts)}")
+    n = len({p.x1_fixed for p in pts})
+    if n < 4:
+        raise InsufficientDataError(f"scaling-law fit needs >= 4 distinct amplitudes, got {n}")
     lams = np.array([p.lam for p in pts])
     xs = np.array([p.x1_fixed for p in pts])
     if np.any(xs <= 0.0):

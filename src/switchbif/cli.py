@@ -61,8 +61,11 @@ def _write_reports(config: RunConfig, args, reports: dict) -> None:
             sys.stdout.write(text)
         else:
             path = Path(args.out) / filename
-            path.parent.mkdir(parents=True, exist_ok=True)
-            path.write_text(text, encoding="utf-8")
+            try:
+                path.parent.mkdir(parents=True, exist_ok=True)
+                path.write_text(text, encoding="utf-8")
+            except OSError as exc:   # --out names a file, or a path through one
+                raise ParseError(f"cannot write {path}: {exc}", "--out") from exc
             print(f"wrote {path}")
 
 
@@ -304,7 +307,7 @@ def main(argv=None) -> int:
             path = Path(args.config)
             try:
                 text = path.read_text(encoding="utf-8")
-            except OSError as exc:
+            except (OSError, UnicodeDecodeError) as exc:
                 raise ParseError(f"cannot read config file: {exc}") from exc
             config = parse_config(text, label=path.name)
         code, reports = _COMMANDS[args.command][0](config, args)

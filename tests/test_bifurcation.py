@@ -379,8 +379,8 @@ class TestContinueBranch:
     def test_prediction_past_float_range_is_infinite(self):
         # the log-log slope of d against x1 over these two points is
         # m = log(1 + 1e-7) / log(1e3) ~ 1.4e-8, so (d / d_ref)**(1 / m) overflows
-        history = [(0.1, 1e-3, 1e-3), (0.2, 1.0000001e-3, 1.0)]
-        assert bifurcation._predict(0.3, 1.0, history, -1.0, 3) == math.inf
+        m = math.log(1.0000001e-3 / 1e-3) / math.log(1.0 / 1e-3)
+        assert bifurcation._predict(1.0, (1.0000001e-3, 1.0, m)) == math.inf
 
     def test_returns_per_lambda_counted(self, paper_system, cfg, monkeypatch):
         # work counter: the leading coefficient seeds the first parameter
@@ -606,6 +606,12 @@ class TestFitScalingLaw:
         pts = [BranchPoint(lam=x * x, x1_fixed=x, period=1.0, residual=0.0)
                for x in (0.1, 0.2, 0.4)]
         with pytest.raises(InsufficientDataError):
+            fit_scaling_law(pts)
+
+    def test_one_repeated_amplitude_insufficient(self):
+        # a repeated parameter value repeats its amplitude: log x has no spread
+        pts = [BranchPoint(lam=0.1, x1_fixed=0.2225, period=1.0, residual=0.0)] * 4
+        with pytest.raises(InsufficientDataError, match="distinct amplitudes"):
             fit_scaling_law(pts)
 
     @pytest.mark.parametrize("x_bad", [0.0, -0.3])

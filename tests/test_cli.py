@@ -114,6 +114,14 @@ class TestConfigFile:
         assert code == 1
         assert "cannot read config file" in err
 
+    def test_config_file_not_utf8(self, capsys, tmp_path):
+        path = tmp_path / "utf16.json"
+        path.write_bytes(b"\xff\xfe")
+        code, out, err = run(capsys, ["classify", "--config", str(path)])
+        assert code == 1 and out == ""
+        assert err.count("\n") == 1
+        assert err.startswith("switchbif: error: ParseError: cannot read config file: ")
+
     def test_error_json_flag(self, capsys, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text(BAD_SYSTEM, encoding="utf-8")
@@ -263,6 +271,12 @@ class TestBranchCommand:
         assert code == 1 and out == ""
         assert err == f"switchbif: error: ParseError: --x-scan-max: must be > 1e-06, got {float(x_max)!r}\n"
 
+    def test_one_repeated_amplitude_has_no_scaling_fit(self, capsys):
+        # four points at one amplitude leave the log-log fit rank-deficient
+        code, out, err = run(capsys, ["paper-example", "branch", "--lambdas=0.1,0.1,0.1,0.1"])
+        assert code == 0 and err == ""
+        assert json.loads(out[out.index("{"):])["scaling_fit"] is None
+
     def test_no_orbit_exit_code(self, capsys):
         code, _, err = run(capsys, ["paper-example", "branch", "--lambdas=-0.05"])
         assert code == 2
@@ -360,6 +374,20 @@ class TestErrorContract:
         assert code == 1 and out == ""
         assert err.count("\n") == 1 and err.startswith("switchbif: error: ParseError")
         assert "--config" in err
+
+    @pytest.mark.parametrize("error_json", [False, True], ids=["plain", "error-json"])
+    @pytest.mark.parametrize("sub", ["", "sub"], ids=["file", "below-file"])
+    def test_out_through_a_file_is_one_line_parse_error(self, capsys, tmp_path, sub,
+                                                        error_json):
+        # --out F with F a regular file (FileExistsError), or F/sub (NotADirectoryError)
+        blocker = tmp_path / "F"
+        blocker.write_text("kept", encoding="utf-8")
+        argv = ["paper-example", "classify", "--lambda", "0.1", "--out", str(blocker / sub)]
+        code, out, err = run(capsys, ["--error-json"] * error_json + argv)
+        assert code == 1
+        assert err.count("\n") == 1 and err.startswith("switchbif: error: ParseError: --out: ")
+        assert (json.loads(out)["error"] == "ParseError") if error_json else out == ""
+        assert blocker.read_text(encoding="utf-8") == "kept"
 
     @pytest.mark.parametrize("system,argv", [
         ({"b_poly": [1e200], "c_poly": [1]}, ["classify", "--lambda", "0"]),

@@ -1,12 +1,15 @@
 """The README's lists of integrator keys, exit codes and subcommands and its
 global-check block size match the code, its library example prints what its
-comments say, and the package stays within ROADMAP.md's line cap."""
+comments say, and the package stays within ROADMAP.md's line cap and imports
+only the standard library and numpy."""
 
+import ast
 import contextlib
 import dataclasses
 import inspect
 import io
 import re
+import sys
 from pathlib import Path
 
 from switchbif import IntegratorConfig, bifurcation, errors
@@ -64,3 +67,16 @@ def test_source_stays_within_the_line_cap():
     lines = sum(len(path.read_text(encoding="utf-8").splitlines())
                 for path in (ROOT / "src" / "switchbif").glob("*.py"))
     assert lines <= LINE_CAP, f"src/switchbif/*.py has {lines} lines, over the cap of {LINE_CAP}"
+
+
+def test_numpy_is_the_only_runtime_dependency():
+    allowed = {*sys.stdlib_module_names, "numpy", "switchbif"}
+    for path in (ROOT / "src" / "switchbif").glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            assert all(n.split(".")[0] in allowed for n in names), f"{path.name} imports {names}"
