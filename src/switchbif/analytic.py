@@ -53,11 +53,6 @@ class OriginClass(enum.Enum):
     Unstable = "Unstable"
 
 
-def _bc(params: SystemParams, lam: float) -> tuple[float, float]:
-    params.check_lambda(lam)
-    return params.b.value_at(lam), params.c.value_at(lam)
-
-
 def flow_linear(q: Quadrant, x0, t: float, params: SystemParams, lam: float) -> np.ndarray:
     """Exact solution of the linear flow of region ``q`` after time ``t``.
 
@@ -72,8 +67,7 @@ def flow_linear(q: Quadrant, x0, t: float, params: SystemParams, lam: float) -> 
     entries of ``x0`` may be numpy arrays of one shape; the result then
     stacks both coordinates, shape (2, ...).
     """
-    b, c = _bc(params, lam)
-    a = params.a
+    a, b, c = params.at(lam)
     w = math.sqrt(b * c)
     if Quadrant(q) in (Quadrant.Q1, Quadrant.Q3):
         s = math.sqrt(b / c)
@@ -104,9 +98,9 @@ def section_map(i: int, entry: float, params: SystemParams, lam: float) -> Secti
     if entry * entry_sign <= 0.0:
         want = "positive" if entry_sign > 0 else "negative"
         raise SideError(f"section map {i} takes a {want} entry coordinate, got {entry}")
-    b, c = _bc(params, lam)
+    a, b, c = params.at(lam)
     w = math.sqrt(b * c)
-    factor = math.sqrt(b / c) * math.exp(-params.a * math.pi / (2.0 * w))
+    factor = math.sqrt(b / c) * math.exp(-a * math.pi / (2.0 * w))
     return SectionMapValue(exit_value=exit_sign * abs(entry) * factor,
                            transit_time=math.pi / (2.0 * w))
 
@@ -116,9 +110,9 @@ def delta(params: SystemParams, lam: float) -> float:
 
     Raises DomainError when the index leaves the floating-point range.
     """
-    b, c = _bc(params, lam)
+    a, b, c = params.at(lam)
     try:
-        return (b / c) ** 2 * math.exp(-2.0 * math.pi * params.a / math.sqrt(b * c))
+        return (b / c) ** 2 * math.exp(-2.0 * math.pi * a / math.sqrt(b * c))
     except OverflowError:
         raise DomainError(f"delta({lam}) overflows the floating-point range") from None
 
@@ -130,10 +124,9 @@ def delta_prime(params: SystemParams, lam: float) -> float:
     which avoids the cancellation-prone expanded product form.  Raises
     DomainError when a term leaves the floating-point range.
     """
-    b, c = _bc(params, lam)
+    a, b, c = params.at(lam)
     bp = params.b.deriv_at(lam)
     cp = params.c.deriv_at(lam)
-    a = params.a
     try:
         log_deriv = 2.0 * (bp / b - cp / c) + math.pi * a * (bp * c + b * cp) / (b * c) ** 1.5
     except OverflowError:

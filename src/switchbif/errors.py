@@ -63,7 +63,8 @@ class ValidationError(UserError):
 # -- domain / argument errors -----------------------------------------------
 
 class DomainError(UserError):
-    """A parameter value lies outside the system's parameter interval."""
+    """A parameter value lies outside the system's parameter interval or where
+    b or c is not positive, or a computed value leaves the float range."""
 
 
 class OriginError(UserError):

@@ -86,8 +86,8 @@ class SystemParams:
     """Damping ``a`` plus the parameter-dependent coefficients b, c.
 
     ``lambda_domain`` is the open parameter interval, which must
-    contain 0.  Positivity of b and c over the interval is checked by
-    :func:`validate`, not here.
+    contain 0.  :func:`validate` samples b, c > 0 over the interval;
+    :meth:`at` checks them at each lambda in use.
     """
 
     a: float
@@ -102,10 +102,17 @@ class SystemParams:
         object.__setattr__(self, "a", float(self.a))
         object.__setattr__(self, "lambda_domain", (lo, hi))
 
-    def check_lambda(self, lam: float) -> None:
+    def at(self, lam: float) -> tuple[float, float, float]:
+        """(a, b(lam), c(lam)).  Raises DomainError outside the parameter interval
+        and where b or c is not positive (nan too): every closed form and field
+        assumes the spirals -a +/- i sqrt(b c)."""
         lo, hi = self.lambda_domain
         if not (lo < lam < hi):
             raise DomainError(f"lambda = {lam} outside parameter interval ({lo}, {hi})")
+        b, c = self.b.value_at(lam), self.c.value_at(lam)
+        if not (b > 0.0 and c > 0.0):
+            raise DomainError(f"b({lam}) = {b} and c({lam}) = {c} must both be positive")
+        return self.a, b, c
 
 
 class Quadrant(enum.IntEnum):
@@ -220,10 +227,7 @@ def linear_matrix(q: Quadrant, params: SystemParams, lam: float) -> np.ndarray:
     Regions 1, 3 share [[-a, b], [-c, -a]]; regions 2, 4 share
     [[-a, c], [-b, -a]].
     """
-    params.check_lambda(lam)
-    a = params.a
-    b = params.b.value_at(lam)
-    c = params.c.value_at(lam)
+    a, b, c = params.at(lam)
     if Quadrant(q) in (Quadrant.Q1, Quadrant.Q3):
         return np.array([[-a, b], [-c, -a]])
     return np.array([[-a, c], [-b, -a]])

@@ -356,17 +356,17 @@ def integrate(sys: SwitchedSystem, x0, lam: float, stop, cfg: IntegratorConfig,
     A StopAtTime ends at the first row that leaves at most the step floor,
     _H_FLOOR * max(1, |t|), before t_max: t_max itself, or an event row at
     or past it.
-    Raises TangencyError on non-transversal or sliding crossings,
-    BudgetError when the event budget or per-arc time budget is
-    exhausted, StiffnessError on step underflow, EscapeError when the
-    start point (NaN too) or the trajectory lies outside the bounding box, and
-    OriginError when the start or a later state lies below the smallest
-    normal float.  A start within 4 * event_tol * |x0| of an axis ends
+    Raises DomainError where ``sys.params.at(lam)`` does, TangencyError on
+    non-transversal or sliding crossings, BudgetError when the event budget
+    or per-arc time budget is exhausted, StiffnessError on step underflow,
+    EscapeError when the start (NaN too), an accepted state or, where the
+    field points outward, a rejected trial state lies outside the bounding
+    box, and OriginError when a state lies below the smallest normal float.  A start within 4 * event_tol * |x0| of an axis ends
     an arc of the region holding the point snapped onto that axis and is
     checked like every switching event, but it is not recorded as one.
     ``fields`` is ``_compiled_fields(sys, lam)`` when the caller holds it.
     """
-    sys.params.check_lambda(lam)
+    sys.params.at(lam)
     x1, x2 = float(x0[0]), float(x0[1])
     if not (abs(x1) <= _ESCAPE_RADIUS and abs(x2) <= _ESCAPE_RADIUS):   # NaN included
         raise EscapeError(f"start point ({x1}, {x2}) lies outside the bounding box "
@@ -427,8 +427,8 @@ def integrate(sys: SwitchedSystem, x0, lam: float, stop, cfg: IntegratorConfig,
             factor = (min(_MAX_FACTOR, max(_MIN_FACTOR, _SAFETY * err ** -_EXPO)) if err
                       else _MAX_FACTOR)
 
-            if err > 1.0:
-                if max(abs(u1), abs(u2)) > _ESCAPE_RADIUS:
+            if err > 1.0:   # a rejected trial state escapes only where the field points out
+                if max(abs(u1), abs(u2)) > _ESCAPE_RADIUS and x1 * k11 + x2 * k12 > 0.0:
                     raise EscapeError(
                         f"trajectory left the bounding box near t = {t}: ({u1}, {u2})")
                 h = h_max = h * factor   # the step after a rejection does not grow

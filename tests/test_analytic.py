@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 from conftest import make_params, rk4_integrate
-from switchbif import (OriginClass, Quadrant, SideError, classify_origin,
-                       delta, delta_prime, flow_linear, linear_matrix,
-                       section_map)
+from switchbif import (DomainError, LambdaPoly, OriginClass, Quadrant, SideError,
+                       SystemParams, classify_origin, delta, delta_prime, flow_linear,
+                       linear_matrix, section_map)
 
 
 class TestFlowLinear:
@@ -145,6 +145,13 @@ class TestDelta:
     def test_unit_parameters(self):
         params = make_params(1.0, 1.0, 1.0)
         assert delta(params, 0.0) == pytest.approx(math.exp(-2.0 * math.pi), rel=1e-15)
+
+    def test_lambda_where_b_is_negative_is_a_domain_error(self):
+        # b(lam) = (lam - 0.0011)^2 - 1e-8 dips below 0 between validate's samples
+        params = SystemParams(a=1.0, b=LambdaPoly((1.2e-6, -2.2e-3, 1.0)),
+                              c=LambdaPoly.constant(1.0))
+        with pytest.raises(DomainError, match="must both be positive"):
+            delta(params, 0.0011)
 
 
 class TestDeltaPrime:

@@ -405,6 +405,23 @@ class TestErrorContract:
         assert err.count("\n") == 1 and err.startswith("switchbif: error: DomainError")
         assert re.search(r"delta'?\(-?\d", err)   # names lambda
 
+    @pytest.mark.parametrize("error_json", [False, True])
+    @pytest.mark.parametrize("argv", [["classify", "--lambda", "0.0011"],
+                                      ["delta-sweep", "--lambdas", "0.0011"],
+                                      ["branch", "--lambdas", "0.0011"]], ids=lambda v: v[0])
+    def test_lambda_where_b_dips_negative_is_one_line_domain_error(self, capsys, tmp_path,
+                                                                   argv, error_json):
+        # b(lam) = (lam - 0.0011)^2 - 1e-8 < 0 only on (0.001, 0.0012), between
+        # validate's samples at 0 and 0.002, so the config passes validation
+        doc = {"system": {"a": 1, "b_poly": ["0.0000012", "-0.0022", 1], "c_poly": [1]}}
+        path = write_json(tmp_path / "dip.json", doc)
+        code, out, err = run(capsys, ["--error-json"] * error_json
+                             + [argv[0], "--config", path, *argv[1:]])
+        assert code == 1
+        assert err.count("\n") == 1 and err.startswith("switchbif: error: DomainError: b(0.0011)")
+        assert err.endswith("and c(0.0011) = 1.0 must both be positive\n")
+        assert (json.loads(out)["error"] == "DomainError") if error_json else out == ""
+
     @pytest.mark.parametrize("argv, code, message", [
         (["simulate", "--x0", "1,0", "--t-max", "1"], 2,
          "TangencyError: an arc of quadrant 1 cannot end at t = 0.0, x = (1.0, 0.0)"),

@@ -25,8 +25,8 @@ import numpy as np
 import pytest
 from numpy.polynomial.legendre import leggauss
 
-from switchbif import (IntegratorConfig, StopOnReturn, continue_branch, delta_numeric,
-                       half_return, integrate, poincare_numeric)
+from switchbif import (EscapeError, IntegratorConfig, StopOnReturn, continue_branch,
+                       delta_numeric, half_return, integrate, poincare_numeric)
 
 A = 2.0
 NODES, WEIGHTS = leggauss(40)
@@ -129,6 +129,26 @@ def test_half_return_matches_exact(paper_system, cfg, x1):
     t, x = exact_events(0.1, x1)[1]
     assert abs(s.x1_out + x[0]) <= 1.7e-10 * -x[0]
     assert abs(s.period - 2.0 * t) <= 1.2e-11 * 2.0 * t
+
+
+@pytest.mark.parametrize("lam", [0.3, 0.5, 1.0])
+@pytest.mark.parametrize("x1", [8.39, 10.0])
+def test_half_return_from_the_largest_scan_amplitudes(paper_system, cfg, lam, x1):
+    # a rejected trial step beyond the bounding box, where the field points
+    # inward, only shrinks the step; measured at most 1.3e-11 relative
+    s = half_return(paper_system, x1, lam, cfg)
+    _, x = exact_events(lam, x1)[1]
+    assert abs(s.x1_out + x[0]) <= 1e-10 * -x[0]
+
+
+@pytest.mark.parametrize("lam", [-0.2, -0.4])
+@pytest.mark.parametrize("x1", [8.39, 10.0])
+def test_blow_up_from_the_largest_scan_amplitudes_escapes(paper_system, cfg, rhs_evals,
+                                                          lam, x1):
+    # the +|lam| x1^5 terms point outward there: measured 24 to 35 RHS evals
+    with pytest.raises(EscapeError):
+        half_return(paper_system, x1, lam, cfg)
+    assert rhs_evals[0] <= 35
 
 
 @pytest.mark.parametrize("x1", [1e-4, 0.5])

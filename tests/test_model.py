@@ -6,7 +6,7 @@ import pytest
 
 from conftest import make_params
 from switchbif import (DomainError, LambdaPoly, MonomialTerm, OriginError,
-                       PolyField, Quadrant, SideError, SwitchedSystem,
+                       PolyField, Quadrant, SideError, SwitchedSystem, SystemParams,
                        clockwise_successor, eval_field, is_point_symmetric,
                        linear_matrix, region_of, section_map, validate)
 from switchbif.model import compile_forms
@@ -159,6 +159,25 @@ class TestLinearMatrix:
         params = make_params(1.0, 1.0, 1.0, domain=(-0.5, 0.5))
         with pytest.raises(DomainError):
             linear_matrix(Quadrant.Q1, params, 0.6)
+
+
+class TestAt:
+    @pytest.mark.parametrize("lam", [-1.9, 0.0, 0.1, 1.9])
+    def test_reads_a_and_the_coefficient_polynomials(self, paper_params, lam):
+        p = paper_params
+        assert p.at(lam) == (p.a, p.b.value_at(lam), p.c.value_at(lam))
+
+    def test_refuses_a_lambda_where_b_dips_below_zero(self):
+        # b(lam) = (lam - 0.0011)^2 - 1e-8 < 0 only on (0.001, 0.0012), between
+        # validate's samples, so the system passes validate
+        params = SystemParams(a=1.0, b=LambdaPoly((1.2e-6, -2.2e-3, 1.0)),
+                              c=LambdaPoly.constant(1.0))
+        assert validate(SwitchedSystem.linear(params))
+        with pytest.raises(DomainError, match=r"^b\(0\.0011\) = -1\.0\d*e-08 and "
+                                              r"c\(0\.0011\) = 1\.0 must both be positive$"):
+            params.at(0.0011)
+        with pytest.raises(DomainError, match="outside parameter interval"):
+            params.at(1.0)
 
 
 class TestEvalField:
