@@ -186,18 +186,9 @@ def fit_local_expansion(sys: SwitchedSystem, lam: float, cfg: IntegratorConfig,
 
 @functools.cache
 def _gauss_legendre(n: int = 16) -> tuple[np.ndarray, np.ndarray]:
-    """Nodes and weights of the n-point Gauss-Legendre rule on [-1, 1]:
-    Newton's method on the Legendre polynomial P_n from its asymptotic
-    nodes, with P_n and P_n' from the three-term recurrence (numpy only,
-    which keeps LAPACK and its workspace out of the branch run)."""
-    x = np.cos(math.pi * (np.arange(1, n + 1) - 0.25) / (n + 0.5))
-    for _ in range(8):
-        p_prev, p = np.ones(n), x
-        for j in range(2, n + 1):
-            p_prev, p = p, ((2 * j - 1) * x * p - (j - 1) * p_prev) / j
-        dp = n * (x * p - p_prev) / (x * x - 1.0)
-        x = x - p / dp
-    return x, 2.0 / ((1.0 - x * x) * dp * dp)
+    """Nodes and weights of the n-point Gauss-Legendre rule on [-1, 1]."""
+    from numpy.polynomial.legendre import leggauss   # at module level it slows start-up
+    return leggauss(n)
 
 
 def leading_coefficient(sys: SwitchedSystem, lam: float) -> tuple[float, int]:

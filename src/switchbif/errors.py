@@ -96,7 +96,7 @@ class StiffnessError(IntegrationError):
 
 
 class EscapeError(IntegrationError):
-    """A state lies outside the bounding box, max-norm 1e6."""
+    """The start or a trial state lies outside the bounding box, max-norm 1e6, or is NaN."""
 
 
 # -- solver / estimator failures ----------------------------------------------

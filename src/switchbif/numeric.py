@@ -15,15 +15,16 @@ evaluations) to ``event_tol`` times the state scale; one step of that length
 and a first-order move along the field then put the event state on the axis.
 
 The result is one time-ordered table, a row per accepted step and per
-switching event.  An arc, the rows between two event rows, follows the
-field of the open quadrant containing its interior; ``integrate`` takes
-one pass per arc, whose step loop ends at the step that crosses the exit
-semi-axis, and each row records the quadrant of the arc that reached it.
-A stop at t_max ends at the first row that leaves at most the step
-floor before t_max: t_max itself, or an event row at or past it.  Every arc
-end is checked by one rule: the ending arc's field crosses its exit
-semi-axis outward and transversally, and the clockwise successor's field
-carries on across it.  A start on an axis counts as the end of an arc of
+switching event.  An arc, the rows between two event rows, follows the field
+of the open quadrant containing its interior; ``integrate`` takes one pass per
+arc, whose step loop ends at the step that crosses the exit semi-axis, and
+each row records the quadrant of the arc that reached it.  A stop at t_max
+ends at the first row that leaves at most the step floor before t_max: t_max
+itself, or an event row at or past it.  A return stop counts events: after a
+first arc of quadrant q, the arc of Q1 ends on the positive x1-axis at event
+int(q).  Every arc end is checked by one rule: the ending arc's field crosses
+its exit semi-axis outward and transversally, and the clockwise successor's
+field carries on across it.  A start on an axis counts as the end of an arc of
 the half-open region that holds it, so it leaves that axis clockwise too.
 
 ``poincare_numeric`` is one revolution of the return map on the positive
@@ -359,10 +360,11 @@ def integrate(sys: SwitchedSystem, x0, lam: float, stop, cfg: IntegratorConfig,
     Raises DomainError where ``sys.params.at(lam)`` does, TangencyError on
     non-transversal or sliding crossings, BudgetError when the event budget
     or per-arc time budget is exhausted, StiffnessError on step underflow,
-    EscapeError when the start (NaN too), an accepted state or, where the
-    field points outward, a rejected trial state lies outside the bounding
-    box, and OriginError when a state lies below the smallest normal float.  A start within 4 * event_tol * |x0| of an axis ends
-    an arc of the region holding the point snapped onto that axis and is
+    EscapeError when the start or a trial state lies outside the bounding
+    box, NaN too, unless the step is rejected and x . f(x) <= 0 at the
+    accepted state, and OriginError when a state lies below the smallest
+    normal float.  A start within 4 * event_tol * |x0| of an axis ends an
+    arc of the region holding the point snapped onto that axis and is
     checked like every switching event, but it is not recorded as one.
     ``fields`` is ``_compiled_fields(sys, lam)`` when the caller holds it.
     """
@@ -377,7 +379,6 @@ def integrate(sys: SwitchedSystem, x0, lam: float, stop, cfg: IntegratorConfig,
     if not isinstance(stop, (StopAtTime, StopAfterEvents, StopOnReturn)):
         raise TypeError(f"unsupported stop condition: {stop!r}")
     t_target = stop.t_max if isinstance(stop, StopAtTime) else math.inf
-    events_target = stop.count if isinstance(stop, StopAfterEvents) else math.inf
     rel_tol, abs_tol, event_tol = cfg.rel_tol, cfg.abs_tol, cfg.event_tol
 
     if fields is None:
@@ -389,13 +390,14 @@ def integrate(sys: SwitchedSystem, x0, lam: float, stop, cfg: IntegratorConfig,
         q, (k11, k12) = _leave(fields, q, x1, x2, 0.0)
     else:
         k11, k12 = fields[int(q)](x1, x2)
+    events_target = (stop.count if isinstance(stop, StopAfterEvents)
+                     else int(q) if isinstance(stop, StopOnReturn) else math.inf)
 
     rows = [(0.0, x1, x2, int(q))]
     events: list[int] = []
-    t, h, returned = 0.0, _H0, False
+    t, h = 0.0, _H0
     # one pass per arc: q's field from (x1, x2) at t, with first stage (k11, k12)
-    while (len(events) < events_target and not returned
-           and t_target - t > _H_FLOOR * max(1.0, abs(t))):
+    while len(events) < events_target and t_target - t > _H_FLOOR * max(1.0, abs(t)):
         if len(events) >= _MAX_ARCS:
             raise BudgetError(f"switching-event budget exhausted ({_MAX_ARCS})")
         f, (gidx, s_g, _, _), t_arc, h_max = fields[int(q)], REGIONS[q], t, _MAX_STEP
@@ -427,10 +429,11 @@ def integrate(sys: SwitchedSystem, x0, lam: float, stop, cfg: IntegratorConfig,
             factor = (min(_MAX_FACTOR, max(_MIN_FACTOR, _SAFETY * err ** -_EXPO)) if err
                       else _MAX_FACTOR)
 
-            if err > 1.0:   # a rejected trial state escapes only where the field points out
-                if max(abs(u1), abs(u2)) > _ESCAPE_RADIUS and x1 * k11 + x2 * k12 > 0.0:
-                    raise EscapeError(
-                        f"trajectory left the bounding box near t = {t}: ({u1}, {u2})")
+            # outside the box (NaN too): escape, unless rejected where x . f(x) <= 0
+            if (not (abs(u1) <= _ESCAPE_RADIUS and abs(u2) <= _ESCAPE_RADIUS)
+                    and (err <= 1.0 or x1 * k11 + x2 * k12 > 0.0)):
+                raise EscapeError(f"trajectory left the bounding box near t = {t}: ({u1}, {u2})")
+            if err > 1.0:
                 h = h_max = h * factor   # the step after a rejection does not grow
                 continue
             if max(abs(u1), abs(u2)) < _FLOAT_MIN:
@@ -454,8 +457,6 @@ def integrate(sys: SwitchedSystem, x0, lam: float, stop, cfg: IntegratorConfig,
             t = t_target if clipped else t + h
             x1, x2 = u1, u2
             rows.append((t, x1, x2, int(q)))
-            if max(abs(x1), abs(x2)) > _ESCAPE_RADIUS:
-                raise EscapeError(f"trajectory left the bounding box at t = {t}: ({x1}, {x2})")
             if t_target - t <= _H_FLOOR * max(1.0, abs(t)):
                 break   # no step fits before t_target: the outer loop ends too
             if t - t_arc > _MAX_ARC_TIME:
@@ -467,7 +468,6 @@ def integrate(sys: SwitchedSystem, x0, lam: float, stop, cfg: IntegratorConfig,
             t, (x1, x2) = _locate_crossing(f, q, t, x1, x2, h, u1, u2, stages, tol_x)
             events.append(len(rows))
             rows.append((t, x1, x2, int(q)))
-            returned = isinstance(stop, StopOnReturn) and q == Quadrant.Q1
             # the next arc's field at the event state is its first stage
             q, (k11, k12) = _leave(fields, q, x1, x2, t)
 

@@ -298,6 +298,13 @@ class TestContinueBranch:
         assert res.points == ()
         assert res.no_orbit == (-0.05,)
 
+    def test_crossing_step_beyond_the_box_is_no_orbit(self, paper_system):
+        # at rel_tol 0.5 the larger scan amplitudes take crossing steps that
+        # end far outside the bounding box: they escape, and no orbit is found
+        res = continue_branch(paper_system, [0.02, 0.1, 0.5], IntegratorConfig(0.5))
+        assert res.points == ()
+        assert res.no_orbit == (0.02, 0.1, 0.5)
+
     def test_no_orbit_at_the_weak_focus(self, paper_system, cfg):
         # delta(0) = 1 and the cubic term contracts: every small-amplitude
         # residual is noise, and noise must not bracket an orbit

@@ -498,6 +498,17 @@ class TestErrorContract:
         assert code == 2
         assert "EscapeError" in err
 
+    def test_crossing_step_beyond_the_box_is_no_orbit(self, capsys, tmp_path):
+        # a crossing step that leaves the bounding box is an escape, not a
+        # failed event location, so the branch reports no orbit
+        doc = json.loads(emit_canonical(paper_example_config()))
+        doc["integrator"] = {"rel_tol": 0.5}
+        path = write_json(tmp_path / "loose.json", doc)
+        code, out, err = run(capsys, ["branch", "--config", path, "--lambdas", "0.02,0.1,0.5",
+                                      "--out", str(tmp_path)])
+        assert code == 2 and out == ""
+        assert err.count("\n") == 1 and err.startswith("switchbif: error: NoOrbitError")
+
     def test_deeply_nested_expression_is_one_line_user_error(self, capsys):
         nested = "(" * 1000 + "0" + ")" * 1000
         code, _, err = run(capsys, ["paper-example", "classify", "--lambda", nested])

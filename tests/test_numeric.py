@@ -143,6 +143,22 @@ class TestIntegrate:
             with pytest.raises(EscapeError):
                 integrate(paper_system, x0, 0.1, StopOnReturn(), cfg)
 
+    @pytest.mark.parametrize("ret", [half_return, poincare_numeric])
+    def test_crossing_step_beyond_the_box_escapes(self, paper_system, ret):
+        # at rel_tol 0.5 an accepted step from x1 = 2.1 crosses its exit
+        # semi-axis and ends at (4.4e25, 2.4e25): it is judged before any
+        # event location, like every other trial state
+        with pytest.raises(EscapeError):
+            ret(paper_system, 2.1, 0.02, IntegratorConfig(0.5))
+
+    def test_nan_trial_state_escapes(self, paper_system, cfg, rhs_evals):
+        # the first trial step overflows to a NaN state where the field points
+        # out: 13 RHS evals (2 at the start, 11 for the step), not a shrinking
+        # step to StiffnessError
+        with pytest.raises(EscapeError):
+            half_return(paper_system, 8.388608, -0.175867197871665, cfg)
+        assert rhs_evals[0] <= 13
+
     def test_event_budget_raises(self, cfg, monkeypatch):
         sys = make_linear_system(0.5, 2.0, 1.0)
         stop = StopAfterEvents(10)
@@ -464,6 +480,24 @@ class TestHalfReturn:
     def test_rejects_start_off_the_positive_axis(self, paper_system, cfg):
         with pytest.raises(SideError):
             half_return(paper_system, -0.5, 0.1, cfg)
+
+
+class TestStopOnReturn:
+    @pytest.mark.parametrize("x0, n_events", [
+        ((0.6, 0.3), 1), ((-0.4, 0.5), 2), ((-0.5, -0.2), 3), ((0.3, -0.6), 4),
+        ((0.0, 0.7), 1), ((-0.4, 0.0), 2), ((0.0, -0.3), 3), ((0.5, 0.0), 4),
+        ((0.5, 1e-13), 4)])
+    def test_ends_at_the_first_event_on_the_positive_x1_axis(self, paper_system, cfg,
+                                                             x0, n_events):
+        # an arc of quadrant q reaches the positive x1-axis at event int(q),
+        # from interior starts and from starts on (or next to) each semi-axis
+        traj = integrate(paper_system, x0, 0.1, StopOnReturn(), cfg)
+        assert len(traj.events) == int(traj.quadrants[0]) == n_events
+        counted = integrate(paper_system, x0, 0.1, StopAfterEvents(n_events), cfg)
+        for name in ("times", "states", "quadrants", "events"):
+            np.testing.assert_array_equal(getattr(traj, name), getattr(counted, name))
+        assert traj.events[-1] == len(traj.times) - 1
+        assert traj.states[-1, 1] == 0.0 < traj.states[-1, 0]
 
 
 class TestStopAtEventTime:
