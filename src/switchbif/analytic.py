@@ -111,10 +111,13 @@ def delta(params: SystemParams, lam: float) -> float:
     Raises DomainError when the index leaves the floating-point range.
     """
     a, b, c = params.at(lam)
-    try:
-        return (b / c) ** 2 * math.exp(-2.0 * math.pi * a / math.sqrt(b * c))
+    try:   # b / c overflows to inf, and the power to OverflowError
+        d = (b / c) ** 2 * math.exp(-2.0 * math.pi * a / math.sqrt(b * c))
     except OverflowError:
-        raise DomainError(f"delta({lam}) overflows the floating-point range") from None
+        d = math.inf
+    if not math.isfinite(d):
+        raise DomainError(f"delta({lam}) overflows the floating-point range")
+    return d
 
 
 def delta_prime(params: SystemParams, lam: float) -> float:

@@ -104,14 +104,15 @@ class SystemParams:
 
     def at(self, lam: float) -> tuple[float, float, float]:
         """(a, b(lam), c(lam)).  Raises DomainError outside the parameter interval
-        and where b or c is not positive (nan too): every closed form and field
-        assumes the spirals -a +/- i sqrt(b c)."""
+        and where b or c is not positive (nan too) or not finite: every closed
+        form and field assumes the spirals -a +/- i sqrt(b c)."""
         lo, hi = self.lambda_domain
         if not (lo < lam < hi):
             raise DomainError(f"lambda = {lam} outside parameter interval ({lo}, {hi})")
         b, c = self.b.value_at(lam), self.c.value_at(lam)
-        if not (b > 0.0 and c > 0.0):
-            raise DomainError(f"b({lam}) = {b} and c({lam}) = {c} must both be positive")
+        if not (0.0 < b < math.inf and 0.0 < c < math.inf):
+            rule = "finite" if b > 0.0 and c > 0.0 else "positive"
+            raise DomainError(f"b({lam}) = {b} and c({lam}) = {c} must both be {rule}")
         return self.a, b, c
 
 
@@ -327,14 +328,14 @@ class ValidationReport:
         return self.passed
 
 
-_N_LAMBDA_SAMPLES = 1001  # equispaced lambdas on which validate checks b, c > 0
+_N_LAMBDA_SAMPLES = 1001  # equispaced lambdas on which validate checks 0 < b, c < inf
 
 
 def validate(sys: SwitchedSystem) -> ValidationReport:
     """Check the standing assumptions and report every violation found.
 
-    Checks: a > 0; b(lam) > 0 and c(lam) > 0 on an equispaced sample of
-    the parameter interval including both endpoints and 0; every
+    Checks: a > 0; b(lam) and c(lam) positive and finite on an equispaced
+    sample of the parameter interval including both endpoints and 0; every
     perturbation monomial has total degree >= 2.  Positivity checking by
     sampling can falsify but not prove.
     """
@@ -347,11 +348,13 @@ def validate(sys: SwitchedSystem) -> ValidationReport:
     samples = np.linspace(lo, hi, _N_LAMBDA_SAMPLES)
     samples = np.append(samples, 0.0)
     for name, poly in (("b", p.b), ("c", p.c)):
-        vals = poly.value_at(samples)
-        bad = np.nonzero(vals <= 0.0)[0]
+        with np.errstate(over="ignore", invalid="ignore"):
+            vals = poly.value_at(samples)
+        bad = np.nonzero(~((vals > 0.0) & (vals < np.inf)))[0]
         if bad.size:
-            w = samples[bad[0]]
-            violations.append(f"{name}(lambda) <= 0 at lambda = {w} ({name} = {vals[bad[0]]})")
+            w, v = samples[bad[0]], vals[bad[0]]
+            rule = "<= 0" if v <= 0.0 else "is not finite"
+            violations.append(f"{name}(lambda) {rule} at lambda = {w} ({name} = {v})")
 
     for q in Quadrant:
         pert = sys.perturbation(q)

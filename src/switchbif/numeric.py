@@ -11,8 +11,8 @@ the four coordinate semi-axes, so the event function on an arc is the
 coordinate that vanishes on its quadrant's exit semi-axis in
 ``model.REGIONS``.  A sign change over an accepted step is located by
 ``rootfind.brent`` on the step's 7th-order dense output (II.6, 4 more RHS
-evaluations) to ``event_tol`` times the state scale; one step of that length
-and a first-order move along the field then put the event state on the axis.
+evaluations) to ``event_tol`` times the state scale, and one step of that
+length and the field there give the state that ends the arc.
 
 The result is one time-ordered table, a row per accepted step and per
 switching event.  An arc, the rows between two event rows, follows the field
@@ -22,10 +22,10 @@ each row records the quadrant of the arc that reached it.  A stop at t_max
 ends at the first row that leaves at most the step floor before t_max: t_max
 itself, or an event row at or past it.  A return stop counts events: after a
 first arc of quadrant q, the arc of Q1 ends on the positive x1-axis at event
-int(q).  Every arc end is checked by one rule: the ending arc's field crosses
-its exit semi-axis outward and transversally, and the clockwise successor's
-field carries on across it.  A start on an axis counts as the end of an arc of
-the half-open region that holds it, so it leaves that axis clockwise too.
+int(q).  ``_leave`` ends every arc: the arc's field must cross its exit
+semi-axis outward and transversally, a first-order move along it places the
+state on the axis, and the clockwise successor's field there must carry on
+across it.  A start on or next to an axis ends an arc of the region holding it.
 
 ``poincare_numeric`` is one revolution of the return map on the positive
 x1-axis, ``half_return`` half of one for point-symmetric systems;
@@ -36,6 +36,7 @@ the linear part, which ``integrate`` computes alike at every amplitude.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -66,8 +67,8 @@ class IntegratorConfig:
     ``integrate`` alone sizes the tolerances to the state, with |x| the
     max-norm of the current state: step error control scales the DOP853
     pair's error estimates by abs_tol * min(1, |x|) + rel_tol * |x_i| in
-    coordinate i, and every event-side tolerance (crossing location,
-    on-axis start, wrong-axis guard) is a multiple of event_tol * |x|, so a linear system
+    coordinate i, and both event-side tolerances (crossing location, on-axis
+    start) are multiples of event_tol * |x|, so a linear system
     integrates scale-invariantly below |x| = 1.  The derived
     abs_tol = min(rel_tol, 1e-10) and event_tol = min(1e-12, rel_tol / 100)
     are 1e-10 and 1e-12 for every rel_tol >= 1e-10.  The event budget, the
@@ -141,8 +142,11 @@ class StopAfterEvents:
     count: int
 
     def __post_init__(self):
-        if not (1 <= self.count <= _MAX_ARCS):
-            raise ValueError(f"event count must be in [1, {_MAX_ARCS}], got {self.count!r}")
+        if (isinstance(self.count, bool) or not hasattr(self.count, "__index__")
+                or not 1 <= self.count <= _MAX_ARCS):
+            raise ValueError(f"event count must be an integer in [1, {_MAX_ARCS}], "
+                             f"got {self.count!r}")
+        object.__setattr__(self, "count", operator.index(self.count))
 
 
 @dataclass(frozen=True)
@@ -305,47 +309,37 @@ def _compiled_fields(sys: SwitchedSystem, lam: float) -> dict[int, object]:
     return {int(q): shared[fr] for q, fr in zip(Quadrant, frozen)}
 
 
-def _leave(fields, q: Quadrant, x1: float, x2: float, t: float):
-    """(successor, its field value) where an arc of ``q`` ends at (x1, x2).
-
-    Raises TangencyError unless the state lies on q's exit semi-axis,
-    q's field crosses it outward and transversally, and the clockwise
-    successor's field carries on across it (no sliding).
-    """
-    gidx, s_g, _, q_next = REGIONS[q]
-    _check_exit(q, x1, x2, fields[int(q)](x1, x2), t)
-    k = fields[int(q_next)](x1, x2)
-    if not (k[gidx] * s_g < 0.0):
-        raise TangencyError(f"fields disagree at the switching manifold at t = {t} "
-                            f"(sliding contact), x = ({x1}, {x2})")
-    return q_next, k
-
-
-def _check_exit(q: Quadrant, x1: float, x2: float, d, t: float):
-    """Raise TangencyError unless q's field value d at (x1, x2), on q's exit
-    semi-axis, crosses that semi-axis outward and transversally."""
-    gidx, s_g, s_o, _ = REGIONS[q]
+def _leave(fields, q: Quadrant, x1: float, x2: float, d, t: float):
+    """(successor, its field value, time, state) that end an arc of ``q`` next
+    to (x1, x2) at t, where q's field is d: the state moved along d, for time
+    -g / g', onto q's exit semi-axis.  Raises TangencyError unless the state is
+    beside that semi-axis and d crosses it outward and transversally, and unless
+    the clockwise successor's field at the moved state carries on across it."""
+    gidx, s_g, s_o, q_next = REGIONS[q]
     if not ((x1, x2)[1 - gidx] * s_o > 0.0
             and d[gidx] * s_g < -_TANGENCY_TOL * max(math.hypot(*d), 1e-300)):
         raise TangencyError(f"an arc of quadrant {int(q)} cannot end at t = {t}, "
                             f"x = ({x1}, {x2}): its field must cross its exit semi-axis "
                             "there outward and transversally")
+    dt = -(x1, x2)[gidx] / d[gidx]
+    x = (0.0, x2 + dt * d[1]) if gidx == 0 else (x1 + dt * d[0], 0.0)
+    k = fields[int(q_next)](*x)
+    if not (k[gidx] * s_g < 0.0):
+        raise TangencyError(f"fields disagree at the switching manifold at t = {t + dt} "
+                            f"(sliding contact), x = ({x[0]}, {x[1]})")
+    return q_next, k, t + dt, x
 
 
 def _locate_crossing(f, q: Quadrant, t, x1, x2, h, u1, u2, k, tol_g):
-    """(time, state) where the arc of ``q`` crosses its exit semi-axis g = 0 in
-    the step from (x1, x2) at t to (u1, u2) at t + h with stages k: brent on the
-    step's dense output for the length tau, one 8th-order step of size tau, and
-    a first-order move along the field, of time -g / g', onto the axis.  Raises
-    TangencyError (``_check_exit``) where the field does not cross there."""
+    """(time, state, f there) where the arc of ``q`` crosses its exit semi-axis
+    g = 0 in the step from (x1, x2) at t to (u1, u2) at t + h with stages k:
+    brent on the step's dense output for the length tau, and one 8th-order step
+    of size tau.  ``_leave`` checks the crossing and puts the state on the axis."""
     gidx = REGIONS[q][0]
     a, b, F = (x1, x2)[gidx], (u1, u2)[gidx], _dense(f, x1, x2, u1, u2, h, k)[gidx]
     tau, _ = brent(lambda s: _interpolate(a, b, F, s / h), 0.0, h, xtol=math.ulp(h), ftol=tol_g)
     v = _rk_stages(f, x1, x2, tau, k[0], k[1])[:2]
-    d = f(*v)
-    _check_exit(q, *v, d, t + tau)   # so the normal velocity d[gidx] is nonzero
-    dt = -v[gidx] / d[gidx]
-    return t + tau + dt, (0.0, v[1] + dt * d[1]) if gidx == 0 else (v[0] + dt * d[0], 0.0)
+    return t + tau, v, f(*v)
 
 
 def integrate(sys: SwitchedSystem, x0, lam: float, stop, cfg: IntegratorConfig,
@@ -358,14 +352,16 @@ def integrate(sys: SwitchedSystem, x0, lam: float, stop, cfg: IntegratorConfig,
     _H_FLOOR * max(1, |t|), before t_max: t_max itself, or an event row at
     or past it.
     Raises DomainError where ``sys.params.at(lam)`` does, TangencyError on
-    non-transversal or sliding crossings, BudgetError when the event budget
+    non-transversal or sliding crossings and on a trial state on or past
+    the axis its arc entered by, BudgetError when the event budget
     or per-arc time budget is exhausted, StiffnessError on step underflow,
     EscapeError when the start or a trial state lies outside the bounding
     box, NaN too, unless the step is rejected and x . f(x) <= 0 at the
     accepted state, and OriginError when a state lies below the smallest
     normal float.  A start within 4 * event_tol * |x0| of an axis ends an
-    arc of the region holding the point snapped onto that axis and is
-    checked like every switching event, but it is not recorded as one.
+    arc of the region holding the point snapped onto that axis: ``_leave``
+    checks it and places it on the axis, as at every switching event, and
+    row 0 holds the placed state, which is not recorded as an event.
     ``fields`` is ``_compiled_fields(sys, lam)`` when the caller holds it.
     """
     sys.params.at(lam)
@@ -386,10 +382,9 @@ def integrate(sys: SwitchedSystem, x0, lam: float, stop, cfg: IntegratorConfig,
     on_axis_tol = 4.0 * event_tol * norm0
     snapped = tuple(0.0 if abs(v) <= on_axis_tol else v for v in (x1, x2))
     q = region_of(snapped)
-    if 0.0 in snapped:
-        q, (k11, k12) = _leave(fields, q, x1, x2, 0.0)
-    else:
-        k11, k12 = fields[int(q)](x1, x2)
+    k11, k12 = fields[int(q)](x1, x2)
+    if 0.0 in snapped:   # row 0 holds the start placed on the axis
+        q, (k11, k12), _, (x1, x2) = _leave(fields, q, x1, x2, (k11, k12), 0.0)
     events_target = (stop.count if isinstance(stop, StopAfterEvents)
                      else int(q) if isinstance(stop, StopOnReturn) else math.inf)
 
@@ -400,7 +395,7 @@ def integrate(sys: SwitchedSystem, x0, lam: float, stop, cfg: IntegratorConfig,
     while len(events) < events_target and t_target - t > _H_FLOOR * max(1.0, abs(t)):
         if len(events) >= _MAX_ARCS:
             raise BudgetError(f"switching-event budget exhausted ({_MAX_ARCS})")
-        f, (gidx, s_g, _, _), t_arc, h_max = fields[int(q)], REGIONS[q], t, _MAX_STEP
+        f, (gidx, s_g, s_o, _), t_arc, h_max = fields[int(q)], REGIONS[q], t, _MAX_STEP
         while True:   # DOP853 steps, until one crosses q's exit semi-axis or ends at t_target
             clipped = t + h >= t_target
             if clipped:
@@ -439,17 +434,12 @@ def integrate(sys: SwitchedSystem, x0, lam: float, stop, cfg: IntegratorConfig,
             if max(abs(u1), abs(u2)) < _FLOAT_MIN:
                 raise OriginError(f"trajectory decayed below float resolution at t = {t + h}: "
                                   f"({u1}, {u2})")
-            # event-side tolerance relative to the local state scale: the event
-            # time error is then ~ event_tol / rotation_rate regardless of decay
-            tol_x = event_tol * max(abs(x1), abs(x2))
             crossed = not ((u1, u2)[gidx] * s_g > 0.0)
             if crossed:
                 break
-
-            # guard: the non-monitored coordinate must not cross back through
-            # its axis mid-arc (would mean the rotation is not clockwise)
-            o0, o1 = (x1, x2)[1 - gidx], (u1, u2)[1 - gidx]
-            if abs(o0) > 10.0 * tol_x and (o0 > 0.0) != (o1 > 0.0):
+            # an arc starts on its entry semi-axis or inside its quadrant, so a
+            # trial state off the quadrant's side of that axis turns counterclockwise
+            if not ((u1, u2)[1 - gidx] * s_o > 0.0):
                 raise TangencyError(
                     f"trajectory left quadrant {int(q)} through an unexpected axis "
                     f"in the step from t = {t} to {t + h} (rotation is not clockwise)")
@@ -465,11 +455,14 @@ def integrate(sys: SwitchedSystem, x0, lam: float, stop, cfg: IntegratorConfig,
             k11, k12 = f(x1, x2)
             h, h_max = min(h * factor, h_max), _MAX_STEP
         if crossed:
-            t, (x1, x2) = _locate_crossing(f, q, t, x1, x2, h, u1, u2, stages, tol_x)
-            events.append(len(rows))
-            rows.append((t, x1, x2, int(q)))
+            # event-side tolerance relative to the local state scale: the event
+            # time error is then ~ event_tol / rotation_rate regardless of decay
+            t, v, fv = _locate_crossing(f, q, t, x1, x2, h, u1, u2, stages,
+                                        event_tol * max(abs(x1), abs(x2)))
             # the next arc's field at the event state is its first stage
-            q, (k11, k12) = _leave(fields, q, x1, x2, t)
+            ended, (q, (k11, k12), t, (x1, x2)) = int(q), _leave(fields, q, *v, fv, t)
+            events.append(len(rows))
+            rows.append((t, x1, x2, ended))
 
     table = np.array(rows)
     return HybridTrajectory(times=table[:, 0], states=table[:, 1:3],

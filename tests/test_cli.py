@@ -395,6 +395,10 @@ class TestErrorContract:
         ({"b_poly": [1e200], "c_poly": [1]}, ["bifurcate"]),
         ({"b_poly": [1e200], "c_poly": [1]}, ["verify-global", "--n-samples", "100"]),
         ({"b_poly": [1e150, 1], "c_poly": [1e150]}, ["delta-sweep", "--lambdas", "0"]),
+        # b / c overflows to inf without an OverflowError
+        ({"b_poly": [1e300], "c_poly": [1e-300]}, ["classify", "--lambda", "0"]),
+        ({"b_poly": [1e300], "c_poly": [1e-300]}, ["delta-sweep", "--lambdas", "0"]),
+        ({"b_poly": [1e300], "c_poly": [1e-300]}, ["bifurcate"]),
     ], ids=lambda v: str(v))
     def test_overflowing_index_is_one_line_domain_error(self, capsys, tmp_path,
                                                         system, argv):
@@ -421,6 +425,17 @@ class TestErrorContract:
         assert err.count("\n") == 1 and err.startswith("switchbif: error: DomainError: b(0.0011)")
         assert err.endswith("and c(0.0011) = 1.0 must both be positive\n")
         assert (json.loads(out)["error"] == "DomainError") if error_json else out == ""
+
+    def test_overflowing_coefficient_is_one_line_validation_error(self, capsys, tmp_path):
+        # b(lam) = 1 + lam^2 overflows to inf near the ends of the interval
+        doc = {"system": {"a": 1, "b_poly": [1, 0, 1], "c_poly": [1],
+                          "lambda_domain": [-1e300, 1e300]}}
+        argv = ["simulate", "--config", write_json(tmp_path / "inf.json", doc),
+                "--x0", "1,0", "--t-max", "1", "--lambda", "1e200"]
+        code, out, err = run(capsys, argv)
+        assert code == 1 and out == ""
+        assert err == ("switchbif: error: ValidationError: b(lambda) is not finite at "
+                       "lambda = -1e+300 (b = inf)\n")
 
     @pytest.mark.parametrize("argv, code, message", [
         (["simulate", "--x0", "1,0", "--t-max", "1"], 2,

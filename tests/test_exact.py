@@ -176,8 +176,9 @@ WORK_PRECISION = {(1e-6, 1e-4): 7.1e-7, (1e-6, 0.5): 4.8e-7,
 
 @pytest.mark.parametrize("rel_tol,x1", sorted(WORK_PRECISION))
 def test_work_precision(paper_system, rhs_evals, rel_tol, x1):
-    # at the default rel_tol 1e-10, 382 / 500 RHS evals measured (527 / 634
-    # with brent on re-taken steps to locate each crossing)
+    # at the default rel_tol 1e-10, 378 / 496 RHS evals measured (382 / 500
+    # with the ending arc's field re-evaluated at each event, 527 / 634 with
+    # brent on re-taken steps to locate each crossing)
     s = poincare_numeric(paper_system, x1, 0.1, IntegratorConfig(rel_tol))
     exact = exact_return(0.1, x1)
     assert abs(s.x1_out - exact) <= WORK_PRECISION[rel_tol, x1] * exact

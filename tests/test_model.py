@@ -179,6 +179,16 @@ class TestAt:
         with pytest.raises(DomainError, match="outside parameter interval"):
             params.at(1.0)
 
+    def test_refuses_a_lambda_where_b_overflows(self):
+        # b(1e200) = 1 + 1e400 overflows to inf, which validate's samples report
+        params = SystemParams(a=1.0, b=LambdaPoly((1.0, 0.0, 1.0)), c=LambdaPoly.constant(1.0),
+                              lambda_domain=(-1e300, 1e300))
+        with pytest.raises(DomainError, match=r"^b\(1e\+200\) = inf and c\(1e\+200\) = 1\.0 "
+                                              r"must both be finite$"):
+            params.at(1e200)
+        report = validate(SwitchedSystem.linear(params))
+        assert report.violations == ("b(lambda) is not finite at lambda = -1e+300 (b = inf)",)
+
 
 class TestEvalField:
     def test_linear_part_only(self):

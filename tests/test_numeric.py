@@ -357,16 +357,18 @@ class TestEventLocationCost:
 
     @pytest.mark.parametrize("x1", [0.5, 1e-4])
     def test_one_return_budget(self, paper_config, rhs_evals, x1):
-        # 500 and 382 measured (634 and 527 with brent on re-taken steps,
-        # 1,300 and 1,288 with the 5(4) pair)
+        # 496 and 378 measured (500 and 382 with the ending arc's field
+        # re-evaluated at each event, 634 and 527 with brent on re-taken
+        # steps, 1,300 and 1,288 with the 5(4) pair)
         poincare_numeric(paper_config.system, x1, 0.1, paper_config.integrator)
         assert 0 < rhs_evals[0] <= 550
 
     def test_one_crossing_costs_16_evals(self, paper_system, cfg):
         # the dense output's 4 stages, one step to the located time and the
-        # field there for the move onto the axis
+        # field there, which _leave takes for the move onto the axis
         calls = []
-        field = numeric._compiled_fields(paper_system, 0.1)[1]
+        fields = numeric._compiled_fields(paper_system, 0.1)
+        field = fields[1]
 
         def f(x1, x2):
             calls.append((x1, x2))
@@ -375,14 +377,38 @@ class TestEventLocationCost:
         u1, u2, *_, stages = numeric._rk_stages(f, *x, h, *f(*x))
         assert u2 < 0.0 < u1
         calls.clear()
-        t, state = numeric._locate_crossing(f, Quadrant.Q1, 0.0, *x, h, u1, u2, stages, 1e-13)
+        t, v, d = numeric._locate_crossing(f, Quadrant.Q1, 0.0, *x, h, u1, u2, stages, 1e-13)
+        _, _, t, state = numeric._leave({**fields, 1: f}, Quadrant.Q1, *v, d, t)
         assert 0.0 < t < h and state[1] == 0.0 and len(calls) == 16
+
+    def test_one_event_costs_17_evals_none_of_the_ending_field_there(self, paper_system, cfg):
+        # between f at the row before an event and the next arc's first stage:
+        # the crossing step's 11 stages, the crossing's 16 evals and the
+        # successor's field at the placed event state, the only field
+        # evaluated there
+        calls = []
+
+        def spy(q, f):
+            def g(x1, x2):
+                calls.append((q, x1, x2))
+                return f(x1, x2)
+            return g
+        fields = {q: spy(q, f) for q, f in numeric._compiled_fields(paper_system, 0.1).items()}
+        traj = integrate(paper_system, (0.5, 0.0), 0.1, StopOnReturn(), cfg, fields=fields)
+        assert len(traj.events) == 4
+        for i in traj.events.tolist():
+            q, (x_prev, x) = int(traj.quadrants[i]), traj.states[i - 1:i + 1].tolist()
+            assert (q, *x) not in calls
+            end = calls.index((int(clockwise_successor(q)), *x))
+            start = max(j for j, call in enumerate(calls[:end]) if call == (q, *x_prev))
+            assert end - start == 11 + 17
 
     def test_paper_branch_budget(self, paper_config, rhs_evals):
         # half returns on the point-symmetric paper example, the first
         # parameter value seeded from the leading coefficient and h(10)
-        # deciding four grid points above its orbit: 7,769 RHS evals
-        # measured (9,657 with brent on re-taken steps to locate each
+        # deciding four grid points above its orbit: 7,711 RHS evals
+        # measured (7,769 with the ending arc's field re-evaluated at each
+        # event, 9,657 with brent on re-taken steps to locate each
         # crossing, 11,895 with the whole grid above the orbit integrated,
         # 17,099 with the first value scanned in 32 returns, 35,610 with the
         # 5(4) pair, 68,654 with full returns)
@@ -413,7 +439,8 @@ class TestEventLocationCost:
 def retaken_crossing(f, q, t, x1, x2, h, u1, u2, k, tol_g):
     """Reference for ``numeric._locate_crossing``: brent on the monitored
     coordinate g(tau) after one 8th-order step of size tau, each evaluation a
-    re-taken step; the bracket ends and every state evaluated are kept."""
+    re-taken step; the bracket ends and every state evaluated are kept, and
+    the field at the located state is returned for ``numeric._leave``."""
     gidx = REGIONS[q][0]
     states = {0.0: (x1, x2), h: (u1, u2)}
 
@@ -423,7 +450,7 @@ def retaken_crossing(f, q, t, x1, x2, h, u1, u2, k, tol_g):
         return states[tau][gidx]
 
     tau, _ = brent(g, 0.0, h, xtol=math.ulp(h), ftol=tol_g)
-    return t + tau, states[tau]
+    return t + tau, states[tau], f(*states[tau])
 
 
 class TestCrossingLocation:
@@ -464,8 +491,9 @@ class TestCrossingLocation:
         x, h = (0.5, 0.25 ** 3), 0.5
         u1, u2, *_, stages = numeric._rk_stages(f, *x, h, *f(*x))
         assert u2 < 0.0
+        t, v, d = numeric._locate_crossing(f, Quadrant.Q1, 0.0, *x, h, u1, u2, stages, 1e-13)
         with pytest.raises(TangencyError, match="quadrant 1 cannot end at t = 0.2499"):
-            numeric._locate_crossing(f, Quadrant.Q1, 0.0, *x, h, u1, u2, stages, 1e-13)
+            numeric._leave({1: f, 4: f}, Quadrant.Q1, *v, d, t)
 
 
 class TestHalfReturn:
@@ -563,14 +591,22 @@ class TestCrossingRule:
         assert traj.quadrants[0] == first and traj.events.tolist() == [len(traj.times) - 1]
         assert traj.times[traj.events[0]] > 0.1
 
+    def test_start_next_to_an_axis_is_placed_on_it(self, paper_system, cfg):
+        # x2 = 1e-13 is within 4 * event_tol * |x0| of the positive x1-axis
+        traj = integrate(paper_system, (0.5, 1e-13), 0.1, StopAfterEvents(1), cfg)
+        assert traj.times[0] == 0.0 and traj.states[0, 1] == 0.0
+        assert traj.states[0, 0] == pytest.approx(0.5, rel=1e-12)
+        assert traj.quadrants[0] == Quadrant.Q4
+
     def test_state_off_the_exit_semi_axis_raises(self):
         # both fields point down, but only the positive x1-axis closes region 1
         def down(x1, x2):
             return 0.0, -1.0
         fields = {1: down, 4: down}
-        assert numeric._leave(fields, Quadrant.Q1, 0.5, 0.0, 0.0) == (Quadrant.Q4, (0.0, -1.0))
+        assert (numeric._leave(fields, Quadrant.Q1, 0.5, 0.0, (0.0, -1.0), 0.0)
+                == (Quadrant.Q4, (0.0, -1.0), 0.0, (0.5, 0.0)))
         with pytest.raises(TangencyError, match="quadrant 1 cannot end"):
-            numeric._leave(fields, Quadrant.Q1, -0.5, 0.0, 0.0)
+            numeric._leave(fields, Quadrant.Q1, -0.5, 0.0, (0.0, -1.0), 0.0)
 
     def test_mid_arc_wrong_axis_raises(self, cfg):
         # from (0.5, -0.1) region 4's field swings the trajectory up
@@ -678,11 +714,15 @@ class TestIntegratorConfig:
 class TestStopConditions:
     @pytest.mark.parametrize("make", [lambda: StopAtTime(-1.0), lambda: StopAtTime(math.nan),
                                       lambda: StopAfterEvents(0),
-                                      lambda: StopAfterEvents(numeric._MAX_ARCS + 1)],
-                             ids=["t_max<0", "t_max=nan", "count=0", "count>budget"])
+                                      lambda: StopAfterEvents(numeric._MAX_ARCS + 1),
+                                      lambda: StopAfterEvents(2.5), lambda: StopAfterEvents(True),
+                                      lambda: StopAfterEvents("2")],
+                             ids=["t_max<0", "t_max=nan", "count=0", "count>budget",
+                                  "count=2.5", "count=True", "count='2'"])
     def test_rejects_bad_argument(self, make):
         with pytest.raises(ValueError):
             make()
 
     def test_event_budget_is_a_valid_count(self):
         assert StopAfterEvents(numeric._MAX_ARCS).count == numeric._MAX_ARCS
+        assert type(StopAfterEvents(np.int64(2)).count) is int   # numpy integers too
