@@ -53,6 +53,13 @@ class OriginClass(enum.Enum):
     Unstable = "Unstable"
 
 
+def _spiral(params: SystemParams, lam: float) -> tuple[float, float, float]:
+    """(a, w, r): eigenvalues -a +/- i w, w = sqrt(b c), and quarter-turn scaling
+    r = sqrt(b/c) at ``lam``, by roots of b and c apart, in range wherever b, c are."""
+    a, b, c = params.at(lam)
+    return a, math.sqrt(b) * math.sqrt(c), math.sqrt(b) / math.sqrt(c)
+
+
 def flow_linear(q: Quadrant, x0, t: float, params: SystemParams, lam: float) -> np.ndarray:
     """Exact solution of the linear flow of region ``q`` after time ``t``.
 
@@ -61,18 +68,14 @@ def flow_linear(q: Quadrant, x0, t: float, params: SystemParams, lam: float) -> 
         x1(t) = e^{-a t} (x10 cos(w t) + s x20 sin(w t))
         x2(t) = e^{-a t} (-(x10/s) sin(w t) + x20 cos(w t))
 
-    with w = sqrt(b c) and s = sqrt(b/c) for regions 1, 3
-    (s = sqrt(c/b) for regions 2, 4), which is free of the branch
-    ambiguities of an amplitude-phase representation.  ``t`` and the
+    with w and r of ``_spiral``, s = r for regions 1, 3 and s = 1/r for
+    regions 2, 4, which is free of the branch ambiguities of an
+    amplitude-phase representation.  ``t`` and the
     entries of ``x0`` may be numpy arrays of one shape; the result then
     stacks both coordinates, shape (2, ...).
     """
-    a, b, c = params.at(lam)
-    w = math.sqrt(b * c)
-    if Quadrant(q) in (Quadrant.Q1, Quadrant.Q3):
-        s = math.sqrt(b / c)
-    else:
-        s = math.sqrt(c / b)
+    a, w, r = _spiral(params, lam)
+    s = r if Quadrant(q) in (Quadrant.Q1, Quadrant.Q3) else 1.0 / r
     x10, x20 = x0[0], x0[1]
     damp = np.exp(-a * t)
     cw, sw = np.cos(w * t), np.sin(w * t)
@@ -86,8 +89,8 @@ def section_map(i: int, entry: float, params: SystemParams, lam: float) -> Secti
     """Quarter-turn map ``i``, across the i-th region of ``model.REGIONS`` from
     the previous region's exit semi-axis to its own (map 1: +x2- to +x1-axis).
 
-    Every map scales the entry magnitude by sqrt(b/c) *
-    exp(-a*pi / (2*sqrt(b*c))) and takes time pi / (2*sqrt(b*c)).
+    Every map scales the entry magnitude by r * exp(-a*pi / (2*w)) and
+    takes time pi / (2*w), with w and r of ``_spiral``.
     Raises SideError if ``entry`` does not lie on the source open
     semi-axis for map ``i``.
     """
@@ -98,9 +101,8 @@ def section_map(i: int, entry: float, params: SystemParams, lam: float) -> Secti
     if entry * entry_sign <= 0.0:
         want = "positive" if entry_sign > 0 else "negative"
         raise SideError(f"section map {i} takes a {want} entry coordinate, got {entry}")
-    a, b, c = params.at(lam)
-    w = math.sqrt(b * c)
-    factor = math.sqrt(b / c) * math.exp(-a * math.pi / (2.0 * w))
+    a, w, r = _spiral(params, lam)
+    factor = r * math.exp(-a * math.pi / (2.0 * w))
     return SectionMapValue(exit_value=exit_sign * abs(entry) * factor,
                            transit_time=math.pi / (2.0 * w))
 
@@ -108,33 +110,32 @@ def section_map(i: int, entry: float, params: SystemParams, lam: float) -> Secti
 def delta(params: SystemParams, lam: float) -> float:
     """Stability index: the linear full-revolution return ratio.
 
-    Raises DomainError when the index leaves the floating-point range.
+    Raises DomainError when the index overflows or underflows to 0.
     """
-    a, b, c = params.at(lam)
-    try:   # b / c overflows to inf, and the power to OverflowError
-        d = (b / c) ** 2 * math.exp(-2.0 * math.pi * a / math.sqrt(b * c))
+    a, w, r = _spiral(params, lam)
+    try:   # r**4 overflows to inf, and exp(+x) to OverflowError
+        d = r * r * r * r * math.exp(-2.0 * math.pi * a / w)
     except OverflowError:
         d = math.inf
-    if not math.isfinite(d):
-        raise DomainError(f"delta({lam}) overflows the floating-point range")
+    if not 0.0 < d < math.inf:
+        raise DomainError(f"delta({lam}) = {d} leaves the floating-point range")
     return d
 
 
 def delta_prime(params: SystemParams, lam: float) -> float:
     """d(delta)/d(lam), by logarithmic differentiation.
 
-    delta' = delta * [2 (b'/b - c'/c) + pi a (b' c + b c') / (b c)^{3/2}],
+    delta' = delta * [2 (b'/b - c'/c) + pi a (b' c + b c') / w^3], b = w r, c = w / r,
     which avoids the cancellation-prone expanded product form.  Raises
-    DomainError when a term leaves the floating-point range.
+    DomainError where delta does and when a term leaves the float range.
     """
-    a, b, c = params.at(lam)
-    bp = params.b.deriv_at(lam)
-    cp = params.c.deriv_at(lam)
+    d = delta(params, lam)
+    a, w, r = _spiral(params, lam)
+    b, c, bp, cp = w * r, w / r, params.b.deriv_at(lam), params.c.deriv_at(lam)
     try:
-        log_deriv = 2.0 * (bp / b - cp / c) + math.pi * a * (bp * c + b * cp) / (b * c) ** 1.5
+        return d * (2.0 * (bp / b - cp / c) + math.pi * a * (bp * c + b * cp) / w ** 3)
     except OverflowError:
         raise DomainError(f"delta'({lam}) overflows the floating-point range") from None
-    return delta(params, lam) * log_deriv
 
 
 def classify_origin(params: SystemParams, lam: float) -> OriginClass:

@@ -10,8 +10,8 @@ periodic orbits bifurcates from the origin (branch for lam > 0 when
 delta_coeff * delta'(0) < 0), with the local amplitude scaling
 lam = gamma * x1**(k-1), gamma = -delta_coeff / delta'(0).
 ``leading_coefficient`` computes k and delta_coeff from the perturbation
-polynomials by the first-order variation of constants along the linear
-flow; ``fit_local_expansion`` fits both from integrated returns.
+polynomials by one quadrature in the linear spiral's phase, where every
+switching line is a fixed angle; ``fit_local_expansion`` fits both.
 
 Branch points are fixed points of the return map pi, or of the half
 return h when pi = h o h, continued over the parameter by
@@ -39,12 +39,12 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .analytic import DELTA_ONE_TOL, delta, delta_prime, flow_linear, section_map
+from .analytic import DELTA_ONE_TOL, _spiral, delta, delta_prime
 from .errors import (DegenerateError, DomainError, InsufficientDataError,
                      IntegrationError, PerturbationTooSmallError)
 from . import numeric
 from .model import (REGIONS, Quadrant, SwitchedSystem, SystemParams, collect_terms,
-                    compile_forms, freeze, is_point_symmetric, linear_matrix)
+                    compile_forms, freeze, is_point_symmetric)
 from .numeric import IntegratorConfig, half_return, poincare_numeric
 from .rootfind import brent, expand_bracket
 
@@ -197,16 +197,15 @@ def leading_coefficient(sys: SwitchedSystem, lam: float) -> tuple[float, int]:
     k is the lowest total degree among the perturbation terms that
     ``model.freeze`` keeps at ``lam``, those with a nonzero coefficient there
     (0, with C = 0.0, when there is none); C is first order in those degree-k
-    terms P_k.  On each quarter-turn, from the unit vector u of its entry
-    semi-axis, the variation of constants gives the first-order displacement
-    z = int_0^T e^{A (T - s)} P_k(e^{A s} u) ds at the linear exit time T,
-    evaluated with 16 Gauss-Legendre nodes on ``flow_linear``; projecting z onto
-    the exit semi-axis along the linear velocity y'(T) = A y(T) corrects the
-    crossing time.  The quarter-turn then maps an entry r to sigma r + c r**k,
-    sigma its section-map factor, and the four from the positive x1-axis
-    compose to C = sum of each c times the later factors sigma and the
-    earlier ones to the power k (Coll, Gasull and Prohens, JMAA 253, 2001;
-    Zou, Kuepper and Beyn, J. Nonlinear Sci. 16, 2006).
+    terms P_k.  In region q, x = (y1, s_q y2), y = rho (cos phi, -sin phi) and
+    s_q = 1/r in regions 1, 3 and r in regions 2, 4 (w, r of ``analytic._spiral``):
+    the linear flow is phi' = w, rho' = -a rho, and rho jumps by s_prev/s_next at
+    each x2-axis, J(phi) the product of those jumps.  With n and t the radial and
+    angular parts cos phi P1 - sin phi P2/s_q and -sin phi P1 - cos phi P2/s_q
+    of P_k on the unit circle, 16 Gauss-Legendre nodes per quarter evaluate
+    C = delta(lam) int_0^{2 pi} (J e^{-a phi/w})^(k-1) (n/w + a t/w^2) dphi (Coll,
+    Gasull and Prohens, JMAA 253, 2001; Henon, Physica D 5, 1982); a C out of
+    the float range is a DomainError.
     """
     frozen = freeze(sys, lam)
     k = min((t[1] + t[2] for fr in frozen for comp in fr[4:] for t in comp), default=0)
@@ -214,20 +213,24 @@ def leading_coefficient(sys: SwitchedSystem, lam: float) -> tuple[float, int]:
         return 0.0, 0
     p_k = compile_forms(*(tuple(t for t in comp if t[1] + t[2] == k)
                           for fr in frozen for comp in fr[4:]))
-    sm = section_map(1, 1.0, sys.params, lam)   # every quarter-turn's T and sigma
-    T, sigma = sm.transit_time, abs(sm.exit_value)
+    a, w, r = _spiral(sys.params, lam)
+    s = dict(zip(Quadrant, (1.0 / r, r, 1.0 / r, r)))   # x = (y1, s_q y2)
     nodes, weights = _gauss_legendre()
-    s = 0.5 * T * (nodes + 1.0)
-    rows = list(REGIONS.items())
-    lin, nl, entry = 1.0, 0.0, (1.0, 0.0)   # after each quarter-turn r = lin x1 + nl x1**k
-    for q, (g, _, s_o, _) in rows[1:] + rows[:1]:   # from the positive x1-axis
-        pert = p_k(*flow_linear(q, entry, s, sys.params, lam))[2 * q - 2:2 * q]
-        z = 0.5 * T * (flow_linear(q, pert, T - s, sys.params, lam) @ weights)
-        out = (0.0, s_o) if g == 0 else (s_o, 0.0)   # unit vector of the exit semi-axis
-        v = linear_matrix(q, sys.params, lam) @ out   # along y'(T)
-        c = s_o * (z[1 - g] - v[1 - g] * z[g] / v[g])
-        lin, nl, entry = sigma * lin, sigma * nl + c * lin ** k, out
-    return float(nl), k
+    C, jump, rows = 0.0, 1.0, list(REGIONS.items())   # jump: J on the region's phases
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            for i, (q, (g, _, _, nxt)) in enumerate(rows[1:] + rows[:1]):   # phi from 0
+                phi = 0.25 * math.pi * (nodes + 2 * i + 1)
+                cos, sin = np.cos(phi), np.sin(phi)
+                p1, p2 = p_k(cos, -s[q] * sin)[2 * q - 2:2 * q]
+                n, t = cos * p1 - sin * p2 / s[q], -sin * p1 - cos * p2 / s[q]
+                C += (jump * np.exp(-a * phi / w)) ** (k - 1) * (n / w + a * t / (w * w)) @ weights
+                jump *= s[q] / s[nxt] if g == 0 else 1.0   # rho jumps at an x2-axis
+            C *= 0.25 * math.pi * delta(sys.params, lam)
+    except FloatingPointError as exc:
+        raise DomainError(f"{exc}: the leading coefficient at lambda = {lam} "
+                          "leaves the floating-point range") from None
+    return float(C), k
 
 
 class BranchDirection(enum.Enum):

@@ -138,13 +138,17 @@ class TestLeadingCoefficient:
         assert k == 3
         assert C == pytest.approx(exact_leading_coefficient(lam), rel=1e-12)
 
-    def test_asymmetric_system_matches_numeric_returns(self, paper_system):
-        # q(h) = (pi(h) - delta h) / h^2 = C + a1 h + a2 h^2 + ..., from
+    @pytest.mark.parametrize("make,degree", [(with_x1_squared, 2),
+                                             (lambda paper: two_sided_system(), 3)],
+                             ids=["x1_squared", "two_sided"])
+    def test_asymmetric_system_matches_numeric_returns(self, paper_system, make, degree):
+        # q(h) = (pi(h) - delta h) / h^k = C + a1 h + a2 h^2 + ..., from
         # returns at rel_tol 1e-13 on h = 0.02 / 2^j, extrapolated three
-        # times (Richardson); measured 4.5e-9 relative off
-        sys = with_x1_squared(paper_system)
+        # times (Richardson); measured 4.5e-9 (x1_squared) and 6.0e-8
+        # (two_sided) relative off
+        sys = make(paper_system)
         C, k = leading_coefficient(sys, 0.1)
-        assert k == 2
+        assert k == degree
         d, cfg = delta(sys.params, 0.1), IntegratorConfig(rel_tol=1e-13)
         hs = [0.02 / 2 ** j for j in range(5)]
         q = [(poincare_numeric(sys, h, 0.1, cfg).x1_out - d * h) / h ** k for h in hs]

@@ -399,6 +399,12 @@ class TestErrorContract:
         ({"b_poly": [1e300], "c_poly": [1e-300]}, ["classify", "--lambda", "0"]),
         ({"b_poly": [1e300], "c_poly": [1e-300]}, ["delta-sweep", "--lambdas", "0"]),
         ({"b_poly": [1e300], "c_poly": [1e-300]}, ["bifurcate"]),
+        # the index underflows to 0, where b c or b alone is below the float range
+        *(({"b_poly": b, "c_poly": c}, argv)
+          for b, c in (([1e-200], [1e-200]), ([1e-320], [1]))
+          for argv in (["classify", "--lambda", "0"], ["delta-sweep", "--lambdas", "0"],
+                       ["bifurcate"], ["branch", "--lambdas", "0.1"])),
+        ({"b_poly": [1e-200], "c_poly": [1e200]}, ["classify", "--lambda", "0"]),
     ], ids=lambda v: str(v))
     def test_overflowing_index_is_one_line_domain_error(self, capsys, tmp_path,
                                                         system, argv):
@@ -408,6 +414,17 @@ class TestErrorContract:
         assert code == 1
         assert err.count("\n") == 1 and err.startswith("switchbif: error: DomainError")
         assert re.search(r"delta'?\(-?\d", err)   # names lambda
+
+    def test_overflowing_leading_coefficient_is_one_line_domain_error(self, capsys, tmp_path):
+        # in region 1, J = (b/c)^2 = 1e40, and C's integrand carries J^39 there
+        doc = {"system": {"a": 0.01, "b_poly": [1e10], "c_poly": [1e-10], "perturbations": {
+            "q1": {"comp1": [{"coeff_poly": [-1], "pow1": 40, "pow2": 0}]}}}}
+        argv = ["branch", "--config", write_json(tmp_path / "c.json", doc), "--lambdas", "0.1",
+                "--x-scan-max", "1e-3", "--out", str(tmp_path)]
+        code, _, err = run(capsys, argv)
+        assert code == 1
+        assert err.count("\n") == 1 and err.startswith("switchbif: error: DomainError")
+        assert "at lambda = 0.1 " in err
 
     @pytest.mark.parametrize("error_json", [False, True])
     @pytest.mark.parametrize("argv", [["classify", "--lambda", "0.0011"],

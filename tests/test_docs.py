@@ -52,7 +52,7 @@ def test_library_example_prints_its_comments():
     with contextlib.redirect_stdout(out):
         exec(block.group(1), {})
     printed = out.getvalue().splitlines()
-    assert printed[:2] == ["0.9999999999999998", "BranchDirection.BranchForPositiveLambda"]
+    assert printed[:2] == ["1.0000000000000002", "BranchDirection.BranchForPositiveLambda"]
     calls = [line for line in block.group(1).splitlines() if line.startswith("print(")]
     for call, value in zip(calls[:2], printed):
         assert call.split("# ", 1)[1].startswith(value)
