@@ -123,19 +123,17 @@ def delta(params: SystemParams, lam: float) -> float:
 
 
 def delta_prime(params: SystemParams, lam: float) -> float:
-    """d(delta)/d(lam), by logarithmic differentiation.
-
-    delta' = delta * [2 (b'/b - c'/c) + pi a (b' c + b c') / w^3], b = w r, c = w / r,
-    which avoids the cancellation-prone expanded product form.  Raises
-    DomainError where delta does and when a term leaves the float range.
-    """
+    """d(delta)/d(lam) = delta [2 (b'/b - c'/c) + pi a (b'/b + c'/c) / w], by logarithmic
+    differentiation with b, c of ``params.at`` and w of ``_spiral``: free of w**3 and
+    of the cancellation-prone expanded product form.  Raises DomainError where delta
+    does and where delta' is not finite."""
     d = delta(params, lam)
-    a, w, r = _spiral(params, lam)
-    b, c, bp, cp = w * r, w / r, params.b.deriv_at(lam), params.c.deriv_at(lam)
-    try:
-        return d * (2.0 * (bp / b - cp / c) + math.pi * a * (bp * c + b * cp) / w ** 3)
-    except OverflowError:
-        raise DomainError(f"delta'({lam}) overflows the floating-point range") from None
+    (_, b, c), (a, w, _) = params.at(lam), _spiral(params, lam)
+    lb, lc = params.b.deriv_at(lam) / b, params.c.deriv_at(lam) / c
+    dp = d * (2.0 * (lb - lc) + math.pi * a * (lb + lc) / w)
+    if not math.isfinite(dp):
+        raise DomainError(f"delta'({lam}) = {dp} leaves the floating-point range")
+    return dp
 
 
 def classify_origin(params: SystemParams, lam: float) -> OriginClass:

@@ -194,8 +194,8 @@ def _gauss_legendre(n: int = 16) -> tuple[np.ndarray, np.ndarray]:
 def leading_coefficient(sys: SwitchedSystem, lam: float) -> tuple[float, int]:
     """(C, k) of the return map pi(x1) = delta(lam) x1 + C x1**k + O(x1**(k+1)).
 
-    k is the lowest total degree among the perturbation terms that
-    ``model.freeze`` keeps at ``lam``, those with a nonzero coefficient there
+    k is the lowest total degree above 1 among the terms that ``model.freeze``
+    keeps at ``lam``, the perturbation terms with a nonzero coefficient there
     (0, with C = 0.0, when there is none); C is first order in those degree-k
     terms P_k.  In region q, x = (y1, s_q y2), y = rho (cos phi, -sin phi) and
     s_q = 1/r in regions 1, 3 and r in regions 2, 4 (w, r of ``analytic._spiral``):
@@ -208,11 +208,12 @@ def leading_coefficient(sys: SwitchedSystem, lam: float) -> tuple[float, int]:
     the float range is a DomainError.
     """
     frozen = freeze(sys, lam)
-    k = min((t[1] + t[2] for fr in frozen for comp in fr[4:] for t in comp), default=0)
+    k = min((p1 + p2 for fr in frozen for comp in fr for _, p1, p2 in comp if p1 + p2 > 1),
+            default=0)
     if not k:
         return 0.0, 0
     p_k = compile_forms(*(tuple(t for t in comp if t[1] + t[2] == k)
-                          for fr in frozen for comp in fr[4:]))
+                          for fr in frozen for comp in fr))
     a, w, r = _spiral(sys.params, lam)
     s = dict(zip(Quadrant, (1.0 / r, r, 1.0 / r, r)))   # x = (y1, s_q y2)
     nodes, weights = _gauss_legendre()
@@ -591,16 +592,16 @@ def _circle(n: int, radius: float):
 
 
 def _inner(g, frozen_field):
-    """Collected terms of <g, A x> and of <g, pert> for one region of :func:`freeze`.
+    """Collected terms of <g, A x> and of <g, pert> for one region of :func:`freeze`:
+    its degree-1 terms make A x, and its terms of degree >= 2 the perturbation.
 
     Collecting in float makes structurally-zero forms, such as the
     angular form of a radial field, evaluate to exactly 0.0.
     """
-    a11, a12, a21, a22, t1, t2 = frozen_field
-    lin = (((a11, 1, 0), (a12, 0, 1)), ((a21, 1, 0), (a22, 0, 1)))
     return tuple(collect_terms((s * c, q1 + p1, q2 + p2)
-                               for (s, q1, q2), comp in zip(g, comps) for c, p1, p2 in comp)
-                 for comps in (lin, (t1, t2)))
+                               for (s, q1, q2), comp in zip(g, frozen_field)
+                               for c, p1, p2 in comp if (p1 + p2 == 1) == linear)
+                 for linear in (True, False))
 
 
 def _confinement(fields: dict, radius_M: float, n_samples: int):

@@ -273,47 +273,38 @@ def compile_forms(*forms):
     return namespace["f"]
 
 
-def compile_field(frozen):
-    """One region of :func:`freeze` as f(x1, x2) -> (dx1, dx2), linear terms first."""
-    a11, a12, a21, a22, t1, t2 = frozen
-    return compile_forms(((a11, 1, 0), (a12, 0, 1), *t1), ((a21, 1, 0), (a22, 0, 1), *t2))
-
-
 def freeze(sys: SwitchedSystem, lam: float) -> tuple[tuple, ...]:
-    """Every region's field at ``lam`` as (a11, a12, a21, a22, t1, t2), regions 1..4.
+    """Every region's field at ``lam`` as the term tuples of its two components,
+    regions 1..4: component i is ``((a_i1, 1, 0), (a_i2, 0, 1), *terms)``.
 
-    ``a11 .. a22`` are the entries of :func:`linear_matrix`; ``t1`` and
-    ``t2`` are the collected perturbation terms of the x1 and x2 components.
+    ``a_i1, a_i2`` is row i of :func:`linear_matrix`, and ``terms`` are the
+    collected ``(coeff, pow1, pow2)`` perturbation terms of component i.  By
+    :func:`validate`'s standing assumption those have degree >= 2, so readers
+    take the degree-1 terms as A x and the rest as the perturbation.
     """
     def terms(comp):
         return collect_terms((t.coeff.value_at(lam), t.pow1, t.pow2) for t in comp)
 
     out = []
-    for q in Quadrant:
-        m = linear_matrix(q, sys.params, lam)
-        pert = sys.perturbation(q)
-        out.append((float(m[0, 0]), float(m[0, 1]), float(m[1, 0]), float(m[1, 1]),
-                    terms(pert.comp1), terms(pert.comp2)))
+    for q, pert in zip(Quadrant, sys.perturbations):
+        (a11, a12), (a21, a22) = linear_matrix(q, sys.params, lam).tolist()
+        out.append((((a11, 1, 0), (a12, 0, 1), *terms(pert.comp1)),
+                    ((a21, 1, 0), (a22, 0, 1), *terms(pert.comp2))))
     return tuple(out)
 
 
 def is_point_symmetric(sys: SwitchedSystem, lam: float) -> bool:
     """Whether f_(q+2)(x) = -f_q(-x) at ``lam``, decided exactly on :func:`freeze`:
-    regions q and q + 2 have equal linear entries, and each term (c, p1, p2)
-    of region q appears in region q + 2 as ((-1)**(p1 + p2 + 1) c, p1, p2)."""
-    def mirrored(terms):
-        return {(p1, p2): (-1.0) ** (p1 + p2 + 1) * c for c, p1, p2 in terms}
-
+    the terms (c, p1, p2) of each component of region q, mirrored to
+    ((-1)**(p1 + p2 + 1) c, p1, p2), are those of region q + 2 as a multiset."""
     frozen = freeze(sys, lam)
-    return all(near[:4] == far[:4]
-               and all(mirrored(tn) == {(p1, p2): c for c, p1, p2 in tf}
-                       for tn, tf in zip(near[4:], far[4:]))
-               for near, far in zip(frozen[:2], frozen[2:]))
+    return all(sorted(((-1.0) ** (p1 + p2 + 1) * c, p1, p2) for c, p1, p2 in tn) == sorted(tf)
+               for near, far in zip(frozen[:2], frozen[2:]) for tn, tf in zip(near, far))
 
 
 def eval_field(sys: SwitchedSystem, q: Quadrant, x, lam: float) -> np.ndarray:
     """Velocity of region ``q``'s field at point ``x``: A_q(lam) x + perturbation."""
-    f = compile_field(freeze(sys, lam)[Quadrant(q) - 1])
+    f = compile_forms(*freeze(sys, lam)[Quadrant(q) - 1])
     return np.array(f(float(x[0]), float(x[1])))
 
 

@@ -43,7 +43,7 @@ import numpy as np
 
 from .errors import (BudgetError, EscapeError, OriginError, SideError, StiffnessError,
                      TangencyError)
-from .model import REGIONS, Quadrant, SwitchedSystem, compile_field, freeze, region_of
+from .model import REGIONS, Quadrant, SwitchedSystem, compile_forms, freeze, region_of
 from .rootfind import brent
 
 __all__ = [
@@ -302,10 +302,10 @@ def _interpolate(a: float, b: float, F, theta: float) -> float:
 
 
 def _compiled_fields(sys: SwitchedSystem, lam: float) -> dict[int, object]:
-    """Every region's field at ``lam``, compiled once by ``model.compile_field``:
-    {region: f(x1, x2) -> (dx1, dx2)}; regions that freeze alike share one f."""
+    """Every region's field at ``lam``, its two ``model.freeze`` components compiled
+    once by ``compile_forms``: {region: f(x1, x2) -> (dx1, dx2)}; equal ones share one f."""
     frozen = freeze(sys, lam)
-    shared = {fr: compile_field(fr) for fr in set(frozen)}
+    shared = {fr: compile_forms(*fr) for fr in set(frozen)}
     return {int(q): shared[fr] for q, fr in zip(Quadrant, frozen)}
 
 

@@ -783,8 +783,8 @@ class TestCheckGlobalConditions:
                                 MonomialTerm(LambdaPoly.constant(-1.0), 3, 0)))
         sys = SwitchedSystem(paper_params,
                              (null, PolyField.zero(), PolyField.zero(), PolyField.zero()))
-        a11, a12, a21, a22, t1, t2 = freeze(sys, 0.5)[0]
-        assert t1 == t2 == ()
+        ((a11, _, _), (a12, _, _), *t1), ((a21, _, _), (a22, _, _), *t2) = freeze(sys, 0.5)[0]
+        assert t1 == t2 == []
         f = numeric._compiled_fields(sys, 0.5)[1]
         for x1, x2 in ((0.3, 0.7), (1e-3, -2.5), (-4.0, 1e5)):
             assert f(x1, x2) == (a11 * x1 + a12 * x2, a21 * x1 + a22 * x2)

@@ -394,7 +394,9 @@ class TestErrorContract:
         ({"b_poly": [1e200], "c_poly": [1]}, ["delta-sweep", "--lambdas", "0"]),
         ({"b_poly": [1e200], "c_poly": [1]}, ["bifurcate"]),
         ({"b_poly": [1e200], "c_poly": [1]}, ["verify-global", "--n-samples", "100"]),
-        ({"b_poly": [1e150, 1], "c_poly": [1e150]}, ["delta-sweep", "--lambdas", "0"]),
+        # b'/b and c'/c overflow to inf where b and c do not
+        ({"b_poly": [1, 1e308], "c_poly": [1, 1e308], "lambda_domain": [-1e-309, 1]},
+         ["delta-sweep", "--lambdas", "0"]),
         # b / c overflows to inf without an OverflowError
         ({"b_poly": [1e300], "c_poly": [1e-300]}, ["classify", "--lambda", "0"]),
         ({"b_poly": [1e300], "c_poly": [1e-300]}, ["delta-sweep", "--lambdas", "0"]),
@@ -414,6 +416,15 @@ class TestErrorContract:
         assert code == 1
         assert err.count("\n") == 1 and err.startswith("switchbif: error: DomainError")
         assert re.search(r"delta'?\(-?\d", err)   # names lambda
+
+    def test_huge_b_and_c_give_a_tiny_delta_prime(self, capsys, tmp_path):
+        # w**3 = 1e450 is out of range, but delta'(0) = 2 b'/b + pi a b'/(b w) is not
+        doc = {"system": {"a": 1, "b_poly": [1e150, 1], "c_poly": [1e150]}}
+        argv = ["delta-sweep", "--config", write_json(tmp_path / "c.json", doc), "--lambdas", "0"]
+        code, out, _ = run(capsys, argv)
+        assert code == 0
+        lam, d, dp = map(float, out.splitlines()[-1].split(","))
+        assert (lam, d) == (0.0, 1.0) and dp == pytest.approx(2e-150, rel=1e-12)
 
     def test_overflowing_leading_coefficient_is_one_line_domain_error(self, capsys, tmp_path):
         # in region 1, J = (b/c)^2 = 1e40, and C's integrand carries J^39 there

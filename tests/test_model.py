@@ -9,7 +9,7 @@ from switchbif import (DomainError, LambdaPoly, MonomialTerm, OriginError,
                        PolyField, Quadrant, SideError, SwitchedSystem, SystemParams,
                        clockwise_successor, eval_field, is_point_symmetric,
                        linear_matrix, region_of, section_map, validate)
-from switchbif.model import compile_forms
+from switchbif.model import compile_forms, freeze
 
 
 class TestLambdaPoly:
@@ -320,6 +320,27 @@ class TestIsPointSymmetric:
         sys = with_terms(paper_system, {1: [term]})
         assert is_point_symmetric(sys, 0.0)
         assert not is_point_symmetric(sys, 0.1)
+
+
+class TestFreeze:
+    @pytest.mark.parametrize("lam", [-0.5, 0.0, 0.3, 0.9])
+    @pytest.mark.parametrize("asymmetric", [False, True], ids=["paper", "asymmetric"])
+    def test_component_is_matrix_row_then_collected_terms(self, paper_system, lam, asymmetric):
+        # (0.1 + lam) x1^2, twice, in region 1 alone: collected into one even term
+        term = MonomialTerm(LambdaPoly((0.1, 1.0)), 2, 0)
+        sys = with_terms(paper_system, {0: [term, term]}) if asymmetric else paper_system
+        assert is_point_symmetric(sys, lam) is not asymmetric
+        for q, region in zip(Quadrant, freeze(sys, lam)):
+            pert = sys.perturbation(q)
+            rows = linear_matrix(q, sys.params, lam)
+            for row, comp, terms in zip(rows, (pert.comp1, pert.comp2), region, strict=True):
+                assert terms[:2] == ((row[0], 1, 0), (row[1], 0, 1))
+                assert all(type(c) is float for c, _, _ in terms)
+                want = {}
+                for t in comp:
+                    want[t.pow1, t.pow2] = want.get((t.pow1, t.pow2), 0.0) + t.coeff.value_at(lam)
+                assert all(p1 + p2 >= 2 for _, p1, p2 in terms[2:])
+                assert terms[2:] == tuple((c, p1, p2) for (p1, p2), c in want.items() if c != 0.0)
 
 
 class TestValidate:
