@@ -14,9 +14,8 @@ from .errors import (BudgetError, DegenerateError, DomainError, EscapeError,
                      PerturbationTooSmallError, SideError, StiffnessError,
                      SwitchBifError, TangencyError, UserError, ValidationError)
 from .model import (LambdaPoly, MonomialTerm, PolyField, Quadrant,
-                    SwitchedSystem, SystemParams, ValidationReport,
-                    clockwise_successor, eval_field, is_point_symmetric,
-                    linear_matrix, region_of, validate)
+                    SwitchedSystem, SystemParams, ValidationReport, eval_field,
+                    is_point_symmetric, linear_matrix, region_of, validate)
 from .analytic import (OriginClass, SectionMapValue, classify_origin, delta,
                        delta_prime, flow_linear, section_map)
 from .numeric import (HybridTrajectory, IntegratorConfig, PoincareSample,

@@ -185,10 +185,10 @@ def fit_local_expansion(sys: SwitchedSystem, lam: float, cfg: IntegratorConfig,
 
 
 @functools.cache
-def _gauss_legendre(n: int = 16) -> tuple[np.ndarray, np.ndarray]:
-    """Nodes and weights of the n-point Gauss-Legendre rule on [-1, 1]."""
+def _gauss_legendre() -> tuple[np.ndarray, np.ndarray]:
+    """Nodes and weights of the 16-point Gauss-Legendre rule on [-1, 1]."""
     from numpy.polynomial.legendre import leggauss   # at module level it slows start-up
-    return leggauss(n)
+    return leggauss(16)
 
 
 def leading_coefficient(sys: SwitchedSystem, lam: float) -> tuple[float, int]:
@@ -543,7 +543,8 @@ class Witness:
 
 @dataclass(frozen=True)
 class GlobalCheckReport:
-    """Sampled verification of the confinement / rotation / index conditions.
+    """Sampled verification of the confinement / rotation / index conditions
+    at the radius M that the caller passed.
 
     A PASS_SAMPLED status means no violation was found on the sample
     set; it is falsification-only, never a proof.  FAIL always carries
@@ -556,7 +557,6 @@ class GlobalCheckReport:
     rotation_witness: Witness | None
     delta_conditions_ok: bool
     samples_used: int
-    radius_M: float
     rotation_pert_inner_max: float
     notes: tuple[str, ...]
 
@@ -736,6 +736,5 @@ def check_global_conditions(sys: SwitchedSystem, lam: float, radius_M: float = 1
                              rotation_witness=rot_witness,
                              delta_conditions_ok=_index_ok(sys.params),
                              samples_used=n_outer + n_samples,
-                             radius_M=radius_M,
                              rotation_pert_inner_max=pert_max,
                              notes=tuple(notes))

@@ -145,7 +145,7 @@ def _cmd_poincare(config: RunConfig, args) -> tuple[int, dict]:
     samples = [poincare_numeric(config.system, x1, lam, config.integrator, fields=fields)
                for x1 in x1_values]
     return 0, {"poincare.csv": (["x1_in", "x1_out", "period"],
-                                [(s.x1_in, s.x1_out, s.period) for s in samples])}
+                                [(x1, s.x1_out, s.period) for x1, s in zip(x1_values, samples)])}
 
 
 def _cmd_classify(config: RunConfig, args) -> tuple[int, dict]:
@@ -226,7 +226,7 @@ def _cmd_verify_global(config: RunConfig, args) -> tuple[int, dict]:
         "rotation_witness": witness_doc(rep.rotation_witness),
         "delta_conditions_ok": rep.delta_conditions_ok,
         "samples_used": rep.samples_used,
-        "radius_M": rep.radius_M,
+        "radius_M": radius,
         "rotation_pert_inner_max": rep.rotation_pert_inner_max,
         "notes": list(rep.notes),
     }}

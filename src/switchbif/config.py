@@ -208,7 +208,7 @@ def parse_config(text: str, label: str = "config") -> RunConfig:
     """Parse and validate a configuration document.
 
     Raises ParseError with a location for structural problems and
-    ValidationError (carrying the validation report) when the defined
+    ValidationError (its message lists the violations) when the defined
     system violates the standing assumptions.
     """
     try:
@@ -233,7 +233,7 @@ def parse_config(text: str, label: str = "config") -> RunConfig:
     except ValueError as exc:
         raise ParseError(str(exc), "system.lambda_domain") from exc
 
-    perts = [PolyField.zero()] * 4
+    perts = [PolyField()] * 4
     pert_node = _object(s.get("perturbations", {}), "system.perturbations",
                         ("q1", "q2", "q3", "q4"))
     for key, qnode in pert_node.items():
@@ -246,7 +246,7 @@ def parse_config(text: str, label: str = "config") -> RunConfig:
     system = SwitchedSystem(params=params, perturbations=tuple(perts))
     report = validate(system)
     if not report.passed:
-        raise ValidationError("; ".join(report.violations), report=report)
+        raise ValidationError("; ".join(report.violations))
 
     integ_node = _object(doc.get("integrator", {}), "integrator",
                          [f.name for f in dataclasses.fields(IntegratorConfig)])

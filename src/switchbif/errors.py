@@ -39,25 +39,17 @@ class IntegrationError(NumericalError):
 class ParseError(UserError):
     """A configuration document could not be parsed.
 
-    Carries a human-readable location (JSON path or line/column) in
-    ``location`` when one is available.
+    The message starts with a human-readable location (JSON path or
+    line/column) when one is given.
     """
 
     def __init__(self, message, location=None):
         super().__init__(message if location is None else f"{location}: {message}")
-        self.location = location
 
 
 class ValidationError(UserError):
-    """A system definition violates the standing assumptions.
-
-    ``report`` holds the full ValidationReport when the error was
-    produced from one.
-    """
-
-    def __init__(self, message, report=None):
-        super().__init__(message)
-        self.report = report
+    """A system definition violates the standing assumptions.  The message
+    joins the violations of the ValidationReport, separated by "; "."""
 
 
 # -- domain / argument errors -----------------------------------------------

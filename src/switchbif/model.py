@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -38,7 +38,6 @@ __all__ = [
     "is_point_symmetric",
     "eval_field",
     "validate",
-    "clockwise_successor",
 ]
 
 
@@ -60,10 +59,6 @@ class LambdaPoly:
         if not all(math.isfinite(c) for c in cs):
             raise ValueError(f"non-finite coefficient in {cs}")
         object.__setattr__(self, "coeffs", cs)
-
-    @classmethod
-    def constant(cls, value: float) -> "LambdaPoly":
-        return cls((float(value),))
 
     def value_at(self, lam: float) -> float:
         acc = 0.0
@@ -135,10 +130,6 @@ REGIONS = {Quadrant.Q1: (1, 1.0, 1.0, Quadrant.Q4),      # exit: positive x1-axi
            Quadrant.Q2: (0, -1.0, 1.0, Quadrant.Q1)}     # exit: positive x2-axis
 
 
-def clockwise_successor(q: Quadrant) -> Quadrant:
-    return REGIONS[Quadrant(q)][3]
-
-
 @dataclass(frozen=True)
 class MonomialTerm:
     """coeff(lam) * x1**pow1 * x2**pow2.
@@ -174,13 +165,6 @@ class PolyField:
         object.__setattr__(self, "comp1", tuple(self.comp1))
         object.__setattr__(self, "comp2", tuple(self.comp2))
 
-    @classmethod
-    def zero(cls) -> "PolyField":
-        return cls((), ())
-
-    def is_zero(self) -> bool:
-        return all(t.coeff.is_zero() for t in self.comp1 + self.comp2)
-
 
 @dataclass(frozen=True)
 class SwitchedSystem:
@@ -190,22 +174,13 @@ class SwitchedSystem:
     """
 
     params: SystemParams
-    perturbations: tuple[PolyField, PolyField, PolyField, PolyField] = field(
-        default=(PolyField.zero(),) * 4)
+    perturbations: tuple[PolyField, PolyField, PolyField, PolyField] = (PolyField(),) * 4
 
     def __post_init__(self):
         ps = tuple(self.perturbations)
         if len(ps) != 4:
             raise ValueError("exactly four perturbation fields required (regions 1..4)")
         object.__setattr__(self, "perturbations", ps)
-
-    @classmethod
-    def linear(cls, params: SystemParams) -> "SwitchedSystem":
-        """System with all perturbations identically zero."""
-        return cls(params, (PolyField.zero(),) * 4)
-
-    def perturbation(self, q: Quadrant) -> PolyField:
-        return self.perturbations[Quadrant(q) - 1]
 
 
 def region_of(x) -> Quadrant:
@@ -347,8 +322,7 @@ def validate(sys: SwitchedSystem) -> ValidationReport:
             rule = "<= 0" if v <= 0.0 else "is not finite"
             violations.append(f"{name}(lambda) {rule} at lambda = {w} ({name} = {v})")
 
-    for q in Quadrant:
-        pert = sys.perturbation(q)
+    for q, pert in zip(Quadrant, sys.perturbations):
         for comp_name, terms in (("dx1", pert.comp1), ("dx2", pert.comp2)):
             for t in terms:
                 if t.degree < 2 and not t.coeff.is_zero():

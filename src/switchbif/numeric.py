@@ -111,19 +111,15 @@ class HybridTrajectory:
         return float(self.times[-1])
 
     @property
-    def final_state(self) -> np.ndarray:
-        return self.states[-1]
-
-    @property
     def n_steps(self) -> int:
         return len(self.times) - 1
 
 
 @dataclass(frozen=True)
 class PoincareSample:
-    """One revolution of the return map on the positive x1-axis, or half of one."""
+    """One revolution of the return map on the positive x1-axis, or half of one,
+    from the amplitude that the caller passed."""
 
-    x1_in: float
     x1_out: float
     period: float
 
@@ -480,7 +476,7 @@ def poincare_numeric(sys: SwitchedSystem, x1: float, lam: float,
     if not (x1 > 0.0):
         raise SideError(f"return map takes x1 > 0, got {x1}")
     traj = integrate(sys, (x1, 0.0), lam, StopOnReturn(), cfg, fields=fields)
-    return PoincareSample(x1_in=x1, x1_out=float(traj.states[-1, 0]), period=traj.t_final)
+    return PoincareSample(x1_out=float(traj.states[-1, 0]), period=traj.t_final)
 
 
 def half_return(sys: SwitchedSystem, x1: float, lam: float,
@@ -493,7 +489,7 @@ def half_return(sys: SwitchedSystem, x1: float, lam: float,
     if not (x1 > 0.0):
         raise SideError(f"return map takes x1 > 0, got {x1}")
     traj = integrate(sys, (x1, 0.0), lam, StopAfterEvents(2), cfg, fields=fields)
-    return PoincareSample(x1_in=x1, x1_out=-float(traj.states[-1, 0]), period=2.0 * traj.t_final)
+    return PoincareSample(x1_out=-float(traj.states[-1, 0]), period=2.0 * traj.t_final)
 
 
 #: Amplitude of the one return in delta_numeric.
@@ -505,7 +501,7 @@ def delta_numeric(sys: SwitchedSystem, lam: float, cfg: IntegratorConfig) -> flo
 
     Perturbations have total degree >= 2 (checked by ``model.validate``),
     so the limit is the return ratio of the linear part: one return of
-    ``SwitchedSystem.linear(sys.params)`` from (_SLOPE_H0, 0) over _SLOPE_H0.
+    ``SwitchedSystem(sys.params)``, whose perturbations default to zero, from
+    (_SLOPE_H0, 0) over _SLOPE_H0.
     """
-    linear = SwitchedSystem.linear(sys.params)
-    return poincare_numeric(linear, _SLOPE_H0, lam, cfg).x1_out / _SLOPE_H0
+    return poincare_numeric(SwitchedSystem(sys.params), _SLOPE_H0, lam, cfg).x1_out / _SLOPE_H0

@@ -4,18 +4,18 @@ import json
 import numpy as np
 import pytest
 
-from switchbif import (IntegratorConfig, LambdaPoly, Quadrant, SwitchedSystem,
-                       SystemParams, numeric, paper_example_config)
+from switchbif import (IntegratorConfig, LambdaPoly, PolyField, Quadrant,
+                       SwitchedSystem, SystemParams, numeric, paper_example_config)
 
 
 def make_params(a, b, c, domain=(-1.0, 1.0)):
     """Constant-coefficient system parameters."""
-    return SystemParams(a=a, b=LambdaPoly.constant(b), c=LambdaPoly.constant(c),
+    return SystemParams(a=a, b=LambdaPoly((b,)), c=LambdaPoly((c,)),
                         lambda_domain=domain)
 
 
 def make_linear_system(a, b, c, domain=(-1.0, 1.0)):
-    return SwitchedSystem.linear(make_params(a, b, c, domain))
+    return SwitchedSystem(make_params(a, b, c, domain))
 
 
 def _poly_coeffs(poly):
@@ -31,7 +31,7 @@ def emit_canonical(config):
     perts = {}
     for qi in range(1, 5):
         fieldq = config.system.perturbations[qi - 1]
-        if fieldq.is_zero():
+        if fieldq == PolyField():
             continue
         perts[f"q{qi}"] = {
             comp_name: [{"coeff_poly": _poly_coeffs(t.coeff),
@@ -111,3 +111,16 @@ def rhs_evals(monkeypatch):
         return {q: counted(f) for q, f in compiled(*args).items()}
     monkeypatch.setattr(numeric, "_compiled_fields", counting_fields)
     return count
+
+
+@pytest.fixture
+def compiled(monkeypatch):
+    """The lambda of each field compile, in call order."""
+    lams = []
+    original = numeric._compiled_fields
+
+    def recording(sys, lam):
+        lams.append(lam)
+        return original(sys, lam)
+    monkeypatch.setattr(numeric, "_compiled_fields", recording)
+    return lams

@@ -59,7 +59,7 @@ def test_criterion_2_stability_trichotomy(capsys, paper_params, cfg):
     with criterion(capsys, 2, "stability trichotomy with return ratios"):
         # (a) critical family: periodic ring, zero residual for the linear part
         assert classify_origin(paper_params, 0.0) == OriginClass.PeriodicFamily
-        linear_paper = SwitchedSystem.linear(paper_params)
+        linear_paper = SwitchedSystem(paper_params)
         assert abs(poincare_numeric(linear_paper, 1.0, 0.0, cfg).x1_out - 1.0) <= 1e-8
         # (b) contracting case
         sys_b = make_linear_system(1.0, 1.0, 1.0)
@@ -103,7 +103,7 @@ def test_criterion_5_branch_reproduction(capsys, paper_system, cfg):
             assert p.x1_fixed == pytest.approx(FROZEN_BRANCH[p.lam], rel=1e-6)
             traj = integrate(paper_system, (p.x1_fixed, 0.0), p.lam, StopOnReturn(), cfg)
             assert len(traj.events) == 4
-            assert abs(traj.final_state[0] - p.x1_fixed) <= max(10.0 * p.residual, 1e-12)
+            assert abs(traj.states[-1, 0] - p.x1_fixed) <= max(10.0 * p.residual, 1e-12)
 
 
 def test_criterion_6_scaling_law(capsys, paper_system, paper_params, cfg):

@@ -149,9 +149,17 @@ class TestDelta:
     def test_lambda_where_b_is_negative_is_a_domain_error(self):
         # b(lam) = (lam - 0.0011)^2 - 1e-8 dips below 0 between validate's samples
         params = SystemParams(a=1.0, b=LambdaPoly((1.2e-6, -2.2e-3, 1.0)),
-                              c=LambdaPoly.constant(1.0))
+                              c=LambdaPoly((1.0,)))
         with pytest.raises(DomainError, match="must both be positive"):
             delta(params, 0.0011)
+
+    def test_exp_overflow_is_a_domain_error(self):
+        # a < 0, which validate refuses but a library caller can pass: with
+        # w = 1e-3, exp(2 pi |a| / w) = exp(6283) raises OverflowError
+        params = make_params(-1.0, 1e-3, 1e-3)
+        with pytest.raises(DomainError,
+                           match=r"^delta\(0\.0\) = inf leaves the floating-point range$"):
+            delta(params, 0.0)
 
 
 class TestDeltaPrime:

@@ -29,7 +29,7 @@ def field_parts(sys, q, x, lam):
     """Linear part A_q x and perturbation of region q at x, computed from
     linear_matrix and the MonomialTerm lists, independent of freeze."""
     m = linear_matrix(q, sys.params, lam)
-    pf = sys.perturbation(q)
+    pf = sys.perturbations[q - 1]
     lin = (m[0, 0] * x[0] + m[0, 1] * x[1], m[1, 0] * x[0] + m[1, 1] * x[1])
     pert = tuple(sum(t.coeff.value_at(lam) * x[0] ** t.pow1 * x[1] ** t.pow2 for t in comp)
                  for comp in (pf.comp1, pf.comp2))
@@ -49,7 +49,7 @@ def with_x1_squared(paper_system, coeffs=(0.1,)):
 def engineered_params():
     """b(lam) = 3.75 + lam, c = 1, a chosen so the index crosses 1 at lam = 0.25."""
     a = math.log(16.0) / math.pi
-    return SystemParams(a=a, b=LambdaPoly((3.75, 1.0)), c=LambdaPoly.constant(1.0),
+    return SystemParams(a=a, b=LambdaPoly((3.75, 1.0)), c=LambdaPoly((1.0,)),
                         lambda_domain=(-0.5, 0.6))
 
 
@@ -112,7 +112,7 @@ class TestFitLocalExpansion:
 
     def test_synthetic_cubic_map_recovery(self, cfg):
         params = make_params(1.0, 1.0, 1.0)
-        sys = SwitchedSystem.linear(params)
+        sys = SwitchedSystem(params)
         d = delta(params, 0.0)
         coeff = -0.37
         fit = fit_local_expansion(sys, 0.0, cfg,
@@ -225,9 +225,9 @@ class TestBifurcationDirection:
         # lam = 0 only the quintic is left, and C = -1.389 agrees with the
         # fitted -1.378 (k_exp 4.997)
         lam_cubic = PolyField(comp1=(MonomialTerm(LambdaPoly((0.0, -1.0)), 3, 0),
-                                     MonomialTerm(LambdaPoly.constant(-1.0), 5, 0)),
+                                     MonomialTerm(LambdaPoly((-1.0,)), 5, 0)),
                               comp2=(MonomialTerm(LambdaPoly((0.0, -1.0)), 2, 1),
-                                     MonomialTerm(LambdaPoly.constant(-1.0), 4, 1)))
+                                     MonomialTerm(LambdaPoly((-1.0,)), 4, 1)))
         sys = SwitchedSystem(paper_params, (lam_cubic,) * 4)
         C, k = leading_coefficient(sys, 0.0)
         fit = fit_local_expansion(sys, 0.0, cfg)
@@ -237,13 +237,13 @@ class TestBifurcationDirection:
         assert bifurcation_direction(sys) == BranchDirection.BranchForPositiveLambda
 
     def test_off_critical_system_raises_degenerate(self):
-        sys = SwitchedSystem.linear(make_params(1.0, 2.0, 1.0))
+        sys = SwitchedSystem(make_params(1.0, 2.0, 1.0))
         assert abs(delta(sys.params, 0.0) - 1.0) > 1e-3
         with pytest.raises(DegenerateError):
             bifurcation_direction(sys)
 
     def test_critical_linear_system_raises_perturbation_too_small(self, paper_params):
-        sys = SwitchedSystem.linear(paper_params)
+        sys = SwitchedSystem(paper_params)
         with pytest.raises(PerturbationTooSmallError):
             bifurcation_direction(sys)
 
@@ -276,12 +276,12 @@ class TestOneDeltaOneTolerance:
         # delta(0) = 1 with 0 < delta'(0) < 1e-10, where find_critical_lambda
         # raises DegenerateError
         a = math.sqrt(2.0) * math.log(4.0) / (2.0 * math.pi)
-        params = SystemParams(a=a, b=LambdaPoly((2.0, 1e-13)), c=LambdaPoly.constant(1.0))
+        params = SystemParams(a=a, b=LambdaPoly((2.0, 1e-13)), c=LambdaPoly((1.0,)))
         assert abs(delta(params, 0.0) - 1.0) <= 1e-12
         assert 0.0 < delta_prime(params, 0.0) < 1e-10
         with pytest.raises(DegenerateError):
             find_critical_lambda(params, (-0.5, 0.5))
-        rep = check_global_conditions(SwitchedSystem.linear(params), 0.0,
+        rep = check_global_conditions(SwitchedSystem(params), 0.0,
                                       radius_M=5.0, n_samples=5_000)
         assert not rep.delta_conditions_ok
 
@@ -333,7 +333,7 @@ class TestContinueBranch:
         for p in res.points:
             traj = integrate(paper_system, (p.x1_fixed, 0.0), p.lam, StopOnReturn(), cfg)
             assert len(traj.events) == 4
-            assert abs(traj.final_state[0] - p.x1_fixed) <= max(10.0 * p.residual, 1e-12)
+            assert abs(traj.states[-1, 0] - p.x1_fixed) <= max(10.0 * p.residual, 1e-12)
             assert traj.t_final == pytest.approx(p.period, rel=1e-9)
 
     def test_branch_continuity_under_grid_refinement(self, paper_system, cfg):
@@ -348,11 +348,12 @@ class TestContinueBranch:
         # radially expanding quartic term: trajectories from large scan
         # amplitudes blow up in finite time, yet the orbit at small
         # amplitude must still be found
-        P = LambdaPoly.constant
-        params = SystemParams(a=0.1, b=P(1.5), c=P(1.0), lambda_domain=(-1.0, 1.0))
-        pert = PolyField(
-            comp1=(MonomialTerm(P(-1.0), 3, 0), MonomialTerm(P(0.4), 5, 0)),
-            comp2=(MonomialTerm(P(-1.0), 2, 1), MonomialTerm(P(0.4), 4, 1)))
+        params = SystemParams(a=0.1, b=LambdaPoly((1.5,)), c=LambdaPoly((1.0,)),
+                              lambda_domain=(-1.0, 1.0))
+        pert = PolyField(comp1=(MonomialTerm(LambdaPoly((-1.0,)), 3, 0),
+                                MonomialTerm(LambdaPoly((0.4,)), 5, 0)),
+                         comp2=(MonomialTerm(LambdaPoly((-1.0,)), 2, 1),
+                                MonomialTerm(LambdaPoly((0.4,)), 4, 1)))
         sys_blowup = SwitchedSystem(params, (pert,) * 4)
         res = continue_branch(sys_blowup, [0.0], cfg)
         assert len(res.points) == 1
@@ -378,8 +379,8 @@ class TestContinueBranch:
         # m = k - 1 = 4, and the walk from its prediction is short
         terms = [(1.0, 4, 0), (2.0, 2, 2), (1.0, 0, 4)]   # |x|^4 = sum of c x1^i x2^j
         pert = PolyField(
-            comp1=tuple(MonomialTerm(LambdaPoly.constant(-c), i + 1, j) for c, i, j in terms),
-            comp2=tuple(MonomialTerm(LambdaPoly.constant(-c), i, j + 1) for c, i, j in terms))
+            comp1=tuple(MonomialTerm(LambdaPoly((-c,)), i + 1, j) for c, i, j in terms),
+            comp2=tuple(MonomialTerm(LambdaPoly((-c,)), i, j + 1) for c, i, j in terms))
         quintic = SwitchedSystem(paper_params, (pert,) * 4)
         assert leading_coefficient(quintic, 0.1)[1] == 5
         seq = continue_branch(quintic, [0.01, 0.1], cfg)
@@ -662,9 +663,9 @@ class TestCheckGlobalConditions:
 
     def test_outward_cubic_fails_with_verifiable_witness(self, paper_params):
         # +x1^3 in the first component makes <x, pert> = x1^4 > 0 dominate
-        bad = PolyField(comp1=(MonomialTerm(LambdaPoly.constant(1.0), 3, 0),))
+        bad = PolyField(comp1=(MonomialTerm(LambdaPoly((1.0,)), 3, 0),))
         sys = SwitchedSystem(paper_params,
-                             (bad, PolyField.zero(), PolyField.zero(), PolyField.zero()))
+                             (bad, PolyField(), PolyField(), PolyField()))
         rep = check_global_conditions(sys, 0.5, radius_M=10.0, n_samples=20_000)
         assert rep.lyapunov_ok is CheckStatus.FAIL
         w = rep.lyapunov_witness
@@ -678,8 +679,8 @@ class TestCheckGlobalConditions:
     def test_overflowing_radius_is_domain_error(self, paper_params):
         # outward cubics in every region fail at radius 10; at 1e160 the
         # sampled |x|^4 overflows, which must not read as a pass
-        out = PolyField(comp1=(MonomialTerm(LambdaPoly.constant(1.0), 3, 0),),
-                        comp2=(MonomialTerm(LambdaPoly.constant(1.0), 0, 3),))
+        out = PolyField(comp1=(MonomialTerm(LambdaPoly((1.0,)), 3, 0),),
+                        comp2=(MonomialTerm(LambdaPoly((1.0,)), 0, 3),))
         sys = SwitchedSystem(paper_params, (out,) * 4)
         rep = check_global_conditions(sys, 0.0, radius_M=10.0, n_samples=1_000)
         assert rep.lyapunov_ok is CheckStatus.FAIL
@@ -699,7 +700,7 @@ class TestCheckGlobalConditions:
     def test_float_event_caused_by_coefficients_does_not_blame_the_radius(self, paper_system):
         # a tiny coefficient underflows at the default radius: the message
         # names the float event and the radius sampled, not a bad radius
-        tiny = PolyField(comp1=(MonomialTerm(LambdaPoly.constant(-1e-305), 3, 0),))
+        tiny = PolyField(comp1=(MonomialTerm(LambdaPoly((-1e-305,)), 3, 0),))
         sys = SwitchedSystem(paper_system.params, (tiny, *paper_system.perturbations[1:]))
         with pytest.raises(DomainError) as info:
             check_global_conditions(sys, 0.5)
@@ -736,7 +737,7 @@ class TestCheckGlobalConditions:
     def test_witness_names_the_one_region_that_differs(self, paper_system):
         # region 3 alone gets an outward cubic; regions 1 and 3 no longer
         # share a field, so the witness must name region 3
-        bad = PolyField(comp1=(MonomialTerm(LambdaPoly.constant(1.0), 3, 0),))
+        bad = PolyField(comp1=(MonomialTerm(LambdaPoly((1.0,)), 3, 0),))
         perts = list(paper_system.perturbations)
         perts[2] = bad
         sys = SwitchedSystem(paper_system.params, tuple(perts))
@@ -750,7 +751,7 @@ class TestCheckGlobalConditions:
         # cross term dominates, yet <x, pert> < 0 with magnitude growing
         # faster than |x|^2, so the failure is blamed on the candidate
         params = make_params(0.1, 6.0, 0.5)
-        eps = LambdaPoly.constant(-1e-4)
+        eps = LambdaPoly((-1e-4,))
         weak = PolyField(comp1=(MonomialTerm(eps, 3, 0),),
                          comp2=(MonomialTerm(eps, 2, 1),))
         sys = SwitchedSystem(params, (weak,) * 4)
@@ -761,10 +762,10 @@ class TestCheckGlobalConditions:
 
     def test_rotation_violation_detected(self, paper_params):
         # a large angular perturbation defeats the linear angular speed
-        spin = PolyField(comp1=(MonomialTerm(LambdaPoly.constant(-50.0), 0, 2),),
-                         comp2=(MonomialTerm(LambdaPoly.constant(50.0), 1, 1),))
+        spin = PolyField(comp1=(MonomialTerm(LambdaPoly((-50.0,)), 0, 2),),
+                         comp2=(MonomialTerm(LambdaPoly((50.0,)), 1, 1),))
         sys = SwitchedSystem(paper_params,
-                             (spin, PolyField.zero(), PolyField.zero(), PolyField.zero()))
+                             (spin, PolyField(), PolyField(), PolyField()))
         rep = check_global_conditions(sys, 0.0, radius_M=10.0, n_samples=20_000)
         assert rep.rotation_ok is CheckStatus.FAIL
         w = rep.rotation_witness
@@ -779,10 +780,10 @@ class TestCheckGlobalConditions:
 
     def test_cancelling_monomials_freeze_to_the_linear_field(self, paper_params):
         # +x1^3 and -x1^3 in one component sum to exactly zero
-        null = PolyField(comp1=(MonomialTerm(LambdaPoly.constant(1.0), 3, 0),
-                                MonomialTerm(LambdaPoly.constant(-1.0), 3, 0)))
+        null = PolyField(comp1=(MonomialTerm(LambdaPoly((1.0,)), 3, 0),
+                                MonomialTerm(LambdaPoly((-1.0,)), 3, 0)))
         sys = SwitchedSystem(paper_params,
-                             (null, PolyField.zero(), PolyField.zero(), PolyField.zero()))
+                             (null, PolyField(), PolyField(), PolyField()))
         ((a11, _, _), (a12, _, _), *t1), ((a21, _, _), (a22, _, _), *t2) = freeze(sys, 0.5)[0]
         assert t1 == t2 == []
         f = numeric._compiled_fields(sys, 0.5)[1]
@@ -810,6 +811,6 @@ class TestCheckGlobalConditions:
 
     def test_delta_conditions_false_off_critical_family(self):
         params = make_params(0.1, 6.0, 1.0)
-        rep = check_global_conditions(SwitchedSystem.linear(params), 0.0,
+        rep = check_global_conditions(SwitchedSystem(params), 0.0,
                                       radius_M=5.0, n_samples=5_000)
         assert not rep.delta_conditions_ok

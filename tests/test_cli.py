@@ -211,17 +211,10 @@ class TestPoincare:
         config = paper_example_config()
         samples = [poincare_numeric(config.system, x1, 0.1, config.integrator)
                    for x1 in (1e-4, 0.5)]
-        assert rows == [(s.x1_in, s.x1_out, s.period) for s in samples]
+        assert rows == [(x1, s.x1_out, s.period) for x1, s in zip((1e-4, 0.5), samples)]
 
-    def test_fields_compile_once_per_command(self, capsys, monkeypatch):
+    def test_fields_compile_once_per_command(self, capsys, compiled):
         # the golden case's three amplitudes share one compile
-        compiled = []
-        original = numeric._compiled_fields
-
-        def counting(sys, lam):
-            compiled.append(lam)
-            return original(sys, lam)
-        monkeypatch.setattr(numeric, "_compiled_fields", counting)
         code, _, _ = run(capsys, ["paper-example", "poincare", "--lambda", "0.1",
                                   "--x1", "1e-4,0.5,1"])
         assert code == 0

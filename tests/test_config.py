@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 from conftest import emit_canonical
-from switchbif import IntegratorConfig, ParseError, ValidationError
+from switchbif import IntegratorConfig, ParseError, PolyField, ValidationError
 from switchbif.config import (paper_example_config, parse_config,
                               parse_constant_expression)
 
@@ -71,7 +71,7 @@ class TestParseConfig:
         rc = parse_config(MINIMAL)
         assert rc.system.params.a == 1.5
         assert rc.system.params.b.coeffs == (2.0, 1.0)
-        assert all(p.is_zero() for p in rc.system.perturbations)
+        assert rc.system.perturbations == (PolyField(),) * 4
         assert rc.integrator.rel_tol == 1e-10
 
     def test_paper_example_values(self):
@@ -110,7 +110,6 @@ class TestParseConfig:
         with pytest.raises(ValidationError) as exc_info:
             parse_config(json.dumps(doc))
         assert "a <= 0" in str(exc_info.value)
-        assert exc_info.value.report is not None
 
     def test_low_degree_monomial_is_validation_error(self):
         doc = json.loads(MINIMAL)

@@ -83,7 +83,7 @@ def _rotation(fields, radius_M, n_samples):
 def _field(c1, c2):
     """The field (c1, c2) as a PolyField of (coeff, pow1, pow2) terms."""
     def terms(comp):
-        return tuple(MonomialTerm(LambdaPoly.constant(c), p1, p2) for c, p1, p2 in comp)
+        return tuple(MonomialTerm(LambdaPoly((c,)), p1, p2) for c, p1, p2 in comp)
     return PolyField(comp1=terms(c1), comp2=terms(c2))
 
 
@@ -96,7 +96,7 @@ WEAK = SwitchedSystem(PAPER.params, (_field(
 #: the angular term 0.07 x2 (-x2, x1) in region 1 alone first beats the
 #: linear angular speed at |x| = 83, in the second block
 SPIN = SwitchedSystem(PAPER.params, (_field(((-0.07, 0, 2),), ((0.07, 1, 1),)),
-                                     *(PolyField.zero(),) * 3))
+                                     *(PolyField(),) * 3))
 #: <x, pert> = ALPHA |x|^4 (1 - |x|^2 / 2500) >= 0 up to |x| = 50, in the
 #: first block only, and <pert, Sx> = -K |x|^4 < <A x, Sx> past |x| = 31:
 #: the last block alone would read NOT_APPLICABLE and a one-sided pass

@@ -7,9 +7,9 @@ import pytest
 from conftest import make_params
 from switchbif import (DomainError, LambdaPoly, MonomialTerm, OriginError,
                        PolyField, Quadrant, SideError, SwitchedSystem, SystemParams,
-                       clockwise_successor, eval_field, is_point_symmetric,
-                       linear_matrix, region_of, section_map, validate)
-from switchbif.model import compile_forms, freeze
+                       eval_field, is_point_symmetric, linear_matrix, region_of,
+                       section_map, validate)
+from switchbif.model import REGIONS, compile_forms, freeze
 
 
 class TestLambdaPoly:
@@ -109,11 +109,11 @@ class TestClockwiseGeometry:
     def test_successor_walk_is_clockwise(self):
         walk = [Quadrant.Q1]
         for _ in range(4):
-            walk.append(clockwise_successor(walk[-1]))
+            walk.append(REGIONS[walk[-1]][3])
         assert walk == [Quadrant.Q1, Quadrant.Q4, Quadrant.Q3, Quadrant.Q2, Quadrant.Q1]
         for k in range(4):
             q = _holding(_clockwise_eighths((1.0, 1.0), 2 * k))
-            assert clockwise_successor(q) == _holding(_clockwise_eighths((1.0, 1.0), 2 * k + 2))
+            assert REGIONS[q][3] == _holding(_clockwise_eighths((1.0, 1.0), 2 * k + 2))
 
     def test_each_region_holds_its_exit_semi_axis(self):
         # turning an open quadrant's bisector clockwise by 45 degrees lands
@@ -171,8 +171,8 @@ class TestAt:
         # b(lam) = (lam - 0.0011)^2 - 1e-8 < 0 only on (0.001, 0.0012), between
         # validate's samples, so the system passes validate
         params = SystemParams(a=1.0, b=LambdaPoly((1.2e-6, -2.2e-3, 1.0)),
-                              c=LambdaPoly.constant(1.0))
-        assert validate(SwitchedSystem.linear(params))
+                              c=LambdaPoly((1.0,)))
+        assert validate(SwitchedSystem(params))
         with pytest.raises(DomainError, match=r"^b\(0\.0011\) = -1\.0\d*e-08 and "
                                               r"c\(0\.0011\) = 1\.0 must both be positive$"):
             params.at(0.0011)
@@ -181,18 +181,18 @@ class TestAt:
 
     def test_refuses_a_lambda_where_b_overflows(self):
         # b(1e200) = 1 + 1e400 overflows to inf, which validate's samples report
-        params = SystemParams(a=1.0, b=LambdaPoly((1.0, 0.0, 1.0)), c=LambdaPoly.constant(1.0),
+        params = SystemParams(a=1.0, b=LambdaPoly((1.0, 0.0, 1.0)), c=LambdaPoly((1.0,)),
                               lambda_domain=(-1e300, 1e300))
         with pytest.raises(DomainError, match=r"^b\(1e\+200\) = inf and c\(1e\+200\) = 1\.0 "
                                               r"must both be finite$"):
             params.at(1e200)
-        report = validate(SwitchedSystem.linear(params))
+        report = validate(SwitchedSystem(params))
         assert report.violations == ("b(lambda) is not finite at lambda = -1e+300 (b = inf)",)
 
 
 class TestEvalField:
     def test_linear_part_only(self):
-        sys = SwitchedSystem.linear(make_params(0.1, 6.0, 1.0))
+        sys = SwitchedSystem(make_params(0.1, 6.0, 1.0))
         v = eval_field(sys, Quadrant.Q1, (1.0, 0.0), 0.0)
         assert np.allclose(v, [-0.1, -1.0])
 
@@ -294,13 +294,13 @@ class TestIsPointSymmetric:
         assert is_point_symmetric(paper_system, lam)
 
     def test_even_term_in_region_1_alone_breaks_it(self, paper_system):
-        term = MonomialTerm(LambdaPoly.constant(0.1), 2, 0)
+        term = MonomialTerm(LambdaPoly((0.1,)), 2, 0)
         assert not is_point_symmetric(with_terms(paper_system, {0: [term]}), 0.1)
         # the same sign in region 3 is not the mirror image of an even term
         assert not is_point_symmetric(with_terms(paper_system, {0: [term], 2: [term]}), 0.1)
 
     def test_even_term_mirrored_with_opposite_sign(self, paper_system):
-        term, mirror = (MonomialTerm(LambdaPoly.constant(c), 1, 1) for c in (0.1, -0.1))
+        term, mirror = (MonomialTerm(LambdaPoly((c,)), 1, 1) for c in (0.1, -0.1))
         sys = with_terms(paper_system, {0: [term], 2: [mirror]})
         assert is_point_symmetric(sys, 0.1)
         # f_3(x) = -f_1(-x), checked on the evaluated fields
@@ -331,7 +331,7 @@ class TestFreeze:
         sys = with_terms(paper_system, {0: [term, term]}) if asymmetric else paper_system
         assert is_point_symmetric(sys, lam) is not asymmetric
         for q, region in zip(Quadrant, freeze(sys, lam)):
-            pert = sys.perturbation(q)
+            pert = sys.perturbations[q - 1]
             rows = linear_matrix(q, sys.params, lam)
             for row, comp, terms in zip(rows, (pert.comp1, pert.comp2), region, strict=True):
                 assert terms[:2] == ((row[0], 1, 0), (row[1], 0, 1))
@@ -351,19 +351,19 @@ class TestValidate:
 
     def test_report_is_true_when_it_passed(self, paper_system):
         assert validate(paper_system)
-        assert not validate(SwitchedSystem.linear(make_params(-1.0, 1.0, 1.0)))
+        assert not validate(SwitchedSystem(make_params(-1.0, 1.0, 1.0)))
 
     def test_negative_damping_fails(self):
-        sys = SwitchedSystem.linear(
+        sys = SwitchedSystem(
             make_params(-1.0, 1.0, 1.0))
         report = validate(sys)
         assert not report.passed
         assert any("a <= 0" in v for v in report.violations)
 
     def test_linear_monomial_fails(self):
-        bad = PolyField(comp1=(MonomialTerm(LambdaPoly.constant(1.0), 1, 0),))
+        bad = PolyField(comp1=(MonomialTerm(LambdaPoly((1.0,)), 1, 0),))
         sys = SwitchedSystem(make_params(1.0, 1.0, 1.0),
-                             (bad, PolyField.zero(), PolyField.zero(), PolyField.zero()))
+                             (bad, PolyField(), PolyField(), PolyField()))
         report = validate(sys)
         assert not report.passed
         assert any("o(|x|)" in v for v in report.violations)
@@ -371,20 +371,20 @@ class TestValidate:
     def test_negative_coefficient_function_fails(self):
         params = make_params(1.0, 1.0, 1.0)
         params = params.__class__(a=1.0, b=LambdaPoly((1.0, -3.0)),
-                                  c=LambdaPoly.constant(1.0), lambda_domain=(-1.0, 1.0))
-        report = validate(SwitchedSystem.linear(params))
+                                  c=LambdaPoly((1.0,)), lambda_domain=(-1.0, 1.0))
+        report = validate(SwitchedSystem(params))
         assert not report.passed
         assert any("b(lambda) <= 0 at lambda" in v for v in report.violations)
 
     def test_monomial_powers_must_be_nonnegative_ints(self):
         with pytest.raises(ValueError):
-            MonomialTerm(LambdaPoly.constant(1.0), -1, 3)
+            MonomialTerm(LambdaPoly((1.0,)), -1, 3)
         with pytest.raises(TypeError):
-            MonomialTerm(LambdaPoly.constant(1.0), 1.5, 1)
+            MonomialTerm(LambdaPoly((1.0,)), 1.5, 1)
 
     def test_system_needs_four_fields(self):
         with pytest.raises(ValueError, match="exactly four"):
-            SwitchedSystem(make_params(1.0, 1.0, 1.0), (PolyField.zero(),) * 3)
+            SwitchedSystem(make_params(1.0, 1.0, 1.0), (PolyField(),) * 3)
 
     def test_lambda_domain_must_contain_zero(self):
         with pytest.raises(ValueError):

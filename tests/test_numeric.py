@@ -9,9 +9,9 @@ from conftest import arcs, make_linear_system, make_params
 from switchbif import (BudgetError, EscapeError, IntegratorConfig,
                        LambdaPoly, MonomialTerm, OriginError, PolyField, Quadrant,
                        SideError, StiffnessError, StopAfterEvents, StopAtTime, StopOnReturn,
-                       SwitchedSystem, TangencyError, clockwise_successor,
-                       continue_branch, delta, delta_numeric, fit_local_expansion,
-                       half_return, integrate, poincare_numeric, numeric)
+                       SwitchedSystem, TangencyError, continue_branch, delta,
+                       delta_numeric, fit_local_expansion, half_return, integrate,
+                       poincare_numeric, numeric)
 from switchbif.model import REGIONS
 from switchbif.rootfind import brent
 
@@ -22,10 +22,9 @@ ORACLE_GRID = [(a, b, c) for a in (0.1, 1.0, 2.0) for b in (1.0, 6.0) for c in (
 def turning_back_system():
     """p = (-10 x2^2, 10 x1^2) in regions 1, 3 and 4 (a = 0.1, b = c = 1):
     at (0.5, 0) region 1's field points up, back into region 1."""
-    P = LambdaPoly.constant
-    pert = PolyField(comp1=(MonomialTerm(P(-10.0), 0, 2),),
-                     comp2=(MonomialTerm(P(10.0), 2, 0),))
-    return SwitchedSystem(make_params(0.1, 1.0, 1.0), (pert, PolyField.zero(), pert, pert))
+    pert = PolyField(comp1=(MonomialTerm(LambdaPoly((-10.0,)), 0, 2),),
+                     comp2=(MonomialTerm(LambdaPoly((10.0,)), 2, 0),))
+    return SwitchedSystem(make_params(0.1, 1.0, 1.0), (pert, PolyField(), pert, pert))
 
 
 def return_residual(sys, x1, lam, cfg):
@@ -38,8 +37,8 @@ class TestIntegrate:
         sys = make_linear_system(0.1, 6.0, 1.0)
         traj = integrate(sys, (1.0, 0.0), 0.0, StopAfterEvents(4), cfg)
         d = delta(sys.params, 0.0)
-        assert traj.final_state[0] == pytest.approx(d, rel=1e-9)
-        assert traj.final_state[0] == pytest.approx(27.855, abs=1e-3)
+        assert traj.states[-1, 0] == pytest.approx(d, rel=1e-9)
+        assert traj.states[-1, 0] == pytest.approx(27.855, abs=1e-3)
         q_period = math.pi / (2.0 * math.sqrt(6.0))
         for k, t in enumerate(traj.times[traj.events], start=1):
             assert t == pytest.approx(k * q_period, abs=1e-8)
@@ -70,7 +69,7 @@ class TestIntegrate:
             x1, x2 = traj.states[i]
             on_axis = x2 if traj.quadrants[i] in (Quadrant.Q1, Quadrant.Q3) else x1
             assert abs(on_axis) < cfg.event_tol * max(abs(x1), abs(x2))
-            assert traj.quadrants[i + 1] == clockwise_successor(traj.quadrants[i])
+            assert traj.quadrants[i + 1] == REGIONS[traj.quadrants[i]][3]
 
     def test_rows_are_strictly_time_ordered(self, cfg):
         sys = make_linear_system(0.2, 3.0, 1.0)
@@ -181,18 +180,18 @@ class TestIntegrate:
     def test_sliding_contact_raises(self, cfg):
         # third-quadrant field pushes back across the negative x2-axis:
         # crossing from quadrant 4 has disagreeing fields -> sliding
-        pushy = PolyField(comp1=(MonomialTerm(LambdaPoly.constant(10.0), 0, 2),))
+        pushy = PolyField(comp1=(MonomialTerm(LambdaPoly((10.0,)), 0, 2),))
         sys = SwitchedSystem(make_params(0.1, 1.0, 1.0),
-                             (PolyField.zero(), PolyField.zero(), pushy, PolyField.zero()))
+                             (PolyField(), PolyField(), pushy, PolyField()))
         with pytest.raises(TangencyError):
             integrate(sys, (1.0, 0.0), 0.0, StopAfterEvents(2), cfg)
 
     def test_ambiguous_axis_departure_raises(self, cfg):
         # fourth-quadrant field pushes up at the positive x1-axis while the
         # first-quadrant field pushes down: no consistent side to enter
-        pushy = PolyField(comp2=(MonomialTerm(LambdaPoly.constant(4.0), 2, 0),))
+        pushy = PolyField(comp2=(MonomialTerm(LambdaPoly((4.0,)), 2, 0),))
         sys = SwitchedSystem(make_params(0.1, 2.0, 1.0),
-                             (PolyField.zero(), PolyField.zero(), PolyField.zero(), pushy))
+                             (PolyField(), PolyField(), PolyField(), pushy))
         with pytest.raises(TangencyError):
             integrate(sys, (1.0, 0.0), 0.0, StopAtTime(1.0), cfg)
 
@@ -209,7 +208,7 @@ class TestPoincareNumeric:
         d = delta(sys.params, 0.0)
         for x1 in (0.1, 1.0):
             s = poincare_numeric(sys, x1, 0.0, cfg)
-            assert s.x1_out / s.x1_in == pytest.approx(d, rel=1e-6)
+            assert s.x1_out / x1 == pytest.approx(d, rel=1e-6)
             assert s.period == pytest.approx(2.0 * math.pi / math.sqrt(b * c), rel=1e-8)
 
     def test_exactly_four_events(self, paper_system, cfg):
@@ -228,7 +227,7 @@ class TestPoincareNumeric:
     def test_linear_return_map_is_exactly_homogeneous(self, paper_params, lam, cfg):
         # pi(x1) = delta * x1 with tolerances sized to the state: a start
         # scaled by a power of two gives the same steps, bit for bit
-        sys = SwitchedSystem.linear(paper_params)
+        sys = SwitchedSystem(paper_params)
         ref = poincare_numeric(sys, 0.75, lam, cfg)
         for k in (1, 3, 10, 30, 60):
             s = poincare_numeric(sys, 0.75 * 2.0 ** -k, lam, cfg)
@@ -257,9 +256,8 @@ class TestPoincareNumeric:
         # ratio -> stability index = 1 as the amplitude shrinks
         r_coarse = poincare_numeric(paper_system, 1e-1, 0.0, cfg)
         r_fine = poincare_numeric(paper_system, 1e-3, 0.0, cfg)
-        assert abs(r_fine.x1_out / r_fine.x1_in - 1.0) < abs(
-            r_coarse.x1_out / r_coarse.x1_in - 1.0)
-        assert r_fine.x1_out / r_fine.x1_in == pytest.approx(1.0, abs=1e-5)
+        assert abs(r_fine.x1_out / 1e-3 - 1.0) < abs(r_coarse.x1_out / 1e-1 - 1.0)
+        assert r_fine.x1_out / 1e-3 == pytest.approx(1.0, abs=1e-5)
 
     def test_trajectory_spirals_onto_periodic_orbit(self, paper_system, cfg):
         # off-critical start relaxes onto the attracting orbit: successive
@@ -399,7 +397,7 @@ class TestEventLocationCost:
         for i in traj.events.tolist():
             q, (x_prev, x) = int(traj.quadrants[i]), traj.states[i - 1:i + 1].tolist()
             assert (q, *x) not in calls
-            end = calls.index((int(clockwise_successor(q)), *x))
+            end = calls.index((int(REGIONS[q][3]), *x))
             start = max(j for j, call in enumerate(calls[:end]) if call == (q, *x_prev))
             assert end - start == 11 + 17
 
@@ -417,17 +415,10 @@ class TestEventLocationCost:
         assert [p.returns for p in res.points] == [9, 4, 4, 6, 6]
         assert 0 < rhs_evals[0] <= 7_800
 
-    def test_fields_compile_once_per_lambda(self, paper_config, monkeypatch):
+    def test_fields_compile_once_per_lambda(self, paper_config, compiled):
         # every return at one parameter value shares its compiled fields:
         # the paper branch's 29 returns take 5 compiles, the expansion
         # fit's 8 returns one
-        compiled = []
-        original = numeric._compiled_fields
-
-        def counting(sys, lam):
-            compiled.append(lam)
-            return original(sys, lam)
-        monkeypatch.setattr(numeric, "_compiled_fields", counting)
         lams = [0.02, 0.05, 0.1, 0.5, 1.0]
         continue_branch(paper_config.system, lams, paper_config.integrator)
         assert compiled == lams
@@ -576,9 +567,9 @@ class TestCrossingRule:
     def test_zero_normal_velocity_at_the_start_raises(self, cfg):
         # region 1's x2-velocity -c x1 + x1^2 vanishes at (1, 0); region 4's
         # field would carry the trajectory on, but the start is region 1's
-        pert = PolyField(comp2=(MonomialTerm(LambdaPoly.constant(1.0), 2, 0),))
+        pert = PolyField(comp2=(MonomialTerm(LambdaPoly((1.0,)), 2, 0),))
         sys = SwitchedSystem(make_params(0.1, 2.0, 1.0),
-                             (pert, PolyField.zero(), PolyField.zero(), PolyField.zero()))
+                             (pert, PolyField(), PolyField(), PolyField()))
         with pytest.raises(TangencyError, match=r"quadrant 1 cannot end at t = 0\.0,"):
             integrate(sys, (1.0, 0.0), 0.0, StopAtTime(0.1), cfg)
 
@@ -634,7 +625,7 @@ class TestCrossingRule:
 
 class TestReturnResidual:
     def test_zero_for_critical_linear_system(self, paper_params, cfg):
-        sys = SwitchedSystem.linear(paper_params)
+        sys = SwitchedSystem(paper_params)
         for x1 in (0.1, 1.0, 3.0):
             assert abs(return_residual(sys, x1, 0.0, cfg)) <= 1e-8
 
