@@ -573,16 +573,28 @@ _X = ((1.0, 1, 0), (1.0, 0, 1))
 _SX = ((-1.0, 0, 1), (1.0, 1, 0))
 
 
+@functools.cache
+def _golden_table(block: int):
+    """cos and sin of the in-block angles 2π·frac(i·_GOLDEN), i < block (read-only)."""
+    theta = 2.0 * math.pi * (np.arange(block, dtype=float) * _GOLDEN % 1.0)
+    table = np.cos(theta), np.sin(theta)
+    for t in table:
+        t.flags.writeable = False
+    return table
+
+
 def _golden_blocks(n: int, radius, offset: float):
     """Golden-angle points j = 0 .. n-1 at radius(j), as (x1, x2) blocks of
-    at most ``_BLOCK`` points in index order; a point does not depend on
-    the block that holds it."""
+    at most ``_BLOCK`` points in index order.  Point j0 + i of the block
+    that starts at j0 is the table's point i turned by the angle
+    2π·frac(j0·_GOLDEN + offset): one cos and one sin per block."""
+    tc, ts = _golden_table(_BLOCK)
     for j0 in range(0, n, _BLOCK):
-        j = np.arange(j0, min(n, j0 + _BLOCK), dtype=float)
-        u = j * _GOLDEN + offset   # >= 0, so u - floor(u) is exact and equals u % 1.0
-        theta = 2.0 * math.pi * (u - np.floor(u))
-        r = radius(j)
-        yield r * np.cos(theta), r * np.sin(theta)
+        m = min(n - j0, _BLOCK)
+        a = 2.0 * math.pi * ((j0 * _GOLDEN + offset) % 1.0)
+        c, s = math.cos(a), math.sin(a)
+        r = radius(np.arange(j0, j0 + m, dtype=float))
+        yield r * (c * tc[:m] - s * ts[:m]), r * (s * tc[:m] + c * ts[:m])
 
 
 def _circle(n: int, radius: float):

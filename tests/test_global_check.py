@@ -5,11 +5,13 @@
 multiplication.  The reference below is the unblocked form: every sample
 point at once and powers taken with ``**``.  Put in place of
 ``_confinement`` and ``_rotation``, it gives a whole report to compare
-against, notes included.
+against, notes included.  The legacy points, cos and sin of each
+point's own angle, are the oracle for the statuses of the rotated table.
 """
 
 import math
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -30,9 +32,31 @@ def _eval(terms, x1, x2):
 
 
 def _points(radii, offset):
+    """Point j is entry j - j0 of the table of in-block angles 2π·frac(i·_GOLDEN),
+    turned by the angle 2π·frac(j0·_GOLDEN + offset) of its block's start
+    j0 = _BLOCK·floor(j / _BLOCK)."""
+    block = bifurcation._BLOCK
+    u = np.arange(block, dtype=float) * _GOLDEN
+    theta = 2.0 * math.pi * (u % 1.0)
+    i = np.arange(radii.size) % block
+    tc, ts = np.cos(theta)[i], np.sin(theta)[i]
+    a = [2.0 * math.pi * ((j0 * _GOLDEN + offset) % 1.0) for j0 in range(0, radii.size, block)]
+    c = np.repeat([math.cos(x) for x in a], block)[:radii.size]
+    s = np.repeat([math.sin(x) for x in a], block)[:radii.size]
+    return radii * (c * tc - s * ts), radii * (s * tc + c * ts)
+
+
+def _legacy_points(radii, offset):
+    """The point set before the table: cos and sin of every point's own angle."""
     j = np.arange(radii.size, dtype=float)
     theta = 2.0 * math.pi * ((j * _GOLDEN + offset) % 1.0)
     return radii * np.cos(theta), radii * np.sin(theta)
+
+
+def _legacy_blocks(n, radius, offset):
+    """``_legacy_points`` in place of ``bifurcation._golden_blocks``, as one block."""
+    j = np.arange(n, dtype=float)
+    yield _legacy_points(np.broadcast_to(radius(j), j.shape), offset)
 
 
 def _confinement(fields, radius_M, n_samples):
@@ -150,30 +174,69 @@ def test_blocked_check_equals_unblocked_reference(case, monkeypatch):
         assert radius < math.hypot(*getattr(got, name).x) < 10.0 * radius_M
 
 
+def _assert_reports_agree(got, want, rel):
+    """Equal statuses, notes, sample counts and witness regions; witness
+    points (by distance), values and rotation_pert_inner_max within ``rel``."""
+    assert (got.lyapunov_ok, got.rotation_ok, got.delta_conditions_ok, got.notes,
+            got.samples_used) == (want.lyapunov_ok, want.rotation_ok,
+                                  want.delta_conditions_ok, want.notes, want.samples_used)
+    assert got.rotation_pert_inner_max == pytest.approx(want.rotation_pert_inner_max,
+                                                        rel=rel, abs=0.0)
+    for g, w in ((got.lyapunov_witness, want.lyapunov_witness),
+                 (got.rotation_witness, want.rotation_witness)):
+        assert (g is None) == (w is None)
+        if w is not None:
+            assert g.field_index == w.field_index
+            assert math.dist(g.x, w.x) <= rel * math.hypot(*w.x)
+            assert g.value == pytest.approx(w.value, rel=rel, abs=0.0)
+
+
 @pytest.mark.parametrize("case", CASES)
 def test_report_does_not_depend_on_the_block_size(case, monkeypatch):
-    # witnesses and rotation_pert_inner_max bit for bit, and equal notes
+    # the block is the table's period, so the points move by ulps with it
     system, lam, radius_M = CASES[case][:3]
     reports = []
     for block in (256, 1 << 13, 1 << 15):
         monkeypatch.setattr(bifurcation, "_BLOCK", block)
         reports.append(check_global_conditions(system, lam, radius_M, N))
-    assert reports[0] == reports[1] == reports[2]
+    for got in reports[::2]:
+        _assert_reports_agree(got, reports[1], 1e-9)
+
+
+#: CASES at N samples, and the paper example on a grid of lambda x radius_M
+LEGACY = {case: CASES[case][:3] + (N,) for case in CASES} | {
+    f"paper-lam{lam:g}-M{radius_M:g}": (PAPER, lam, radius_M, 100_000)
+    for lam in (0.1, 0.5, 1.0, 1.8, -0.5) for radius_M in (1.0, 2.0, 5.0, 30.0)}
+
+
+@pytest.mark.parametrize("case", LEGACY)
+def test_statuses_match_the_legacy_points(case, monkeypatch):
+    # the rotated table moves each point by about the rounding of j * _GOLDEN
+    system, lam, radius_M, n = LEGACY[case]
+    got = check_global_conditions(system, lam, radius_M, n)
+    monkeypatch.setattr(bifurcation, "_golden_blocks", _legacy_blocks)
+    _assert_reports_agree(got, check_global_conditions(system, lam, radius_M, n), 1e-8)
 
 
 @pytest.mark.parametrize("offset", [0.0, 0.17, 0.43])
 def test_fraction_is_exact_at_late_indices(offset):
-    # j * _GOLDEN + offset passes 6.5e5 here, where few fraction bits are left
+    # j * _GOLDEN + offset passes 6.5e5 here, where few fraction bits are left;
+    # the oracle angle 2π·frac(j·_GOLDEN + offset) is exact in rational arithmetic
     n = (1 << 20) + 3
     x1, x2 = (np.concatenate(c) for c in
               zip(*bifurcation._golden_blocks(n, lambda j: 1.0, offset)))
-    want1, want2 = _points(np.ones(n), offset)
-    assert np.array_equal(x1, want1)
-    assert np.array_equal(x2, want2)
+    g, o = Fraction(_GOLDEN), Fraction(offset)
+    d = math.lcm(g.denominator, o.denominator)
+    num = (np.arange(n, dtype=object) * (g.numerator * (d // g.denominator))
+           + o.numerator * (d // o.denominator)) % d
+    theta = 2.0 * math.pi * (num.astype(float) / d)
+    # the points are off by at most 6.9e-10 here, with or without the table:
+    # the rounding of j * _GOLDEN sets it
+    assert np.max(np.hypot(x1 - np.cos(theta), x2 - np.sin(theta))) < 2e-9
 
 
 def test_blocks_hold_the_unblocked_points():
-    # a point does not depend on the block that holds it
+    # the blocks hold the unblocked table definition, bit for bit
     n = 2 * bifurcation._BLOCK + 7
     blocks = list(bifurcation._golden_blocks(n, lambda j: 3.0 * np.sqrt((j + 0.5) / n), 0.43))
     assert len(blocks) == 3
