@@ -20,7 +20,7 @@ from .analytic import (OriginClass, SectionMapValue, classify_origin, delta,
                        delta_prime, flow_linear, section_map)
 from .numeric import (HybridTrajectory, IntegratorConfig, PoincareSample,
                       StopAfterEvents, StopAtTime, StopOnReturn, delta_numeric,
-                      half_return, integrate, poincare_numeric)
+                      integrate, poincare_numeric)
 from .bifurcation import (BranchDirection, BranchPoint, BranchResult,
                           CheckStatus, CriticalParameter, ExpansionFit,
                           GlobalCheckReport, ScalingFit, Witness,

@@ -45,7 +45,7 @@ from .errors import (DegenerateError, DomainError, InsufficientDataError,
 from . import numeric
 from .model import (REGIONS, Quadrant, SwitchedSystem, SystemParams, collect_terms,
                     compile_forms, freeze, is_point_symmetric)
-from .numeric import IntegratorConfig, half_return, poincare_numeric
+from .numeric import IntegratorConfig, poincare_numeric
 from .rootfind import brent, expand_bracket
 
 __all__ = [
@@ -316,8 +316,7 @@ class _Residual:
 
     def __init__(self, sys: SwitchedSystem, lam: float, cfg: IntegratorConfig, d: float):
         self.sys, self.lam, self.cfg = sys, lam, cfg
-        half = is_point_symmetric(sys, lam)
-        self.ret = half_return if half else poincare_numeric
+        self.half = half = is_point_symmetric(sys, lam)
         self.gain = abs(math.sqrt(1.0 + d) - 1.0 if half else d)
         self.ftol = _RESIDUAL_TOL * self.gain
         self.floor = _noise_floor(cfg) / 2.0 if half else _noise_floor(cfg)
@@ -327,8 +326,8 @@ class _Residual:
     def __call__(self, x1: float) -> float:
         if x1 not in self.samples:
             try:
-                self.samples[x1] = self.ret(self.sys, x1, self.lam, self.cfg,
-                                            fields=self.fields)
+                self.samples[x1] = poincare_numeric(self.sys, x1, self.lam, self.cfg,
+                                                    fields=self.fields, half=self.half)
             except IntegrationError as exc:
                 self.samples[x1] = exc
         sample = self.samples[x1]

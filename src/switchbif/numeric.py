@@ -28,7 +28,7 @@ state on the axis, and the clockwise successor's field there must carry on
 across it.  A start on or next to an axis ends an arc of the region holding it.
 
 ``poincare_numeric`` is one revolution of the return map on the positive
-x1-axis, ``half_return`` half of one for point-symmetric systems;
+x1-axis, or with ``half=True`` half of one for point-symmetric systems;
 ``delta_numeric``, the linear return ratio, is one return of
 the linear part, which ``integrate`` computes alike at every amplitude.
 """
@@ -55,7 +55,6 @@ __all__ = [
     "StopOnReturn",
     "integrate",
     "poincare_numeric",
-    "half_return",
     "delta_numeric",
 ]
 
@@ -465,31 +464,22 @@ def integrate(sys: SwitchedSystem, x0, lam: float, stop, cfg: IntegratorConfig,
                             quadrants=table[:, 3].astype(int), events=np.array(events, dtype=int))
 
 
-def poincare_numeric(sys: SwitchedSystem, x1: float, lam: float,
-                     cfg: IntegratorConfig, fields=None) -> PoincareSample:
-    """One revolution of the return map from (x1, 0) on the positive x1-axis.
+def poincare_numeric(sys: SwitchedSystem, x1: float, lam: float, cfg: IntegratorConfig,
+                     fields=None, half: bool = False) -> PoincareSample:
+    """One revolution of the return map from (x1, 0) on the positive x1-axis,
+    or with ``half`` half of one, h(x1): pi = h o h when f_(q+2)(x) = -f_q(-x).
 
     ``integrate`` sizes every tolerance to the state, so the returned
     ratio keeps full relative accuracy for small amplitudes.  The start
-    ends a quadrant-1 arc, so the return is the fourth switching event.
+    ends a quadrant-1 arc, so the return is the fourth switching event and
+    the half return the second, on the negative x1-axis: ``x1_out`` is then
+    -x1 there and ``period`` twice its time.
     """
     if not (x1 > 0.0):
         raise SideError(f"return map takes x1 > 0, got {x1}")
-    traj = integrate(sys, (x1, 0.0), lam, StopOnReturn(), cfg, fields=fields)
-    return PoincareSample(x1_out=float(traj.states[-1, 0]), period=traj.t_final)
-
-
-def half_return(sys: SwitchedSystem, x1: float, lam: float,
-                cfg: IntegratorConfig, fields=None) -> PoincareSample:
-    """Half a revolution h(x1) from (x1, 0); pi = h o h when f_(q+2)(x) = -f_q(-x).
-
-    ``x1_out`` is -x1 at the second switching event, which ends a
-    quadrant-3 arc on the negative x1-axis, and ``period`` twice its time.
-    """
-    if not (x1 > 0.0):
-        raise SideError(f"return map takes x1 > 0, got {x1}")
-    traj = integrate(sys, (x1, 0.0), lam, StopAfterEvents(2), cfg, fields=fields)
-    return PoincareSample(x1_out=-float(traj.states[-1, 0]), period=2.0 * traj.t_final)
+    traj = integrate(sys, (x1, 0.0), lam, StopAfterEvents(2 if half else 4), cfg, fields=fields)
+    x1_out, t = float(traj.states[-1, 0]), traj.t_final
+    return PoincareSample(-x1_out, 2.0 * t) if half else PoincareSample(x1_out, t)
 
 
 #: Amplitude of the one return in delta_numeric.

@@ -15,7 +15,7 @@ from switchbif import (BranchDirection, CheckStatus, DegenerateError,
                        bifurcation_direction, check_global_conditions,
                        classify_origin, continue_branch, delta, delta_prime,
                        find_critical_lambda, fit_local_expansion,
-                       fit_scaling_law, half_return, integrate, is_point_symmetric,
+                       fit_scaling_law, integrate, is_point_symmetric,
                        leading_coefficient, linear_matrix, parse_config, poincare_numeric)
 from switchbif import bifurcation, numeric
 from switchbif.bifurcation import BranchPoint
@@ -189,12 +189,12 @@ class TestLeadingCoefficient:
         """Amplitudes integrated, in order, for a linear system at lam = 0."""
         assert leading_coefficient(sys, 0.0) == (0.0, 0)
         calls = []
-        original = bifurcation.half_return
+        original = bifurcation.poincare_numeric
 
         def ret(*args, **kw):
             calls.append(args[1])
             return original(*args, **kw)
-        monkeypatch.setattr(bifurcation, "half_return", ret)
+        monkeypatch.setattr(bifurcation, "poincare_numeric", ret)
         res = continue_branch(sys, [0.0], cfg)
         assert res.points == () and res.no_orbit == (0.0,)
         return calls
@@ -322,7 +322,8 @@ class TestContinueBranch:
         # point-symmetric paper example (pi and h differ by eps / |delta - 1|)
         assert is_point_symmetric(paper_system, lam)
         x = continue_branch(paper_system, [lam], cfg).points[0].x1_fixed
-        tight, _ = brent(lambda x1: half_return(paper_system, x1, lam, cfg).x1_out - x1,
+        tight, _ = brent(lambda x1: poincare_numeric(paper_system, x1, lam, cfg,
+                                                     half=True).x1_out - x1,
                          x / 2.0, 2.0 * x, xtol=1e-13, ftol=0.0)
         assert abs(x - tight) <= 1e-7 * tight
         exact = exact_fixed_point(lam, x / 2.0, 2.0 * x)
@@ -397,20 +398,19 @@ class TestContinueBranch:
     def test_returns_per_lambda_counted(self, paper_system, cfg, monkeypatch):
         # work counter: the leading coefficient seeds the first parameter
         # value, the previous points the rest; every point reports its returns
-        # (half returns on the point-symmetric paper example, full ones
-        # elsewhere: both return functions are counted)
-        calls = []
+        # (each a half return on the point-symmetric paper example)
+        calls, halves = [], []
+        original = bifurcation.poincare_numeric
 
-        def counting(original):
-            def ret(sys, x1, lam, cfg_, **kw):
-                calls.append(lam)
-                return original(sys, x1, lam, cfg_, **kw)
-            return ret
-        for name in ("poincare_numeric", "half_return"):
-            monkeypatch.setattr(bifurcation, name, counting(getattr(bifurcation, name)))
+        def ret(sys, x1, lam, cfg_, **kw):
+            calls.append(lam)
+            halves.append(kw["half"])
+            return original(sys, x1, lam, cfg_, **kw)
+        monkeypatch.setattr(bifurcation, "poincare_numeric", ret)
         lams = [0.02, 0.05, 0.1, 0.5, 1.0]
         res = continue_branch(paper_system, lams, cfg)
         assert len(calls) <= 60
+        assert halves == [True] * sum(p.returns for p in res.points)
         assert [p.returns for p in res.points] == [calls.count(lam) for lam in lams]
         assert [p.source for p in res.points] == ["expansion"] + ["previous"] * 4
         assert all(p.returns <= 8 for p in res.points[1:])
@@ -428,20 +428,15 @@ class TestContinueBranch:
         # every return is a full one, and the amplitudes are those of the
         # full-return solve
         sys = with_x1_squared(paper_system)
-        calls = {"poincare_numeric": 0, "half_return": 0}
+        halves = []
+        original = bifurcation.poincare_numeric
 
-        def counting(name):
-            original = getattr(bifurcation, name)
-
-            def ret(*args, **kw):
-                calls[name] += 1
-                return original(*args, **kw)
-            return ret
-        for name in calls:
-            monkeypatch.setattr(bifurcation, name, counting(name))
+        def ret(*args, **kw):
+            halves.append(kw["half"])
+            return original(*args, **kw)
+        monkeypatch.setattr(bifurcation, "poincare_numeric", ret)
         res = continue_branch(sys, [0.05, 0.1, 0.5], cfg)
-        assert calls == {"poincare_numeric": sum(p.returns for p in res.points),
-                         "half_return": 0}
+        assert halves == [False] * sum(p.returns for p in res.points)
         # the fixed points of the full return by bisection on scipy's DOP853
         # at rtol 1e-13 (this integrator's at rel_tol 1e-13 agree to 2e-12);
         # measured 1.6e-9, 8.5e-10 and 7.0e-10 off
@@ -458,14 +453,14 @@ class TestContinueBranch:
         # at the predicted amplitude, fails: the scan finds the same orbit
         plain = continue_branch(paper_system, [0.05, 0.1], cfg)
         broken = []
-        original = bifurcation.half_return
+        original = bifurcation.poincare_numeric
 
         def ret(sys, x1, lam, cfg_, **kw):
             if lam == 0.1 and not broken:
                 broken.append(x1)
                 raise TangencyError("injected")
             return original(sys, x1, lam, cfg_, **kw)
-        monkeypatch.setattr(bifurcation, "half_return", ret)
+        monkeypatch.setattr(bifurcation, "poincare_numeric", ret)
         res = continue_branch(paper_system, [0.05, 0.1], cfg)
         assert len(broken) == 1
         assert [p.source for p in res.points] == ["expansion", "scan"]
@@ -566,7 +561,7 @@ class TestMonotoneScan:
         sys = two_sided_system()
         res = continue_branch(sys, [lam], cfg)
         grid = np.linspace(0.3, 1.2, 37)
-        r = [half_return(sys, x, lam, cfg).x1_out - x for x in grid]
+        r = [poincare_numeric(sys, x, lam, cfg, half=True).x1_out - x for x in grid]
         cells = [(a, b) for a, b, ra, rb in zip(grid, grid[1:], r, r[1:])
                  if (ra > 0.0) != (rb > 0.0)]
         orbits = sorted(p.x1_fixed for p in res.points + res.additional)
@@ -583,14 +578,14 @@ class TestMonotoneScan:
         sys = two_sided_system()
         x_bad = bifurcation._X_SCAN_MIN * 2.0 ** 20
         calls = []
-        original = bifurcation.half_return
+        original = bifurcation.poincare_numeric
 
         def ret(sys_, x1, lam, cfg_, **kw):
             calls.append(x1)
             if x1 == x_bad:
                 raise TangencyError("injected")
             return original(sys_, x1, lam, cfg_, **kw)
-        monkeypatch.setattr(bifurcation, "half_return", ret)
+        monkeypatch.setattr(bifurcation, "poincare_numeric", ret)
         broken = continue_branch(sys, [0.02], cfg)
         assert calls.index(x_bad) > calls.index(bifurcation._X_SCAN_MIN)
         assert broken.no_orbit == (0.02,)

@@ -1,7 +1,7 @@
-"""The README's lists of integrator keys, exit codes and subcommands and its
-global-check block size match the code, its library example prints what its
-comments say, and the package stays within ROADMAP.md's line cap and imports
-only the standard library and numpy."""
+"""The README's lists of integrator keys, exit codes, subcommands and absolute
+constants and its global-check block size match the code, its library example
+prints what its comments say, and the package stays within ROADMAP.md's line
+cap and imports only the standard library and numpy."""
 
 import ast
 import contextlib
@@ -12,7 +12,7 @@ import re
 import sys
 from pathlib import Path
 
-from switchbif import IntegratorConfig, bifurcation, errors
+from switchbif import IntegratorConfig, bifurcation, errors, numeric
 from switchbif.cli import _COMMANDS
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -61,6 +61,17 @@ def test_library_example_prints_its_comments():
 def test_global_check_block_size_matches_the_code():
     stated = re.findall(r"blocks of 2\^(\d+) points", README)
     assert stated and all(1 << int(e) == bifurcation._BLOCK for e in stated)
+
+
+def test_absolute_constants_match_the_code():
+    rows = re.findall(r"^  \| `([\w.]+)` \| [^|]* \| ([^ |]+) \|", README, re.MULTILINE)
+    code = {"numeric._ESCAPE_RADIUS": numeric._ESCAPE_RADIUS,
+            "numeric._MAX_ARC_TIME": numeric._MAX_ARC_TIME,
+            "bifurcation._X_SCAN_MIN": bifurcation._X_SCAN_MIN,
+            "IntegratorConfig.abs_tol": IntegratorConfig(rel_tol=1.0).abs_tol,
+            "numeric._H0": numeric._H0,
+            "numeric._MAX_STEP": numeric._MAX_STEP}
+    assert {name: float(value) for name, value in rows} == code
 
 
 def test_source_stays_within_the_line_cap():

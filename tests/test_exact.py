@@ -26,7 +26,7 @@ import pytest
 from numpy.polynomial.legendre import leggauss
 
 from switchbif import (EscapeError, IntegratorConfig, StopOnReturn, continue_branch,
-                       delta_numeric, half_return, integrate, poincare_numeric)
+                       delta_numeric, integrate, poincare_numeric)
 
 A = 2.0
 NODES, WEIGHTS = leggauss(40)
@@ -125,7 +125,7 @@ def test_return_map_matches_exact(paper_system, cfg, x1):
 def test_half_return_matches_exact(paper_system, cfg, x1):
     # the state after two quarter-turns, mirrored, and twice its time;
     # measured x1_out 5.5e-11 / 3.1e-11, period 3.9e-12 / 3.3e-12
-    s = half_return(paper_system, x1, 0.1, cfg)
+    s = poincare_numeric(paper_system, x1, 0.1, cfg, half=True)
     t, x = exact_events(0.1, x1)[1]
     assert abs(s.x1_out + x[0]) <= 1.7e-10 * -x[0]
     assert abs(s.period - 2.0 * t) <= 1.2e-11 * 2.0 * t
@@ -136,7 +136,7 @@ def test_half_return_matches_exact(paper_system, cfg, x1):
 def test_half_return_from_the_largest_scan_amplitudes(paper_system, cfg, lam, x1):
     # a rejected trial step beyond the bounding box, where the field points
     # inward, only shrinks the step; measured at most 1.3e-11 relative
-    s = half_return(paper_system, x1, lam, cfg)
+    s = poincare_numeric(paper_system, x1, lam, cfg, half=True)
     _, x = exact_events(lam, x1)[1]
     assert abs(s.x1_out + x[0]) <= 1e-10 * -x[0]
 
@@ -147,7 +147,7 @@ def test_blow_up_from_the_largest_scan_amplitudes_escapes(paper_system, cfg, rhs
                                                           lam, x1):
     # the +|lam| x1^5 terms point outward there: measured 24 to 35 RHS evals
     with pytest.raises(EscapeError):
-        half_return(paper_system, x1, lam, cfg)
+        poincare_numeric(paper_system, x1, lam, cfg, half=True)
     assert rhs_evals[0] <= 35
 
 

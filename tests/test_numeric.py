@@ -10,7 +10,7 @@ from switchbif import (BudgetError, EscapeError, IntegratorConfig,
                        LambdaPoly, MonomialTerm, OriginError, PolyField, Quadrant,
                        SideError, StiffnessError, StopAfterEvents, StopAtTime, StopOnReturn,
                        SwitchedSystem, TangencyError, continue_branch, delta,
-                       delta_numeric, fit_local_expansion, half_return, integrate,
+                       delta_numeric, fit_local_expansion, integrate,
                        poincare_numeric, numeric)
 from switchbif.model import REGIONS
 from switchbif.rootfind import brent
@@ -142,20 +142,20 @@ class TestIntegrate:
             with pytest.raises(EscapeError):
                 integrate(paper_system, x0, 0.1, StopOnReturn(), cfg)
 
-    @pytest.mark.parametrize("ret", [half_return, poincare_numeric])
-    def test_crossing_step_beyond_the_box_escapes(self, paper_system, ret):
+    @pytest.mark.parametrize("half", [True, False])
+    def test_crossing_step_beyond_the_box_escapes(self, paper_system, half):
         # at rel_tol 0.5 an accepted step from x1 = 2.1 crosses its exit
         # semi-axis and ends at (4.4e25, 2.4e25): it is judged before any
         # event location, like every other trial state
         with pytest.raises(EscapeError):
-            ret(paper_system, 2.1, 0.02, IntegratorConfig(0.5))
+            poincare_numeric(paper_system, 2.1, 0.02, IntegratorConfig(0.5), half=half)
 
     def test_nan_trial_state_escapes(self, paper_system, cfg, rhs_evals):
         # the first trial step overflows to a NaN state where the field points
         # out: 13 RHS evals (2 at the start, 11 for the step), not a shrinking
         # step to StiffnessError
         with pytest.raises(EscapeError):
-            half_return(paper_system, 8.388608, -0.175867197871665, cfg)
+            poincare_numeric(paper_system, 8.388608, -0.175867197871665, cfg, half=True)
         assert rhs_evals[0] <= 13
 
     def test_event_budget_raises(self, cfg, monkeypatch):
@@ -490,15 +490,15 @@ class TestCrossingLocation:
 class TestHalfReturn:
     def test_twice_is_the_full_return(self, paper_system, cfg):
         # the paper example is point-symmetric, so pi = h o h
-        h1 = half_return(paper_system, 0.5, 0.1, cfg)
-        h2 = half_return(paper_system, h1.x1_out, 0.1, cfg)
+        h1 = poincare_numeric(paper_system, 0.5, 0.1, cfg, half=True)
+        h2 = poincare_numeric(paper_system, h1.x1_out, 0.1, cfg, half=True)
         full = poincare_numeric(paper_system, 0.5, 0.1, cfg)
         assert h2.x1_out == pytest.approx(full.x1_out, rel=1e-9)
         assert (h1.period + h2.period) / 2.0 == pytest.approx(full.period, rel=1e-10)
 
     def test_rejects_start_off_the_positive_axis(self, paper_system, cfg):
         with pytest.raises(SideError):
-            half_return(paper_system, -0.5, 0.1, cfg)
+            poincare_numeric(paper_system, -0.5, 0.1, cfg, half=True)
 
 
 class TestStopOnReturn:
@@ -560,7 +560,7 @@ class TestCrossingRule:
         sys = turning_back_system()
         for run in (lambda: integrate(sys, (0.5, x2), 0.0, StopAfterEvents(2), cfg),
                     lambda: poincare_numeric(sys, 0.5, 0.0, cfg),
-                    lambda: half_return(sys, 0.5, 0.0, cfg)):
+                    lambda: poincare_numeric(sys, 0.5, 0.0, cfg, half=True)):
             with pytest.raises(TangencyError, match=r"quadrant 1 cannot end at t = 0\.0,"):
                 run()
 

@@ -14,7 +14,7 @@ import math
 import numpy as np
 import pytest
 
-from switchbif import StopAfterEvents, continue_branch, half_return, integrate
+from switchbif import StopAfterEvents, continue_branch, integrate, poincare_numeric
 from switchbif.config import parse_config
 from test_cli import TWO_SIDED
 
@@ -132,7 +132,7 @@ def test_two_sided_half_return_matches_rho_ode(cfg, x1):
     # bounding box, where the field points inward, only shrinks the step;
     # measured 9.3e-12 to 2.0e-11 relative, period 3.1e-12 to 4.6e-12
     system = parse_config(json.dumps(TWO_SIDED)).system
-    s = half_return(system, x1, 0.02, cfg)
+    s = poincare_numeric(system, x1, 0.02, cfg, half=True)
     h, period = two_sided_half_return(0.02, x1)
     assert abs(s.x1_out - h) <= 1e-10 * h
     assert abs(s.period - period) <= 1.5e-11 * period
