@@ -88,7 +88,8 @@ class StiffnessError(IntegrationError):
 
 
 class EscapeError(IntegrationError):
-    """The start or a trial state lies outside the bounding box, max-norm 1e6, or is NaN."""
+    """The start or a trial state lies outside the bounding box, max-norm 1e6, or is
+    NaN, or an arc grew over 10-fold (the growth rule of ``numeric.integrate``)."""
 
 
 # -- solver / estimator failures ----------------------------------------------

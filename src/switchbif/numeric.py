@@ -26,6 +26,9 @@ int(q).  ``_leave`` ends every arc: the arc's field must cross its exit
 semi-axis outward and transversally, a first-order move along it places the
 state on the axis, and the clockwise successor's field there must carry on
 across it.  A start on or next to an axis ends an arc of the region holding it.
+The growth rule ends an arc with EscapeError once an accepted state's |y|, a norm
+in which the region's linear part decays, exceeds ``_ARC_GROWTH`` times its value
+at the arc's start: only the perturbation grows |y|, as in a finite-time blow-up.
 
 ``poincare_numeric`` is one revolution of the return map on the positive
 x1-axis, or with ``half=True`` half of one for point-symmetric systems;
@@ -41,6 +44,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .analytic import _spiral
 from .errors import (BudgetError, EscapeError, OriginError, SideError, StiffnessError,
                      TangencyError)
 from .model import REGIONS, Quadrant, SwitchedSystem, compile_forms, freeze, region_of
@@ -71,8 +75,8 @@ class IntegratorConfig:
     integrates scale-invariantly below |x| = 1.  The derived
     abs_tol = min(rel_tol, 1e-10) and event_tol = min(1e-12, rel_tol / 100)
     are 1e-10 and 1e-12 for every rel_tol >= 1e-10.  The event budget, the
-    bounding box, the step sizes, the transversality threshold and the
-    per-arc time budget are module constants.
+    bounding box, the growth rule's factor, the step sizes, the transversality
+    threshold and the per-arc time budget are module constants.
     """
 
     rel_tol: float = 1e-10
@@ -242,6 +246,9 @@ _H_FLOOR = 1e-14
 _H0, _MAX_STEP, _TANGENCY_TOL, _MAX_ARC_TIME = 1e-3, 1.0, 1e-10, 1e4
 #: switching events per integration, max-norm bound of every state
 _MAX_ARCS, _ESCAPE_RADIUS = 10_000, 1e6
+#: growth rule: largest |y| of an arc over |y| at its start, where |y|^2 = x1^2 + (b/c) x2^2
+#: in regions 1, 3 and x1^2 + (c/b) x2^2 in 2, 4, which the linear part decays at rate a
+_ARC_GROWTH = 10.0
 #: smallest normal float: a state below it has lost its relative precision
 _FLOAT_MIN = float(np.finfo(float).tiny)
 #: step-size controller: h *= SAFETY * err**-EXPO within [MIN_FACTOR, MAX_FACTOR]
@@ -352,14 +359,16 @@ def integrate(sys: SwitchedSystem, x0, lam: float, stop, cfg: IntegratorConfig,
     or per-arc time budget is exhausted, StiffnessError on step underflow,
     EscapeError when the start or a trial state lies outside the bounding
     box, NaN too, unless the step is rejected and x . f(x) <= 0 at the
-    accepted state, and OriginError when a state lies below the smallest
-    normal float.  A start within 4 * event_tol * |x0| of an axis ends an
-    arc of the region holding the point snapped onto that axis: ``_leave``
-    checks it and places it on the axis, as at every switching event, and
-    row 0 holds the placed state, which is not recorded as an event.
+    accepted state, or by the growth rule when an accepted state's |y|
+    exceeds _ARC_GROWTH times its arc's start, and OriginError when a state
+    lies below the smallest normal float.  A start within 4 * event_tol * |x0|
+    of an axis ends an arc of the region holding the point snapped onto that
+    axis: ``_leave`` checks it and places it on the axis, as at every
+    switching event, and row 0 holds the placed state, which is not recorded
+    as an event.
     ``fields`` is ``_compiled_fields(sys, lam)`` when the caller holds it.
     """
-    sys.params.at(lam)
+    r = _spiral(sys.params, lam)[2]
     x1, x2 = float(x0[0]), float(x0[1])
     if not (abs(x1) <= _ESCAPE_RADIUS and abs(x2) <= _ESCAPE_RADIUS):   # NaN included
         raise EscapeError(f"start point ({x1}, {x2}) lies outside the bounding box "
@@ -391,6 +400,8 @@ def integrate(sys: SwitchedSystem, x0, lam: float, stop, cfg: IntegratorConfig,
         if len(events) >= _MAX_ARCS:
             raise BudgetError(f"switching-event budget exhausted ({_MAX_ARCS})")
         f, (gidx, s_g, s_o, _), t_arc, h_max = fields[int(q)], REGIONS[q], t, _MAX_STEP
+        w = r if q % 2 else 1.0 / r   # the growth rule's norm is hypot(x1, w * x2)
+        limit = _ARC_GROWTH * math.hypot(x1, w * x2)
         while True:   # DOP853 steps, until one crosses q's exit semi-axis or ends at t_target
             clipped = t + h >= t_target
             if clipped:
@@ -429,6 +440,9 @@ def integrate(sys: SwitchedSystem, x0, lam: float, stop, cfg: IntegratorConfig,
             if max(abs(u1), abs(u2)) < _FLOAT_MIN:
                 raise OriginError(f"trajectory decayed below float resolution at t = {t + h}: "
                                   f"({u1}, {u2})")
+            if math.hypot(u1, w * u2) > limit:
+                raise EscapeError(f"growth rule: |y| grew over {_ARC_GROWTH:g} times its value "
+                                  f"at the arc's start by t = {t + h}: ({u1}, {u2})")
             crossed = not ((u1, u2)[gidx] * s_g > 0.0)
             if crossed:
                 break

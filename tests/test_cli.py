@@ -534,6 +534,15 @@ class TestErrorContract:
         assert code == 2
         assert "EscapeError" in err
 
+    def test_finite_time_blow_up_is_one_line_growth_rule_error(self, capsys, tmp_path):
+        # +0.2 x1^5 blows up within the first arc; the growth rule ends it
+        code, out, err = run(capsys, ["paper-example", "poincare", "--lambda=-0.2",
+                                      "--x1=2.097152", "--out", str(tmp_path)])
+        assert code == 2 and out == ""
+        assert "Traceback" not in err
+        assert err.count("\n") == 1
+        assert err.startswith("switchbif: error: EscapeError: growth rule: |y| grew over 10 ")
+
     def test_crossing_step_beyond_the_box_is_no_orbit(self, capsys, tmp_path):
         # a crossing step that leaves the bounding box is an escape, not a
         # failed event location, so the branch reports no orbit

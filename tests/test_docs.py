@@ -1,7 +1,7 @@
 """The README's lists of integrator keys, exit codes, subcommands and absolute
-constants and its global-check block size match the code, its library example
-prints what its comments say, and the package stays within ROADMAP.md's line
-cap and imports only the standard library and numpy."""
+constants, its growth-rule factor and its global-check block size match the
+code, its library example prints what its comments say, and the package stays
+within ROADMAP.md's line cap and imports only the standard library and numpy."""
 
 import ast
 import contextlib
@@ -72,6 +72,14 @@ def test_absolute_constants_match_the_code():
             "numeric._H0": numeric._H0,
             "numeric._MAX_STEP": numeric._MAX_STEP}
     assert {name: float(value) for name, value in rows} == code
+
+
+def test_growth_rule_factor_matches_the_code():
+    # the rule is scale-free, so README states it in prose and in the error
+    # table, not among the absolute constants
+    stated = re.findall(r"`numeric\._ARC_GROWTH` = (\S+) times", README)
+    assert stated and all(float(v) == numeric._ARC_GROWTH for v in stated)
+    assert f"grows over {numeric._ARC_GROWTH:g}-fold by the growth rule" in README
 
 
 def test_source_stays_within_the_line_cap():

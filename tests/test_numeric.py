@@ -1,19 +1,24 @@
 import dataclasses
+import json
 import math
+import random
 import re
 
 import numpy as np
 import pytest
 
-from conftest import arcs, make_linear_system, make_params
+from conftest import arcs, emit_canonical, make_linear_system, make_params
 from switchbif import (BudgetError, EscapeError, IntegratorConfig,
                        LambdaPoly, MonomialTerm, OriginError, PolyField, Quadrant,
                        SideError, StiffnessError, StopAfterEvents, StopAtTime, StopOnReturn,
                        SwitchedSystem, TangencyError, continue_branch, delta,
                        delta_numeric, fit_local_expansion, integrate,
                        poincare_numeric, numeric)
+from switchbif.analytic import flow_linear
+from switchbif.config import parse_config
 from switchbif.model import REGIONS
 from switchbif.rootfind import brent
+from test_bifurcation import two_sided_system, with_x1_squared
 
 #: (a, b, c) grid used for the linear-case oracle comparisons
 ORACLE_GRID = [(a, b, c) for a in (0.1, 1.0, 2.0) for b in (1.0, 6.0) for c in (1.0, 3.0)]
@@ -543,11 +548,115 @@ class TestStopAtEventTime:
                         assert t_max - traj.t_final <= numeric._H_FLOOR * max(1.0, t_max)
         assert runs == 432
 
-    def test_step_underflow_short_of_t_max_raises(self, paper_system, cfg):
-        # at lambda = -0.5 the step from (2, 0) shrinks under the floor near
-        # t = 0.036, far from t_max: no clipped step, so stiffness
-        with pytest.raises(StiffnessError, match="step size underflow"):
+    def test_step_underflow_short_of_t_max_raises(self, cfg):
+        # w = sqrt(b c) = 1e14 turns a quarter in 1.6e-14: the first step
+        # shrinks under the floor at t = 0, far from t_max, and nothing grows
+        sys = make_linear_system(0.5, 1e14, 1e14)
+        with pytest.raises(StiffnessError, match=r"step size underflow .* at t = 0\.0$"):
+            integrate(sys, (1.0, 0.0), 0.0, StopAtTime(0.5), cfg)
+
+
+def arc_growth(traj, params, lam):
+    """Largest |y| on an arc over |y| at the arc's start, in the growth rule's
+    norm: hypot(x1, r x2) in regions 1 and 3, hypot(x1, x2 / r) in 2 and 4."""
+    _, b, c = params.at(lam)
+    r = math.sqrt(b) / math.sqrt(c)
+    growth = 0.0
+    for q, _, x in arcs(traj):
+        norm = np.hypot(x[:, 0], (r if q in (Quadrant.Q1, Quadrant.Q3) else 1.0 / r) * x[:, 1])
+        growth = max(growth, float(norm.max() / norm[0]))
+    return growth
+
+
+def scaled_paper_system(paper_config, s, kappa):
+    """The paper example in y = x / s and time t / kappa: each degree-d term's
+    coefficient times kappa s^(d - 1), and a, b and c times kappa."""
+    doc = json.loads(emit_canonical(paper_config))
+    system = doc["system"]
+    system["a"] *= kappa
+    for key in ("b_poly", "c_poly"):
+        system[key] = [kappa * v for v in system[key]]
+    for field in system["perturbations"].values():
+        for terms in field.values():
+            for term in terms:
+                scale = kappa * s ** (term["pow1"] + term["pow2"] - 1)
+                term["coeff_poly"] = [scale * v for v in term["coeff_poly"]]
+    return parse_config(json.dumps(doc)).system
+
+
+class TestGrowthRule:
+    """An arc ends with EscapeError once an accepted state's |y| exceeds
+    _ARC_GROWTH times its value at the arc's start: the region's linear part
+    only shrinks |y|, so a finite-time blow-up ends early, and nothing else."""
+
+    BLOW_UPS = [(lam, x1) for lam in (-0.15, -0.2, -0.3, -0.35, -0.4, -0.5)
+                for x1 in (2.097152, 4.194304)]
+
+    @pytest.mark.parametrize("lam, x1", BLOW_UPS)
+    def test_half_return_blow_up_ends_at_the_rule(self, paper_system, cfg, rhs_evals, lam, x1):
+        # the branch scan's half returns at lambda < 0, where +|lam| x1^5
+        # blows up in finite time: measured 1,163 to 1,233 RHS evals, where
+        # the step underflow at |x| ~ 2e3 took 3,106 to 3,821
+        with pytest.raises(EscapeError, match="growth rule"):
+            poincare_numeric(paper_system, x1, lam, cfg, half=True)
+        assert rhs_evals[0] <= 1_300
+
+    def test_blow_up_short_of_t_max_ends_at_the_rule(self, paper_system, cfg):
+        # the step from (2, 0) at lambda = -0.5 used to shrink under the
+        # step floor near t = 0.036; the rule ends the arc there first
+        with pytest.raises(EscapeError, match=r"growth rule: .* by t = 0\.036"):
             integrate(paper_system, (2.0, 0.0), -0.5, StopAtTime(0.5), cfg)
+
+    @pytest.mark.parametrize("s", [0.5, 3.0])
+    @pytest.mark.parametrize("kappa", [0.25, 4.0])
+    def test_scaled_copies_end_at_the_rule(self, paper_config, cfg, s, kappa):
+        # |y| ratios are invariant under the amplitude and time scalings
+        sys = scaled_paper_system(paper_config, s, kappa)
+        with pytest.raises(EscapeError, match="growth rule"):
+            poincare_numeric(sys, 2.097152 / s, -0.2, cfg, half=True)
+
+    def test_linear_systems_never_trigger_it(self, cfg):
+        # b / c in [1/2, 2] keeps four quarter turns from 1e5 inside the box
+        rng = random.Random("growth-rule/linear")
+        for _ in range(40):
+            a, c = rng.uniform(0.01, 2.0), rng.uniform(0.2, 5.0)
+            sys = make_linear_system(a, c * rng.uniform(0.5, 2.0), c)
+            x1 = 10.0 ** rng.uniform(-6.0, 5.0)
+            t_max = rng.uniform(0.0, 2.0 * math.pi / math.sqrt(sys.params.at(0.0)[1] * c))
+            for stop in (StopOnReturn(), StopAtTime(t_max)):
+                traj = integrate(sys, (x1, 0.0), 0.0, stop, cfg)
+                assert arc_growth(traj, sys.params, 0.0) <= 1.0 + 1e-9
+
+    @pytest.mark.parametrize("name, lams", [
+        ("paper", [-0.3, -0.11, -0.05, 0.02, 0.05, 0.1, 0.5, 1.0, 1.5, 1.9]),
+        ("two_sided", [-1.4, -1.0, -0.3, -0.05, 0.02, 0.1]),
+        ("x1_squared", [-0.1, 0.05, 0.1, 0.5])])
+    def test_completed_arcs_keep_a_wide_margin(self, paper_system, cfg, monkeypatch,
+                                               name, lams):
+        # every integration of these branches that completes grows |y| by at
+        # most 1.1x in any arc, far below the rule's 10x
+        sys = {"paper": paper_system, "two_sided": two_sided_system(),
+               "x1_squared": with_x1_squared(paper_system)}[name]
+        growths = []
+        original = numeric.integrate
+
+        def measured(sys_, x0, lam, *args, **kw):
+            traj = original(sys_, x0, lam, *args, **kw)
+            growths.append(arc_growth(traj, sys_.params, lam))
+            return traj
+        monkeypatch.setattr(numeric, "integrate", measured)
+        continue_branch(sys, lams, cfg)
+        assert growths and max(growths) <= 1.1
+
+    def test_extreme_b_over_c_neither_overflows_nor_triggers_it(self, cfg):
+        # b / c = 1e300, r = 1e150: the small coordinate of a region-1 or
+        # region-4 start grows by 1e139 in max-norm while |y| decays
+        sys = make_linear_system(0.5, 1e150, 1e-150)
+        for q, x0 in ((Quadrant.Q1, (1e-140, 1e-150)), (Quadrant.Q4, (1e-150, -1e-140))):
+            traj = integrate(sys, x0, 0.0, StopAtTime(1.5), cfg)
+            assert arc_growth(traj, sys.params, 0.0) <= 1.0
+            np.testing.assert_allclose(traj.states[-1], flow_linear(q, x0, 1.5, sys.params, 0.0),
+                                       rtol=1e-9)
 
 
 class TestCrossingRule:
