@@ -226,16 +226,23 @@ def compile_forms(*forms):
     """One function (x1, x2) -> (sum of each form's ``(coeff, pow1, pow2)`` terms, ...).
 
     The function is straight-line code compiled once, and runs alike on
-    floats and on numpy arrays of one shape: each power is a local built as
-    x**p = x**(p-1) * x, a term is coeff * x1**p1 * x2**p2 in that order,
+    floats and on numpy arrays of one shape: each power up to 64 is a local
+    built as x**p = x**(p-1) * x, and above it the powers 64 * 2**k are
+    squares and any other as x**(p % 64) times those of p's bits, so the
+    source grows with log p.  A term is coeff * x1**p1 * x2**p2 in that order,
     a form sums its terms left to right, and an empty form is 0.0 * (x1 + x2).
     The source holds only ``repr(float)`` coefficients and int powers, with
     ``inf`` and ``nan`` bound to their floats; float ``*`` overflows to inf.
     """
     lines = ["def f(x1_1, x2_1):"]   # xi_p is the local xi**p
     for i in (1, 2):
-        top = max((int(t[i]) for form in forms for t in form), default=0)
-        lines += [f"    x{i}_{p} = x{i}_{p - 1} * x{i}_1" for p in range(2, top + 1)]
+        used = {int(t[i]) for form in forms for t in form}
+        top = max(used, default=0)
+        lines += [f"    x{i}_{p} = x{i}_{p - 1} * x{i}_1" for p in range(2, min(top, 64) + 1)]
+        squares = [64 << k for k in range(1, top.bit_length()) if 64 << k <= top]
+        lines += [f"    x{i}_{p} = x{i}_{p // 2} * x{i}_{p // 2}" for p in squares]
+        lines += [f"    x{i}_{p} = " + " * ".join(f"x{i}_{b}" for b in (p % 64, 64, *squares) if b & p)
+                  for p in sorted(used.difference(squares)) if p > 64]
 
     def term(c, *powers):
         return " * ".join([repr(float(c))]

@@ -4,28 +4,27 @@ Each smooth arc lives in one open quadrant and is integrated with
 Hairer's DOP853 pair (Hairer, Norsett and Wanner, Solving ODEs I, II.5):
 an 8th-order step takes 11 new RHS evaluations, and f at an accepted
 state is the next step's first stage.  The tableau is stated once, as
-data, and the step is straight-line code generated from it at import.
+data, and the steps in time and in phase are code generated from it.
 The step size follows Hairer's error norm, which blends the pair's 5th-
 and 3rd-order estimates, with exponent 1/8.  The switching manifolds are
-the four coordinate semi-axes, so the event function on an arc is the
-coordinate that vanishes on its quadrant's exit semi-axis in
-``model.REGIONS``.  A sign change over an accepted step is located by
-``rootfind.brent`` on the step's 7th-order dense output (II.6, 4 more RHS
-evaluations) to ``event_tol`` times the state scale, and one step of that
-length and the field there give the state that ends the arc.
+the four coordinate semi-axes.  In the growth rule's frame y = (x1, w x2)
+each region's linear part is a pure clockwise spiral, and its quadrant is
+the phase interval [0, pi/2] from its entry semi-axis to its exit one in
+``model.REGIONS``.  A step that ends within ``event_tol`` |y| of the exit
+semi-axis, or past it, is not taken: DOP853 steps in that phase land the
+arc on the axis from the last accepted state (Henon's trick).
 
 The result is one time-ordered table, a row per accepted step and per
 switching event.  An arc, the rows between two event rows, follows the field
 of the open quadrant containing its interior; ``integrate`` takes one pass per
-arc, whose step loop ends at the step that crosses the exit semi-axis, and
-each row records the quadrant of the arc that reached it.  A stop at t_max
-ends at the first row that leaves at most the step floor before t_max: t_max
-itself, or an event row at or past it.  A return stop counts events: after a
-first arc of quadrant q, the arc of Q1 ends on the positive x1-axis at event
-int(q).  ``_leave`` ends every arc: the arc's field must cross its exit
-semi-axis outward and transversally, a first-order move along it places the
-state on the axis, and the clockwise successor's field there must carry on
-across it.  A start on or next to an axis ends an arc of the region holding it.
+arc, whose step loop ends at the landing, and each row records the quadrant of
+the arc that reached it.  A stop at t_max ends at the first row that leaves at
+most the step floor before t_max: t_max itself, or an event row at or past it.
+A return stop counts events: after a first arc of quadrant q, the arc of Q1
+ends on the positive x1-axis at event int(q).  ``_leave`` ends every arc: the
+arc's field must cross its exit semi-axis outward and transversally, and the
+clockwise successor's field there must carry on across it.  A start on or next
+to an axis ends an arc of the region holding it, moved onto the axis.
 The growth rule ends an arc with EscapeError once an accepted state's |y|, a norm
 in which the region's linear part decays, exceeds ``_ARC_GROWTH`` times its value
 at the arc's start: only the perturbation grows |y|, as in a finite-time blow-up.
@@ -48,7 +47,6 @@ from .analytic import _spiral
 from .errors import (BudgetError, EscapeError, OriginError, SideError, StiffnessError,
                      TangencyError)
 from .model import REGIONS, Quadrant, SwitchedSystem, compile_forms, freeze, region_of
-from .rootfind import brent
 
 __all__ = [
     "IntegratorConfig",
@@ -70,9 +68,10 @@ class IntegratorConfig:
     ``integrate`` alone sizes the tolerances to the state, with |x| the
     max-norm of the current state: step error control scales the DOP853
     pair's error estimates by abs_tol * min(1, |x|) + rel_tol * |x_i| in
-    coordinate i, and both event-side tolerances (crossing location, on-axis
-    start) are multiples of event_tol * |x|, so a linear system
-    integrates scale-invariantly below |x| = 1.  The derived
+    coordinate i (in a landing, R's alike and t's by rel_tol * |t| + abs_tol
+    * |dt|), a step within event_tol * |y| of its exit semi-axis reaches it,
+    and a start within 4 * event_tol * |x| of an axis lies on it, so a
+    linear system integrates scale-invariantly below |x| = 1.  The derived
     abs_tol = min(rel_tol, 1e-10) and event_tol = min(1e-12, rel_tol / 100)
     are 1e-10 and 1e-12 for every rel_tol >= 1e-10.  The event budget, the
     bounding box, the growth rule's factor, the step sizes, the transversality
@@ -197,49 +196,6 @@ _E = ((1, 0.1312004499419488073250102996e-1), (6, -0.122515644637620444072056975
       (11, 0.8192320648511571246570742613e-1), (12, -0.2235530786388629525884427845e-1))
 _BHH = ((1, 0.244094488188976377952755905512), (9, 0.733846688281611857341361741547),
         (12, 0.220588235294117647058823529412e-1))
-#: dense output (II.6): stage i = 14..16 as (j, a_ij), where stage 13 is f at the
-#: step's end, and the interpolant's coefficients 4..7, h * sum_j d_j k_j, as (j, d_j)
-_A_DENSE = {
-    14: ((1, 5.61675022830479523392909219681e-2), (7, 2.53500210216624811088794765333e-1),
-         (8, -2.46239037470802489917441475441e-1), (9, -1.24191423263816360469010140626e-1),
-         (10, 1.5329179827876569731206322685e-1), (11, 8.20105229563468988491666602057e-3),
-         (12, 7.56789766054569976138603589584e-3), (13, -8.298e-3)),
-    15: ((1, 3.18346481635021405060768473261e-2), (6, 2.83009096723667755288322961402e-2),
-         (7, 5.35419883074385676223797384372e-2), (8, -5.49237485713909884646569340306e-2),
-         (11, -1.08347328697249322858509316994e-4), (12, 3.82571090835658412954920192323e-4),
-         (13, -3.40465008687404560802977114492e-4), (14, 1.41312443674632500278074618366e-1)),
-    16: ((1, -4.28896301583791923408573538692e-1), (6, -4.69762141536116384314449447206),
-         (7, 7.68342119606259904184240953878), (8, 4.06898981839711007970213554331),
-         (9, 3.56727187455281109270669543021e-1), (13, -1.39902416515901462129418009734e-3),
-         (14, 2.9475147891527723389556272149), (15, -9.15095847217987001081870187138)),
-}
-_D = (
-    ((1, -0.84289382761090128651353491142e+1), (6, 0.56671495351937776962531783590),
-     (7, -0.30689499459498916912797304727e+1), (8, 0.23846676565120698287728149680e+1),
-     (9, 0.21170345824450282767155149946e+1), (10, -0.87139158377797299206789907490),
-     (11, 0.22404374302607882758541771650e+1), (12, 0.63157877876946881815570249290),
-     (13, -0.88990336451333310820698117400e-1), (14, 0.18148505520854727256656404962e+2),
-     (15, -0.91946323924783554000451984436e+1), (16, -0.44360363875948939664310572000e+1)),
-    ((1, 0.10427508642579134603413151009e+2), (6, 0.24228349177525818288430175319e+3),
-     (7, 0.16520045171727028198505394887e+3), (8, -0.37454675472269020279518312152e+3),
-     (9, -0.22113666853125306036270938578e+2), (10, 0.77334326684722638389603898808e+1),
-     (11, -0.30674084731089398182061213626e+2), (12, -0.93321305264302278729567221706e+1),
-     (13, 0.15697238121770843886131091075e+2), (14, -0.31139403219565177677282850411e+2),
-     (15, -0.93529243588444783865713862664e+1), (16, 0.35816841486394083752465898540e+2)),
-    ((1, 0.19985053242002433820987653617e+2), (6, -0.38703730874935176555105901742e+3),
-     (7, -0.18917813819516756882830838328e+3), (8, 0.52780815920542364900561016686e+3),
-     (9, -0.11573902539959630126141871134e+2), (10, 0.68812326946963000169666922661e+1),
-     (11, -0.10006050966910838403183860980e+1), (12, 0.77771377980534432092869265740),
-     (13, -0.27782057523535084065932004339e+1), (14, -0.60196695231264120758267380846e+2),
-     (15, 0.84320405506677161018159903784e+2), (16, 0.11992291136182789328035130030e+2)),
-    ((1, -0.25693933462703749003312586129e+2), (6, -0.15418974869023643374053993627e+3),
-     (7, -0.23152937917604549567536039109e+3), (8, 0.35763911791061412378285349910e+3),
-     (9, 0.93405324183624310003907691704e+2), (10, -0.37458323136451633156875139351e+2),
-     (11, 0.10409964950896230045147246184e+3), (12, 0.29840293426660503123344363579e+2),
-     (13, -0.43533456590011143754432175058e+2), (14, 0.96324553959188282948394950600e+2),
-     (15, -0.39177261675615439165231486172e+2), (16, -0.14972683625798562581422125276e+3)),
-)
-
 #: step floor, relative to max(1, |t|): no step is shorter
 _H_FLOOR = 1e-14
 #: first and largest step, least |normal velocity| / speed at a crossing, longest arc
@@ -256,51 +212,58 @@ _SAFETY, _EXPO, _MIN_FACTOR, _MAX_FACTOR = 0.9, 1 / 8, 0.333, 6.0
 
 
 def _generate_step():
-    """``_rk_stages`` and ``_dense`` as straight-line code generated from the tables.
+    """``_rk_step`` and ``_rk_phase_step`` as straight-line code generated from the tables.
 
-    _rk_stages(f, x1, x2, h, p1, q1) takes one 8th-order step of size h
-    from the first stage (p1, q1) = f(x1, x2); stage i is (p_i, q_i).  It
-    returns the solution (u1, u2), the 5th-order error (e1, e2), the
-    3rd-order one (d1, d2) and the stages (p1, q1, ..., p12, q12); f(u) is
-    left to the caller, as the next step's first stage.  _dense(f, x1, x2,
-    u1, u2, h, k) turns the stages k of that step into the interpolant's
-    coefficients 2..7, a 6-tuple per coordinate, at 4 RHS evaluations: f(u)
-    and stages 14..16.  Only the nonzero coefficients appear, as
-    ``repr(float)`` literals, and each sum runs left to right in increasing j.
+    _rk_step(f, x1, x2, h, p1, q1) takes one 8th-order step of size h from
+    the first stage (p1, q1) = f(x1, x2); stage i is (p_i, q_i).  It returns
+    the solution (u1, u2), the 5th-order error (e1, e2) and the 3rd-order
+    one (d1, d2); f(u) is left to the caller, as the next step's first
+    stage.  _rk_phase_step(f, th, x1, x2, h, p1, q1) is the same step of a
+    field f(th, x1, x2) that reads the independent variable th, which stage
+    i gets at th + c_i h, with c_i the row sum of ``_A``.  Only the nonzero
+    coefficients appear, as ``repr(float)`` literals, and each sum runs left
+    to right in increasing j.
     """
     def dot(pairs, v, sep=" + "):
         return sep.join(f"{a!r} * {v}{j}" for j, a in pairs)
 
-    def stages(rows):
-        for i, row in rows.items():
+    def step(head, var):
+        lines = [head]
+        for i, row in _A.items():
             incs = [f"h * {dot(row, v)}" if len(row) == 1 else f"h * ({dot(row, v)})"
                     for v in "pq"]
-            yield f"    p{i}, q{i} = f(x1 + {incs[0]}, x2 + {incs[1]})"
+            lines.append(f"    p{i}, q{i} = f({var(row)}x1 + {incs[0]}, x2 + {incs[1]})")
+        for c, v in ((1, "p"), (2, "q")):
+            lines += [f"    s{c} = {dot(_B, v)}", f"    e{c} = h * ({dot(_E, v)})",
+                      f"    d{c} = h * (s{c} - {dot(_BHH, v, ' - ')})"]
+        return [*lines, "    return x1 + h * s1, x2 + h * s2, e1, e2, d1, d2"]
 
-    k = ", ".join(f"p{j}, q{j}" for j in range(1, 13))
-    step = ["def _rk_stages(f, x1, x2, h, p1, q1):", *stages(_A)]
-    dense = ["def _dense(f, x1, x2, u1, u2, h, k):", f"    {k} = k", "    p13, q13 = f(u1, u2)",
-             *stages(_A_DENSE)]
-    for c, v in ((1, "p"), (2, "q")):
-        step += [f"    s{c} = {dot(_B, v)}", f"    e{c} = h * ({dot(_E, v)})",
-                 f"    d{c} = h * (s{c} - {dot(_BHH, v, ' - ')})"]
-        dense += [f"    y{c} = u{c} - x{c}", f"    F{c} = (h * {v}1 - y{c}, 2.0 * y{c} - h * "
-                  f"({v}13 + {v}1), {', '.join(f'h * ({dot(row, v)})' for row in _D)})"]
-    step.append(f"    return x1 + h * s1, x2 + h * s2, e1, e2, d1, d2, ({k})")
     namespace = {"__builtins__": {}}
-    exec("\n".join([*step, *dense, "    return F1, F2"]), namespace)
-    return namespace["_rk_stages"], namespace["_dense"]
+    exec("\n".join([*step("def _rk_step(f, x1, x2, h, p1, q1):", lambda row: ""),
+                    *step("def _rk_phase_step(f, th, x1, x2, h, p1, q1):",
+                          lambda row: f"th + {math.fsum(a for _, a in row)!r} * h, ")]), namespace)
+    return namespace["_rk_step"], namespace["_rk_phase_step"]
 
 
-_rk_stages, _dense = _generate_step()
+_rk_step, _rk_phase_step = _generate_step()
 
 
-def _interpolate(a: float, b: float, F, theta: float) -> float:
-    """Dense output at theta = tau / h of a coordinate that a step takes from a
-    to b, with its coefficients F from ``_dense``: exactly a and b at 0 and 1."""
-    s = 1.0 - theta
-    return s * a + theta * b + theta * s * (
-        F[0] + theta * (F[1] + s * (F[2] + theta * (F[3] + s * (F[4] + theta * F[5])))))
+def _error(e1, e2, d1, d2, sc1, sc2, x1, x2, t):
+    """(err, factor) of a step from (x1, x2) at t: Hairer's norm of its 5th- and
+    3rd-order error estimates e and d, scaled per coordinate by sc, and the next
+    step's factor.  A scale that underflowed to zero leaves no tolerance."""
+    try:
+        n5 = math.hypot(e1 / sc1, e2 / sc2)
+        n3 = math.hypot(d1 / sc1, d2 / sc2)
+    except ZeroDivisionError:
+        raise OriginError(f"state ({x1}, {x2}) at t = {t} is indistinguishable "
+                          "from the origin at float resolution") from None
+    # Hairer's n5^2 / sqrt(2 (n5^2 + 0.01 n3^2)), in a form that neither
+    # overflows nor divides by zero: inf or nan on overflow, 0 for n5 = 0
+    err = n5 * (n5 / math.hypot(n5, 0.1 * n3)) / math.sqrt(2.0) if n5 else 0.0
+    if not math.isfinite(err):
+        return math.inf, _MIN_FACTOR
+    return err, min(_MAX_FACTOR, max(_MIN_FACTOR, _SAFETY * err ** -_EXPO)) if err else _MAX_FACTOR
 
 
 def _compiled_fields(sys: SwitchedSystem, lam: float) -> dict[int, object]:
@@ -332,16 +295,57 @@ def _leave(fields, q: Quadrant, x1: float, x2: float, d, t: float):
     return q_next, k, t + dt, x
 
 
-def _locate_crossing(f, q: Quadrant, t, x1, x2, h, u1, u2, k, tol_g):
-    """(time, state, f there) where the arc of ``q`` crosses its exit semi-axis
-    g = 0 in the step from (x1, x2) at t to (u1, u2) at t + h with stages k:
-    brent on the step's dense output for the length tau, and one 8th-order step
-    of size tau.  ``_leave`` checks the crossing and puts the state on the axis."""
-    gidx = REGIONS[q][0]
-    a, b, F = (x1, x2)[gidx], (u1, u2)[gidx], _dense(f, x1, x2, u1, u2, h, k)[gidx]
-    tau, _ = brent(lambda s: _interpolate(a, b, F, s / h), 0.0, h, xtol=math.ulp(h), ftol=tol_g)
-    v = _rk_stages(f, x1, x2, tau, k[0], k[1])[:2]
-    return t + tau, v, f(*v)
+def _land(f, q: Quadrant, w: float, t: float, x1: float, x2: float, k, rel_tol, abs_tol):
+    """(time, state) where the arc of ``q`` from (x1, x2) at t, with q's field k
+    there, reaches q's exit semi-axis, by DOP853 steps in the arc's phase.
+
+    In the frame y = (x1, w x2), q's quadrant is R (cos th, sin th), th in
+    [0, pi/2], in the coordinates (g, o): g the exit coordinate, o the other,
+    both positive inside.  After Henon (Physica D 5, 1982) th is the
+    independent variable and (R, t) the state, with dR/dth = R (y'.u_r) /
+    (y'.u_th) and dt/dth = R / (y'.u_th), stepped under ``integrate``'s error
+    norm and controller.  The last step ends at th = pi/2, where g is set to
+    0.0.  A phase rate y'.u_th / R that is not positive, or that vanishes so
+    that the phase step underflows, raises TangencyError."""
+    gidx, s_g, s_o, _ = REGIONS[q]
+    mg, mo = (s_g, s_o * w) if gidx == 0 else (s_g * w, s_o)   # g = mg x_gidx, o = mo x_other
+
+    def rates(c, s, R, d):
+        dg, do = mg * d[gidx], mo * d[1 - gidx]
+        v = do * c - dg * s
+        if not v > 0.0:
+            raise TangencyError(f"an arc of quadrant {int(q)} cannot end after t = {t}: it "
+                                f"stops turning clockwise (phase rate {v / R})")
+        return R * ((dg * c + do * s) / v), R / v
+
+    def field(th, R, _):
+        c, s = math.cos(th), math.sin(th)
+        xg, xo = R * c / mg, R * s / mo
+        return rates(c, s, R, f(xg, xo) if gidx == 0 else f(xo, xg))
+
+    g, o = mg * (x1, x2)[gidx], mo * (x1, x2)[1 - gidx]
+    R, th, end = math.hypot(g, o), math.atan2(o, g), 0.5 * math.pi
+    kR, kt = rates(g / R, o / R, R, k)
+    h = h_max = end - th
+    while True:
+        clipped = th + h >= end
+        if clipped:
+            h = end - th
+        elif h <= _H_FLOOR:   # dt/dth grows without bound: the phase rate vanishes
+            raise TangencyError(f"an arc of quadrant {int(q)} cannot end after t = {t}: its "
+                                f"phase rate vanishes (phase step underflow, h = {h})")
+        R1, t1, e1, e2, d1, d2 = _rk_phase_step(field, th, R, t, h, kR, kt)
+        big = max(R, abs(R1))
+        err, factor = _error(e1, e2, d1, d2, abs_tol * min(1.0, big) + rel_tol * big,
+                             rel_tol * max(abs(t), abs(t1)) + abs_tol * abs(t1 - t), x1, x2, t)
+        if err > 1.0:
+            h = h_max = h * factor   # the step after a rejection does not grow
+            continue
+        th, R, t = end if clipped else th + h, R1, t1
+        if clipped:
+            return t, ((0.0, R / mo) if gidx == 0 else (R / mo, 0.0))
+        kR, kt = field(th, R, t)
+        h, h_max = min(h * factor, h_max), end
 
 
 def integrate(sys: SwitchedSystem, x0, lam: float, stop, cfg: IntegratorConfig,
@@ -349,23 +353,23 @@ def integrate(sys: SwitchedSystem, x0, lam: float, stop, cfg: IntegratorConfig,
     """Integrate the switched system from ``x0`` until ``stop`` is met.
 
     ``stop`` is one of StopAtTime, StopAfterEvents, StopOnReturn.
-    Returns one row per accepted step and per refined switching event.
+    Returns one row per accepted step and per switching event.
     A StopAtTime ends at the first row that leaves at most the step floor,
     _H_FLOOR * max(1, |t|), before t_max: t_max itself, or an event row at
     or past it.
     Raises DomainError where ``sys.params.at(lam)`` does, TangencyError on
-    non-transversal or sliding crossings and on a trial state on or past
-    the axis its arc entered by, BudgetError when the event budget
-    or per-arc time budget is exhausted, StiffnessError on step underflow,
-    EscapeError when the start or a trial state lies outside the bounding
-    box, NaN too, unless the step is rejected and x . f(x) <= 0 at the
-    accepted state, or by the growth rule when an accepted state's |y|
-    exceeds _ARC_GROWTH times its arc's start, and OriginError when a state
-    lies below the smallest normal float.  A start within 4 * event_tol * |x0|
-    of an axis ends an arc of the region holding the point snapped onto that
-    axis: ``_leave`` checks it and places it on the axis, as at every
-    switching event, and row 0 holds the placed state, which is not recorded
-    as an event.
+    non-transversal or sliding crossings, on an arc that stops turning
+    clockwise and on a trial state on or past the axis its arc entered by,
+    BudgetError when the event budget or per-arc time budget is exhausted,
+    StiffnessError on step underflow, EscapeError when the start, a trial
+    state or a landed state lies outside the bounding box, NaN too, unless
+    the step is rejected and x . f(x) <= 0 at the accepted state, or by the
+    growth rule when an accepted or landed state's |y| exceeds _ARC_GROWTH
+    times its arc's start, and OriginError when a state lies below the
+    smallest normal float.  A start within 4 * event_tol * |x0| of an axis
+    ends an arc of the region holding the point snapped onto that axis:
+    ``_leave`` checks it and moves it onto the axis, and row 0 holds the
+    placed state, which is not recorded as an event.
     ``fields`` is ``_compiled_fields(sys, lam)`` when the caller holds it.
     """
     r = _spiral(sys.params, lam)[2]
@@ -400,35 +404,22 @@ def integrate(sys: SwitchedSystem, x0, lam: float, stop, cfg: IntegratorConfig,
         if len(events) >= _MAX_ARCS:
             raise BudgetError(f"switching-event budget exhausted ({_MAX_ARCS})")
         f, (gidx, s_g, s_o, _), t_arc, h_max = fields[int(q)], REGIONS[q], t, _MAX_STEP
-        w = r if q % 2 else 1.0 / r   # the growth rule's norm is hypot(x1, w * x2)
-        limit = _ARC_GROWTH * math.hypot(x1, w * x2)
-        while True:   # DOP853 steps, until one crosses q's exit semi-axis or ends at t_target
+        w = r if q % 2 else 1.0 / r   # the growth rule's norm |y| is hypot(x1, w * x2)
+        mg, limit = s_g * (w if gidx else 1.0), _ARC_GROWTH * math.hypot(x1, w * x2)
+        while True:   # DOP853 steps, until one reaches q's exit semi-axis or ends at t_target
             clipped = t + h >= t_target
             if clipped:
                 h = t_target - t
             if h <= _H_FLOOR * max(1.0, abs(t)):
                 raise StiffnessError(f"step size underflow (h = {h}) at t = {t}")
 
-            u1, u2, e1, e2, d1, d2, stages = _rk_stages(f, x1, x2, h, k11, k12)
+            u1, u2, e1, e2, d1, d2 = _rk_step(f, x1, x2, h, k11, k12)
             # the absolute-tolerance floor follows the trajectory scale, so
             # control stays relative while a contracting spiral decays; without
             # this, event times on strongly damped orbits lose absolute accuracy
             loc = min(1.0, max(abs(x1), abs(x2), abs(u1), abs(u2)))
-            sc1 = abs_tol * loc + rel_tol * max(abs(x1), abs(u1))
-            sc2 = abs_tol * loc + rel_tol * max(abs(x2), abs(u2))
-            try:
-                n5 = math.hypot(e1 / sc1, e2 / sc2)
-                n3 = math.hypot(d1 / sc1, d2 / sc2)
-            except ZeroDivisionError:   # the scale underflowed: no tolerance is left
-                raise OriginError(f"state ({x1}, {x2}) at t = {t} is indistinguishable "
-                                  "from the origin at float resolution") from None
-            # Hairer's n5^2 / sqrt(2 (n5^2 + 0.01 n3^2)), in a form that neither
-            # overflows nor divides by zero: inf or nan on overflow, 0 for n5 = 0
-            err = n5 * (n5 / math.hypot(n5, 0.1 * n3)) / math.sqrt(2.0) if n5 else 0.0
-            if not math.isfinite(err):
-                err = math.inf
-            factor = (min(_MAX_FACTOR, max(_MIN_FACTOR, _SAFETY * err ** -_EXPO)) if err
-                      else _MAX_FACTOR)
+            err, factor = _error(e1, e2, d1, d2, abs_tol * loc + rel_tol * max(abs(x1), abs(u1)),
+                                 abs_tol * loc + rel_tol * max(abs(x2), abs(u2)), x1, x2, t)
 
             # outside the box (NaN too): escape, unless rejected where x . f(x) <= 0
             if (not (abs(u1) <= _ESCAPE_RADIUS and abs(u2) <= _ESCAPE_RADIUS)
@@ -437,24 +428,30 @@ def integrate(sys: SwitchedSystem, x0, lam: float, stop, cfg: IntegratorConfig,
             if err > 1.0:
                 h = h_max = h * factor   # the step after a rejection does not grow
                 continue
+            t_u, norm = t_target if clipped else t + h, math.hypot(u1, w * u2)
+            reached = not ((u1, u2)[gidx] * mg > event_tol * norm)
+            if reached:   # the step is not taken: the arc lands on the axis from (x1, x2)
+                t_u, (u1, u2) = _land(f, q, w, t, x1, x2, (k11, k12), rel_tol, abs_tol)
+                norm = math.hypot(u1, w * u2)
+                if not (abs(u1) <= _ESCAPE_RADIUS and abs(u2) <= _ESCAPE_RADIUS):
+                    raise EscapeError(f"trajectory left the bounding box near t = {t_u}: "
+                                      f"({u1}, {u2})")
             if max(abs(u1), abs(u2)) < _FLOAT_MIN:
-                raise OriginError(f"trajectory decayed below float resolution at t = {t + h}: "
+                raise OriginError(f"trajectory decayed below float resolution at t = {t_u}: "
                                   f"({u1}, {u2})")
-            if math.hypot(u1, w * u2) > limit:
+            if norm > limit:
                 raise EscapeError(f"growth rule: |y| grew over {_ARC_GROWTH:g} times its value "
-                                  f"at the arc's start by t = {t + h}: ({u1}, {u2})")
-            crossed = not ((u1, u2)[gidx] * s_g > 0.0)
-            if crossed:
+                                  f"at the arc's start by t = {t_u}: ({u1}, {u2})")
+            if reached:
                 break
             # an arc starts on its entry semi-axis or inside its quadrant, so a
             # trial state off the quadrant's side of that axis turns counterclockwise
             if not ((u1, u2)[1 - gidx] * s_o > 0.0):
                 raise TangencyError(
                     f"trajectory left quadrant {int(q)} through an unexpected axis "
-                    f"in the step from t = {t} to {t + h} (rotation is not clockwise)")
+                    f"in the step from t = {t} to {t_u} (rotation is not clockwise)")
 
-            t = t_target if clipped else t + h
-            x1, x2 = u1, u2
+            t, x1, x2 = t_u, u1, u2
             rows.append((t, x1, x2, int(q)))
             if t_target - t <= _H_FLOOR * max(1.0, abs(t)):
                 break   # no step fits before t_target: the outer loop ends too
@@ -463,13 +460,9 @@ def integrate(sys: SwitchedSystem, x0, lam: float, stop, cfg: IntegratorConfig,
                                   f"(arc started at t = {t_arc})")
             k11, k12 = f(x1, x2)
             h, h_max = min(h * factor, h_max), _MAX_STEP
-        if crossed:
-            # event-side tolerance relative to the local state scale: the event
-            # time error is then ~ event_tol / rotation_rate regardless of decay
-            t, v, fv = _locate_crossing(f, q, t, x1, x2, h, u1, u2, stages,
-                                        event_tol * max(abs(x1), abs(x2)))
-            # the next arc's field at the event state is its first stage
-            ended, (q, (k11, k12), t, (x1, x2)) = int(q), _leave(fields, q, *v, fv, t)
+        if reached:
+            # _leave checks the landed state; the next arc's field there is its first stage
+            ended, (q, (k11, k12), t, (x1, x2)) = int(q), _leave(fields, q, u1, u2, f(u1, u2), t_u)
             events.append(len(rows))
             rows.append((t, x1, x2, ended))
 

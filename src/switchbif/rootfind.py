@@ -1,10 +1,9 @@
 """Bracketed scalar root finding (Brent's method).
 
-Bisection guarantees convergence on any sign-change bracket; inverse
-quadratic / secant steps accelerate it when the iterates behave.  Used
-by event location, the critical-parameter search and the periodic-orbit
-branch solver, which brackets its predicted amplitude with the one-sided
-walk of ``expand_bracket``.
+Bisection guarantees convergence on any sign-change bracket; inverse quadratic
+/ secant steps accelerate it when the iterates behave.  Used by the critical-
+parameter search and the periodic-orbit branch solver, which brackets its
+predicted amplitude with the one-sided walk of ``expand_bracket``.
 """
 
 from __future__ import annotations

@@ -158,11 +158,14 @@ class TestSimulate:
 
     def test_t_max_at_a_switching_event_ends_on_its_row(self, capsys):
         # the trajectory's second event time: the run ends on the event row
-        code, out, _ = run(capsys, ["paper-example", "simulate", "--lambda", "0.1",
-                                    "--x0", "0.5,0", "--t-max", "0.9893500912364693"])
+        argv = ["paper-example", "simulate", "--lambda", "0.1", "--x0", "0.5,0"]
+        code, out, _ = run(capsys, [*argv, "--n-events", "2"])
+        assert code == 0
+        t_event = out.strip().splitlines()[-1].split(",")[0]
+        code, out, _ = run(capsys, [*argv, "--t-max", t_event])
         assert code == 0
         t, _, x2, _, event = out.strip().splitlines()[-1].split(",")
-        assert (t, x2, event) == ("0.9893500912364693", "0.0", "1")
+        assert (t, x2, event) == (t_event, "0.0", "1")
 
     def test_requires_stop_condition(self, capsys):
         code, _, err = run(capsys, ["paper-example", "simulate", "--x0", "1,0"])

@@ -13,12 +13,13 @@ from switchbif import (BudgetError, EscapeError, IntegratorConfig,
                        SideError, StiffnessError, StopAfterEvents, StopAtTime, StopOnReturn,
                        SwitchedSystem, TangencyError, continue_branch, delta,
                        delta_numeric, fit_local_expansion, integrate,
-                       poincare_numeric, numeric)
-from switchbif.analytic import flow_linear
+                       paper_example_config, poincare_numeric, numeric)
+from switchbif.analytic import _spiral, flow_linear
 from switchbif.config import parse_config
 from switchbif.model import REGIONS
-from switchbif.rootfind import brent
 from test_bifurcation import two_sided_system, with_x1_squared
+from test_cli import TWO_SIDED
+from test_exact import exact_events
 
 #: (a, b, c) grid used for the linear-case oracle comparisons
 ORACLE_GRID = [(a, b, c) for a in (0.1, 1.0, 2.0) for b in (1.0, 6.0) for c in (1.0, 3.0)]
@@ -283,8 +284,8 @@ class TestDop853Coefficients:
     the step generated from them against scipy's own Runge-Kutta step."""
 
     @staticmethod
-    def dense(pairs, n=12):
-        row = [0.0] * n
+    def dense(pairs):
+        row = [0.0] * 12
         for j, a in pairs:
             row[j - 1] = a
         return row
@@ -322,37 +323,27 @@ class TestDop853Coefficients:
         k = np.empty((13, 2))
         u, _ = rk.rk_step(lambda t, y: np.array(f(*y)), 0.0, x, np.array(f(*x)), h,
                           coef.A[:12, :12], coef.B, coef.C[:12], k)
-        u1, u2, e1, e2, d1, d2, _ = numeric._rk_stages(f, *x, h, *f(*x))
+        u1, u2, e1, e2, d1, d2 = numeric._rk_step(f, *x, h, *f(*x))
         assert [u1, u2] == pytest.approx(u, rel=1e-15, abs=0.0)
         assert [e1, e2] == pytest.approx(h * k.T @ coef.E5, rel=0.0, abs=1e-15)
         assert [d1, d2] == pytest.approx(h * k.T @ coef.E3, rel=0.0, abs=1e-15)
 
-    def test_dense_output_tables_equal_scipys(self):
+    def test_phase_step_matches_scipys_rk_step(self):
+        # the step of a field that reads its independent variable, which
+        # stage i gets at th + c_i h, against scipy's step with its own C
+        rk = pytest.importorskip("scipy.integrate._ivp.rk")
         coef = pytest.importorskip("scipy.integrate._ivp.dop853_coefficients")
-        assert sorted(numeric._A_DENSE) == [14, 15, 16]
-        a = [self.dense(numeric._A_DENSE[i], 16) for i in (14, 15, 16)]
-        assert a == coef.A[13:16].tolist()
-        assert [self.dense(row, 16) for row in numeric._D] == coef.D.tolist()
 
-    def test_dense_output_matches_scipys(self, paper_system):
-        # the step of test_step_matches_scipys_rk_step, taken by scipy's
-        # solver at tolerances that accept it, and that solver's interpolant
-        solvers = pytest.importorskip("scipy.integrate")
-        f = numeric._compiled_fields(paper_system, 0.3)[1]
-        x, h = (0.7, 0.4), 0.05
-        solver = solvers.DOP853(lambda t, y: np.array(f(*y)), 0.0, np.array(x), h,
-                                first_step=h, rtol=1e3, atol=1e3)
-        solver.step()
-        assert solver.t == h
-        u1, u2, *_, stages = numeric._rk_stages(f, *x, h, *f(*x))
-        coefs = numeric._dense(f, *x, u1, u2, h, stages)
-        ends = list(zip(x, (u1, u2), coefs))
-        assert [numeric._interpolate(a, b, F, 0.0) for a, b, F in ends] == list(x)
-        assert [numeric._interpolate(a, b, F, 1.0) for a, b, F in ends] == [u1, u2]
-        scipy_dense = solver.dense_output()
-        for theta in (0.25, 0.5, 0.75):
-            assert [numeric._interpolate(a, b, F, theta) for a, b, F in ends] == pytest.approx(
-                scipy_dense(theta * h), rel=1e-15, abs=0.0), theta
+        def f(th, x1, x2):
+            return math.cos(3.0 * th) * x2 + 0.3 * x1 * x1, th * x1 - math.sin(th) * x2
+        th, x, h = 0.4, np.array([0.7, 0.4]), 0.3
+        k = np.empty((13, 2))
+        u, _ = rk.rk_step(lambda s, y: np.array(f(s, *y)), th, x, np.array(f(th, *x)), h,
+                          coef.A[:12, :12], coef.B, coef.C[:12], k)
+        u1, u2, e1, e2, d1, d2 = numeric._rk_phase_step(f, th, *x, h, *f(th, *x))
+        assert [u1, u2] == pytest.approx(u, rel=1e-15, abs=0.0)
+        assert [e1, e2] == pytest.approx(h * k.T @ coef.E5, rel=0.0, abs=1e-15)
+        assert [d1, d2] == pytest.approx(h * k.T @ coef.E3, rel=0.0, abs=1e-15)
 
 
 class TestEventLocationCost:
@@ -360,15 +351,18 @@ class TestEventLocationCost:
 
     @pytest.mark.parametrize("x1", [0.5, 1e-4])
     def test_one_return_budget(self, paper_config, rhs_evals, x1):
-        # 496 and 378 measured (500 and 382 with the ending arc's field
-        # re-evaluated at each event, 634 and 527 with brent on re-taken
-        # steps, 1,300 and 1,288 with the 5(4) pair)
+        # 480 and 362 measured (496 and 378 with brent on the crossing step's
+        # dense output, 500 and 382 with the ending arc's field re-evaluated
+        # at each event, 634 and 527 with brent on re-taken steps, 1,300 and
+        # 1,288 with the 5(4) pair)
         poincare_numeric(paper_config.system, x1, 0.1, paper_config.integrator)
-        assert 0 < rhs_evals[0] <= 550
+        assert 0 < rhs_evals[0] <= 500
 
-    def test_one_crossing_costs_16_evals(self, paper_system, cfg):
-        # the dense output's 4 stages, one step to the located time and the
-        # field there, which _leave takes for the move onto the axis
+    def test_one_landing_costs_12_evals(self, paper_system, cfg):
+        # one phase step's 11 stages, its first stage being the field that the
+        # arc holds, and the field at the landed state, which _leave checks
+        # (16 with brent on the dense output: its 4 stages, one step to the
+        # located time and the field there)
         calls = []
         fields = numeric._compiled_fields(paper_system, 0.1)
         field = fields[1]
@@ -376,19 +370,19 @@ class TestEventLocationCost:
         def f(x1, x2):
             calls.append((x1, x2))
             return field(x1, x2)
-        x, h = (0.3, 0.05), 0.2
-        u1, u2, *_, stages = numeric._rk_stages(f, *x, h, *f(*x))
-        assert u2 < 0.0 < u1
+        x, w = (0.3, 0.02), _spiral(paper_system.params, 0.1)[2]
+        k = f(*x)
         calls.clear()
-        t, v, d = numeric._locate_crossing(f, Quadrant.Q1, 0.0, *x, h, u1, u2, stages, 1e-13)
-        _, _, t, state = numeric._leave({**fields, 1: f}, Quadrant.Q1, *v, d, t)
-        assert 0.0 < t < h and state[1] == 0.0 and len(calls) == 16
+        t, v = numeric._land(f, Quadrant.Q1, w, 0.0, *x, k, cfg.rel_tol, cfg.abs_tol)
+        _, _, t_event, state = numeric._leave({**fields, 1: f}, Quadrant.Q1, *v, f(*v), t)
+        assert 0.0 < t == t_event and state == v and v[1] == 0.0 < v[0]
+        assert len(calls) == 12
 
-    def test_one_event_costs_17_evals_none_of_the_ending_field_there(self, paper_system, cfg):
+    def test_one_event_costs_13_evals(self, paper_system, cfg):
         # between f at the row before an event and the next arc's first stage:
-        # the crossing step's 11 stages, the crossing's 16 evals and the
-        # successor's field at the placed event state, the only field
-        # evaluated there
+        # the discarded step's 11 stages, the landing's 11, the ending field at
+        # the event row, which _leave checks, and the successor's field there
+        # (17 with brent on the dense output, whose event row no field saw)
         calls = []
 
         def spy(q, f):
@@ -401,24 +395,25 @@ class TestEventLocationCost:
         assert len(traj.events) == 4
         for i in traj.events.tolist():
             q, (x_prev, x) = int(traj.quadrants[i]), traj.states[i - 1:i + 1].tolist()
-            assert (q, *x) not in calls
             end = calls.index((int(REGIONS[q][3]), *x))
             start = max(j for j, call in enumerate(calls[:end]) if call == (q, *x_prev))
-            assert end - start == 11 + 17
+            assert end - start == 11 + 13
+            assert calls[end - 1] == (q, *x) and calls.count((q, *x)) == 1
 
     def test_paper_branch_budget(self, paper_config, rhs_evals):
         # half returns on the point-symmetric paper example, the first
         # parameter value seeded from the leading coefficient and h(10)
-        # deciding four grid points above its orbit: 7,711 RHS evals
-        # measured (7,769 with the ending arc's field re-evaluated at each
-        # event, 9,657 with brent on re-taken steps to locate each
-        # crossing, 11,895 with the whole grid above the orbit integrated,
-        # 17,099 with the first value scanned in 32 returns, 35,610 with the
-        # 5(4) pair, 68,654 with full returns)
+        # deciding four grid points above its orbit: 7,479 RHS evals
+        # measured (7,711 with brent on the crossing step's dense output,
+        # 7,769 with the ending arc's field re-evaluated at each event,
+        # 9,657 with brent on re-taken steps to locate each crossing, 11,895
+        # with the whole grid above the orbit integrated, 17,099 with the
+        # first value scanned in 32 returns, 35,610 with the 5(4) pair,
+        # 68,654 with full returns)
         res = continue_branch(paper_config.system, [0.02, 0.05, 0.1, 0.5, 1.0],
                               paper_config.integrator)
         assert [p.returns for p in res.points] == [9, 4, 4, 6, 6]
-        assert 0 < rhs_evals[0] <= 7_800
+        assert 0 < rhs_evals[0] <= 7_500
 
     def test_fields_compile_once_per_lambda(self, paper_config, compiled):
         # every return at one parameter value shares its compiled fields:
@@ -432,64 +427,52 @@ class TestEventLocationCost:
         assert compiled == [0.0]
 
 
-def retaken_crossing(f, q, t, x1, x2, h, u1, u2, k, tol_g):
-    """Reference for ``numeric._locate_crossing``: brent on the monitored
-    coordinate g(tau) after one 8th-order step of size tau, each evaluation a
-    re-taken step; the bracket ends and every state evaluated are kept, and
-    the field at the located state is returned for ``numeric._leave``."""
-    gidx = REGIONS[q][0]
-    states = {0.0: (x1, x2), h: (u1, u2)}
-
-    def g(tau):
-        if tau not in states:
-            states[tau] = numeric._rk_stages(f, x1, x2, tau, k[0], k[1])[:2]
-        return states[tau][gidx]
-
-    tau, _ = brent(g, 0.0, h, xtol=math.ulp(h), ftol=tol_g)
-    return t + tau, states[tau], f(*states[tau])
-
-
 class TestCrossingLocation:
-    """Crossings located on the dense output against brent on re-taken steps."""
+    """Event rows, landed by phase steps, against the paper example's exact map."""
 
-    #: rel_tol: (time, state) bounds, 3x the largest relative difference of
-    #: the event rows measured over the parameter grid below (9.4e-13 and
-    #: 7.9e-12 at 1e-6, 6.6e-13 and 1.8e-12 at 1e-10)
-    BOUNDS = {1e-6: (2.9e-12, 2.4e-11), 1e-10: (2.0e-12, 5.4e-12)}
+    #: rel_tol: (time, state) bounds, about 3x the largest relative error of
+    #: the event rows measured over the grid below (7.1e-8 and 3.1e-7 at 1e-6,
+    #: 1.8e-11 and 1.1e-10 at 1e-10; 7.0e-8, 3.9e-7, 1.9e-11 and 1.1e-10 with
+    #: brent on the crossing step's dense output)
+    BOUNDS = {1e-6: (2.1e-7, 9.3e-7), 1e-10: (5.6e-11, 3.3e-10)}
 
     @pytest.mark.parametrize("rel_tol", sorted(BOUNDS))
     @pytest.mark.parametrize("lam", [0.1, 1.0])
     @pytest.mark.parametrize("x1", [1e-4, 0.5, 2.0])
-    def test_event_rows_match_the_retaken_steps(self, paper_system, monkeypatch,
-                                                rel_tol, lam, x1):
-        cfg = IntegratorConfig(rel_tol)
-        dense = integrate(paper_system, (x1, 0.0), lam, StopOnReturn(), cfg)
-        monkeypatch.setattr(numeric, "_locate_crossing", retaken_crossing)
-        retaken = integrate(paper_system, (x1, 0.0), lam, StopOnReturn(), cfg)
-        assert len(dense.events) == len(retaken.events) == 4
-        t_ref, x_ref = retaken.times[retaken.events], retaken.states[retaken.events]
+    def test_event_rows_match_the_exact_map(self, paper_system, rel_tol, lam, x1):
+        traj = integrate(paper_system, (x1, 0.0), lam, StopOnReturn(), IntegratorConfig(rel_tol))
+        exact = exact_events(lam, x1)
+        assert len(traj.events) == len(exact) == 4
         t_bound, x_bound = self.BOUNDS[rel_tol]
-        assert np.all(np.abs(dense.times[dense.events] - t_ref) <= t_bound * t_ref)
-        scale = np.max(np.abs(x_ref), axis=1, keepdims=True)
-        assert np.all(np.abs(dense.states[dense.events] - x_ref) <= x_bound * scale)
-        assert np.all(np.any(dense.states[dense.events] == 0.0, axis=1))   # on the axis
+        for i, (t, x) in zip(traj.events, exact):
+            assert abs(traj.times[i] - t) <= t_bound * t
+            assert np.max(np.abs(traj.states[i] - x)) <= x_bound * np.max(np.abs(x))
+        assert np.all(np.any(traj.states[traj.events] == 0.0, axis=1))   # on the axis
 
     @pytest.mark.parametrize("normal", [
         lambda x1, x2: -3.0 * (0.75 - x1) ** 2,
         lambda x1, x2: -3.0 * (0.75 - x1) ** 2 if abs(x2) > 1e-9 else 0.0],
         ids=["cubic_tangency", "zero_near_the_axis"])
-    def test_zero_normal_velocity_raises(self, normal):
-        # x2 = (0.25 - t)^3 crosses the positive x1-axis at t = 0.25 with
-        # zero velocity (tangentially); the second field's normal velocity is
-        # exactly zero near the axis, which must not reach the division
+    def test_zero_normal_velocity_raises(self, cfg, normal):
+        # x2 = (0.25 - t)^3 meets the positive x1-axis at t = 0.25 with zero
+        # velocity (tangentially), where dt/dth grows without bound; the second
+        # field's normal velocity is exactly zero near the axis, which it never
+        # reaches.  Either way the landing's phase step underflows
         def f(x1, x2):
             return 1.0, normal(x1, x2)
-        x, h = (0.5, 0.25 ** 3), 0.5
-        u1, u2, *_, stages = numeric._rk_stages(f, *x, h, *f(*x))
-        assert u2 < 0.0
-        t, v, d = numeric._locate_crossing(f, Quadrant.Q1, 0.0, *x, h, u1, u2, stages, 1e-13)
-        with pytest.raises(TangencyError, match="quadrant 1 cannot end at t = 0.2499"):
-            numeric._leave({1: f, 4: f}, Quadrant.Q1, *v, d, t)
+        x = (0.5, 0.25 ** 3)
+        with pytest.raises(TangencyError, match=r"quadrant 1 cannot end after t = 0\.249.*"
+                                                "phase rate vanishes"):
+            numeric._land(f, Quadrant.Q1, 1.0, 0.0, *x, f(*x), cfg.rel_tol, cfg.abs_tol)
+
+    def test_phase_rate_that_is_not_positive_raises(self, cfg):
+        # the field turns the state counterclockwise, away from the exit axis
+        def f(x1, x2):
+            return -1.0, 0.0
+        with pytest.raises(TangencyError, match="quadrant 1 cannot end after t = 0.0: it stops "
+                                                "turning clockwise"):
+            numeric._land(f, Quadrant.Q1, 1.0, 0.0, 0.5, 0.1, f(0.5, 0.1), cfg.rel_tol,
+                          cfg.abs_tol)
 
 
 class TestHalfReturn:
@@ -568,10 +551,11 @@ def arc_growth(traj, params, lam):
     return growth
 
 
-def scaled_paper_system(paper_config, s, kappa):
-    """The paper example in y = x / s and time t / kappa: each degree-d term's
-    coefficient times kappa s^(d - 1), and a, b and c times kappa."""
-    doc = json.loads(emit_canonical(paper_config))
+def scaled_system(config, s, kappa):
+    """The system of ``config`` in y = x / s and time t / kappa, built from its
+    JSON document: each degree-d term's coefficient times kappa s^(d - 1), and
+    a, b and c times kappa."""
+    doc = json.loads(emit_canonical(config))
     system = doc["system"]
     system["a"] *= kappa
     for key in ("b_poly", "c_poly"):
@@ -582,6 +566,35 @@ def scaled_paper_system(paper_config, s, kappa):
                 scale = kappa * s ** (term["pow1"] + term["pow2"] - 1)
                 term["coeff_poly"] = [scale * v for v in term["coeff_poly"]]
     return parse_config(json.dumps(doc)).system
+
+
+class TestScaleInvariance:
+    """Two exact symmetries of the system class: y = x / s maps orbits to
+    orbits with m_s(x / s) = m(x) / s, and time t / kappa divides periods by
+    kappa.  ``integrate`` scales every tolerance to the state and to the time,
+    so the copies agree while no absolute constant bites.  Each bound is about
+    3x the largest relative difference measured over the grid below: 7.3e-12
+    in x1_out and 2.0e-12 in the period for the amplitude copies, 1.9e-11 in
+    x1_out and 2.8e-12 in the period for the time copies."""
+
+    CONFIGS = {"paper": paper_example_config,
+               "two_sided": lambda: parse_config(json.dumps(TWO_SIDED))}
+
+    @pytest.mark.parametrize("half", [False, True])
+    @pytest.mark.parametrize("lam", [0.02, 0.1])
+    @pytest.mark.parametrize("name", sorted(CONFIGS))
+    def test_scaled_copies_give_the_same_return(self, cfg, name, lam, half):
+        config = self.CONFIGS[name]()
+        for x in (0.3, 2.0):
+            m = poincare_numeric(config.system, x, lam, cfg, half=half)
+            for s in (0.5, 3.0, 1e3):
+                ms = poincare_numeric(scaled_system(config, s, 1.0), x / s, lam, cfg, half=half)
+                assert ms.x1_out * s == pytest.approx(m.x1_out, rel=2.2e-11, abs=0.0)
+                assert ms.period == pytest.approx(m.period, rel=6e-12, abs=0.0)
+            for kappa in (0.25, 4.0):
+                mk = poincare_numeric(scaled_system(config, 1.0, kappa), x, lam, cfg, half=half)
+                assert mk.x1_out == pytest.approx(m.x1_out, rel=5.7e-11, abs=0.0)
+                assert mk.period * kappa == pytest.approx(m.period, rel=8.5e-12, abs=0.0)
 
 
 class TestGrowthRule:
@@ -611,7 +624,7 @@ class TestGrowthRule:
     @pytest.mark.parametrize("kappa", [0.25, 4.0])
     def test_scaled_copies_end_at_the_rule(self, paper_config, cfg, s, kappa):
         # |y| ratios are invariant under the amplitude and time scalings
-        sys = scaled_paper_system(paper_config, s, kappa)
+        sys = scaled_system(paper_config, s, kappa)
         with pytest.raises(EscapeError, match="growth rule"):
             poincare_numeric(sys, 2.097152 / s, -0.2, cfg, half=True)
 
